@@ -7,7 +7,8 @@ Subcommands:
 * ``verify`` exact MILP vs exhaustive-enumeration cross-check
 
 Exit codes: 0 ok, 1 verification mismatch, 2 input error, 3 caps or
-limits exceeded, 4 solver reports infeasible.
+limits exceeded (``run`` still verifies and reports a time-limit
+incumbent), 4 solver reports infeasible.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--time-limit", type=float, default=None,
                    help="solver time limit in seconds")
     p.add_argument("--seed", type=int, default=0,
-                   help="deterministic seed passed to the solver")
+                   help="accepted for scripts; HiGHS runs with its fixed "
+                        "default seed")
     p.add_argument("--out-dir", default=".", help="output directory")
     p.add_argument("--penalty-table", action="store_true",
                    help="also solve with the penalty disabled and write a "
@@ -152,10 +154,15 @@ def cmd_run(args) -> int:
     opts = SolveOptions(mip_gap=args.mip_gap, time_limit=args.time_limit,
                         deterministic_seed=args.seed)
     prob, result = _solve_one(system, scen, contingencies, cfg, opts)
+    # a time-limit incumbent is verified and reported, with exit 3
+    limited = result.status is SolveStatus.TIME_LIMIT
     if result.status is SolveStatus.INFEASIBLE:
         print("solve: infeasible")
         return EXIT_INFEASIBLE
-    if not result.status.has_solution:
+    if limited and result.x is None:
+        print(f"solve: time limit reached with no incumbent {result.message}")
+        return EXIT_CAPS
+    if result.x is None:
         print(f"solve failed: {result.status.value} {result.message}")
         return EXIT_INFEASIBLE
     sol = metrics.extract_schedule(prob, result)
@@ -181,14 +188,16 @@ def cmd_run(args) -> int:
             out = Path(args.out_dir)
             (out / "report_table.csv").write_text(table)
             print(f"penalty table written to {out / 'report_table.csv'}")
+    gap = abs(result.objective - result.best_bound) / max(1.0, abs(result.objective))
     print(f"status: {result.status.value}")
     print(f"objective: {result.objective:.2f}")
+    print(f"best bound: {result.best_bound:.2f}  gap: {gap:.4%}")
     print(f"total cost: {report.total_cost:.2f}")
     print(f"bcc: {report.bcc:.4f} MW  pcc: {report.pcc:.4f} MW")
     print(f"emissions: {report.emissions:.1f} lbs")
     print(f"switching actions: {len(report.switching_actions)}")
     print(f"report written to {Path(args.out_dir) / 'report.json'}")
-    return EXIT_OK
+    return EXIT_CAPS if limited else EXIT_OK
 
 
 def cmd_sweep(args) -> int:
@@ -215,10 +224,14 @@ def cmd_sweep(args) -> int:
                 try:
                     prob, result = _solve_one(system, scaled, contingencies,
                                               cfg, opts)
-                    if not result.status.has_solution:
+                    sol = (metrics.extract_schedule(prob, result)
+                           if result.status.has_solution else None)
+                    if sol is None:
                         row["status"] = result.status.value
+                    elif metrics.verify_solution(sol, system, scaled,
+                                                 contingencies, cfg):
+                        row["status"] = "verification-failed"
                     else:
-                        sol = metrics.extract_schedule(prob, result)
                         rep = metrics.build_report(sol, system, scaled,
                                                    contingencies, cfg)
                         row.update({
@@ -243,6 +256,10 @@ def cmd_sweep(args) -> int:
         for row in rows:
             writer.writerow(row)
     print(f"{len(rows)} sweep rows written to {sweep_path}")
+    failed = sum(row["status"] == "verification-failed" for row in rows)
+    if failed:
+        print(f"verification failed on {failed} sweep rows")
+        return EXIT_MISMATCH
     return EXIT_OK
 
 

@@ -4,6 +4,7 @@ Two model kinds share one variable space:
 
 * ``SSCUC`` keeps the post-contingency network topology fixed: each
   surviving line keeps its flow-definition equality and emergency limit.
+  It is built as ``SSCUC_CNR`` with no switch candidates.
 * ``SSCUC_CNR`` adds a binary switch state per candidate line and
   contingency: the flow-definition equality is relaxed by big-M terms so
   an opened line carries no flow, with a per-contingency budget on how
@@ -53,7 +54,6 @@ class FormulationConfig:
     angle_bound: float = 0.6       # radians, symmetric box on every bus angle
     reference_bus: Id | None = None  # defaults to the first bus
     penalty_enabled: bool = True   # charge post-contingency curtailment in the objective
-    reserve_excludes_self: bool = False  # use the sum-over-others reserve variant
 
     def __post_init__(self) -> None:
         if self.switch_limit < 0:
@@ -197,16 +197,13 @@ def add_base_generator_constraints(prob: MilpProblem, sys: PowerSystem,
                              f"eq4[{g.id},{t},{s.id}]")
                 # eq5: total reserve covers this unit's output plus reserve;
                 # with the sum kept over all units, r_g cancels and the row
-                # reduces to sum-of-others >= Pg.  The variant drops r_g from
-                # the sum, leaving it with a net -1.
+                # reduces to sum-of-others >= Pg.
                 coeffs: dict[int, float] = {}
                 for q in sys.generators:
                     rq = reg.col("r", q.id, t, s.id)
                     coeffs[rq] = coeffs.get(rq, 0.0) + 1.0
                 coeffs[pg] = coeffs.get(pg, 0.0) - 1.0
                 coeffs[rg] = coeffs.get(rg, 0.0) - 1.0
-                if cfg.reserve_excludes_self:
-                    coeffs[rg] -= 1.0
                 prob.add_row([(j, c) for j, c in coeffs.items() if c != 0.0],
                              0.0, INF, f"eq5[{g.id},{t},{s.id}]")
                 # eq6 / eq7: hourly ramps with startup/shutdown allowances
@@ -377,43 +374,11 @@ def _add_contingency_balance(prob: MilpProblem, sys: PowerSystem,
                 prob.add_row(coeffs, d, d, f"eq22[{n.id},{cid},{t},{s.id}]")
 
 
-def _add_fixed_flow_rows(prob: MilpProblem, sys: PowerSystem, scen: ScenarioSet,
-                         cid: Id, line: TransmissionLine) -> None:
-    """eq23 flow definition and eq24 emergency limit for one surviving line."""
-    T = sys.horizon
-    reg = prob.registry
-    coef = line.susceptance * sys.mva_base
-    for t in range(1, T + 1):
-        for s in scen.scenarios:
-            pkc = reg.col("Pkc", line.id, cid, t, s.id)
-            th_n = reg.col("thc", line.from_bus, cid, t, s.id)
-            th_m = reg.col("thc", line.to_bus, cid, t, s.id)
-            prob.add_row([(pkc, 1.0), (th_n, -coef), (th_m, coef)], 0.0, 0.0,
-                         f"eq23[{line.id},{cid},{t},{s.id}]")
-            prob.add_row([(pkc, 1.0)], -line.limit_emergency, line.limit_emergency,
-                         f"eq24[{line.id},{cid},{t},{s.id}]")
-
-
-def add_contingency_network_fixed(prob: MilpProblem, sys: PowerSystem,
-                                  scen: ScenarioSet,
-                                  contingencies: list[Contingency],
-                                  cfg: FormulationConfig) -> None:
-    """Fixed-topology post-contingency network: eq22 .. eq24."""
-    lines_by_id = {k.id: k for k in sys.lines}
-    for c in contingencies:
-        cid = c.outaged_line_id
-        _add_contingency_balance(prob, sys, scen, cid)
-        for k in sys.lines:
-            if k.id == cid:
-                continue  # flow variable pinned to 0; no flow-definition row
-            _add_fixed_flow_rows(prob, sys, scen, cid, lines_by_id[k.id])
-
-
-def add_contingency_network_cnr(prob: MilpProblem, sys: PowerSystem,
-                                scen: ScenarioSet,
-                                contingencies: list[Contingency],
-                                cfg: FormulationConfig) -> None:
-    """Switchable post-contingency network: eq22, eq25 .. eq28.
+def add_contingency_network(prob: MilpProblem, sys: PowerSystem,
+                            scen: ScenarioSet,
+                            contingencies: list[Contingency],
+                            cfg: FormulationConfig) -> None:
+    """Post-contingency network: eq22 .. eq28.
 
     Candidate lines get the big-M relaxed flow definition (eq25/eq26) and
     switch-scaled limits (eq27, split into its two one-sided halves).
@@ -422,23 +387,24 @@ def add_contingency_network_cnr(prob: MilpProblem, sys: PowerSystem,
     eq23/eq24.  The outaged line acts as switch state 0: its flow variable
     is pinned at registration and its flow rows are dropped.  eq28 bounds
     the number of opened candidates per contingency, period and scenario.
+    SSCUC is this network with no candidates, so every surviving line
+    keeps eq23/eq24 and no eq28 row is written.
     """
     T = sys.horizon
     reg = prob.registry
-    lines_by_id = {k.id: k for k in sys.lines}
+    switching = cfg.model_kind is ModelKind.SSCUC_CNR
+    line_ids = {k.id for k in sys.lines}
     for c in contingencies:
         cid = c.outaged_line_id
-        candidates = set(c.candidate_switch_ids)
-        unknown = candidates - set(lines_by_id)
+        candidates = set(c.candidate_switch_ids) if switching else set()
+        unknown = candidates - line_ids
         if unknown:
             raise KeyError(f"contingency {cid!r}: unknown candidate lines {sorted(map(str, unknown))}")
         _add_contingency_balance(prob, sys, scen, cid)
         for k in sys.lines:
             if k.id == cid:
                 continue
-            if k.id not in candidates:
-                _add_fixed_flow_rows(prob, sys, scen, cid, k)
-                continue
+            switched = k.id in candidates
             coef = k.susceptance * sys.mva_base
             big_m = compute_big_m(k, cfg, sys.mva_base)
             for t in range(1, T + 1):
@@ -446,6 +412,13 @@ def add_contingency_network_cnr(prob: MilpProblem, sys: PowerSystem,
                     pkc = reg.col("Pkc", k.id, cid, t, s.id)
                     th_n = reg.col("thc", k.from_bus, cid, t, s.id)
                     th_m = reg.col("thc", k.to_bus, cid, t, s.id)
+                    if not switched:
+                        prob.add_row([(pkc, 1.0), (th_n, -coef), (th_m, coef)],
+                                     0.0, 0.0, f"eq23[{k.id},{cid},{t},{s.id}]")
+                        prob.add_row([(pkc, 1.0)], -k.limit_emergency,
+                                     k.limit_emergency,
+                                     f"eq24[{k.id},{cid},{t},{s.id}]")
+                        continue
                     z = reg.col("z", cid, k.id, t, s.id)
                     # eq25: Pk - b(th_n - th_m) + (1 - z) M >= 0
                     prob.add_row(
@@ -518,10 +491,7 @@ def assemble(sys: PowerSystem, scen: ScenarioSet,
     add_base_generator_constraints(prob, sys, scen, cfg)
     add_base_network_constraints(prob, sys, scen, cfg)
     add_contingency_generator_constraints(prob, sys, scen, contingencies, cfg)
-    if cfg.model_kind is ModelKind.SSCUC:
-        add_contingency_network_fixed(prob, sys, scen, contingencies, cfg)
-    else:
-        add_contingency_network_cnr(prob, sys, scen, contingencies, cfg)
+    add_contingency_network(prob, sys, scen, contingencies, cfg)
     build_objective(prob, sys, scen, contingencies, cfg)
     prob.check()
     return prob

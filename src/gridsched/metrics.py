@@ -276,8 +276,6 @@ def verify_solution(sol: ScheduleSolution, sys: PowerSystem, scen: ScenarioSet,
                          [rg, -g.ramp_10min * u[(g.id, t)]], -INF, 0.0)
                 ck.check("eq4", (g.id, t, s.id), [rg], 0.0, INF)
                 total_r = sum(sol.r[(q.id, t, s.id)] for q in sys.generators)
-                if cfg.reserve_excludes_self:
-                    total_r -= rg
                 ck.check("eq5", (g.id, t, s.id), [total_r, -pg, -rg], 0.0, INF)
                 ck.check("eq6", (g.id, t, s.id),
                          [pg, -p_prev[s.id], -g.ramp_hourly * u_prev,

@@ -29,42 +29,27 @@ class Row:
     ub: float
     label: str
 
-    @property
-    def is_equality(self) -> bool:
-        return self.lb == self.ub
-
 
 class VariableRegistry:
-    """Maps (symbol, index tuple) to a column, both directions."""
+    """Maps (symbol, index tuple) to a column."""
 
     def __init__(self) -> None:
         self._by_key: dict[tuple[str, tuple], int] = {}
-        self._by_col: dict[int, tuple[str, tuple]] = {}
 
     def add(self, symbol: str, index: tuple, col: int) -> None:
         key = (symbol, tuple(index))
         if key in self._by_key:
             raise ValueError(f"duplicate registration for {symbol}{list(index)}")
         self._by_key[key] = col
-        self._by_col[col] = key
 
     def col(self, symbol: str, *index) -> int:
         return self._by_key[(symbol, tuple(index))]
-
-    def get(self, symbol: str, *index) -> int | None:
-        return self._by_key.get((symbol, tuple(index)))
-
-    def has_symbol(self, symbol: str) -> bool:
-        return any(sym == symbol for sym, _ in self._by_key)
 
     def indices(self, symbol: str) -> list[tuple]:
         return [idx for sym, idx in self._by_key if sym == symbol]
 
     def count(self, symbol: str) -> int:
         return sum(1 for sym, _ in self._by_key if sym == symbol)
-
-    def lookup(self, col: int) -> tuple[str, tuple] | None:
-        return self._by_col.get(col)
 
     def items(self):
         return self._by_key.items()
@@ -122,10 +107,6 @@ class MilpProblem:
         if not 0 <= col < self.num_vars:
             raise ValueError(f"objective references unknown column {col}")
         self.objective[col] = self.objective.get(col, 0.0) + float(coef)
-
-    def fix_var(self, col: int, value: float) -> None:
-        self.lb[col] = float(value)
-        self.ub[col] = float(value)
 
     def clone_with_bounds(self, fixes: dict[int, float]) -> "MilpProblem":
         """Copy sharing rows/objective/registry, with some columns pinned."""

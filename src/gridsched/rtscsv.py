@@ -18,8 +18,8 @@ import csv
 from pathlib import Path
 from typing import Any
 
-from .system import (DemandProfile, Generator, InitialStatus, PowerSystem,
-                     ResUnit, TransmissionLine, build_system, system_to_dict)
+from .system import (DemandProfile, Generator, InitialStatus, ResUnit,
+                     TransmissionLine, build_system, system_to_dict)
 
 
 def _read_csv(path: str | Path) -> list[dict[str, str]]:
@@ -125,13 +125,3 @@ def convert_rts_csv(
     system = build_system(bus_ids, generators, lines, res_units, demand,
                           mva_base=mva_base)
     return system_to_dict(system)
-
-
-def convert_to_file(out_json: str | Path, **kwargs) -> PowerSystem:
-    import json
-
-    from .system import system_from_dict
-
-    doc = convert_rts_csv(**kwargs)
-    Path(out_json).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return system_from_dict(doc)

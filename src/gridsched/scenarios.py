@@ -207,13 +207,3 @@ def load_scenario_set(path: str | Path, block_len: int = 1,
 def save_scenario_set(scen: ScenarioSet, path: str | Path) -> None:
     Path(path).write_text(
         json.dumps(scenario_set_to_list(scen), indent=2, sort_keys=True) + "\n")
-
-
-def uniform_probabilities(n: int) -> list[float]:
-    return [1.0 / n] * n
-
-
-def total_availability(scen: ScenarioSet, t: int) -> dict[Any, float]:
-    """Per-scenario total system availability at period ``t`` (1-based)."""
-    return {s.id: sum(prof[t - 1] for prof in s.availability.values())
-            for s in scen.scenarios}

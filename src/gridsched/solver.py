@@ -1,19 +1,19 @@
-"""MILP solve contract over a pluggable branch-and-bound engine.
+"""MILP solve contract over HiGHS, reached through scipy's ``milp``.
 
-The bound engine is HiGHS, reached through scipy's ``milp`` wrapper; the
-``GRIDSCHED_ENGINE`` environment variable selects among registered
-engines.  HiGHS runs single-threaded and deterministically here, so the
-``threads`` and ``deterministic_seed`` options are accepted for contract
-parity and have no effect on the bound engine.
+``solve`` builds the engine's arrays from a ``MilpProblem``, runs HiGHS
+once and checks what comes back: integer columns must be integral and
+the point must satisfy every row and bound.  HiGHS runs with its fixed
+default random seed; ``SolveOptions.deterministic_seed`` (the CLI's
+``--seed``) is accepted but not passed to it, because scipy's ``milp``
+has no option for it.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -26,10 +26,6 @@ FEASIBILITY_TOL = 1e-6  # scaled row violation accepted from the engine
 
 
 class SolverError(RuntimeError):
-    pass
-
-
-class EngineUnavailable(SolverError):
     pass
 
 
@@ -49,7 +45,6 @@ class SolveStatus(enum.Enum):
 class SolveOptions:
     mip_gap: float = 0.01
     time_limit: float | None = None
-    threads: int = 1
     deterministic_seed: int = 0
 
     def __post_init__(self) -> None:
@@ -62,7 +57,6 @@ class SolveResult:
     status: SolveStatus
     objective: float = math.nan
     best_bound: float = math.nan
-    values: dict[str, float] = field(default_factory=dict)
     x: np.ndarray | None = None
     wall_time: float = 0.0
     max_violation: float = 0.0
@@ -74,7 +68,10 @@ class SolveResult:
         return float(self.x[prob.registry.col(symbol, *index)])
 
 
-def _solve_highs(prob: MilpProblem, opts: SolveOptions) -> SolveResult:
+def solve(prob: MilpProblem, opts: SolveOptions | None = None) -> SolveResult:
+    """Solve the problem with HiGHS."""
+    opts = opts or SolveOptions()
+    prob.check()
     n = prob.num_vars
     if n == 0:
         raise SolverError("malformed problem: no variables")
@@ -161,29 +158,6 @@ def _solve_highs(prob: MilpProblem, opts: SolveOptions) -> SolveResult:
         raise SolverError(
             f"engine returned an infeasible point: violation {viol:.3g} at {where}")
 
-    values = {prob.var_names[j]: float(x[j]) for j in range(n)}
     return SolveResult(status=status, objective=objective, best_bound=best_bound,
-                       values=values, x=x, wall_time=wall, max_violation=viol,
+                       x=x, wall_time=wall, max_violation=viol,
                        message=res.message)
-
-
-_ENGINES = {"highs": _solve_highs}
-
-ENGINE_ENV_VAR = "GRIDSCHED_ENGINE"
-
-
-def available_engines() -> list[str]:
-    return sorted(_ENGINES)
-
-
-def solve(prob: MilpProblem, opts: SolveOptions | None = None) -> SolveResult:
-    """Solve the problem with the engine selected by GRIDSCHED_ENGINE."""
-    opts = opts or SolveOptions()
-    prob.check()
-    engine = os.environ.get(ENGINE_ENV_VAR, "highs").lower()
-    try:
-        impl = _ENGINES[engine]
-    except KeyError:
-        raise EngineUnavailable(
-            f"engine {engine!r} not available; choose from {available_engines()}")
-    return impl(prob, opts)

@@ -1,12 +1,17 @@
 """End-to-end command-line driver tests on the bundled cases."""
 
 import csv
+import dataclasses
 import json
 
 import pytest
 
+import gridsched.cli as cli_mod
+import gridsched.metrics as metrics_mod
 from gridsched.cli import main
 from gridsched.data import bundled
+from gridsched.metrics import ConstraintViolation
+from gridsched.solver import SolveStatus
 
 TOY = str(bundled("toy3.json"))
 TOY_SCEN = str(bundled("toy3_scenarios.json"))
@@ -90,6 +95,31 @@ class TestRun:
         assert run_cli("run", TOY, TOY_SCEN, "--contingencies", str(white),
                        "--out-dir", str(tmp_path)) == 0
 
+    def _stop_at_time_limit(self, monkeypatch, **changes):
+        real_solve = cli_mod.solve
+
+        def limited(prob, opts):
+            return dataclasses.replace(real_solve(prob, opts),
+                                       status=SolveStatus.TIME_LIMIT, **changes)
+
+        monkeypatch.setattr(cli_mod, "solve", limited)
+
+    def test_time_limit_incumbent_is_reported(self, tmp_path, capsys,
+                                              monkeypatch):
+        self._stop_at_time_limit(monkeypatch)
+        assert run_cli("run", TOY, TOY_SCEN, "--mip-gap", "0",
+                       "--out-dir", str(tmp_path)) == 3
+        assert (tmp_path / "report.json").exists()
+        out = capsys.readouterr().out
+        assert "status: time-limit" in out
+        assert "objective:" in out and "best bound:" in out and "gap:" in out
+
+    def test_time_limit_without_incumbent(self, tmp_path, monkeypatch):
+        self._stop_at_time_limit(monkeypatch, x=None)
+        assert run_cli("run", TOY, TOY_SCEN, "--mip-gap", "0",
+                       "--out-dir", str(tmp_path)) == 3
+        assert not (tmp_path / "report.json").exists()
+
     def test_scenario_horizon_mismatch_is_input_error(self, tmp_path):
         scen = tmp_path / "scen.json"
         scen.write_text(json.dumps(
@@ -137,6 +167,18 @@ class TestSweep:
         first, second = rows[:4], rows[4:]
         assert first == second
 
+    def test_verification_failure_marks_rows(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(
+            metrics_mod, "verify_solution",
+            lambda *args, **kwargs: [ConstraintViolation("eq2", ("g1", 1, "s0"),
+                                                         1.0)])
+        assert run_cli("sweep", TOY, TOY_SCEN, "--factors", "1",
+                       "--mip-gap", "0", "--out-dir", str(tmp_path)) == 1
+        with open(tmp_path / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        assert all(r["status"] == "verification-failed" for r in rows)
+
 
 class TestVerify:
     def test_toy_sscuc_verifies(self, tmp_path, capsys):
@@ -149,8 +191,6 @@ class TestVerify:
         assert cert["assignments"]
 
     def test_broken_builder_detected(self, tmp_path, monkeypatch):
-        import gridsched.cli as cli_mod
-
         real_assemble = cli_mod.assemble
 
         def broken(sys_obj, scen, cont, cfg):

@@ -13,7 +13,6 @@ from gridsched.formulation import (add_base_generator_constraints,
                                    add_base_network_constraints,
                                    add_contingency_generator_constraints,
                                    register_variables)
-from gridsched.lpfile import to_lp_string
 from gridsched.milp import MilpProblem
 from gridsched.solver import SolveOptions
 from gridsched.topology import Contingency
@@ -100,6 +99,10 @@ class TestBaseGeneratorBlock:
         sys_obj = triangle_system(T=2)
         scen = triangle_scenarios(T=2)
         prob = assemble(sys_obj, scen, [], SSCUC)
+        # r_g cancels out of its own eq5 row; every other unit's r counts
+        row = next(r for r in prob.rows if r.label == "eq5[g1,1,s0]")
+        coeffs = {prob.var_names[c]: v for c, v in row.coeffs}
+        assert "r[g1,1,s0]" not in coeffs and coeffs["r[g2,1,s0]"] == 1.0
         res = solve(prob, SolveOptions(mip_gap=0.0))
         assert res.status.has_solution
         for t in (1, 2):
@@ -110,27 +113,6 @@ class TestBaseGeneratorBlock:
                     own = res.value(prob, "r", g.id, t, s.id)
                     out = res.value(prob, "Pg", g.id, t, s.id)
                     assert total - own >= out - 1e-6
-
-    def test_reserve_variant_drops_self(self):
-        sys_obj = triangle_system(T=1)
-        scen = triangle_scenarios(T=1)
-        verbatim = MilpProblem()
-        register_variables(verbatim, sys_obj, scen, [], SSCUC)
-        add_base_generator_constraints(verbatim, sys_obj, scen, SSCUC)
-        variant_cfg = replace(SSCUC, reserve_excludes_self=True)
-        variant = MilpProblem()
-        register_variables(variant, sys_obj, scen, [], variant_cfg)
-        add_base_generator_constraints(variant, sys_obj, scen, variant_cfg)
-
-        def eq5_coeffs(prob, g):
-            row = next(r for r in prob.rows
-                       if r.label == f"eq5[{g},1,s0]")
-            return {prob.var_names[c]: v for c, v in row.coeffs}
-
-        # verbatim: r_g cancels out of its own row; variant: net -1
-        assert "r[g1,1,s0]" not in eq5_coeffs(verbatim, "g1")
-        assert eq5_coeffs(variant, "g1")["r[g1,1,s0]"] == -1.0
-        assert eq5_coeffs(verbatim, "g1")["r[g2,1,s0]"] == 1.0
 
 
 class TestNetworkBlock:
@@ -474,8 +456,18 @@ class TestAssemble:
                 assert len(idx) == 2  # (g, t); no scenario component
 
     def test_empty_contingency_list_makes_kinds_identical(self):
+        """SSCUC is CNR without switch candidates: with no contingencies,
+        or with contingencies that have no candidates, the models match."""
         sys_obj = triangle_system()
         scen = triangle_scenarios()
-        lp_fixed = to_lp_string(assemble(sys_obj, scen, [], SSCUC))
-        lp_cnr = to_lp_string(assemble(sys_obj, scen, [], CNR))
-        assert lp_fixed.replace("sscuc", "X") == lp_cnr.replace("sscuc-cnr", "X")
+        no_candidates = build_contingency_set(sys_obj, switch_pool=set())
+        assert no_candidates
+        for cont in ([], no_candidates):
+            fixed = assemble(sys_obj, scen, cont, SSCUC)
+            cnr = assemble(sys_obj, scen, cont, CNR)
+            assert fixed.var_names == cnr.var_names
+            assert fixed.lb == cnr.lb and fixed.ub == cnr.ub
+            assert fixed.integer == cnr.integer
+            assert fixed.rows == cnr.rows
+            assert fixed.objective == cnr.objective
+            assert fixed.objective_constant == cnr.objective_constant
