@@ -6,9 +6,10 @@ Subcommands:
 * ``sweep``  penetration sweep over scale factors x model kinds x penalty
 * ``verify`` exact MILP vs exhaustive-enumeration cross-check
 
-Exit codes: 0 ok, 1 verification mismatch, 2 input error, 3 caps or
-limits exceeded (``run`` still verifies and reports a time-limit
-incumbent), 4 solver reports infeasible.
+Exit codes: 0 ok, 1 verification mismatch (including a solver point that
+fails the post-solve integrality or feasibility check), 2 input error,
+3 caps or limits exceeded (``run`` and ``sweep`` still verify and report
+a time-limit incumbent), 4 solver reports infeasible or HiGHS fails.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from pathlib import Path
 from . import metrics, oracle
 from .formulation import FormulationConfig, ModelKind, assemble
 from .scenarios import ScenarioSet, load_scenario_set
-from .solver import SolveOptions, SolveStatus, SolverError, solve
+from .solver import EngineError, SolveOptions, SolveStatus, SolverError, solve
 from .system import (CaseFormatError, PowerSystem, align_scenarios,
                      load_system, scale_penetration, validate_system)
 from .topology import build_contingency_set, load_contingency_whitelist
@@ -191,7 +192,9 @@ def cmd_run(args) -> int:
     gap = abs(result.objective - result.best_bound) / max(1.0, abs(result.objective))
     print(f"status: {result.status.value}")
     print(f"objective: {result.objective:.2f}")
-    print(f"best bound: {result.best_bound:.2f}  gap: {gap:.4%}")
+    nodes = "n/a" if result.nodes is None else result.nodes
+    print(f"best bound: {result.best_bound:.2f}  gap: {gap:.4%}  "
+          f"nodes: {nodes}")
     print(f"total cost: {report.total_cost:.2f}")
     print(f"bcc: {report.bcc:.4f} MW  pcc: {report.pcc:.4f} MW")
     print(f"emissions: {report.emissions:.1f} lbs")
@@ -205,7 +208,7 @@ def cmd_sweep(args) -> int:
     contingencies = _contingencies(args, system)
     opts = SolveOptions(mip_gap=args.mip_gap, time_limit=args.time_limit,
                         deterministic_seed=args.seed)
-    rows = []
+    rows, engine_failures = [], 0
     for factor in args.factors:
         if factor < 0:
             raise InputError(f"factor must be >= 0, got {factor}")
@@ -224,8 +227,9 @@ def cmd_sweep(args) -> int:
                 try:
                     prob, result = _solve_one(system, scaled, contingencies,
                                               cfg, opts)
+                    # a time-limit incumbent is verified and reported too
                     sol = (metrics.extract_schedule(prob, result)
-                           if result.status.has_solution else None)
+                           if result.x is not None else None)
                     if sol is None:
                         row["status"] = result.status.value
                     elif metrics.verify_solution(sol, system, scaled,
@@ -243,6 +247,7 @@ def cmd_sweep(args) -> int:
                         })
                 except SolverError as exc:
                     row["status"] = f"error: {exc}"
+                    engine_failures += isinstance(exc, EngineError)
                 rows.append(row)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -256,10 +261,19 @@ def cmd_sweep(args) -> int:
         for row in rows:
             writer.writerow(row)
     print(f"{len(rows)} sweep rows written to {sweep_path}")
-    failed = sum(row["status"] == "verification-failed" for row in rows)
-    if failed:
-        print(f"verification failed on {failed} sweep rows")
+    failed = sum(row["status"] == "verification-failed"
+                 or row["status"].startswith("error:") for row in rows)
+    if failed > engine_failures:
+        print(f"{failed - engine_failures} sweep rows failed verification or "
+              f"the solver's checks")
         return EXIT_MISMATCH
+    if engine_failures:
+        print(f"HiGHS failed on {engine_failures} sweep rows")
+        return EXIT_INFEASIBLE
+    limited = sum(row["status"] == SolveStatus.TIME_LIMIT.value for row in rows)
+    if limited:
+        print(f"time limit reached on {limited} sweep rows")
+        return EXIT_CAPS
     return EXIT_OK
 
 
@@ -355,6 +369,9 @@ def main(argv: list[str] | None = None) -> int:
     except oracle.CapExceeded as exc:
         print(f"caps exceeded: {exc}", file=_sys.stderr)
         return EXIT_CAPS
+    except EngineError as exc:
+        print(f"solver error: {exc}", file=_sys.stderr)
+        return EXIT_INFEASIBLE
     except SolverError as exc:
         print(f"solver error: {exc}", file=_sys.stderr)
         return EXIT_MISMATCH

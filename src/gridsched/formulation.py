@@ -21,14 +21,28 @@ and, post-contingency, the outaged line id.  Variable naming scheme:
 ``u[g,t]``, ``v[g,t]``, ``Pg[g,t,s]``, ``r[g,t,s]``, ``Pw[w,t,s]``,
 ``Pk[k,t,s]``, ``th[n,t,s]``, ``Pgc[g,c,t,s]``, ``Pwc[w,c,t,s]``,
 ``Pkc[k,c,t,s]``, ``thc[n,c,t,s]``, ``z[c,k,t,s]``.
+
+Every builder works on whole grids (see ``milp.Block``): one column
+block per symbol, and one row block per equation family or per group of
+families that alternate row by row, filled by numpy index arithmetic
+over the (g,t,s) and (c,t,s) grids.  The column and row order is fixed:
+columns u, v, Pg, r, Pw, Pk, th, then per contingency one run each of
+Pgc, Pwc, Pkc and thc, then z.  Rows go builder by builder in the order
+of ``assemble``; within the base generator block each unit holds its
+eq2-eq7 rows per (t, s), then its eq8, eq9 and eq10 rows; within a
+contingency's network rows come eq22 per bus, each surviving line's
+eq23/eq24 (or eq25-eq27) per (t, s), and eq28.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
-from .milp import INF, MilpProblem
+import numpy as np
+
+from .milp import INF, Block, MilpProblem
 from .scenarios import ScenarioSet
 from .system import Id, PowerSystem, TransmissionLine
 from .topology import Contingency
@@ -75,6 +89,17 @@ def compute_big_m(line: TransmissionLine, cfg: FormulationConfig,
     return abs(line.susceptance) * mva_base * 2.0 * cfg.angle_bound + cfg.big_m_margin
 
 
+def _line_ends(sys: PowerSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Bus positions of every line's two ends, which must differ."""
+    bus_at = {b.id: i for i, b in enumerate(sys.buses)}
+    ends = np.array([(bus_at[k.from_bus], bus_at[k.to_bus]) for k in sys.lines],
+                    dtype=np.int64).reshape(-1, 2)
+    loops = (ends[:, 0] == ends[:, 1]).nonzero()[0]
+    if loops.size:
+        raise ValueError(f"line {sys.lines[loops[0]].id!r}: endpoints must differ")
+    return ends[:, 0], ends[:, 1]
+
+
 def reference_bus(sys: PowerSystem, cfg: FormulationConfig) -> Id:
     if cfg.reference_bus is None:
         return sys.buses[0].id
@@ -84,87 +109,143 @@ def reference_bus(sys: PowerSystem, cfg: FormulationConfig) -> Id:
 
 
 # ---------------------------------------------------------------------------
+# Grids
+# ---------------------------------------------------------------------------
+
+def _axes(sys: PowerSystem, scen: ScenarioSet) -> tuple[tuple, tuple]:
+    """The inner axes of every per-scenario block: periods, scenario ids."""
+    return tuple(range(1, sys.horizon + 1)), tuple(s.id for s in scen.scenarios)
+
+
+def _per(values) -> np.ndarray:
+    """One value per element, shaped to broadcast over (element, t, s)."""
+    return np.array(values, dtype=float).reshape(-1, 1, 1)
+
+
+def _unit_data(gens, *attrs) -> list[np.ndarray]:
+    """Per-unit attributes, each shaped to broadcast over (unit, t, s)."""
+    table = np.array([[getattr(g, a) for a in attrs] for g in gens],
+                     dtype=float).reshape(len(gens), len(attrs))
+    return [table[:, i, None, None] for i in range(len(attrs))]
+
+
+def _availability(sys: PowerSystem, scen: ScenarioSet) -> np.ndarray:
+    """(RES unit, period, scenario) availability in MW."""
+    periods, _ = _axes(sys, scen)
+    return np.array([[[scen_avail(s, w.id, t) for s in scen.scenarios]
+                      for t in periods] for w in sys.res_units],
+                    dtype=float).reshape(len(sys.res_units), len(periods),
+                                         len(scen.scenarios))
+
+
+def _cols(prob: MilpProblem, symbol: str) -> np.ndarray:
+    """Columns of a symbol, shaped (keys, *inner) as registered."""
+    return prob.registry.block(symbol).numbers()
+
+
+def _previous(cols: np.ndarray) -> np.ndarray:
+    """Columns of the previous period (axis 1); -1, no term, at t = 1."""
+    first = np.empty_like(cols[:, :1])
+    first.fill(-1)
+    return np.concatenate([first, cols[:, :-1]], axis=1)
+
+
+def _padded(rows: list[list[tuple]], shape: tuple) -> list[tuple]:
+    """Per-row term lists of different lengths as block terms: term j of
+    row i is ``rows[i][j]`` (columns of ``shape``, coefficient); the
+    result's term j stacks them over the rows, shaped (rows, *shape), with
+    column -1 where a row is shorter than the longest."""
+    width = max(map(len, rows), default=0)
+    cols = np.empty((width, len(rows)) + shape, dtype=np.int32)
+    cols.fill(-1)
+    vals = np.zeros((width, len(rows)) + (1,) * len(shape))
+    for i, terms in enumerate(rows):
+        for j, (col, coef) in enumerate(terms):
+            cols[j, i] = col
+            vals[j, i] = coef
+    return list(zip(cols, vals))
+
+
+# ---------------------------------------------------------------------------
 # Variables
 # ---------------------------------------------------------------------------
 
 def register_variables(prob: MilpProblem, sys: PowerSystem, scen: ScenarioSet,
                        contingencies: list[Contingency],
                        cfg: FormulationConfig) -> None:
-    """Create and register every decision variable with its natural bounds."""
-    T = sys.horizon
+    """Create and register every decision variable with its natural bounds.
+
+    One column block per symbol, all appended with one call.  The
+    post-contingency copies are laid out contingency by contingency, each
+    holding one run of Pgc, Pwc, Pkc and thc, so those four blocks
+    interleave.
+    """
     ref = reference_bus(sys, cfg)
-
-    for g in sys.generators:
-        for t in range(1, T + 1):
-            prob.add_registered("u", (g.id, t), 0.0, 1.0, integer=True)
-    for g in sys.generators:
-        for t in range(1, T + 1):
-            prob.add_registered("v", (g.id, t), 0.0, 1.0, integer=True)
-
-    for g in sys.generators:
-        for t in range(1, T + 1):
-            for s in scen.scenarios:
-                prob.add_registered("Pg", (g.id, t, s.id), 0.0, g.p_max)
-    for g in sys.generators:
-        for t in range(1, T + 1):
-            for s in scen.scenarios:
-                prob.add_registered("r", (g.id, t, s.id), 0.0, INF)
-    for w in sys.res_units:
-        for t in range(1, T + 1):
-            for s in scen.scenarios:
-                avail = s.availability.get(w.id, ())
-                cap = avail[t - 1] if len(avail) >= t else 0.0
-                prob.add_registered("Pw", (w.id, t, s.id), 0.0, cap)
-    for k in sys.lines:
-        for t in range(1, T + 1):
-            for s in scen.scenarios:
-                prob.add_registered("Pk", (k.id, t, s.id), -INF, INF)
-    for n in sys.buses:
-        for t in range(1, T + 1):
-            for s in scen.scenarios:
-                if n.id == ref:
-                    prob.add_registered("th", (n.id, t, s.id), 0.0, 0.0)
-                else:
-                    prob.add_registered("th", (n.id, t, s.id),
-                                        -cfg.angle_bound, cfg.angle_bound)
-
-    for c in contingencies:
-        cid = c.outaged_line_id
-        for g in sys.generators:
-            for t in range(1, T + 1):
-                for s in scen.scenarios:
-                    prob.add_registered("Pgc", (g.id, cid, t, s.id), 0.0, g.p_max)
-        for w in sys.res_units:
-            for t in range(1, T + 1):
-                for s in scen.scenarios:
-                    avail = s.availability.get(w.id, ())
-                    cap = avail[t - 1] if len(avail) >= t else 0.0
-                    prob.add_registered("Pwc", (w.id, cid, t, s.id), 0.0, cap)
-        for k in sys.lines:
-            for t in range(1, T + 1):
-                for s in scen.scenarios:
-                    if k.id == cid:
-                        # outaged line carries no flow in its own contingency
-                        prob.add_registered("Pkc", (k.id, cid, t, s.id), 0.0, 0.0)
-                    else:
-                        prob.add_registered("Pkc", (k.id, cid, t, s.id), -INF, INF)
-        for n in sys.buses:
-            for t in range(1, T + 1):
-                for s in scen.scenarios:
-                    if n.id == ref:
-                        prob.add_registered("thc", (n.id, cid, t, s.id), 0.0, 0.0)
-                    else:
-                        prob.add_registered("thc", (n.id, cid, t, s.id),
-                                            -cfg.angle_bound, cfg.angle_bound)
-
-    if cfg.model_kind is ModelKind.SSCUC_CNR:
-        for c in contingencies:
-            for k in c.candidate_switch_ids:
-                for t in range(1, T + 1):
-                    for s in scen.scenarios:
-                        prob.add_registered(
-                            "z", (c.outaged_line_id, k, t, s.id), 0.0, 1.0,
-                            integer=True)
+    inner = _axes(sys, scen)
+    T, S = len(inner[0]), len(inner[1])
+    TS = T * S
+    gens, res, lines, buses = sys.generators, sys.res_units, sys.lines, sys.buses
+    p_max = _per([g.p_max for g in gens])
+    cap = _availability(sys, scen)
+    th_lb = _per([0.0 if n.id == ref else -cfg.angle_bound for n in buses])
+    th_ub = _per([0.0 if n.id == ref else cfg.angle_bound for n in buses])
+    cids = [c.outaged_line_id for c in contingencies]
+    pairs = ([(c.outaged_line_id, k) for c in contingencies
+              for k in c.candidate_switch_ids]
+             if cfg.model_kind is ModelKind.SSCUC_CNR else [])
+    # symbol, elements, inner axes, lb, ub, integer
+    own = [("u", gens, inner[:1], 0.0, 1.0, True),
+           ("v", gens, inner[:1], 0.0, 1.0, True),
+           ("Pg", gens, inner, 0.0, p_max, False),
+           ("r", gens, inner, 0.0, INF, False),
+           ("Pw", res, inner, 0.0, cap, False),
+           ("Pk", lines, inner, -INF, INF, False),
+           ("th", buses, inner, th_lb, th_ub, False)]
+    # the outaged line carries no flow in its own contingency
+    dead = np.array([[k.id == cid for k in lines] for cid in cids],
+                    dtype=bool).reshape(len(cids), len(lines), 1, 1)
+    copies = [("Pgc", gens, 0.0, p_max), ("Pwc", res, 0.0, cap),
+              ("Pkc", lines, np.where(dead, 0.0, -INF), np.where(dead, 0.0, INF)),
+              ("thc", buses, th_lb, th_ub)]
+    n_own = sum(len(items) * math.prod(map(len, axes))
+                for _, items, axes, _, _, _ in own)
+    per = sum(len(items) for _, items, _, _ in copies) * TS
+    lb = np.empty(n_own + len(cids) * per + len(pairs) * TS)
+    ub = np.empty(lb.size)
+    integer = np.zeros(lb.size, dtype=bool)
+    start, offset, blocks = prob.num_vars, 0, []
+    for symbol, items, axes, low, high, is_int in own:
+        shape = (len(items),) + tuple(map(len, axes))
+        span = slice(offset, offset + math.prod(shape))
+        lb[span].reshape(shape)[...] = low
+        ub[span].reshape(shape)[...] = high
+        integer[span] = is_int
+        blocks.append(Block(symbol, [(e.id,) for e in items],
+                            start + offset + math.prod(shape[1:])
+                            * np.arange(len(items)), axes))
+        offset = span.stop
+    if cids:
+        C = len(cids)
+        low_c = lb[offset:offset + C * per].reshape(C, per)
+        high_c = ub[offset:offset + C * per].reshape(C, per)
+        within = 0
+        for symbol, items, low, high in copies:
+            span = slice(within, within + len(items) * TS)
+            low_c[:, span].reshape(C, len(items), T, S)[...] = low
+            high_c[:, span].reshape(C, len(items), T, S)[...] = high
+            blocks.append(Block(
+                symbol, [(e.id, cid) for cid in cids for e in items],
+                (start + offset + per * np.arange(C)[:, None] + within
+                 + TS * np.arange(len(items))).reshape(-1), inner))
+            within = span.stop
+        offset += C * per
+    if pairs:
+        lb[offset:], ub[offset:], integer[offset:] = 0.0, 1.0, True
+        blocks.append(Block("z", pairs,
+                            start + offset + TS * np.arange(len(pairs)), inner))
+    for block in blocks:
+        prob.registry.add_block(block)
+    prob.add_cols(lb, ub, integer)
 
 
 # ---------------------------------------------------------------------------
@@ -174,97 +255,141 @@ def register_variables(prob: MilpProblem, sys: PowerSystem, scen: ScenarioSet,
 def add_base_generator_constraints(prob: MilpProblem, sys: PowerSystem,
                                    scen: ScenarioSet,
                                    cfg: FormulationConfig) -> None:
-    T = sys.horizon
-    reg = prob.registry
+    """Per unit: eq2-eq7 interleaved per (t, s), then its eq8, eq9 and
+    eq10 rows; eq13 for every RES unit follows the last unit."""
+    inner = _axes(sys, scen)
+    periods, scen_ids = inner
+    T, S = len(periods), len(scen_ids)
+    gens = sys.generators
+    G = len(gens)
+    u, v = _cols(prob, "u"), _cols(prob, "v")      # (G, T)
+    pg, r = _cols(prob, "Pg"), _cols(prob, "r")    # (G, T, S)
+    u3, v3 = u[:, :, None], v[:, :, None]
 
-    for g in sys.generators:
-        u0 = 1 if g.initial_status.on else 0
-        p0 = g.initial_dispatch()
-        for t in range(1, T + 1):
-            u_t = reg.col("u", g.id, t)
-            v_t = reg.col("v", g.id, t)
-            for s in scen.scenarios:
-                pg = reg.col("Pg", g.id, t, s.id)
-                rg = reg.col("r", g.id, t, s.id)
-                # eq2: p_min u <= Pg
-                prob.add_row([(u_t, g.p_min), (pg, -1.0)], -INF, 0.0,
-                             f"eq2[{g.id},{t},{s.id}]")
-                # eq3: Pg + r <= p_max u
-                prob.add_row([(pg, 1.0), (rg, 1.0), (u_t, -g.p_max)], -INF, 0.0,
-                             f"eq3[{g.id},{t},{s.id}]")
-                # eq4: r <= R10 u (r >= 0 is the variable bound)
-                prob.add_row([(rg, 1.0), (u_t, -g.ramp_10min)], -INF, 0.0,
-                             f"eq4[{g.id},{t},{s.id}]")
-                # eq5: total reserve covers this unit's output plus reserve;
-                # with the sum kept over all units, r_g cancels and the row
-                # reduces to sum-of-others >= Pg.
-                coeffs: dict[int, float] = {}
-                for q in sys.generators:
-                    rq = reg.col("r", q.id, t, s.id)
-                    coeffs[rq] = coeffs.get(rq, 0.0) + 1.0
-                coeffs[pg] = coeffs.get(pg, 0.0) - 1.0
-                coeffs[rg] = coeffs.get(rg, 0.0) - 1.0
-                prob.add_row([(j, c) for j, c in coeffs.items() if c != 0.0],
-                             0.0, INF, f"eq5[{g.id},{t},{s.id}]")
-                # eq6 / eq7: hourly ramps with startup/shutdown allowances
-                if t == 1:
-                    prob.add_row([(pg, 1.0), (v_t, -g.ramp_startup)],
-                                 -INF, p0 + g.ramp_hourly * u0,
-                                 f"eq6[{g.id},{t},{s.id}]")
-                    prob.add_row(
-                        [(pg, -1.0), (u_t, g.ramp_shutdown - g.ramp_hourly),
-                         (v_t, -g.ramp_shutdown)],
-                        -INF, g.ramp_shutdown * u0 - p0,
-                        f"eq7[{g.id},{t},{s.id}]")
-                else:
-                    pg_prev = reg.col("Pg", g.id, t - 1, s.id)
-                    u_prev = reg.col("u", g.id, t - 1)
-                    prob.add_row(
-                        [(pg, 1.0), (pg_prev, -1.0), (u_prev, -g.ramp_hourly),
-                         (v_t, -g.ramp_startup)],
-                        -INF, 0.0, f"eq6[{g.id},{t},{s.id}]")
-                    prob.add_row(
-                        [(pg_prev, 1.0), (pg, -1.0),
-                         (u_t, g.ramp_shutdown - g.ramp_hourly),
-                         (v_t, -g.ramp_shutdown), (u_prev, -g.ramp_shutdown)],
-                        -INF, 0.0, f"eq7[{g.id},{t},{s.id}]")
+    n_up = np.array([len(range(g.min_up, T + 1)) for g in gens], dtype=np.int64)
+    n_down = np.array([len(range(1, T - g.min_down + 1)) for g in gens],
+                      dtype=np.int64)
+    sizes = 6 * T * S + n_up + n_down + T
+    first = prob.reserve_rows(int(sizes.sum())) + sizes.cumsum() - sizes
+    keys = [(g.id,) for g in gens]
 
-        # eq8: startups within the last UT periods imply still committed
-        for t in range(g.min_up, T + 1):
-            coeffs8 = [(reg.col("v", g.id, q), 1.0)
-                       for q in range(t - g.min_up + 1, t + 1)]
-            coeffs8.append((reg.col("u", g.id, t), -1.0))
-            prob.add_row(coeffs8, -INF, 0.0, f"eq8[{g.id},{t}]")
-        # eq9: no restart within DT periods after being off at t
-        for t in range(1, T - g.min_down + 1):
-            coeffs9 = [(reg.col("v", g.id, q), 1.0)
-                       for q in range(t + 1, t + g.min_down + 1)]
-            coeffs9.append((reg.col("u", g.id, t), 1.0))
-            prob.add_row(coeffs9, -INF, 1.0, f"eq9[{g.id},{t}]")
-        # eq10: startup indicator
-        for t in range(1, T + 1):
-            v_t = reg.col("v", g.id, t)
-            u_t = reg.col("u", g.id, t)
-            if t == 1:
-                prob.add_row([(v_t, 1.0), (u_t, -1.0)], -float(u0), INF,
-                             f"eq10[{g.id},{t}]")
-            else:
-                u_prev = reg.col("u", g.id, t - 1)
-                prob.add_row([(v_t, 1.0), (u_t, -1.0), (u_prev, 1.0)], 0.0, INF,
-                             f"eq10[{g.id},{t}]")
+    u0 = [1 if g.initial_status.on else 0 for g in gens]
+    p0 = [g.initial_dispatch() for g in gens]
+    p_min, p_max, r10, hourly, startup, shutdown = _unit_data(
+        gens, "p_min", "p_max", "ramp_10min", "ramp_hourly", "ramp_startup",
+        "ramp_shutdown")
+    shutdown_less_hourly = _per([g.ramp_shutdown - g.ramp_hourly for g in gens])
+
+    # per unit, period and scenario, six interleaved rows:
+    # eq2: p_min u <= Pg
+    # eq3: Pg + r <= p_max u
+    # eq4: r <= R10 u (r >= 0 is the variable bound)
+    # eq5: total reserve covers this unit's output plus reserve; with the
+    #      sum kept over all units, r_g cancels and the row reduces to
+    #      sum-of-others >= Pg
+    # eq6 / eq7: hourly ramps with startup/shutdown allowances; at t = 1
+    #      the previous output and commitment are the initial state, which
+    #      moves into the right-hand side
+    others = np.array([[q for q in range(G) if q != g] for g in range(G)],
+                      dtype=np.int64).reshape(G, max(G - 1, 0))
+    pg_prev, u_prev = _previous(pg), _previous(u3)
+
+    def from_initial(values):
+        ub = np.zeros((G, T, 1))
+        ub[:, :1] = _per(values)
+        return ub
+
+    prob.add_row_block(
+        ("eq2", "eq3", "eq4", "eq5", "eq6", "eq7"), keys, first, [
+            [(u3, p_min), (pg, -1.0)],
+            [(pg, 1.0), (r, 1.0), (u3, -p_max)],
+            [(r, 1.0), (u3, -r10)],
+            [(r[others[:, j]], 1.0) for j in range(G - 1)] + [(pg, -1.0)],
+            [(pg, 1.0), (pg_prev, -1.0), (u_prev, -hourly), (v3, -startup)],
+            [(pg_prev, 1.0), (pg, -1.0), (u3, shutdown_less_hourly),
+             (v3, -shutdown), (u_prev, -shutdown)]],
+        [-INF, -INF, -INF, 0.0, -INF, -INF],
+        [0.0, 0.0, 0.0, INF,
+         from_initial([p + g.ramp_hourly * on for g, p, on in zip(gens, p0, u0)]),
+         from_initial([g.ramp_shutdown * on - p
+                       for g, p, on in zip(gens, p0, u0)])],
+        inner, 6)
+
+    # eq8: startups within the last UT periods imply still committed;
+    # eq9: no restart within DT periods after being off at t.  One row per
+    # (unit, period) key, the windows padded to the longest
+    window_start = first + 6 * T * S
+    up = [(i, t) for i, g in enumerate(gens) for t in range(g.min_up, T + 1)]
+    prob.add_row_block(
+        "eq8", [(gens[i].id, t) for i, t in up],
+        [window_start[i] + t - gens[i].min_up for i, t in up],
+        _padded([[(v[i, q - 1], 1.0)
+                  for q in range(t - gens[i].min_up + 1, t + 1)]
+                 + [(u[i, t - 1], -1.0)] for i, t in up], ()),
+        -INF, 0.0, padded=True)
+    down = [(i, t) for i, g in enumerate(gens)
+            for t in range(1, T - g.min_down + 1)]
+    prob.add_row_block(
+        "eq9", [(gens[i].id, t) for i, t in down],
+        [window_start[i] + n_up[i] + t - 1 for i, t in down],
+        _padded([[(v[i, q - 1], 1.0)
+                  for q in range(t + 1, t + gens[i].min_down + 1)]
+                 + [(u[i, t - 1], 1.0)] for i, t in down], ()),
+        -INF, 1.0, padded=True)
+    # eq10: startup indicator
+    lb10 = np.zeros((G, T))
+    lb10[:, 0] = [-float(on) for on in u0]
+    prob.add_row_block("eq10", keys, window_start + n_up + n_down,
+                       [(v, 1.0), (u, -1.0), (_previous(u), 1.0)], lb10, INF,
+                       (periods,), padded=True)
 
     # eq13: RES output capped by scenario availability
-    for w in sys.res_units:
-        for t in range(1, T + 1):
-            for s in scen.scenarios:
-                cap = scen_avail(s, w.id, t)
-                prob.add_row([(reg.col("Pw", w.id, t, s.id), 1.0)], -INF, cap,
-                             f"eq13[{w.id},{t},{s.id}]")
+    W = len(sys.res_units)
+    prob.add_row_block("eq13", [(w.id,) for w in sys.res_units],
+                       prob.reserve_rows(W * T * S) + T * S * np.arange(W),
+                       [(_cols(prob, "Pw"), 1.0)], -INF,
+                       _availability(sys, scen), inner)
 
 
 def scen_avail(scenario, res_id: Id, t: int) -> float:
     prof = scenario.availability.get(res_id, ())
     return prof[t - 1] if len(prof) >= t else 0.0
+
+
+# ---------------------------------------------------------------------------
+# Nodal balance: eq16 and eq22
+# ---------------------------------------------------------------------------
+
+def _add_balance(prob: MilpProblem, family: str, sys: PowerSystem, inner,
+                 starts: np.ndarray, suffixes: list[tuple], gen: np.ndarray,
+                 flow: np.ndarray, res: np.ndarray) -> None:
+    """Balance rows: at every bus, generation, inbound flow minus outbound
+    flow, and RES output meet the demand.
+
+    ``gen``, ``flow`` and ``res`` hold element columns shaped
+    (runs, elements, t, s); run j (index suffix ``suffixes[j]``) starts
+    at ``starts[j]`` and puts bus i at ``starts[j] + i*T*S``.
+    """
+    periods, scen_ids = inner
+    T, S = len(periods), len(scen_ids)
+    terms = [[(gen[:, j], 1.0) for j, g in enumerate(sys.generators)
+              if g.bus_id == n.id]
+             + [(flow[:, j], 1.0) for j, k in enumerate(sys.lines)
+                if k.to_bus == n.id]
+             + [(flow[:, j], -1.0) for j, k in enumerate(sys.lines)
+                if k.from_bus == n.id]
+             + [(res[:, j], 1.0) for j, w in enumerate(sys.res_units)
+                if w.bus_id == n.id] for n in sys.buses]
+    N, runs = len(sys.buses), len(suffixes)
+    demand = np.empty((N, runs, T, 1))
+    demand[...] = np.array([[sys.demand.at(n.id, t) for t in periods]
+                            for n in sys.buses], dtype=float)[:, None, :, None]
+    prob.add_row_block(
+        family, [(n.id, *sfx) for n in sys.buses for sfx in suffixes],
+        (T * S * np.arange(N)[:, None] + starts).reshape(-1),
+        [(col.reshape(N * runs, T, S), coef.repeat(runs, axis=0)[..., 0])
+         for col, coef in _padded(terms, (runs, T, S))],
+        demand.reshape(-1, T, 1), demand.reshape(-1, T, 1), inner, padded=True)
 
 
 # ---------------------------------------------------------------------------
@@ -274,41 +399,25 @@ def scen_avail(scenario, res_id: Id, t: int) -> float:
 def add_base_network_constraints(prob: MilpProblem, sys: PowerSystem,
                                  scen: ScenarioSet,
                                  cfg: FormulationConfig) -> None:
-    T = sys.horizon
-    reg = prob.registry
+    """eq14/eq15 interleaved per (line, t, s), then eq16 per bus."""
     reference_bus(sys, cfg)  # raises if configured bus is unknown
+    inner = _axes(sys, scen)
+    T, S = len(inner[0]), len(inner[1])
+    lines = sys.lines
+    K, N = len(lines), len(sys.buses)
+    pk, th = _cols(prob, "Pk"), _cols(prob, "th")
+    frm, to = _line_ends(sys)
+    coef = _per([k.susceptance * sys.mva_base for k in lines])  # MW per radian
+    limit = _per([k.limit_long_term for k in lines])
 
-    for k in sys.lines:
-        coef = k.susceptance * sys.mva_base  # MW per radian
-        for t in range(1, T + 1):
-            for s in scen.scenarios:
-                pk = reg.col("Pk", k.id, t, s.id)
-                th_n = reg.col("th", k.from_bus, t, s.id)
-                th_m = reg.col("th", k.to_bus, t, s.id)
-                prob.add_row([(pk, 1.0), (th_n, -coef), (th_m, coef)], 0.0, 0.0,
-                             f"eq14[{k.id},{t},{s.id}]")
-                prob.add_row([(pk, 1.0)], -k.limit_long_term, k.limit_long_term,
-                             f"eq15[{k.id},{t},{s.id}]")
-
-    inbound = {b.id: [k for k in sys.lines if k.to_bus == b.id] for b in sys.buses}
-    outbound = {b.id: [k for k in sys.lines if k.from_bus == b.id] for b in sys.buses}
-    gens_at = {b.id: [g for g in sys.generators if g.bus_id == b.id] for b in sys.buses}
-    res_at = {b.id: [w for w in sys.res_units if w.bus_id == b.id] for b in sys.buses}
-
-    for n in sys.buses:
-        for t in range(1, T + 1):
-            for s in scen.scenarios:
-                coeffs = []
-                for g in gens_at[n.id]:
-                    coeffs.append((reg.col("Pg", g.id, t, s.id), 1.0))
-                for k in inbound[n.id]:
-                    coeffs.append((reg.col("Pk", k.id, t, s.id), 1.0))
-                for k in outbound[n.id]:
-                    coeffs.append((reg.col("Pk", k.id, t, s.id), -1.0))
-                for w in res_at[n.id]:
-                    coeffs.append((reg.col("Pw", w.id, t, s.id), 1.0))
-                d = sys.demand.at(n.id, t)
-                prob.add_row(coeffs, d, d, f"eq16[{n.id},{t},{s.id}]")
+    base = prob.reserve_rows((2 * K + N) * T * S)
+    keys = [(k.id,) for k in lines]
+    first = base + 2 * T * S * np.arange(K)
+    prob.add_row_block(("eq14", "eq15"), keys, first,
+                       [[(pk, 1.0), (th[frm], -coef), (th[to], coef)],
+                        [(pk, 1.0)]], [0.0, -limit], [0.0, limit], inner, 2)
+    _add_balance(prob, "eq16", sys, inner, np.array([base + 2 * K * T * S]),
+                 [()], _cols(prob, "Pg")[None], pk[None], _cols(prob, "Pw")[None])
 
 
 # ---------------------------------------------------------------------------
@@ -319,60 +428,46 @@ def add_contingency_generator_constraints(prob: MilpProblem, sys: PowerSystem,
                                           scen: ScenarioSet,
                                           contingencies: list[Contingency],
                                           cfg: FormulationConfig) -> None:
-    T = sys.horizon
-    reg = prob.registry
-    for c in contingencies:
-        cid = c.outaged_line_id
-        for g in sys.generators:
-            for t in range(1, T + 1):
-                u_t = reg.col("u", g.id, t)
-                for s in scen.scenarios:
-                    pg = reg.col("Pg", g.id, t, s.id)
-                    pgc = reg.col("Pgc", g.id, cid, t, s.id)
-                    prob.add_row([(pg, 1.0), (pgc, -1.0), (u_t, -g.ramp_10min)],
-                                 -INF, 0.0, f"eq17[{g.id},{cid},{t},{s.id}]")
-                    prob.add_row([(pgc, 1.0), (pg, -1.0), (u_t, -g.ramp_10min)],
-                                 -INF, 0.0, f"eq18[{g.id},{cid},{t},{s.id}]")
-                    prob.add_row([(u_t, g.p_min), (pgc, -1.0)], -INF, 0.0,
-                                 f"eq19[{g.id},{cid},{t},{s.id}]")
-                    prob.add_row([(pgc, 1.0), (u_t, -g.p_max)], -INF, 0.0,
-                                 f"eq20[{g.id},{cid},{t},{s.id}]")
-        for w in sys.res_units:
-            for t in range(1, T + 1):
-                for s in scen.scenarios:
-                    cap = scen_avail(s, w.id, t)
-                    prob.add_row([(reg.col("Pwc", w.id, cid, t, s.id), 1.0)],
-                                 -INF, cap, f"eq21[{w.id},{cid},{t},{s.id}]")
+    """Per contingency: eq17-eq20 interleaved per (g, t, s), then eq21."""
+    if not contingencies:
+        return
+    inner = _axes(sys, scen)
+    T, S = len(inner[0]), len(inner[1])
+    gens, res = sys.generators, sys.res_units
+    C, G, W = len(contingencies), len(gens), len(res)
+    cids = [c.outaged_line_id for c in contingencies]
+    # (contingency, unit) runs, each over (t, s)
+    u = np.concatenate([_cols(prob, "u")[:, :, None]] * C)
+    pg = np.concatenate([_cols(prob, "Pg")] * C)
+    pgc = _cols(prob, "Pgc")
+
+    per = (4 * G + W) * T * S
+    starts = prob.reserve_rows(C * per) + per * np.arange(C)
+    keys = [(g.id, cid) for cid in cids for g in gens]
+    first = (starts[:, None] + 4 * T * S * np.arange(G)).reshape(-1)
+
+    def per_unit(values):
+        return np.concatenate([_per(values)] * C)
+
+    r10 = per_unit([g.ramp_10min for g in gens])
+    prob.add_row_block(
+        ("eq17", "eq18", "eq19", "eq20"), keys, first,
+        [[(pg, 1.0), (pgc, -1.0), (u, -r10)],
+         [(pgc, 1.0), (pg, -1.0), (u, -r10)],
+         [(u, per_unit([g.p_min for g in gens])), (pgc, -1.0)],
+         [(pgc, 1.0), (u, -per_unit([g.p_max for g in gens]))]],
+        [-INF] * 4, [0.0] * 4, inner, 4)
+
+    prob.add_row_block(
+        "eq21", [(w.id, cid) for cid in cids for w in res],
+        (starts[:, None] + 4 * G * T * S + T * S * np.arange(W)).reshape(-1),
+        [(_cols(prob, "Pwc"), 1.0)], -INF,
+        np.concatenate([_availability(sys, scen)] * C), inner)
 
 
 # ---------------------------------------------------------------------------
 # Post-contingency network blocks
 # ---------------------------------------------------------------------------
-
-def _add_contingency_balance(prob: MilpProblem, sys: PowerSystem,
-                             scen: ScenarioSet, cid: Id) -> None:
-    """eq22: nodal balance under the outage; the dead line's flow is pinned 0."""
-    T = sys.horizon
-    reg = prob.registry
-    for n in sys.buses:
-        gens = [g for g in sys.generators if g.bus_id == n.id]
-        res = [w for w in sys.res_units if w.bus_id == n.id]
-        inbound = [k for k in sys.lines if k.to_bus == n.id]
-        outbound = [k for k in sys.lines if k.from_bus == n.id]
-        for t in range(1, T + 1):
-            for s in scen.scenarios:
-                coeffs = []
-                for g in gens:
-                    coeffs.append((reg.col("Pgc", g.id, cid, t, s.id), 1.0))
-                for k in inbound:
-                    coeffs.append((reg.col("Pkc", k.id, cid, t, s.id), 1.0))
-                for k in outbound:
-                    coeffs.append((reg.col("Pkc", k.id, cid, t, s.id), -1.0))
-                for w in res:
-                    coeffs.append((reg.col("Pwc", w.id, cid, t, s.id), 1.0))
-                d = sys.demand.at(n.id, t)
-                prob.add_row(coeffs, d, d, f"eq22[{n.id},{cid},{t},{s.id}]")
-
 
 def add_contingency_network(prob: MilpProblem, sys: PowerSystem,
                             scen: ScenarioSet,
@@ -389,57 +484,90 @@ def add_contingency_network(prob: MilpProblem, sys: PowerSystem,
     the number of opened candidates per contingency, period and scenario.
     SSCUC is this network with no candidates, so every surviving line
     keeps eq23/eq24 and no eq28 row is written.
+
+    Per contingency the rows are eq22 per bus, then each surviving line's
+    rows interleaved per (t, s), then eq28.
     """
-    T = sys.horizon
-    reg = prob.registry
+    if not contingencies:
+        return
     switching = cfg.model_kind is ModelKind.SSCUC_CNR
     line_ids = {k.id for k in sys.lines}
+    candidates = []
     for c in contingencies:
-        cid = c.outaged_line_id
-        candidates = set(c.candidate_switch_ids) if switching else set()
-        unknown = candidates - line_ids
+        cands = set(c.candidate_switch_ids) if switching else set()
+        unknown = cands - line_ids
         if unknown:
-            raise KeyError(f"contingency {cid!r}: unknown candidate lines {sorted(map(str, unknown))}")
-        _add_contingency_balance(prob, sys, scen, cid)
-        for k in sys.lines:
-            if k.id == cid:
-                continue
-            switched = k.id in candidates
-            coef = k.susceptance * sys.mva_base
-            big_m = compute_big_m(k, cfg, sys.mva_base)
-            for t in range(1, T + 1):
-                for s in scen.scenarios:
-                    pkc = reg.col("Pkc", k.id, cid, t, s.id)
-                    th_n = reg.col("thc", k.from_bus, cid, t, s.id)
-                    th_m = reg.col("thc", k.to_bus, cid, t, s.id)
-                    if not switched:
-                        prob.add_row([(pkc, 1.0), (th_n, -coef), (th_m, coef)],
-                                     0.0, 0.0, f"eq23[{k.id},{cid},{t},{s.id}]")
-                        prob.add_row([(pkc, 1.0)], -k.limit_emergency,
-                                     k.limit_emergency,
-                                     f"eq24[{k.id},{cid},{t},{s.id}]")
-                        continue
-                    z = reg.col("z", cid, k.id, t, s.id)
-                    # eq25: Pk - b(th_n - th_m) + (1 - z) M >= 0
-                    prob.add_row(
-                        [(pkc, 1.0), (th_n, -coef), (th_m, coef), (z, -big_m)],
-                        -big_m, INF, f"eq25[{k.id},{cid},{t},{s.id}]")
-                    # eq26: Pk - b(th_n - th_m) - (1 - z) M <= 0
-                    prob.add_row(
-                        [(pkc, 1.0), (th_n, -coef), (th_m, coef), (z, big_m)],
-                        -INF, big_m, f"eq26[{k.id},{cid},{t},{s.id}]")
-                    # eq27: -emax z <= Pk <= emax z
-                    prob.add_row([(pkc, 1.0), (z, k.limit_emergency)], 0.0, INF,
-                                 f"eq27L[{k.id},{cid},{t},{s.id}]")
-                    prob.add_row([(pkc, 1.0), (z, -k.limit_emergency)], -INF, 0.0,
-                                 f"eq27U[{k.id},{cid},{t},{s.id}]")
-        if candidates:
-            for t in range(1, T + 1):
-                for s in scen.scenarios:
-                    coeffs = [(reg.col("z", cid, k, t, s.id), 1.0)
-                              for k in c.candidate_switch_ids]
-                    prob.add_row(coeffs, len(candidates) - cfg.switch_limit, INF,
-                                 f"eq28[{cid},{t},{s.id}]")
+            raise KeyError(f"contingency {c.outaged_line_id!r}: unknown "
+                           f"candidate lines {sorted(map(str, unknown))}")
+        candidates.append(cands)
+
+    inner = _axes(sys, scen)
+    T, S = len(inner[0]), len(inner[1])
+    TS = T * S
+    lines = sys.lines
+    C, K, N = len(contingencies), len(lines), len(sys.buses)
+    cids = [c.outaged_line_id for c in contingencies]
+    pkc = _cols(prob, "Pkc").reshape(C, K, T, S)
+    thc = _cols(prob, "thc").reshape(C, N, T, S)
+
+    # rows per (t, s) of each line: 0 outaged, 2 fixed, 4 switchable
+    kind = np.array([[0 if k.id == cid else 4 if k.id in cands else 2
+                      for k in lines] for cid, cands in zip(cids, candidates)],
+                    dtype=np.int64).reshape(C, K)
+    sizes = N * TS + TS * kind.sum(axis=1) + TS * np.array(
+        [bool(cands) for cands in candidates], dtype=np.int64)
+    starts = prob.reserve_rows(int(sizes.sum())) + sizes.cumsum() - sizes
+    line_first = (starts[:, None] + N * TS
+                  + TS * (kind.cumsum(axis=1) - kind))
+
+    _add_balance(prob, "eq22", sys, inner, starts, [(cid,) for cid in cids],
+                 _cols(prob, "Pgc").reshape(C, -1, T, S), pkc,
+                 _cols(prob, "Pwc").reshape(C, -1, T, S))
+
+    frm, to = _line_ends(sys)
+    coef = np.array([k.susceptance * sys.mva_base for k in lines])
+    emax = np.array([k.limit_emergency for k in lines], dtype=float)
+
+    def flow_rows(rows_per_line):
+        ci, ki = np.nonzero(kind == rows_per_line)
+        keys = [(lines[k].id, cids[c]) for c, k in zip(ci.tolist(), ki.tolist())]
+        return (ci, ki, keys, line_first[ci, ki], pkc[ci, ki],
+                thc[ci, frm[ki]], thc[ci, to[ki]], coef[ki].reshape(-1, 1, 1),
+                emax[ki].reshape(-1, 1, 1))
+
+    def add(family, keys, first, step, terms, lb, ub):
+        prob.add_row_block(family, keys, first, terms, lb, ub, inner, step)
+
+    _, _, keys, first, pk, th_n, th_m, b, e = flow_rows(2)
+    add(("eq23", "eq24"), keys, first, 2,
+        [[(pk, 1.0), (th_n, -b), (th_m, b)], [(pk, 1.0)]], [0.0, -e], [0.0, e])
+
+    if not any(candidates):
+        return
+    ci, ki, keys, first, pk, th_n, th_m, b, e = flow_rows(4)
+    z_block = prob.registry.block("z")
+    z_at = {key: p for p, key in enumerate(z_block.keys)}
+    z_all = z_block.numbers()
+    z = z_all[[z_at[key[::-1]] for key in keys]]
+    big_m = np.array([compute_big_m(k, cfg, sys.mva_base) for k in lines]
+                     )[ki].reshape(-1, 1, 1)
+    flow = [(pk, 1.0), (th_n, -b), (th_m, b)]
+    # eq25: Pk - b(th_n - th_m) + (1 - z) M >= 0
+    # eq26: Pk - b(th_n - th_m) - (1 - z) M <= 0
+    # eq27: -emax z <= Pk <= emax z, as its two one-sided halves
+    add(("eq25", "eq26", "eq27L", "eq27U"), keys, first, 4,
+        [flow + [(z, -big_m)], flow + [(z, big_m)], [(pk, 1.0), (z, e)],
+         [(pk, 1.0), (z, -e)]],
+        [-big_m, -INF, 0.0, -INF], [INF, big_m, INF, 0.0])
+    budgeted = [j for j, cands in enumerate(candidates) if cands]
+    prob.add_row_block(
+        "eq28", [(cids[j],) for j in budgeted],
+        (starts + sizes - TS)[budgeted],
+        _padded([[(z_all[z_at[(cids[j], k)]], 1.0)
+                  for k in contingencies[j].candidate_switch_ids]
+                 for j in budgeted], (T, S)),
+        np.array([len(candidates[j]) - cfg.switch_limit for j in budgeted],
+                 dtype=float).reshape(-1, 1, 1), INF, inner, padded=True)
 
 
 # ---------------------------------------------------------------------------
@@ -456,25 +584,31 @@ def build_objective(prob: MilpProblem, sys: PowerSystem, scen: ScenarioSet,
     constant part is kept in ``objective_constant`` so the reported value
     is the literal objective, not just the variable part.
     """
-    T = sys.horizon
-    reg = prob.registry
-    for g in sys.generators:
-        for t in range(1, T + 1):
-            prob.add_objective_term(reg.col("u", g.id, t), g.cost_no_load)
-            prob.add_objective_term(reg.col("v", g.id, t), g.cost_startup)
-            for s in scen.scenarios:
-                prob.add_objective_term(reg.col("Pg", g.id, t, s.id),
-                                        s.probability * g.cost_linear)
-    if cfg.penalty_enabled:
-        for w in sys.res_units:
-            for c in contingencies:
-                cid = c.outaged_line_id
-                for t in range(1, T + 1):
-                    for s in scen.scenarios:
-                        weight = s.probability * w.curtail_penalty
-                        prob.objective_constant += weight * scen_avail(s, w.id, t)
-                        prob.add_objective_term(
-                            reg.col("Pwc", w.id, cid, t, s.id), -weight)
+    gens = sys.generators
+    pi = np.array([s.probability for s in scen.scenarios], dtype=float)
+    u, v, pg = _cols(prob, "u"), _cols(prob, "v"), _cols(prob, "Pg")
+    G, T, S = pg.shape
+    no_load, startup, linear = _unit_data(gens, "cost_no_load", "cost_startup",
+                                          "cost_linear")
+    # per unit and period: u, v, then Pg in every scenario
+    cols = np.empty((G, T, 2 + S), dtype=np.int64)
+    coefs = np.empty((G, T, 2 + S))
+    cols[..., 0], cols[..., 1], cols[..., 2:] = u, v, pg
+    coefs[..., :1], coefs[..., 1:2], coefs[..., 2:] = no_load, startup, pi * linear
+    prob.add_objective(cols, coefs)
+    if cfg.penalty_enabled and contingencies:
+        W, C = len(sys.res_units), len(contingencies)
+        weight = (pi * _per([w.curtail_penalty for w in sys.res_units])
+                  ).reshape(W, 1, 1, S)
+        pwc = _cols(prob, "Pwc").reshape(C, W, T, S).transpose(1, 0, 2, 3)
+        # the constant is added term by term in (w, c, t, s) order
+        terms = np.empty((1 + W * C * T * S))
+        terms[0] = prob.objective_constant
+        terms[1:].reshape(pwc.shape)[...] = weight * _availability(sys, scen)[:, None]
+        prob.objective_constant = float(np.add.accumulate(terms)[-1])
+        coefs = np.empty(pwc.shape)
+        coefs[...] = -weight
+        prob.add_objective(pwc, coefs)
 
 
 # ---------------------------------------------------------------------------

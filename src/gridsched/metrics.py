@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .formulation import FormulationConfig, ModelKind, compute_big_m, scen_avail
 from .milp import MilpProblem
 from .scenarios import ScenarioSet
@@ -64,12 +66,11 @@ def extract_schedule(prob: MilpProblem, result: SolveResult) -> ScheduleSolution
     if result.x is None:
         raise ValueError(f"no values to extract: solve status {result.status}")
     sol = ScheduleSolution(objective=result.objective)
-    for (symbol, index), col in prob.registry.items():
-        target = getattr(sol, _SYMBOL_FIELDS[symbol])
-        value = float(result.x[col])
+    for symbol, indices, cols in prob.registry.groups():
+        values = result.x[cols]
         if symbol in ("u", "v"):
-            value = int(round(value))
-        target[index] = value
+            values = np.rint(values).astype(np.int64)
+        getattr(sol, _SYMBOL_FIELDS[symbol]).update(zip(indices, values.tolist()))
     return sol
 
 

@@ -1,25 +1,47 @@
-"""Backend-agnostic MILP container.
+"""Array-native MILP container.
 
-A problem is a list of columns (bounds + integrality), a list of linear
-rows with a [lb, ub] interval (equalities have lb == ub, one-sided rows
-use infinities), and a minimize objective with an optional constant term.
-Rows carry a label like ``eq15[L2,3,s0]`` so post-solve analysis can map
-them back to the printed model equations.
+A problem is a set of columns (bounds + integrality), linear rows with a
+[lb, ub] interval (equalities have lb == ub, one-sided rows use
+infinities), and a minimize objective with an optional constant term.
 
-The registry tracks which column realizes which model symbol and index
-tuple, e.g. ``("Pg", ("g1", 2, "s0"))``.  Variable names follow the
-documented scheme ``u[g,t]``, ``Pg[g,t,s]``, ``z[c,k,t,s]`` and are
-deterministic for a given system/scenario/contingency input order.
+Columns and rows are stored in blocks.  A ``Block`` lays numbers out on a
+grid: each of its keys owns a run ``first[key] + step * q`` over the
+flattened inner axes (typically periods x scenarios), so one block holds
+every row of an equation family, or every column of a variable symbol,
+and a position's index tuple is its key followed by its inner values.
+The model builders emit whole blocks with numpy index arithmetic; the
+scalar ``add_var`` / ``add_registered`` / ``add_row`` /
+``add_objective_term`` calls are the one-element case of the same storage.
+
+A row block carries its coefficients as (row, term) arrays of columns and
+values until the rows are first needed.  They are then scattered once
+into CSR arrays (each row's terms in the order its family lists them,
+explicit zeros kept, no column twice in a row) with the row lb/ub
+vectors.  ``check``, ``objective_value`` and ``max_violation`` are numpy
+operations on these arrays.  The sparse matrix handed to the engine is
+built from them once and cached; ``clone_with_bounds`` copies share it.
+
+Names are derived on demand from (block, offset): row labels like
+``eq15[L2,3,s0]`` map a row back to the printed model equation, and
+registered columns are named by the documented scheme ``u[g,t]``,
+``Pg[g,t,s]``, ``z[c,k,t,s]``.  Both are deterministic for a given
+system/scenario/contingency input order.  ``rows`` materialises ``Row``
+objects for inspection.
 """
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 INF = math.inf
+_BATCH_TERMS = 1 << 18  # row terms scattered into the matrix per batch
 
 
 @dataclass
@@ -30,113 +52,718 @@ class Row:
     label: str
 
 
+class Block:
+    """Numbers (columns or rows) laid out on a key x inner-axes grid.
+
+    ``name`` is a variable symbol or an equation family.  A row block may
+    also interleave several families, given as a tuple of names: inner
+    position q of key p then holds rows ``first[p] + step*q + e``, one per
+    family e.
+    """
+
+    def __init__(self, name: str | tuple[str, ...], keys: list[tuple], first,
+                 inner: tuple[tuple, ...] = (), step: int = 1) -> None:
+        self.names = name if isinstance(name, tuple) else (name,)
+        self.name = self.names[0]
+        self.keys = keys
+        if not (type(first) is np.ndarray and first.dtype == np.int64
+                and first.ndim == 1):
+            first = np.asarray(first, dtype=np.int64).reshape(-1)
+        self.first = first
+        self.inner = inner
+        self.step = step
+        self.shape = (len(keys),) + tuple(map(len, inner))
+        self.run = math.prod(self.shape[1:])
+        if len(self.first) != len(self.keys):
+            raise ValueError(f"block {name}: {len(self.keys)} keys but "
+                             f"{len(self.first)} run starts")
+        self._positions: tuple[dict, list[dict]] | None = None
+        self._numbers: np.ndarray | None = None
+
+    @property
+    def size(self) -> int:
+        return len(self.keys) * self.run * len(self.names)
+
+    def numbers(self) -> np.ndarray:
+        """Every number, shaped (keys, *inner), with a last axis over the
+        families when there are several."""
+        if self._numbers is None:
+            width = len(self.names)
+            offsets = np.arange(0, self.run * self.step, self.step)
+            if width > 1:
+                offsets = (offsets[:, None] + np.arange(width)).reshape(-1)
+            self._numbers = (self.first[:, None] + offsets).reshape(
+                self.shape + ((width,) if width > 1 else ()))
+        return self._numbers
+
+    def index(self, local: int) -> tuple:
+        """Index tuple of the position at this offset (one family)."""
+        p, q = divmod(int(local), self.run)
+        tail = []
+        for axis in reversed(self.inner):
+            q, j = divmod(q, len(axis))
+            tail.append(axis[j])
+        return self.keys[p] + tuple(reversed(tail))
+
+    def indices(self) -> list[tuple]:
+        """Every position's index tuple, in offset order."""
+        tails = list(itertools.product(*self.inner))
+        return [key + tail for key in self.keys for tail in tails]
+
+    def find(self, index: tuple) -> int | None:
+        """Number at this index tuple, or None when the block lacks it."""
+        split = len(index) - len(self.inner)
+        if split < 0:
+            return None
+        if self._positions is None:
+            self._positions = ({key: p for p, key in enumerate(self.keys)},
+                               [{v: j for j, v in enumerate(axis)}
+                                for axis in self.inner])
+        by_key, by_value = self._positions
+        p = by_key.get(tuple(index[:split]))
+        if p is None:
+            return None
+        q = 0
+        for axis, value in zip(by_value, index[split:]):
+            j = axis.get(value)
+            if j is None:
+                return None
+            q = q * len(axis) + j
+        return int(self.first[p]) + q * self.step
+
+    def locate(self, number: int) -> int | None:
+        """Offset of this number within the block, or None."""
+        rel = number - self.first
+        hit = np.flatnonzero((rel >= 0) & (rel < self.run * self.step)
+                             & (rel % self.step == 0))
+        if not hit.size:
+            return None
+        p = int(hit[0])
+        return p * self.run + int(rel[p]) // self.step
+
+    def append(self, key: tuple, number: int) -> None:
+        self.keys.append(key)
+        self.first = np.append(self.first, number)
+        self.shape = (len(self.keys),)
+        self._numbers = None
+        if self._positions is not None:
+            self._positions[0][self.keys[-1]] = len(self.keys) - 1
+
+    def label(self, local: int) -> str:
+        local, family = divmod(int(local), len(self.names))
+        parts = self.index(local)
+        if not parts:
+            return self.names[family]
+        return f"{self.names[family]}[{','.join(str(i) for i in parts)}]"
+
+
+def _flat(values, shape: tuple) -> np.ndarray:
+    """``values`` broadcast to ``shape``, flattened."""
+    out = np.empty(shape)
+    out[...] = values
+    return out.reshape(-1)
+
+
+def _var_name(symbol: str, index: tuple) -> str:
+    return f"{symbol}[{','.join(str(i) for i in index)}]"
+
+
 class VariableRegistry:
-    """Maps (symbol, index tuple) to a column."""
+    """Maps (symbol, index tuple) to a column through column blocks."""
 
     def __init__(self) -> None:
-        self._by_key: dict[tuple[str, tuple], int] = {}
+        self._blocks: dict[str, list[Block]] = {}
+        self._scalar: dict[str, Block] = {}  # grown by one-element adds
 
     def add(self, symbol: str, index: tuple, col: int) -> None:
-        key = (symbol, tuple(index))
-        if key in self._by_key:
+        index = tuple(index)
+        if self._find(symbol, index) is not None:
             raise ValueError(f"duplicate registration for {symbol}{list(index)}")
-        self._by_key[key] = col
+        block = self._scalar.get(symbol)
+        if block is None:
+            block = self._scalar[symbol] = Block(symbol, [], [])
+            self._blocks.setdefault(symbol, []).append(block)
+        block.append(index, col)
+
+    def add_block(self, block: Block) -> None:
+        if (len(set(block.keys)) < len(block.keys)
+                or any(len(set(axis)) < len(axis) for axis in block.inner)
+                or any(self._find(block.name, index) is not None
+                       for index in (block.indices()
+                                     if block.name in self._blocks else ()))):
+            raise ValueError(f"duplicate registration in block {block.name}")
+        self._blocks.setdefault(block.name, []).append(block)
+
+    def block(self, symbol: str) -> Block:
+        """The single block holding every column of a symbol."""
+        blocks = self._blocks.get(symbol, [])
+        if len(blocks) != 1:
+            raise KeyError(f"{symbol}: {len(blocks)} column blocks, expected 1")
+        return blocks[0]
+
+    def _find(self, symbol: str, index: tuple) -> int | None:
+        for block in self._blocks.get(symbol, ()):
+            col = block.find(index)
+            if col is not None:
+                return col
+        return None
 
     def col(self, symbol: str, *index) -> int:
-        return self._by_key[(symbol, tuple(index))]
+        col = self._find(symbol, index)
+        if col is None:
+            raise KeyError((symbol, index))
+        return col
+
+    def _ordered(self, symbols) -> list[tuple[tuple[str, tuple], int]]:
+        """((symbol, index), column) pairs of these symbols, by column."""
+        keys: list[tuple[str, tuple]] = []
+        cols = [np.empty(0, dtype=np.int64)]
+        for symbol in symbols:
+            for block in self._blocks.get(symbol, ()):
+                keys.extend((symbol, index) for index in block.indices())
+                cols.append(block.numbers().ravel())
+        flat = np.concatenate(cols)
+        order = np.argsort(flat, kind="stable")
+        return [(keys[i], c) for i, c in zip(order.tolist(), flat[order].tolist())]
 
     def indices(self, symbol: str) -> list[tuple]:
-        return [idx for sym, idx in self._by_key if sym == symbol]
+        return [index for (_, index), _ in self._ordered([symbol])]
+
+    def groups(self):
+        """Per symbol: its index tuples and their columns, in the order
+        they were registered."""
+        for symbol, blocks in self._blocks.items():
+            if len(blocks) == 1:
+                yield symbol, blocks[0].indices(), blocks[0].numbers().reshape(-1)
+                continue
+            yield (symbol, [index for block in blocks
+                            for index in block.indices()],
+                   np.concatenate([block.numbers().reshape(-1)
+                                   for block in blocks]))
 
     def count(self, symbol: str) -> int:
-        return sum(1 for sym, _ in self._by_key if sym == symbol)
+        return sum(block.size for block in self._blocks.get(symbol, ()))
 
-    def items(self):
-        return self._by_key.items()
+    def items(self) -> list[tuple[tuple[str, tuple], int]]:
+        return self._ordered(list(self._blocks))
+
+    def name(self, col: int) -> str:
+        for symbol, blocks in self._blocks.items():
+            for block in blocks:
+                local = block.locate(col)
+                if local is not None:
+                    return _var_name(symbol, block.index(local))
+        raise KeyError(f"column {col} is not registered")
 
 
-@dataclass
+class _Column:
+    """Append-only 1-D array; appended parts are joined on first read."""
+
+    def __init__(self, dtype, values=()) -> None:
+        self._dtype = dtype
+        self._parts = [np.asarray(values, dtype=dtype).reshape(-1)]
+        self.size = self._parts[0].size
+
+    def extend(self, values) -> None:
+        part = np.asarray(values, dtype=self._dtype).reshape(-1)
+        self._parts.append(part)
+        self.size += part.size
+
+    @property
+    def array(self) -> np.ndarray:
+        if len(self._parts) > 1:
+            self._parts = [np.concatenate(self._parts)]
+        return self._parts[0]
+
+
+class RowView(Sequence):
+    """A problem's rows as ``Row`` objects, materialised on demand."""
+
+    def __init__(self, model: "_Model") -> None:
+        self._model = model
+
+    def __len__(self) -> int:
+        return self._model.n_rows
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("row index out of range")
+        model = self._model
+        model._build()
+        a, b = model._indptr[i], model._indptr[i + 1]
+        return Row(list(zip(model._indices[a:b].tolist(),
+                            model._data[a:b].tolist())),
+                   float(model._lo[i]), float(model._hi[i]), model.label(i))
+
+    def __iter__(self):
+        model = self._model
+        model._build()
+        owner, local = model._owner, model._local
+        blocks, lo, hi = model.blocks, model._lo, model._hi
+        indptr, indices, data = (model._indptr.tolist(),
+                                 model._indices.tolist(), model._data.tolist())
+        for i, (b, r, row_lb, row_ub) in enumerate(zip(
+                owner.tolist(), local.tolist(), lo.tolist(), hi.tolist())):
+            a, e = indptr[i], indptr[i + 1]
+            yield Row(list(zip(indices[a:e], data[a:e])), row_lb, row_ub,
+                      blocks[b].label(r))
+
+
+class _Model:
+    """Columns' integrality and names, the objective and the rows: the
+    storage a problem shares with its clones."""
+
+    def __init__(self) -> None:
+        self.n_cols = 0
+        self.integer = _Column(bool)
+        self.names: dict[int, str] = {}  # columns added by add_var
+        self.obj_cols = _Column(np.int64)  # objective terms in call order
+        self.obj_vals = _Column(float)
+        self.n_rows = 0
+        self.blocks: list[Block] = []  # every row block, for labels
+        self._pending: list[tuple] = []  # (block, cols, vals, lo, hi, kept)
+        self._built = 0  # rows already in the matrix arrays
+        self._indptr = np.zeros(1, dtype=np.int64)
+        self._indices = np.empty(0, dtype=np.int32)
+        self._data = np.empty(0)
+        self._lo = np.empty(0)
+        self._hi = np.empty(0)
+        self._owner = np.empty(0, dtype=np.int32)  # block index of each row
+        self._local = np.empty(0, dtype=np.int32)  # its offset in the block
+        self._cache: dict = {}
+        self.view = RowView(self)
+
+    # -- rows ---------------------------------------------------------------
+
+    def add_rows(self, block: Block, cols, vals, lo, hi, kept=None) -> None:
+        """Queue a row block's (row, term) column and value arrays and its
+        rows' lb/ub, in the block's offset order; ``kept`` counts each
+        row's terms when columns of -1 pad the shorter rows."""
+        self.blocks.append(block)
+        self._pending.append((block, cols, vals, lo, hi, kept))
+        self._cache.clear()
+
+    def _build(self) -> None:
+        """Move pending row blocks into the CSR arrays.
+
+        Terms are scattered in batches of at most ``_BATCH_TERMS`` and
+        each batch is dropped once placed, so the pending terms, the
+        matrix and the scatter's work arrays are never all held in full."""
+        if not self._pending and self._built == self.n_rows:
+            return
+        start, new = self._built, self.n_rows - self._built
+        pending, self._pending = self._pending, []
+        blocks = [p[0] for p in pending]
+        sizes = [block.size for block in blocks]
+        if sum(sizes) != new:
+            raise ValueError("row blocks do not cover the reserved rows")
+        # every pending row in block order (``Block.numbers`` for all
+        # blocks at once): key runs of ``run`` positions ``step`` apart,
+        # ``families`` interleaved rows per position
+        keys = [len(block.keys) for block in blocks]
+        families = np.array([len(b.names) for b in blocks], dtype=np.int32
+                            ).repeat(keys)
+        count = np.array([b.run for b in blocks], dtype=np.int32).repeat(keys)
+        count *= families
+        rows = np.arange(new, dtype=np.int32)   # position within a key run
+        rows -= (count.cumsum(dtype=np.int64) - count).astype(np.int32).repeat(count)
+        families = families.repeat(count)
+        offset = rows // families
+        offset *= np.array([b.step for b in blocks], dtype=np.int32
+                           ).repeat(keys).repeat(count)
+        rows %= families
+        rows += offset
+        del offset, families
+        rows += (np.concatenate([np.empty(0, dtype=np.int64)]
+                                + [b.first for b in blocks]) - start
+                 ).astype(np.int32).repeat(count)
+        if new and (np.minimum.reduce(rows) < 0
+                    or np.maximum.reduce(rows) >= new):
+            raise ValueError("row blocks lie outside the reserved rows")
+        width = np.array([p[1].shape[1] for p in pending], dtype=np.int32
+                         ).repeat(sizes)
+        counts = width.copy()
+        # pieces of at most _BATCH_TERMS terms, scattered a batch at a time;
+        # padded rows keep fewer terms than their width
+        pieces, done = [], 0
+        for size, p in zip(sizes, pending):
+            if p[5] is not None:
+                counts[done:done + size] = p[5]
+            chunk = max(1, _BATCH_TERMS // max(1, p[1].shape[1]))
+            if size <= chunk:
+                pieces.append((done, done + size, p[1], p[2], p[5] is not None))
+            else:
+                for a in range(0, size, chunk):
+                    b = min(size, a + chunk)
+                    pieces.append((done + a, done + b, p[1][a:b], p[2][a:b],
+                                   p[5] is not None))
+            done += size
+        row_counts = np.zeros(new, dtype=np.int64)
+        row_counts[rows] = counts
+        del counts
+        base = int(self._indptr[-1])
+        indptr = np.concatenate((self._indptr, base + row_counts.cumsum()))
+        del row_counts
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        data = np.empty(indptr[-1])
+        indices[:base], data[:base] = self._indices, self._data
+        bounds = [(p[3], p[4]) for p in pending]
+        pending.clear()
+        i = 0
+        while i < len(pieces):
+            batch, terms = [], 0
+            while i < len(pieces) and (not batch or terms < _BATCH_TERMS):
+                batch.append(pieces[i])
+                terms += pieces[i][2].size
+                pieces[i] = None
+                i += 1
+            r = slice(batch[0][0], batch[-1][1])
+            padded = any(piece[4] for piece in batch)
+            cols = np.concatenate([piece[2].reshape(-1) for piece in batch])
+            vals = np.concatenate([piece[3].reshape(-1) for piece in batch])
+            del batch
+            if cols.size and (np.maximum.reduce(cols) >= self.n_cols
+                              or np.minimum.reduce(cols) < (-1 if padded else 0)):
+                raise ValueError("a row block references an unknown column")
+            # each row's terms are contiguous, rows in batch order; a
+            # term's place in its row counts the kept terms before it
+            keep = cols >= 0 if padded else None
+            rank = (np.arange(cols.size) if keep is None
+                    else keep.cumsum() - keep)
+            starts = width[r].cumsum() - width[r]
+            pos = ((indptr[start + rows[r]] - np.concatenate((rank, [0]))[starts])
+                   .repeat(width[r]) + rank)
+            del rank
+            if keep is not None:
+                pos, cols, vals = pos[keep], cols[keep], vals[keep]
+            indices[pos] = cols
+            data[pos] = vals
+            del cols, vals, pos, keep
+        # block of each row, and the row's offset in it, for labels
+        owner = np.empty(new, dtype=np.int32)
+        owner.fill(-1)
+        owner[rows] = np.arange(len(self.blocks) - len(blocks),
+                                len(self.blocks), dtype=np.int32).repeat(sizes)
+        if new and np.minimum.reduce(owner) < 0:
+            raise ValueError("row blocks do not cover the reserved rows")
+        local = np.empty(new, dtype=np.int32)
+        local[rows] = (np.arange(new, dtype=np.int32)
+                       - (np.cumsum(sizes) - sizes).astype(np.int32).repeat(sizes))
+        # a block's bounds are one number each, or one per row
+        lo, hi = np.empty(new), np.empty(new)
+        lo[rows] = np.array([b[0] if isinstance(b[0], float) else 0.0
+                             for b in bounds]).repeat(sizes)
+        hi[rows] = np.array([b[1] if isinstance(b[1], float) else 0.0
+                             for b in bounds]).repeat(sizes)
+        done = 0
+        for size, (low, high) in zip(sizes, bounds):
+            here = rows[done:done + size]
+            if not isinstance(low, float):
+                lo[here] = low
+            if not isinstance(high, float):
+                hi[here] = high
+            done += size
+        self._indptr, self._indices, self._data = indptr, indices, data
+        self._lo = np.concatenate((self._lo, lo)) if start else lo
+        self._hi = np.concatenate((self._hi, hi)) if start else hi
+        self._owner = np.concatenate((self._owner, owner)) if start else owner
+        self._local = np.concatenate((self._local, local)) if start else local
+        self._built = self.n_rows
+        self._cache.clear()
+
+    def matrix(self, n_cols: int | None = None):
+        """(CSC matrix, row lb, row ub); the matrix has ``n_cols`` columns,
+        by default every column of the problem."""
+        self._build()
+        n_cols = self.n_cols if n_cols is None else n_cols
+        key = ("matrix", n_cols)
+        if key not in self._cache:
+            self._cache[key] = sparse.csr_matrix(
+                (self._data, self._indices, self._indptr),
+                shape=(self.n_rows, n_cols)).tocsc()
+        return self._cache[key], self._lo, self._hi
+
+    def row_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each stored term's row, and each row's scale floor
+        max(1, |lb|, |ub|) over its finite bounds."""
+        self._build()
+        if "terms" not in self._cache:
+            row_of = np.arange(self.n_rows, dtype=np.int32).repeat(
+                self._indptr[1:] - self._indptr[:-1])
+            floor, high = np.abs(self._lo), np.abs(self._hi)
+            floor[floor == INF] = 0.0
+            high[high == INF] = 0.0
+            np.fmax(floor, high, out=floor)
+            np.fmax(floor, 1.0, out=floor)
+            self._cache["terms"] = (row_of, floor)
+        return self._cache["terms"]
+
+    def label(self, row: int) -> str:
+        self._build()
+        return self.blocks[self._owner[row]].label(self._local[row])
+
+    def check(self) -> None:
+        """Raise on a non-finite objective coefficient or an empty row
+        interval; the shared parts of ``MilpProblem.check``, run once
+        per change."""
+        self._build()
+        if "checked" in self._cache:
+            return
+        cols, coefs = self.objective_terms()
+        bad = ~np.isfinite(coefs)
+        if bad.any():
+            raise ValueError(f"objective coefficient for column "
+                             f"{cols[bad.argmax()]} not finite")
+        bad = self._lo > self._hi
+        if bad.any():
+            i = int(bad.argmax())
+            raise ValueError(
+                f"row {self.label(i)}: lb {self._lo[i]} > ub {self._hi[i]}")
+        self._cache["checked"] = True
+
+    # -- objective ----------------------------------------------------------
+
+    def objective_terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """Objective columns in order of first mention, with the sum of
+        their coefficients."""
+        key = ("objective", self.obj_cols.size)
+        if key not in self._cache:
+            cols, vals = self.obj_cols.array, self.obj_vals.array
+            summed = np.zeros(self.n_cols)
+            np.add.at(summed, cols, vals)
+            if cols.size and np.bincount(cols).max() > 1:
+                _, first = np.unique(cols, return_index=True)
+                cols = cols[np.sort(first)]
+            self._cache[key] = (cols, summed[cols], summed)
+        return self._cache[key][:2]
+
+    def objective_vector(self) -> np.ndarray:
+        self.objective_terms()
+        return self._cache[("objective", self.obj_cols.size)][2]
+
+
 class MilpProblem:
-    name: str = "problem"
-    var_names: list[str] = field(default_factory=list)
-    lb: list[float] = field(default_factory=list)
-    ub: list[float] = field(default_factory=list)
-    integer: list[bool] = field(default_factory=list)
-    rows: list[Row] = field(default_factory=list)
-    objective: dict[int, float] = field(default_factory=dict)
-    objective_constant: float = 0.0
-    registry: VariableRegistry = field(default_factory=VariableRegistry)
+    def __init__(self, name: str = "problem") -> None:
+        self.name = name
+        self.objective_constant = 0.0
+        self.registry = VariableRegistry()
+        self._lb = _Column(float)
+        self._ub = _Column(float)
+        self._model = _Model()
 
-    # -- construction ------------------------------------------------------
+    # -- columns -----------------------------------------------------------
 
     @property
     def num_vars(self) -> int:
-        return len(self.var_names)
+        return self._model.n_cols
 
     @property
-    def num_rows(self) -> int:
-        return len(self.rows)
+    def lb(self) -> np.ndarray:
+        return self._lb.array
+
+    @property
+    def ub(self) -> np.ndarray:
+        return self._ub.array
+
+    @property
+    def integer(self) -> np.ndarray:
+        return self._model.integer.array
+
+    @property
+    def var_names(self) -> list[str]:
+        model = self._model
+        key = ("names", model.n_cols)
+        if key not in model._cache:
+            names: list = [None] * model.n_cols
+            for col, name in model.names.items():
+                names[col] = name
+            for (symbol, index), col in self.registry.items():
+                names[col] = _var_name(symbol, index)
+            model._cache[key] = names
+        return model._cache[key]
+
+    def var_name(self, col: int) -> str:
+        name = self._model.names.get(int(col))
+        return self.registry.name(int(col)) if name is None else name
+
+    def add_cols(self, lb, ub, integer) -> int:
+        """Append columns with these bound and integrality arrays, for
+        blocks registered over them; returns the first one's number."""
+        start = self._model.n_cols
+        self._lb.extend(lb)
+        self._ub.extend(ub)
+        self._model.integer.extend(integer)
+        self._model.n_cols += self._lb.size - start
+        self._model._cache.clear()
+        return start
 
     def add_var(self, name: str, lb: float = 0.0, ub: float = INF,
                 integer: bool = False) -> int:
         if lb > ub:
             raise ValueError(f"variable {name}: lb {lb} > ub {ub}")
-        self.var_names.append(name)
-        self.lb.append(float(lb))
-        self.ub.append(float(ub))
-        self.integer.append(bool(integer))
-        return len(self.var_names) - 1
+        col = self.add_cols([lb], [ub], [bool(integer)])
+        self._model.names[col] = name
+        return col
 
     def add_registered(self, symbol: str, index: tuple, lb: float = 0.0,
                        ub: float = INF, integer: bool = False) -> int:
-        name = f"{symbol}[{','.join(str(i) for i in index)}]"
-        col = self.add_var(name, lb, ub, integer)
+        if lb > ub:
+            raise ValueError(
+                f"variable {_var_name(symbol, tuple(index))}: lb {lb} > ub {ub}")
+        col = self.add_cols([lb], [ub], [bool(integer)])
         self.registry.add(symbol, index, col)
         return col
 
+    # -- rows --------------------------------------------------------------
+
+    @property
+    def num_rows(self) -> int:
+        return self._model.n_rows
+
+    @property
+    def rows(self) -> RowView:
+        return self._model.view
+
+    def reserve_rows(self, count: int) -> int:
+        """Reserve ``count`` rows for row blocks; returns the first."""
+        start = self._model.n_rows
+        self._model.n_rows += count
+        self._model._cache.clear()
+        return start
+
     def add_row(self, coeffs: list[tuple[int, float]], lb: float, ub: float,
                 label: str) -> int:
-        for col, _ in coeffs:
+        """One row; a column given twice gets the sum of its coefficients."""
+        merged: dict[int, float] = {}
+        for col, coef in coeffs:
             if not 0 <= col < self.num_vars:
                 raise ValueError(f"row {label}: unknown column {col}")
-        self.rows.append(Row(coeffs=list(coeffs), lb=float(lb), ub=float(ub),
-                             label=label))
-        return len(self.rows) - 1
+            merged[col] = merged[col] + coef if col in merged else coef
+        row = self.reserve_rows(1)
+        self._model.add_rows(
+            Block(label, [()], [row]),
+            np.array(list(merged), dtype=np.int32).reshape(1, -1),
+            np.array(list(merged.values()), dtype=float).reshape(1, -1),
+            np.array([lb], dtype=float), np.array([ub], dtype=float))
+        return row
+
+    def add_row_block(self, family: str, keys: list[tuple], first, terms, lb,
+                      ub, inner: tuple[tuple, ...] = (), step: int = 1,
+                      padded: bool = False) -> None:
+        """One row per (key, inner position) of an equation family.
+
+        Row ``first[key] + step * q``, at flattened inner position q,
+        gets one term per (columns, coefficient) pair of ``terms`` and
+        the interval [lb, ub]; every array broadcasts to (keys, *inner).
+        With ``padded``, a column of -1 leaves that term out of its row,
+        so rows of one family may have different lengths.  ``family`` may
+        be a tuple of families interleaved at each position (see
+        ``Block``); ``terms``, ``lb`` and ``ub`` then hold one entry per
+        family.  The rows must lie in a range taken by ``reserve_rows``.
+        """
+        block = Block(family, keys, first, inner, step)
+        if not block.size:
+            return
+        if isinstance(family, tuple):
+            shape = block.shape + (len(family),)
+            m = max(map(len, terms))
+            cols = np.empty(shape + (m,), dtype=np.int32)
+            cols.fill(-1)
+            vals = np.zeros(shape + (m,))
+            for e, family_terms in enumerate(terms):
+                for j, (col, coef) in enumerate(family_terms):
+                    cols[..., e, j] = col
+                    vals[..., e, j] = coef
+            bounds = []
+            for given in (lb, ub):
+                if all(isinstance(b, (int, float)) and b == given[0]
+                       for b in given):
+                    bounds.append(float(given[0]))
+                    continue
+                bounds.append(np.empty(shape))
+                for e, bound in enumerate(given):
+                    bounds[-1][..., e] = bound
+            lb, ub = bounds
+            padded = padded or min(map(len, terms)) < m
+            n = block.size
+        else:
+            n, m = block.size, len(terms)
+            cols = np.empty(block.shape + (m,), dtype=np.int32)
+            vals = np.empty(block.shape + (m,))
+            for j, (col, coef) in enumerate(terms):
+                cols[..., j] = col
+                vals[..., j] = coef
+        cols = cols.reshape(n, m)
+        shape = block.shape + ((len(block.names),) if len(block.names) > 1 else ())
+        self._model.add_rows(
+            block, cols, vals.reshape(n, m),
+            float(lb) if isinstance(lb, (int, float)) else _flat(lb, shape),
+            float(ub) if isinstance(ub, (int, float)) else _flat(ub, shape),
+            np.add.reduce(cols >= 0, axis=1, dtype=np.int32) if padded else None)
+
+    def matrix(self, n_cols: int | None = None):
+        """The cached (CSC matrix, row lb, row ub) of every row, as the
+        engine takes it; clones share it."""
+        return self._model.matrix(n_cols)
+
+    # -- objective ---------------------------------------------------------
+
+    @property
+    def objective(self) -> dict[int, float]:
+        cols, coefs = self._model.objective_terms()
+        return dict(zip(cols.tolist(), coefs.tolist()))
+
+    def objective_vector(self) -> np.ndarray:
+        """Dense objective coefficients, one per column."""
+        return self._model.objective_vector()
 
     def add_objective_term(self, col: int, coef: float) -> None:
         if not 0 <= col < self.num_vars:
             raise ValueError(f"objective references unknown column {col}")
-        self.objective[col] = self.objective.get(col, 0.0) + float(coef)
+        self.add_objective(np.array([col]), np.array([coef], dtype=float))
+
+    def add_objective(self, cols, coefs) -> None:
+        """Add objective terms (same-shape arrays); a column's coefficients
+        sum up."""
+        cols = np.asarray(cols, dtype=np.int64).reshape(-1)
+        coefs = np.asarray(coefs, dtype=float).reshape(-1)
+        if cols.size and (np.minimum.reduce(cols) < 0
+                          or np.maximum.reduce(cols) >= self.num_vars):
+            raise ValueError("objective references unknown column")
+        self._model.obj_cols.extend(cols)
+        self._model.obj_vals.extend(coefs)
+        self._model._cache.clear()
 
     def clone_with_bounds(self, fixes: dict[int, float]) -> "MilpProblem":
         """Copy sharing rows/objective/registry, with some columns pinned."""
-        lb, ub = list(self.lb), list(self.ub)
+        clone = copy.copy(self)
+        lb, ub = self.lb.copy(), self.ub.copy()
         for col, val in fixes.items():
-            lb[col] = ub[col] = float(val)
-        return MilpProblem(
-            name=self.name, var_names=self.var_names, lb=lb, ub=ub,
-            integer=self.integer, rows=self.rows, objective=self.objective,
-            objective_constant=self.objective_constant, registry=self.registry)
+            lb[col] = ub[col] = val
+        clone._lb, clone._ub = _Column(float, lb), _Column(float, ub)
+        return clone
 
     # -- inspection --------------------------------------------------------
 
     def check(self) -> None:
         """Raise on structural defects (bad bounds, non-finite objective)."""
-        for j in range(self.num_vars):
-            if self.lb[j] > self.ub[j]:
-                raise ValueError(f"variable {self.var_names[j]}: empty bound interval")
-        for col, coef in self.objective.items():
-            if not math.isfinite(coef):
-                raise ValueError(f"objective coefficient for column {col} not finite")
+        bad = self.lb > self.ub
+        if bad.any():
+            raise ValueError(
+                f"variable {self.var_name(bad.argmax())}: empty bound interval")
         if not math.isfinite(self.objective_constant):
             raise ValueError("objective constant not finite")
-        for row in self.rows:
-            if row.lb > row.ub:
-                raise ValueError(f"row {row.label}: lb {row.lb} > ub {row.ub}")
+        self._model.check()
 
     def objective_value(self, x: np.ndarray) -> float:
-        return float(sum(coef * x[col] for col, coef in self.objective.items())
-                     + self.objective_constant)
+        cols, coefs = self._model.objective_terms()
+        # summed in term order, like a scalar loop over the terms
+        terms = np.concatenate(([0.0], coefs * np.asarray(x, dtype=float)[cols]))
+        return float(np.add.accumulate(terms)[-1] + self.objective_constant)
 
     def row_activity(self, row: Row, x: np.ndarray) -> float:
         return float(sum(coef * x[col] for col, coef in row.coeffs))
@@ -158,24 +785,48 @@ class MilpProblem:
         return viol / scale
 
     def max_violation(self, x: np.ndarray, scaled: bool = True) -> tuple[float, str]:
-        """Worst row or bound violation and the offending label."""
+        """Worst row or bound violation and the offending label.
+
+        Rows use ``row_violation``'s measure and bounds divide by
+        max(1, |x|) when scaled; ties go to the first row, and a bound
+        wins only when strictly worse than every row.
+        """
+        x = np.asarray(x, dtype=float)
+        model = self._model
+        row_of, floor = model.row_terms()
+        lo, hi, indptr = model._lo, model._hi, model._indptr
+        terms = x[model._indices]
+        np.multiply(terms, model._data, out=terms)
+        # summed term by term in each row's stored order, as a scalar loop
+        act = np.bincount(row_of, weights=terms, minlength=lo.size)
+        viol = np.fmax(np.fmax(0.0, lo - act), act - hi)
+        if scaled and viol.size:
+            scale = floor.copy()
+            filled = (indptr[1:] > indptr[:-1]).nonzero()[0]
+            if filled.size:
+                scale[filled] = np.fmax(scale[filled], np.maximum.reduceat(
+                    np.abs(terms, out=terms), indptr[filled]))
+            viol = np.divide(viol, scale, out=viol, where=viol > 0.0)
         worst, where = 0.0, ""
-        for row in self.rows:
-            v = self.row_violation(row, x, scaled=scaled)
-            if v > worst:
-                worst, where = v, row.label
-        for j in range(self.num_vars):
-            v = max(0.0, self.lb[j] - x[j], x[j] - self.ub[j])
-            if scaled:
-                v /= max(1.0, abs(x[j]))
-            if v > worst:
-                worst, where = v, f"bound[{self.var_names[j]}]"
+        if viol.size:
+            i = int(np.argmax(viol))
+            if viol[i] > worst:
+                worst, where = float(viol[i]), self._model.label(i)
+        bound = np.fmax(np.fmax(0.0, self.lb - x), x - self.ub)
+        if scaled:
+            bound = bound / np.fmax(1.0, np.abs(x))
+        if bound.size:
+            j = int(np.argmax(bound))
+            if bound[j] > worst:
+                worst, where = float(bound[j]), f"bound[{self.var_name(j)}]"
         return worst, where
 
     def rows_by_equation(self) -> dict[str, int]:
         """Row counts keyed by the label prefix before '['."""
         counts: dict[str, int] = {}
-        for row in self.rows:
-            eq = row.label.split("[", 1)[0]
-            counts[eq] = counts.get(eq, 0) + 1
+        blocks = sorted(self._model.blocks, key=lambda b: int(b.first.min()))
+        for block in blocks:
+            for name in block.names:
+                eq = name.split("[", 1)[0]
+                counts[eq] = counts.get(eq, 0) + block.size // len(block.names)
         return counts

@@ -1,8 +1,10 @@
 """MILP solve contract over HiGHS, reached through scipy's ``milp``.
 
-``solve`` builds the engine's arrays from a ``MilpProblem``, runs HiGHS
-once and checks what comes back: integer columns must be integral and
-the point must satisfy every row and bound.  HiGHS runs with its fixed
+``solve`` hands HiGHS a ``MilpProblem``'s arrays and its cached sparse
+matrix, runs it once and checks what comes back: integer columns must be
+integral and the point must satisfy every row and bound.  A failure of
+HiGHS itself raises ``EngineError``; a point that fails the checks raises
+``SolverError``.  HiGHS runs with its fixed
 default random seed; ``SolveOptions.deterministic_seed`` (the CLI's
 ``--seed``) is accepted but not passed to it, because scipy's ``milp``
 has no option for it.
@@ -16,7 +18,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .milp import MilpProblem
@@ -26,7 +27,11 @@ FEASIBILITY_TOL = 1e-6  # scaled row violation accepted from the engine
 
 
 class SolverError(RuntimeError):
-    pass
+    """The solve failed, or its result failed the post-solve checks."""
+
+
+class EngineError(SolverError):
+    """HiGHS itself failed (error status, or success without a point)."""
 
 
 class SolveStatus(enum.Enum):
@@ -61,6 +66,8 @@ class SolveResult:
     wall_time: float = 0.0
     max_violation: float = 0.0
     message: str = ""
+    nodes: int | None = None  # branch-and-bound nodes, as HiGHS reports
+    mip_gap: float | None = None  # HiGHS's own relative gap
 
     def value(self, prob: MilpProblem, symbol: str, *index) -> float:
         if self.x is None:
@@ -75,37 +82,19 @@ def solve(prob: MilpProblem, opts: SolveOptions | None = None) -> SolveResult:
     n = prob.num_vars
     if n == 0:
         raise SolverError("malformed problem: no variables")
+    c = prob.objective_vector()
+    lb, ub = prob.lb, prob.ub
+    integrality = prob.integer.astype(np.uint8)
     # a constant objective term rides along as a column fixed to 1, so the
     # engine's relative-gap termination sees the true objective scale
     shift = prob.objective_constant != 0.0
-    n_cols = n + 1 if shift else n
-    c = np.zeros(n_cols)
-    for col, coef in prob.objective.items():
-        c[col] = coef
-    lb = list(prob.lb)
-    ub = list(prob.ub)
-    integer = list(prob.integer)
     if shift:
-        c[n] = prob.objective_constant
-        lb.append(1.0)
-        ub.append(1.0)
-        integer.append(False)
-    integrality = np.array([1 if flag else 0 for flag in integer])
-    bounds = Bounds(np.array(lb), np.array(ub))
-
+        c = np.concatenate((c, [prob.objective_constant]))
+        lb, ub = np.concatenate((lb, [1.0])), np.concatenate((ub, [1.0]))
+        integrality = np.concatenate((integrality, np.zeros(1, dtype=np.uint8)))
     constraints = []
-    if prob.rows:
-        data, rows_idx, cols_idx = [], [], []
-        lo = np.empty(len(prob.rows))
-        hi = np.empty(len(prob.rows))
-        for i, row in enumerate(prob.rows):
-            lo[i], hi[i] = row.lb, row.ub
-            for col, coef in row.coeffs:
-                rows_idx.append(i)
-                cols_idx.append(col)
-                data.append(coef)
-        A = sparse.csr_matrix((data, (rows_idx, cols_idx)),
-                              shape=(len(prob.rows), n_cols))
+    if prob.num_rows:
+        A, lo, hi = prob.matrix(n + 1 if shift else n)
         constraints.append(LinearConstraint(A, lo, hi))
 
     options: dict = {"mip_rel_gap": opts.mip_gap, "presolve": True}
@@ -114,34 +103,35 @@ def solve(prob: MilpProblem, opts: SolveOptions | None = None) -> SolveResult:
 
     started = time.perf_counter()
     res = milp(c=c, constraints=constraints, integrality=integrality,
-               bounds=bounds, options=options)
+               bounds=Bounds(lb, ub), options=options)
     wall = time.perf_counter() - started
+    stats = {"wall_time": wall, "message": res.message,
+             "nodes": _stat(res, "mip_node_count", int),
+             "mip_gap": _stat(res, "mip_gap", float)}
 
     if res.status == 2:
-        return SolveResult(SolveStatus.INFEASIBLE, wall_time=wall,
-                           message=res.message)
+        return SolveResult(SolveStatus.INFEASIBLE, **stats)
     if res.status == 3:
-        return SolveResult(SolveStatus.UNBOUNDED, wall_time=wall,
-                           message=res.message)
+        return SolveResult(SolveStatus.UNBOUNDED, **stats)
     if res.status == 4 or (res.status == 0 and res.x is None):
-        raise SolverError(f"engine failure: {res.message}")
+        raise EngineError(f"engine failure: {res.message}")
     if res.status == 1 and res.x is None:
-        return SolveResult(SolveStatus.TIME_LIMIT, wall_time=wall,
-                           message=res.message)
+        return SolveResult(SolveStatus.TIME_LIMIT, **stats)
 
     x = np.array(res.x[:n], dtype=float)
     # integer values must already be integral up to tolerance; then round
-    for j in range(n):
-        if prob.integer[j]:
-            r = round(x[j])
-            if abs(x[j] - r) > INTEGRALITY_TOL:
-                raise SolverError(
-                    f"integrality residual {abs(x[j] - r):.3g} on "
-                    f"{prob.var_names[j]} exceeds {INTEGRALITY_TOL}")
-            x[j] = r
+    cols = np.flatnonzero(prob.integer)
+    rounded = np.round(x[cols]) + 0.0  # + 0.0 turns -0.0 into 0.0
+    residual = np.abs(x[cols] - rounded)
+    bad = np.flatnonzero(residual > INTEGRALITY_TOL)
+    if bad.size:
+        raise SolverError(
+            f"integrality residual {residual[bad[0]]:.3g} on "
+            f"{prob.var_name(cols[bad[0]])} exceeds {INTEGRALITY_TOL}")
+    x[cols] = rounded
 
     objective = prob.objective_value(x)
-    has_integers = bool(integrality.any())
+    has_integers = bool(cols.size)
     dual_bound = getattr(res, "mip_dual_bound", None)
     best_bound = (float(dual_bound) if (has_integers and dual_bound is not None)
                   else objective)
@@ -159,5 +149,10 @@ def solve(prob: MilpProblem, opts: SolveOptions | None = None) -> SolveResult:
             f"engine returned an infeasible point: violation {viol:.3g} at {where}")
 
     return SolveResult(status=status, objective=objective, best_bound=best_bound,
-                       x=x, wall_time=wall, max_violation=viol,
-                       message=res.message)
+                       x=x, max_violation=viol, **stats)
+
+
+def _stat(res, name: str, kind):
+    """An engine statistic from scipy's result, or None when absent."""
+    value = getattr(res, name, None)
+    return None if value is None else kind(value)

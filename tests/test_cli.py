@@ -8,6 +8,7 @@ import pytest
 
 import gridsched.cli as cli_mod
 import gridsched.metrics as metrics_mod
+import gridsched.solver as solver_mod
 from gridsched.cli import main
 from gridsched.data import bundled
 from gridsched.metrics import ConstraintViolation
@@ -120,6 +121,36 @@ class TestRun:
                        "--out-dir", str(tmp_path)) == 3
         assert not (tmp_path / "report.json").exists()
 
+    def test_prints_node_count(self, tmp_path, capsys):
+        assert run_cli("run", TOY, TOY_SCEN, "--mip-gap", "0",
+                       "--out-dir", str(tmp_path)) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith("best bound:"))
+        assert "gap:" in line and "nodes:" in line
+        assert int(line.rsplit("nodes:", 1)[1]) >= 1
+
+    @pytest.mark.parametrize("fields", [{"status": 4, "x": None},
+                                        {"status": 0, "x": None}])
+    def test_engine_failure_exit_code(self, tmp_path, capsys, monkeypatch,
+                                      fields):
+        from scipy.optimize import OptimizeResult
+        monkeypatch.setattr(solver_mod, "milp", lambda **kwargs: OptimizeResult(
+            message="engine says no", mip_node_count=None, mip_gap=None,
+            mip_dual_bound=None, **fields))
+        assert run_cli("run", TOY, TOY_SCEN, "--out-dir", str(tmp_path)) == 4
+        assert "engine failure" in capsys.readouterr().err
+
+    def test_failed_integrality_check_is_mismatch(self, tmp_path, monkeypatch):
+        real_milp = solver_mod.milp
+
+        def fractional(**kwargs):
+            res = real_milp(**kwargs)
+            res.x[kwargs["integrality"] == 1] = 0.5
+            return res
+
+        monkeypatch.setattr(solver_mod, "milp", fractional)
+        assert run_cli("run", TOY, TOY_SCEN, "--out-dir", str(tmp_path)) == 1
+
     def test_scenario_horizon_mismatch_is_input_error(self, tmp_path):
         scen = tmp_path / "scen.json"
         scen.write_text(json.dumps(
@@ -166,6 +197,62 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         first, second = rows[:4], rows[4:]
         assert first == second
+
+    def test_time_limit_rows_exit_3(self, tmp_path):
+        assert run_cli("sweep", TOY, TOY_SCEN, "--factors", "1",
+                       "--time-limit", "0.001", "--out-dir", str(tmp_path)) == 3
+        with open(tmp_path / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        assert any(r["status"] == "time-limit" for r in rows)
+
+    def test_time_limit_incumbent_is_verified_and_reported(self, tmp_path,
+                                                           monkeypatch):
+        real_solve = cli_mod.solve
+        verified = []
+        real_verify = metrics_mod.verify_solution
+
+        def limited(prob, opts):
+            return dataclasses.replace(real_solve(prob, opts),
+                                       status=SolveStatus.TIME_LIMIT)
+
+        def verify(*args, **kwargs):
+            verified.append(args)
+            return real_verify(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "solve", limited)
+        monkeypatch.setattr(metrics_mod, "verify_solution", verify)
+        assert run_cli("sweep", TOY, TOY_SCEN, "--factors", "1",
+                       "--mip-gap", "0", "--out-dir", str(tmp_path)) == 3
+        with open(tmp_path / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4 and len(verified) == 4
+        for row in rows:
+            assert row["status"] == "time-limit"
+            assert float(row["total_cost"]) > 0
+
+    def test_verification_failure_outranks_time_limit(self, tmp_path,
+                                                      monkeypatch):
+        real_solve = cli_mod.solve
+        monkeypatch.setattr(cli_mod, "solve", lambda prob, opts: dataclasses.replace(
+            real_solve(prob, opts), status=SolveStatus.TIME_LIMIT))
+        monkeypatch.setattr(
+            metrics_mod, "verify_solution",
+            lambda *args, **kwargs: [ConstraintViolation("eq2", ("g1", 1, "s0"),
+                                                         1.0)])
+        assert run_cli("sweep", TOY, TOY_SCEN, "--factors", "1",
+                       "--out-dir", str(tmp_path)) == 1
+
+    def test_engine_failure_rows_exit_4(self, tmp_path, monkeypatch):
+        from scipy.optimize import OptimizeResult
+        monkeypatch.setattr(solver_mod, "milp", lambda **kwargs: OptimizeResult(
+            status=4, x=None, message="engine says no", mip_node_count=None,
+            mip_gap=None, mip_dual_bound=None))
+        assert run_cli("sweep", TOY, TOY_SCEN, "--factors", "1",
+                       "--out-dir", str(tmp_path)) == 4
+        with open(tmp_path / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert all(r["status"].startswith("error: engine failure") for r in rows)
 
     def test_verification_failure_marks_rows(self, tmp_path, monkeypatch):
         monkeypatch.setattr(

@@ -1,0 +1,233 @@
+"""The model handed to HiGHS, and ``max_violation`` against a scalar
+reference evaluated on the materialised rows."""
+
+from __future__ import annotations
+
+import hashlib
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from scipy import sparse
+
+from gridsched import (DemandProfile, FormulationConfig, ModelKind,
+                       align_scenarios, assemble, build_contingency_set,
+                       load_scenario_set, load_system)
+from gridsched import solver as solver_mod
+from gridsched.data import bundled
+from gridsched.milp import INF, MilpProblem
+from gridsched.scenarios import build_scenario_set, synth_wind_profiles
+
+KINDS = (ModelKind.SSCUC, ModelKind.SSCUC_CNR)
+
+# recorded from the builder that emitted one Row at a time; a formulation
+# change that alters what the engine sees must update these knowingly
+TOY3_DIGESTS = {
+    ModelKind.SSCUC:
+        "00e3378f4f8f31ff4583c21b383cd4f1061a4af3f62cb5f37ae73303fb329313",
+    ModelKind.SSCUC_CNR:
+        "bbb89b749b6e11bddcda50e001ce052293f7f0d4a82724c14be169714303376e",
+}
+
+
+class _Captured(Exception):
+    pass
+
+
+def engine_input(prob: MilpProblem) -> dict:
+    """The keyword arguments ``solve`` passes to the engine."""
+    seen = {}
+
+    def capture(**kwargs):
+        seen.update(kwargs)
+        raise _Captured
+
+    real = solver_mod.milp
+    solver_mod.milp = capture
+    try:
+        solver_mod.solve(prob)
+    except _Captured:
+        pass
+    finally:
+        solver_mod.milp = real
+    return seen
+
+
+def digest(prob: MilpProblem) -> str:
+    """SHA-256 of the engine's input in canonical form (objective,
+    integrality, column bounds, CSC matrix, row bounds), the row labels
+    and the column names."""
+    seen = engine_input(prob)
+    h = hashlib.sha256()
+
+    def add(name, values, dtype):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(np.asarray(values), dtype=dtype).tobytes())
+
+    add("c", seen["c"], np.float64)
+    add("integrality", seen["integrality"], np.uint8)
+    add("col_lb", seen["bounds"].lb, np.float64)
+    add("col_ub", seen["bounds"].ub, np.float64)
+    for con in seen["constraints"]:
+        A = sparse.csc_array(con.A)
+        assert A.has_sorted_indices
+        add("indptr", A.indptr, np.int64)
+        add("indices", A.indices, np.int64)
+        add("data", A.data, np.float64)
+        add("row_lo", con.lb, np.float64)
+        add("row_hi", con.ub, np.float64)
+    h.update("\n".join(row.label for row in prob.rows).encode())
+    h.update("\n".join(prob.var_names).encode())
+    return h.hexdigest()
+
+
+def toy3_inputs():
+    system = load_system(bundled("toy3.json"))
+    scen = align_scenarios(
+        system, load_scenario_set(bundled("toy3_scenarios.json"), block_len=3))
+    return system, scen, build_contingency_set(system)
+
+
+def rts24_slice(hours: int = 2, whitelist=frozenset({10, 23})):
+    """RTS-24 over the first hours, two wind scenarios, two outages."""
+    full = load_system(bundled("rts24.json"))
+    system = replace(full, demand=DemandProfile(
+        rows={b: row[:hours] for b, row in full.demand.rows.items()},
+        horizon_length=hours))
+    profiles = synth_wind_profiles(seed=11, n_scenarios=2, horizon=hours,
+                                   res_ids=["w12", "w16", "w22"],
+                                   mean_mw=295.0, amplitude_mw=170.0)
+    scen = align_scenarios(system, build_scenario_set(profiles, [0.5, 0.5],
+                                                      block_len=1))
+    return system, scen, build_contingency_set(system, whitelist=set(whitelist))
+
+
+def tiny_instances():
+    """Two oracle-scale instances: a 3-bus loop and a 2-bus parallel pair."""
+    from conftest import (parallel_pair_scenarios, parallel_pair_system,
+                          triangle_scenarios, triangle_system)
+    tri = triangle_system(T=2)
+    pair = parallel_pair_system()
+    return [(tri, triangle_scenarios(T=2), build_contingency_set(tri)),
+            (pair, parallel_pair_scenarios(),
+             build_contingency_set(pair))]
+
+
+def scalar_max_violation(prob: MilpProblem, x: np.ndarray,
+                         scaled: bool = True) -> tuple[float, str]:
+    """The row-by-row loop, then the bound-by-bound loop."""
+    worst, where = 0.0, ""
+    for row in prob.rows:
+        v = prob.row_violation(row, x, scaled=scaled)
+        if v > worst:
+            worst, where = v, row.label
+    for j in range(prob.num_vars):
+        v = max(0.0, prob.lb[j] - x[j], x[j] - prob.ub[j])
+        if scaled:
+            v /= max(1.0, abs(x[j]))
+        if v > worst:
+            worst, where = v, f"bound[{prob.var_names[j]}]"
+    return worst, where
+
+
+def random_points(prob: MilpProblem, rng, count: int):
+    """Points inside and around the column boxes, some exactly on them."""
+    lb = np.where(np.isfinite(prob.lb), prob.lb, -50.0)
+    ub = np.where(np.isfinite(prob.ub), prob.ub, 50.0)
+    for _ in range(count):
+        x = rng.uniform(lb - 1.0, ub + 1.0)
+        snap = rng.random(prob.num_vars) < 0.3
+        x[snap] = np.where(rng.random(snap.sum()) < 0.5, lb[snap], ub[snap])
+        yield x
+
+
+def assert_matches_reference(prob, x):
+    for scaled in (True, False):
+        assert prob.max_violation(x, scaled=scaled) == \
+            scalar_max_violation(prob, x, scaled=scaled)
+
+
+class TestEngineInput:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_toy3_digest(self, kind):
+        prob = assemble(*toy3_inputs(), FormulationConfig(model_kind=kind))
+        assert digest(prob) == TOY3_DIGESTS[kind]
+
+    def test_clones_share_the_matrix(self):
+        prob = assemble(*toy3_inputs(), FormulationConfig())
+        clone = prob.clone_with_bounds({0: 1.0})
+        assert clone.matrix()[0] is prob.matrix()[0]
+        assert clone.lb[0] == 1.0 and prob.lb[0] == 0.0
+
+    def test_rows_added_after_a_solve_reach_the_engine(self):
+        prob = assemble(*toy3_inputs(), FormulationConfig())
+        before = engine_input(prob)["constraints"][0].A.shape[0]
+        prob.add_row([(0, 1.0)], 0.0, 1.0, "extra")
+        after = engine_input(prob)["constraints"][0]
+        assert after.A.shape[0] == before + 1
+        assert prob.rows[-1].label == "extra"
+        assert after.lb[-1] == 0.0 and after.ub[-1] == 1.0
+
+
+class TestMaxViolationReference:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_random_points_on_toy3(self, kind):
+        prob = assemble(*toy3_inputs(), FormulationConfig(model_kind=kind))
+        for x in random_points(prob, np.random.default_rng(3), 20):
+            assert_matches_reference(prob, x)
+
+    @pytest.mark.parametrize("index", [0, 1])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_random_points_on_tiny_instances(self, index, kind):
+        system, scen, cont = tiny_instances()[index]
+        prob = assemble(system, scen, cont, FormulationConfig(model_kind=kind))
+        for x in random_points(prob, np.random.default_rng(index), 20):
+            assert_matches_reference(prob, x)
+
+    def test_rts24_slice(self):
+        prob = assemble(*rts24_slice(),
+                        FormulationConfig(model_kind=ModelKind.SSCUC_CNR))
+        for x in random_points(prob, np.random.default_rng(7), 2):
+            assert_matches_reference(prob, x)
+        # the benchmark's fixed point: every column at its bound nearest 0;
+        # a loaded bus's balance row then misses its whole demand
+        point = np.clip(np.zeros(prob.num_vars), prob.lb, prob.ub)
+        worst, where = prob.max_violation(point)
+        assert worst == 1.0
+        assert (worst, where) == scalar_max_violation(prob, point)
+
+    def test_ties_go_to_the_first_row_then_rows_before_bounds(self):
+        prob = MilpProblem()
+        x = prob.add_var("x", 0.0, 1.0)
+        y = prob.add_var("y", -INF, INF)
+        prob.add_row([(y, 1.0)], 2.0, 2.0, "first")
+        prob.add_row([(y, 1.0)], 2.0, 2.0, "second")
+        point = np.array([3.0, 0.0])  # bound violation 2/3, rows 2/2
+        assert prob.max_violation(point) == (1.0, "first")
+        assert prob.max_violation(point, scaled=False) == (2.0, "first")
+        assert_matches_reference(prob, point)
+        point = np.array([1.0 + 2.0, 2.0 - 2.0])  # unscaled tie: row wins
+        assert prob.max_violation(point, scaled=False) == (2.0, "first")
+        assert_matches_reference(prob, point)
+
+    def test_bound_only_violation(self):
+        prob = MilpProblem()
+        x = prob.add_var("x", 0.0, 1.0)
+        y = prob.add_var("y", 0.0, 1.0)
+        u = prob.add_registered("u", ("g1", 1), 0.0, 1.0, integer=True)
+        prob.add_row([(x, 1.0), (y, 1.0), (u, 1.0)], -INF, 10.0, "cap")
+        # x and y both miss a bound by 1; scaled, y's 1/1 beats x's 1/2,
+        # unscaled they tie and the first column wins
+        point = np.array([2.0, -1.0, 1.0])
+        assert prob.max_violation(point) == (1.0, "bound[y]")
+        assert prob.max_violation(point, scaled=False) == (1.0, "bound[x]")
+        assert_matches_reference(prob, point)
+        point = np.array([0.5, 0.5, 3.0])
+        assert prob.max_violation(point) == (2.0 / 3.0, "bound[u[g1,1]]")
+        assert_matches_reference(prob, point)
+
+    def test_feasible_point_reports_nothing(self):
+        prob = MilpProblem()
+        x = prob.add_var("x", 0.0, 1.0)
+        prob.add_row([(x, 1.0)], 0.0, 1.0, "r")
+        assert prob.max_violation(np.array([0.5])) == (0.0, "")

@@ -466,8 +466,9 @@ class TestAssemble:
             fixed = assemble(sys_obj, scen, cont, SSCUC)
             cnr = assemble(sys_obj, scen, cont, CNR)
             assert fixed.var_names == cnr.var_names
-            assert fixed.lb == cnr.lb and fixed.ub == cnr.ub
-            assert fixed.integer == cnr.integer
-            assert fixed.rows == cnr.rows
+            assert np.array_equal(fixed.lb, cnr.lb)
+            assert np.array_equal(fixed.ub, cnr.ub)
+            assert np.array_equal(fixed.integer, cnr.integer)
+            assert list(fixed.rows) == list(cnr.rows)
             assert fixed.objective == cnr.objective
             assert fixed.objective_constant == cnr.objective_constant

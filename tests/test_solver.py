@@ -133,3 +133,55 @@ class TestSolveContract:
     def test_negative_gap_rejected(self):
         with pytest.raises(ValueError):
             SolveOptions(mip_gap=-0.1)
+
+
+class TestEngineStatistics:
+    def test_toy3_solve_keeps_node_count_and_gap(self):
+        from gridsched import align_scenarios, load_scenario_set, load_system
+        from gridsched.data import bundled
+        system = load_system(bundled("toy3.json"))
+        scen = align_scenarios(system, load_scenario_set(
+            bundled("toy3_scenarios.json"), block_len=3))
+        prob = assemble(system, scen, build_contingency_set(system),
+                        FormulationConfig(model_kind=ModelKind.SSCUC_CNR))
+        res = solve(prob, SolveOptions(mip_gap=0.0))
+        assert res.status is SolveStatus.OPTIMAL
+        assert isinstance(res.nodes, int) and res.nodes >= 1
+        assert isinstance(res.mip_gap, float)
+        assert 0.0 <= res.mip_gap <= 1e-9
+
+    def test_absent_statistics_are_none(self, monkeypatch):
+        import gridsched.solver as solver_mod
+        from scipy.optimize import OptimizeResult
+        monkeypatch.setattr(solver_mod, "milp", lambda **kwargs: OptimizeResult(
+            status=2, x=None, message="infeasible", mip_node_count=None,
+            mip_gap=None, mip_dual_bound=None))
+        res = solve(tiny_uc())
+        assert res.status is SolveStatus.INFEASIBLE
+        assert res.nodes is None and res.mip_gap is None
+
+
+class TestEngineFailures:
+    def _engine_returns(self, monkeypatch, **fields):
+        import gridsched.solver as solver_mod
+        from scipy.optimize import OptimizeResult
+        monkeypatch.setattr(solver_mod, "milp", lambda **kwargs: OptimizeResult(
+            **{"message": "engine says no", "mip_node_count": None,
+               "mip_gap": None, "mip_dual_bound": None, **fields}))
+
+    @pytest.mark.parametrize("fields", [{"status": 4, "x": None},
+                                        {"status": 0, "x": None}])
+    def test_engine_failure_is_engine_error(self, monkeypatch, fields):
+        from gridsched.solver import EngineError
+        self._engine_returns(monkeypatch, **fields)
+        with pytest.raises(EngineError):
+            solve(tiny_uc())
+
+    def test_fractional_binary_is_not_an_engine_error(self, monkeypatch):
+        from gridsched.solver import EngineError
+        self._engine_returns(monkeypatch, status=0,
+                             x=np.array([0.5, 0.5, 5.0]))
+        with pytest.raises(SolverError) as err:
+            solve(tiny_uc())
+        assert not isinstance(err.value, EngineError)
+        assert "integrality residual" in str(err.value)
