@@ -23,15 +23,15 @@ and, post-contingency, the outaged line id.  Variable naming scheme:
 ``Pkc[k,c,t,s]``, ``thc[n,c,t,s]``, ``z[c,k,t,s]``.
 
 Every builder works on whole grids (see ``milp.Block``): one column
-block per symbol, and one row block per equation family or per group of
-families that alternate row by row, filled by numpy index arithmetic
-over the (g,t,s) and (c,t,s) grids.  The column and row order is fixed:
-columns u, v, Pg, r, Pw, Pk, th, then per contingency one run each of
-Pgc, Pwc, Pkc and thc, then z.  Rows go builder by builder in the order
-of ``assemble``; within the base generator block each unit holds its
-eq2-eq7 rows per (t, s), then its eq8, eq9 and eq10 rows; within a
-contingency's network rows come eq22 per bus, each surviving line's
-eq23/eq24 (or eq25-eq27) per (t, s), and eq28.
+block per symbol, and one row block per equation family, filled by numpy
+index arithmetic over the (g,t,s) and (c,t,s) grids.  The column order
+is fixed: columns u, v, Pg, r, Pw, Pk, th, then per contingency one run
+each of Pgc, Pwc, Pkc and thc, then z.  Rows are the families in the
+order the builders of ``assemble`` append them: eq2, eq3, eq4, eq5, eq6,
+eq7, eq8, eq9, eq10, eq13, eq14, eq15, eq16, eq17, eq18, eq19, eq20,
+eq21, eq22, eq23, eq24, then for CNR eq25, eq26, eq27L, eq27U and eq28.
+Each family's rows are contiguous, key by key in the order its builder
+lists the keys, each key's rows over (t, s).
 """
 
 from __future__ import annotations
@@ -255,22 +255,16 @@ def register_variables(prob: MilpProblem, sys: PowerSystem, scen: ScenarioSet,
 def add_base_generator_constraints(prob: MilpProblem, sys: PowerSystem,
                                    scen: ScenarioSet,
                                    cfg: FormulationConfig) -> None:
-    """Per unit: eq2-eq7 interleaved per (t, s), then its eq8, eq9 and
-    eq10 rows; eq13 for every RES unit follows the last unit."""
+    """eq2-eq10 per unit, then eq13 per RES unit."""
     inner = _axes(sys, scen)
-    periods, scen_ids = inner
-    T, S = len(periods), len(scen_ids)
+    periods = inner[0]
+    T = len(periods)
     gens = sys.generators
     G = len(gens)
     u, v = _cols(prob, "u"), _cols(prob, "v")      # (G, T)
     pg, r = _cols(prob, "Pg"), _cols(prob, "r")    # (G, T, S)
     u3, v3 = u[:, :, None], v[:, :, None]
 
-    n_up = np.array([len(range(g.min_up, T + 1)) for g in gens], dtype=np.int64)
-    n_down = np.array([len(range(1, T - g.min_down + 1)) for g in gens],
-                      dtype=np.int64)
-    sizes = 6 * T * S + n_up + n_down + T
-    first = prob.reserve_rows(int(sizes.sum())) + sizes.cumsum() - sizes
     keys = [(g.id,) for g in gens]
 
     u0 = [1 if g.initial_status.on else 0 for g in gens]
@@ -280,7 +274,7 @@ def add_base_generator_constraints(prob: MilpProblem, sys: PowerSystem,
         "ramp_shutdown")
     shutdown_less_hourly = _per([g.ramp_shutdown - g.ramp_hourly for g in gens])
 
-    # per unit, period and scenario, six interleaved rows:
+    # per unit, period and scenario:
     # eq2: p_min u <= Pg
     # eq3: Pg + r <= p_max u
     # eq4: r <= R10 u (r >= 0 is the variable bound)
@@ -300,7 +294,7 @@ def add_base_generator_constraints(prob: MilpProblem, sys: PowerSystem,
         return ub
 
     prob.add_row_block(
-        ("eq2", "eq3", "eq4", "eq5", "eq6", "eq7"), keys, first, [
+        ("eq2", "eq3", "eq4", "eq5", "eq6", "eq7"), keys, [
             [(u3, p_min), (pg, -1.0)],
             [(pg, 1.0), (r, 1.0), (u3, -p_max)],
             [(r, 1.0), (u3, -r10)],
@@ -313,16 +307,14 @@ def add_base_generator_constraints(prob: MilpProblem, sys: PowerSystem,
          from_initial([p + g.ramp_hourly * on for g, p, on in zip(gens, p0, u0)]),
          from_initial([g.ramp_shutdown * on - p
                        for g, p, on in zip(gens, p0, u0)])],
-        inner, 6)
+        inner, padded=True)
 
     # eq8: startups within the last UT periods imply still committed;
     # eq9: no restart within DT periods after being off at t.  One row per
     # (unit, period) key, the windows padded to the longest
-    window_start = first + 6 * T * S
     up = [(i, t) for i, g in enumerate(gens) for t in range(g.min_up, T + 1)]
     prob.add_row_block(
         "eq8", [(gens[i].id, t) for i, t in up],
-        [window_start[i] + t - gens[i].min_up for i, t in up],
         _padded([[(v[i, q - 1], 1.0)
                   for q in range(t - gens[i].min_up + 1, t + 1)]
                  + [(u[i, t - 1], -1.0)] for i, t in up], ()),
@@ -331,7 +323,6 @@ def add_base_generator_constraints(prob: MilpProblem, sys: PowerSystem,
             for t in range(1, T - g.min_down + 1)]
     prob.add_row_block(
         "eq9", [(gens[i].id, t) for i, t in down],
-        [window_start[i] + n_up[i] + t - 1 for i, t in down],
         _padded([[(v[i, q - 1], 1.0)
                   for q in range(t + 1, t + gens[i].min_down + 1)]
                  + [(u[i, t - 1], 1.0)] for i, t in down], ()),
@@ -339,14 +330,12 @@ def add_base_generator_constraints(prob: MilpProblem, sys: PowerSystem,
     # eq10: startup indicator
     lb10 = np.zeros((G, T))
     lb10[:, 0] = [-float(on) for on in u0]
-    prob.add_row_block("eq10", keys, window_start + n_up + n_down,
+    prob.add_row_block("eq10", keys,
                        [(v, 1.0), (u, -1.0), (_previous(u), 1.0)], lb10, INF,
                        (periods,), padded=True)
 
     # eq13: RES output capped by scenario availability
-    W = len(sys.res_units)
     prob.add_row_block("eq13", [(w.id,) for w in sys.res_units],
-                       prob.reserve_rows(W * T * S) + T * S * np.arange(W),
                        [(_cols(prob, "Pw"), 1.0)], -INF,
                        _availability(sys, scen), inner)
 
@@ -361,14 +350,14 @@ def scen_avail(scenario, res_id: Id, t: int) -> float:
 # ---------------------------------------------------------------------------
 
 def _add_balance(prob: MilpProblem, family: str, sys: PowerSystem, inner,
-                 starts: np.ndarray, suffixes: list[tuple], gen: np.ndarray,
-                 flow: np.ndarray, res: np.ndarray) -> None:
+                 suffixes: list[tuple], gen: np.ndarray, flow: np.ndarray,
+                 res: np.ndarray) -> None:
     """Balance rows: at every bus, generation, inbound flow minus outbound
     flow, and RES output meet the demand.
 
     ``gen``, ``flow`` and ``res`` hold element columns shaped
-    (runs, elements, t, s); run j (index suffix ``suffixes[j]``) starts
-    at ``starts[j]`` and puts bus i at ``starts[j] + i*T*S``.
+    (runs, elements, t, s), run j with index suffix ``suffixes[j]``; the
+    rows go bus by bus, each over the runs.
     """
     periods, scen_ids = inner
     T, S = len(periods), len(scen_ids)
@@ -386,7 +375,6 @@ def _add_balance(prob: MilpProblem, family: str, sys: PowerSystem, inner,
                             for n in sys.buses], dtype=float)[:, None, :, None]
     prob.add_row_block(
         family, [(n.id, *sfx) for n in sys.buses for sfx in suffixes],
-        (T * S * np.arange(N)[:, None] + starts).reshape(-1),
         [(col.reshape(N * runs, T, S), coef.repeat(runs, axis=0)[..., 0])
          for col, coef in _padded(terms, (runs, T, S))],
         demand.reshape(-1, T, 1), demand.reshape(-1, T, 1), inner, padded=True)
@@ -399,25 +387,20 @@ def _add_balance(prob: MilpProblem, family: str, sys: PowerSystem, inner,
 def add_base_network_constraints(prob: MilpProblem, sys: PowerSystem,
                                  scen: ScenarioSet,
                                  cfg: FormulationConfig) -> None:
-    """eq14/eq15 interleaved per (line, t, s), then eq16 per bus."""
+    """eq14 and eq15 per line, then eq16 per bus."""
     reference_bus(sys, cfg)  # raises if configured bus is unknown
     inner = _axes(sys, scen)
-    T, S = len(inner[0]), len(inner[1])
     lines = sys.lines
-    K, N = len(lines), len(sys.buses)
     pk, th = _cols(prob, "Pk"), _cols(prob, "th")
     frm, to = _line_ends(sys)
     coef = _per([k.susceptance * sys.mva_base for k in lines])  # MW per radian
     limit = _per([k.limit_long_term for k in lines])
 
-    base = prob.reserve_rows((2 * K + N) * T * S)
-    keys = [(k.id,) for k in lines]
-    first = base + 2 * T * S * np.arange(K)
-    prob.add_row_block(("eq14", "eq15"), keys, first,
+    prob.add_row_block(("eq14", "eq15"), [(k.id,) for k in lines],
                        [[(pk, 1.0), (th[frm], -coef), (th[to], coef)],
-                        [(pk, 1.0)]], [0.0, -limit], [0.0, limit], inner, 2)
-    _add_balance(prob, "eq16", sys, inner, np.array([base + 2 * K * T * S]),
-                 [()], _cols(prob, "Pg")[None], pk[None], _cols(prob, "Pw")[None])
+                        [(pk, 1.0)]], [0.0, -limit], [0.0, limit], inner)
+    _add_balance(prob, "eq16", sys, inner, [()], _cols(prob, "Pg")[None],
+                 pk[None], _cols(prob, "Pw")[None])
 
 
 # ---------------------------------------------------------------------------
@@ -428,39 +411,34 @@ def add_contingency_generator_constraints(prob: MilpProblem, sys: PowerSystem,
                                           scen: ScenarioSet,
                                           contingencies: list[Contingency],
                                           cfg: FormulationConfig) -> None:
-    """Per contingency: eq17-eq20 interleaved per (g, t, s), then eq21."""
+    """eq17-eq20 per (unit, contingency), then eq21 per (RES unit,
+    contingency)."""
     if not contingencies:
         return
     inner = _axes(sys, scen)
-    T, S = len(inner[0]), len(inner[1])
     gens, res = sys.generators, sys.res_units
-    C, G, W = len(contingencies), len(gens), len(res)
+    C = len(contingencies)
     cids = [c.outaged_line_id for c in contingencies]
     # (contingency, unit) runs, each over (t, s)
     u = np.concatenate([_cols(prob, "u")[:, :, None]] * C)
     pg = np.concatenate([_cols(prob, "Pg")] * C)
     pgc = _cols(prob, "Pgc")
 
-    per = (4 * G + W) * T * S
-    starts = prob.reserve_rows(C * per) + per * np.arange(C)
-    keys = [(g.id, cid) for cid in cids for g in gens]
-    first = (starts[:, None] + 4 * T * S * np.arange(G)).reshape(-1)
-
     def per_unit(values):
         return np.concatenate([_per(values)] * C)
 
     r10 = per_unit([g.ramp_10min for g in gens])
     prob.add_row_block(
-        ("eq17", "eq18", "eq19", "eq20"), keys, first,
+        ("eq17", "eq18", "eq19", "eq20"),
+        [(g.id, cid) for cid in cids for g in gens],
         [[(pg, 1.0), (pgc, -1.0), (u, -r10)],
          [(pgc, 1.0), (pg, -1.0), (u, -r10)],
          [(u, per_unit([g.p_min for g in gens])), (pgc, -1.0)],
          [(pgc, 1.0), (u, -per_unit([g.p_max for g in gens]))]],
-        [-INF] * 4, [0.0] * 4, inner, 4)
+        [-INF] * 4, [0.0] * 4, inner)
 
     prob.add_row_block(
         "eq21", [(w.id, cid) for cid in cids for w in res],
-        (starts[:, None] + 4 * G * T * S + T * S * np.arange(W)).reshape(-1),
         [(_cols(prob, "Pwc"), 1.0)], -INF,
         np.concatenate([_availability(sys, scen)] * C), inner)
 
@@ -485,8 +463,8 @@ def add_contingency_network(prob: MilpProblem, sys: PowerSystem,
     SSCUC is this network with no candidates, so every surviving line
     keeps eq23/eq24 and no eq28 row is written.
 
-    Per contingency the rows are eq22 per bus, then each surviving line's
-    rows interleaved per (t, s), then eq28.
+    Each family's keys go contingency by contingency, except eq22's,
+    which go bus by bus.
     """
     if not contingencies:
         return
@@ -503,24 +481,18 @@ def add_contingency_network(prob: MilpProblem, sys: PowerSystem,
 
     inner = _axes(sys, scen)
     T, S = len(inner[0]), len(inner[1])
-    TS = T * S
     lines = sys.lines
     C, K, N = len(contingencies), len(lines), len(sys.buses)
     cids = [c.outaged_line_id for c in contingencies]
     pkc = _cols(prob, "Pkc").reshape(C, K, T, S)
     thc = _cols(prob, "thc").reshape(C, N, T, S)
 
-    # rows per (t, s) of each line: 0 outaged, 2 fixed, 4 switchable
-    kind = np.array([[0 if k.id == cid else 4 if k.id in cands else 2
+    # each line in each contingency: 0 outaged, 1 fixed, 2 switchable
+    kind = np.array([[0 if k.id == cid else 2 if k.id in cands else 1
                       for k in lines] for cid, cands in zip(cids, candidates)],
                     dtype=np.int64).reshape(C, K)
-    sizes = N * TS + TS * kind.sum(axis=1) + TS * np.array(
-        [bool(cands) for cands in candidates], dtype=np.int64)
-    starts = prob.reserve_rows(int(sizes.sum())) + sizes.cumsum() - sizes
-    line_first = (starts[:, None] + N * TS
-                  + TS * (kind.cumsum(axis=1) - kind))
 
-    _add_balance(prob, "eq22", sys, inner, starts, [(cid,) for cid in cids],
+    _add_balance(prob, "eq22", sys, inner, [(cid,) for cid in cids],
                  _cols(prob, "Pgc").reshape(C, -1, T, S), pkc,
                  _cols(prob, "Pwc").reshape(C, -1, T, S))
 
@@ -528,23 +500,20 @@ def add_contingency_network(prob: MilpProblem, sys: PowerSystem,
     coef = np.array([k.susceptance * sys.mva_base for k in lines])
     emax = np.array([k.limit_emergency for k in lines], dtype=float)
 
-    def flow_rows(rows_per_line):
-        ci, ki = np.nonzero(kind == rows_per_line)
+    def flow_rows(line_kind):
+        ci, ki = np.nonzero(kind == line_kind)
         keys = [(lines[k].id, cids[c]) for c, k in zip(ci.tolist(), ki.tolist())]
-        return (ci, ki, keys, line_first[ci, ki], pkc[ci, ki],
-                thc[ci, frm[ki]], thc[ci, to[ki]], coef[ki].reshape(-1, 1, 1),
-                emax[ki].reshape(-1, 1, 1))
+        return (ki, keys, pkc[ci, ki], thc[ci, frm[ki]], thc[ci, to[ki]],
+                coef[ki].reshape(-1, 1, 1), emax[ki].reshape(-1, 1, 1))
 
-    def add(family, keys, first, step, terms, lb, ub):
-        prob.add_row_block(family, keys, first, terms, lb, ub, inner, step)
-
-    _, _, keys, first, pk, th_n, th_m, b, e = flow_rows(2)
-    add(("eq23", "eq24"), keys, first, 2,
-        [[(pk, 1.0), (th_n, -b), (th_m, b)], [(pk, 1.0)]], [0.0, -e], [0.0, e])
+    _, keys, pk, th_n, th_m, b, e = flow_rows(1)
+    prob.add_row_block(("eq23", "eq24"), keys,
+                       [[(pk, 1.0), (th_n, -b), (th_m, b)], [(pk, 1.0)]],
+                       [0.0, -e], [0.0, e], inner)
 
     if not any(candidates):
         return
-    ci, ki, keys, first, pk, th_n, th_m, b, e = flow_rows(4)
+    ki, keys, pk, th_n, th_m, b, e = flow_rows(2)
     z_block = prob.registry.block("z")
     z_at = {key: p for p, key in enumerate(z_block.keys)}
     z_all = z_block.numbers()
@@ -555,14 +524,14 @@ def add_contingency_network(prob: MilpProblem, sys: PowerSystem,
     # eq25: Pk - b(th_n - th_m) + (1 - z) M >= 0
     # eq26: Pk - b(th_n - th_m) - (1 - z) M <= 0
     # eq27: -emax z <= Pk <= emax z, as its two one-sided halves
-    add(("eq25", "eq26", "eq27L", "eq27U"), keys, first, 4,
+    prob.add_row_block(
+        ("eq25", "eq26", "eq27L", "eq27U"), keys,
         [flow + [(z, -big_m)], flow + [(z, big_m)], [(pk, 1.0), (z, e)],
          [(pk, 1.0), (z, -e)]],
-        [-big_m, -INF, 0.0, -INF], [INF, big_m, INF, 0.0])
+        [-big_m, -INF, 0.0, -INF], [INF, big_m, INF, 0.0], inner)
     budgeted = [j for j, cands in enumerate(candidates) if cands]
     prob.add_row_block(
         "eq28", [(cids[j],) for j in budgeted],
-        (starts + sizes - TS)[budgeted],
         _padded([[(z_all[z_at[(cids[j], k)]], 1.0)
                   for k in contingencies[j].candidate_switch_ids]
                  for j in budgeted], (T, S)),

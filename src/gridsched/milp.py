@@ -5,7 +5,7 @@ A problem is a set of columns (bounds + integrality), linear rows with a
 infinities), and a minimize objective with an optional constant term.
 
 Columns and rows are stored in blocks.  A ``Block`` lays numbers out on a
-grid: each of its keys owns a run ``first[key] + step * q`` over the
+grid: each of its keys owns a run ``first[key] + q`` over the
 flattened inner axes (typically periods x scenarios), so one block holds
 every row of an equation family, or every column of a variable symbol,
 and a position's index tuple is its key followed by its inner values.
@@ -13,9 +13,11 @@ The model builders emit whole blocks with numpy index arithmetic; the
 scalar ``add_var`` / ``add_registered`` / ``add_row`` /
 ``add_objective_term`` calls are the one-element case of the same storage.
 
-A row block carries its coefficients as (row, term) arrays of columns and
-values until the rows are first needed.  They are then scattered once
-into CSR arrays (each row's terms in the order its family lists them,
+Row blocks are appended at the end of the model, so the rows are the
+blocks in the order they were added, each block key by key and one
+contiguous run per key.  A row block arrives as (row, term) arrays of
+columns and values; its padding is dropped and its terms are appended to
+the CSR arrays (each row's terms in the order its family lists them,
 explicit zeros kept, no column twice in a row) with the row lb/ub
 vectors.  ``check``, ``objective_value`` and ``max_violation`` are numpy
 operations on these arrays.  The sparse matrix handed to the engine is
@@ -31,6 +33,7 @@ objects for inspection.
 
 from __future__ import annotations
 
+import bisect
 import copy
 import itertools
 import math
@@ -41,7 +44,6 @@ import numpy as np
 from scipy import sparse
 
 INF = math.inf
-_BATCH_TERMS = 1 << 18  # row terms scattered into the matrix per batch
 
 
 @dataclass
@@ -55,23 +57,19 @@ class Row:
 class Block:
     """Numbers (columns or rows) laid out on a key x inner-axes grid.
 
-    ``name`` is a variable symbol or an equation family.  A row block may
-    also interleave several families, given as a tuple of names: inner
-    position q of key p then holds rows ``first[p] + step*q + e``, one per
-    family e.
+    ``name`` is a variable symbol or an equation family; key p owns the
+    numbers ``first[p] + q`` at flattened inner position q.
     """
 
-    def __init__(self, name: str | tuple[str, ...], keys: list[tuple], first,
-                 inner: tuple[tuple, ...] = (), step: int = 1) -> None:
-        self.names = name if isinstance(name, tuple) else (name,)
-        self.name = self.names[0]
+    def __init__(self, name: str, keys: list[tuple], first,
+                 inner: tuple[tuple, ...] = ()) -> None:
+        self.name = name
         self.keys = keys
         if not (type(first) is np.ndarray and first.dtype == np.int64
                 and first.ndim == 1):
             first = np.asarray(first, dtype=np.int64).reshape(-1)
         self.first = first
         self.inner = inner
-        self.step = step
         self.shape = (len(keys),) + tuple(map(len, inner))
         self.run = math.prod(self.shape[1:])
         if len(self.first) != len(self.keys):
@@ -82,22 +80,17 @@ class Block:
 
     @property
     def size(self) -> int:
-        return len(self.keys) * self.run * len(self.names)
+        return len(self.keys) * self.run
 
     def numbers(self) -> np.ndarray:
-        """Every number, shaped (keys, *inner), with a last axis over the
-        families when there are several."""
+        """Every number, shaped (keys, *inner)."""
         if self._numbers is None:
-            width = len(self.names)
-            offsets = np.arange(0, self.run * self.step, self.step)
-            if width > 1:
-                offsets = (offsets[:, None] + np.arange(width)).reshape(-1)
-            self._numbers = (self.first[:, None] + offsets).reshape(
-                self.shape + ((width,) if width > 1 else ()))
+            self._numbers = (self.first[:, None] + np.arange(self.run)
+                             ).reshape(self.shape)
         return self._numbers
 
     def index(self, local: int) -> tuple:
-        """Index tuple of the position at this offset (one family)."""
+        """Index tuple of the position at this offset."""
         p, q = divmod(int(local), self.run)
         tail = []
         for axis in reversed(self.inner):
@@ -129,17 +122,16 @@ class Block:
             if j is None:
                 return None
             q = q * len(axis) + j
-        return int(self.first[p]) + q * self.step
+        return int(self.first[p]) + q
 
     def locate(self, number: int) -> int | None:
         """Offset of this number within the block, or None."""
         rel = number - self.first
-        hit = np.flatnonzero((rel >= 0) & (rel < self.run * self.step)
-                             & (rel % self.step == 0))
+        hit = np.flatnonzero((rel >= 0) & (rel < self.run))
         if not hit.size:
             return None
         p = int(hit[0])
-        return p * self.run + int(rel[p]) // self.step
+        return p * self.run + int(rel[p])
 
     def append(self, key: tuple, number: int) -> None:
         self.keys.append(key)
@@ -150,11 +142,26 @@ class Block:
             self._positions[0][self.keys[-1]] = len(self.keys) - 1
 
     def label(self, local: int) -> str:
-        local, family = divmod(int(local), len(self.names))
         parts = self.index(local)
         if not parts:
-            return self.names[family]
-        return f"{self.names[family]}[{','.join(str(i) for i in parts)}]"
+            return self.name
+        return f"{self.name}[{','.join(str(i) for i in parts)}]"
+
+    def labels(self) -> list[str]:
+        """Every position's label, in offset order: ``label`` of each
+        offset, with each key's and each inner position's text built once."""
+        tails = [",".join(map(str, tail))
+                 for tail in itertools.product(*self.inner)]
+        out: list[str] = []
+        for key in self.keys:
+            if not key and not self.inner:
+                out.append(self.name)
+                continue
+            head = f"{self.name}[{','.join(map(str, key))}"
+            if key and self.inner:
+                head += ","
+            out.extend([f"{head}{tail}]" for tail in tails])
+        return out
 
 
 def _flat(values, shape: tuple) -> np.ndarray:
@@ -292,25 +299,21 @@ class RowView(Sequence):
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError("row index out of range")
-        model = self._model
-        model._build()
-        a, b = model._indptr[i], model._indptr[i + 1]
-        return Row(list(zip(model._indices[a:b].tolist(),
-                            model._data[a:b].tolist())),
-                   float(model._lo[i]), float(model._hi[i]), model.label(i))
+        indptr, indices, data, lo, hi = self._model.csr()
+        a, b = indptr[i], indptr[i + 1]
+        return Row(list(zip(indices[a:b].tolist(), data[a:b].tolist())),
+                   float(lo[i]), float(hi[i]), self._model.label(i))
 
     def __iter__(self):
         model = self._model
-        model._build()
-        owner, local = model._owner, model._local
-        blocks, lo, hi = model.blocks, model._lo, model._hi
-        indptr, indices, data = (model._indptr.tolist(),
-                                 model._indices.tolist(), model._data.tolist())
-        for i, (b, r, row_lb, row_ub) in enumerate(zip(
-                owner.tolist(), local.tolist(), lo.tolist(), hi.tolist())):
-            a, e = indptr[i], indptr[i + 1]
-            yield Row(list(zip(indices[a:e], data[a:e])), row_lb, row_ub,
-                      blocks[b].label(r))
+        indptr, indices, data, lo, hi = (a.tolist() for a in model.csr())
+        i = 0
+        for block in model.blocks:
+            for label in block.labels():
+                a, e = indptr[i], indptr[i + 1]
+                yield Row(list(zip(indices[a:e], data[a:e])), lo[i], hi[i],
+                          label)
+                i += 1
 
 
 class _Model:
@@ -324,177 +327,72 @@ class _Model:
         self.obj_cols = _Column(np.int64)  # objective terms in call order
         self.obj_vals = _Column(float)
         self.n_rows = 0
-        self.blocks: list[Block] = []  # every row block, for labels
-        self._pending: list[tuple] = []  # (block, cols, vals, lo, hi, kept)
-        self._built = 0  # rows already in the matrix arrays
-        self._indptr = np.zeros(1, dtype=np.int64)
-        self._indices = np.empty(0, dtype=np.int32)
-        self._data = np.empty(0)
-        self._lo = np.empty(0)
-        self._hi = np.empty(0)
-        self._owner = np.empty(0, dtype=np.int32)  # block index of each row
-        self._local = np.empty(0, dtype=np.int32)  # its offset in the block
+        self.blocks: list[Block] = []  # every row block, in row order
+        self.starts: list[int] = []  # each row block's first row
+        self.counts = _Column(np.int64)  # terms per row
+        self.indices = _Column(np.int32)  # each row's term columns in turn
+        self.data = _Column(float)  # and their coefficients
+        self.lo = _Column(float)
+        self.hi = _Column(float)
         self._cache: dict = {}
         self.view = RowView(self)
 
     # -- rows ---------------------------------------------------------------
 
-    def add_rows(self, block: Block, cols, vals, lo, hi, kept=None) -> None:
-        """Queue a row block's (row, term) column and value arrays and its
-        rows' lb/ub, in the block's offset order; ``kept`` counts each
-        row's terms when columns of -1 pad the shorter rows."""
-        self.blocks.append(block)
-        self._pending.append((block, cols, vals, lo, hi, kept))
+    def add_rows(self, name: str, keys: list[tuple], inner: tuple[tuple, ...],
+                 cols, vals, lo, hi, padded: bool) -> None:
+        """Append a row block: its (row, term) column and value arrays and
+        its rows' lb/ub, in the block's offset order; with ``padded``, a
+        column of -1 is no term."""
+        start, run = self.n_rows, math.prod(map(len, inner))
+        self.blocks.append(Block(name, keys, start + run * np.arange(len(keys)),
+                                 inner))
+        self.starts.append(start)
+        self.n_rows += len(cols)
+        if padded:  # the padding drops out, each row keeps its term order
+            keep = cols != -1
+            self.counts.extend(np.add.reduce(keep, axis=1))
+            cols, vals = cols[keep], vals[keep]
+        else:
+            self.counts.extend(np.full(len(cols), cols.shape[1]))
+        self.indices.extend(cols)
+        self.data.extend(vals)
+        self.lo.extend(lo)
+        self.hi.extend(hi)
         self._cache.clear()
 
-    def _build(self) -> None:
-        """Move pending row blocks into the CSR arrays.
-
-        Terms are scattered in batches of at most ``_BATCH_TERMS`` and
-        each batch is dropped once placed, so the pending terms, the
-        matrix and the scatter's work arrays are never all held in full."""
-        if not self._pending and self._built == self.n_rows:
-            return
-        start, new = self._built, self.n_rows - self._built
-        pending, self._pending = self._pending, []
-        blocks = [p[0] for p in pending]
-        sizes = [block.size for block in blocks]
-        if sum(sizes) != new:
-            raise ValueError("row blocks do not cover the reserved rows")
-        # every pending row in block order (``Block.numbers`` for all
-        # blocks at once): key runs of ``run`` positions ``step`` apart,
-        # ``families`` interleaved rows per position
-        keys = [len(block.keys) for block in blocks]
-        families = np.array([len(b.names) for b in blocks], dtype=np.int32
-                            ).repeat(keys)
-        count = np.array([b.run for b in blocks], dtype=np.int32).repeat(keys)
-        count *= families
-        rows = np.arange(new, dtype=np.int32)   # position within a key run
-        rows -= (count.cumsum(dtype=np.int64) - count).astype(np.int32).repeat(count)
-        families = families.repeat(count)
-        offset = rows // families
-        offset *= np.array([b.step for b in blocks], dtype=np.int32
-                           ).repeat(keys).repeat(count)
-        rows %= families
-        rows += offset
-        del offset, families
-        rows += (np.concatenate([np.empty(0, dtype=np.int64)]
-                                + [b.first for b in blocks]) - start
-                 ).astype(np.int32).repeat(count)
-        if new and (np.minimum.reduce(rows) < 0
-                    or np.maximum.reduce(rows) >= new):
-            raise ValueError("row blocks lie outside the reserved rows")
-        width = np.array([p[1].shape[1] for p in pending], dtype=np.int32
-                         ).repeat(sizes)
-        counts = width.copy()
-        # pieces of at most _BATCH_TERMS terms, scattered a batch at a time;
-        # padded rows keep fewer terms than their width
-        pieces, done = [], 0
-        for size, p in zip(sizes, pending):
-            if p[5] is not None:
-                counts[done:done + size] = p[5]
-            chunk = max(1, _BATCH_TERMS // max(1, p[1].shape[1]))
-            if size <= chunk:
-                pieces.append((done, done + size, p[1], p[2], p[5] is not None))
-            else:
-                for a in range(0, size, chunk):
-                    b = min(size, a + chunk)
-                    pieces.append((done + a, done + b, p[1][a:b], p[2][a:b],
-                                   p[5] is not None))
-            done += size
-        row_counts = np.zeros(new, dtype=np.int64)
-        row_counts[rows] = counts
-        del counts
-        base = int(self._indptr[-1])
-        indptr = np.concatenate((self._indptr, base + row_counts.cumsum()))
-        del row_counts
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        data = np.empty(indptr[-1])
-        indices[:base], data[:base] = self._indices, self._data
-        bounds = [(p[3], p[4]) for p in pending]
-        pending.clear()
-        i = 0
-        while i < len(pieces):
-            batch, terms = [], 0
-            while i < len(pieces) and (not batch or terms < _BATCH_TERMS):
-                batch.append(pieces[i])
-                terms += pieces[i][2].size
-                pieces[i] = None
-                i += 1
-            r = slice(batch[0][0], batch[-1][1])
-            padded = any(piece[4] for piece in batch)
-            cols = np.concatenate([piece[2].reshape(-1) for piece in batch])
-            vals = np.concatenate([piece[3].reshape(-1) for piece in batch])
-            del batch
-            if cols.size and (np.maximum.reduce(cols) >= self.n_cols
-                              or np.minimum.reduce(cols) < (-1 if padded else 0)):
+    def csr(self) -> tuple[np.ndarray, ...]:
+        """(indptr, indices, data, row lb, row ub) of every row."""
+        if "csr" not in self._cache:
+            indices = self.indices.array
+            if indices.size and (np.minimum.reduce(indices) < 0
+                                 or np.maximum.reduce(indices) >= self.n_cols):
                 raise ValueError("a row block references an unknown column")
-            # each row's terms are contiguous, rows in batch order; a
-            # term's place in its row counts the kept terms before it
-            keep = cols >= 0 if padded else None
-            rank = (np.arange(cols.size) if keep is None
-                    else keep.cumsum() - keep)
-            starts = width[r].cumsum() - width[r]
-            pos = ((indptr[start + rows[r]] - np.concatenate((rank, [0]))[starts])
-                   .repeat(width[r]) + rank)
-            del rank
-            if keep is not None:
-                pos, cols, vals = pos[keep], cols[keep], vals[keep]
-            indices[pos] = cols
-            data[pos] = vals
-            del cols, vals, pos, keep
-        # block of each row, and the row's offset in it, for labels
-        owner = np.empty(new, dtype=np.int32)
-        owner.fill(-1)
-        owner[rows] = np.arange(len(self.blocks) - len(blocks),
-                                len(self.blocks), dtype=np.int32).repeat(sizes)
-        if new and np.minimum.reduce(owner) < 0:
-            raise ValueError("row blocks do not cover the reserved rows")
-        local = np.empty(new, dtype=np.int32)
-        local[rows] = (np.arange(new, dtype=np.int32)
-                       - (np.cumsum(sizes) - sizes).astype(np.int32).repeat(sizes))
-        # a block's bounds are one number each, or one per row
-        lo, hi = np.empty(new), np.empty(new)
-        lo[rows] = np.array([b[0] if isinstance(b[0], float) else 0.0
-                             for b in bounds]).repeat(sizes)
-        hi[rows] = np.array([b[1] if isinstance(b[1], float) else 0.0
-                             for b in bounds]).repeat(sizes)
-        done = 0
-        for size, (low, high) in zip(sizes, bounds):
-            here = rows[done:done + size]
-            if not isinstance(low, float):
-                lo[here] = low
-            if not isinstance(high, float):
-                hi[here] = high
-            done += size
-        self._indptr, self._indices, self._data = indptr, indices, data
-        self._lo = np.concatenate((self._lo, lo)) if start else lo
-        self._hi = np.concatenate((self._hi, hi)) if start else hi
-        self._owner = np.concatenate((self._owner, owner)) if start else owner
-        self._local = np.concatenate((self._local, local)) if start else local
-        self._built = self.n_rows
-        self._cache.clear()
+            indptr = np.zeros(self.n_rows + 1, dtype=np.int64)
+            np.cumsum(self.counts.array, out=indptr[1:])
+            self._cache["csr"] = (indptr, indices, self.data.array,
+                                  self.lo.array, self.hi.array)
+        return self._cache["csr"]
 
     def matrix(self, n_cols: int | None = None):
         """(CSC matrix, row lb, row ub); the matrix has ``n_cols`` columns,
         by default every column of the problem."""
-        self._build()
+        indptr, indices, data, lo, hi = self.csr()
         n_cols = self.n_cols if n_cols is None else n_cols
         key = ("matrix", n_cols)
         if key not in self._cache:
             self._cache[key] = sparse.csr_matrix(
-                (self._data, self._indices, self._indptr),
-                shape=(self.n_rows, n_cols)).tocsc()
-        return self._cache[key], self._lo, self._hi
+                (data, indices, indptr), shape=(self.n_rows, n_cols)).tocsc()
+        return self._cache[key], lo, hi
 
     def row_terms(self) -> tuple[np.ndarray, np.ndarray]:
         """Each stored term's row, and each row's scale floor
         max(1, |lb|, |ub|) over its finite bounds."""
-        self._build()
         if "terms" not in self._cache:
+            _, _, _, lo, hi = self.csr()
             row_of = np.arange(self.n_rows, dtype=np.int32).repeat(
-                self._indptr[1:] - self._indptr[:-1])
-            floor, high = np.abs(self._lo), np.abs(self._hi)
+                self.counts.array)
+            floor, high = np.abs(lo), np.abs(hi)
             floor[floor == INF] = 0.0
             high[high == INF] = 0.0
             np.fmax(floor, high, out=floor)
@@ -503,14 +401,14 @@ class _Model:
         return self._cache["terms"]
 
     def label(self, row: int) -> str:
-        self._build()
-        return self.blocks[self._owner[row]].label(self._local[row])
+        b = bisect.bisect_right(self.starts, row) - 1
+        return self.blocks[b].label(row - self.starts[b])
 
     def check(self) -> None:
         """Raise on a non-finite objective coefficient or an empty row
         interval; the shared parts of ``MilpProblem.check``, run once
         per change."""
-        self._build()
+        _, _, _, lo, hi = self.csr()
         if "checked" in self._cache:
             return
         cols, coefs = self.objective_terms()
@@ -518,11 +416,10 @@ class _Model:
         if bad.any():
             raise ValueError(f"objective coefficient for column "
                              f"{cols[bad.argmax()]} not finite")
-        bad = self._lo > self._hi
+        bad = lo > hi
         if bad.any():
             i = int(bad.argmax())
-            raise ValueError(
-                f"row {self.label(i)}: lb {self._lo[i]} > ub {self._hi[i]}")
+            raise ValueError(f"row {self.label(i)}: lb {lo[i]} > ub {hi[i]}")
         self._cache["checked"] = True
 
     # -- objective ----------------------------------------------------------
@@ -628,13 +525,6 @@ class MilpProblem:
     def rows(self) -> RowView:
         return self._model.view
 
-    def reserve_rows(self, count: int) -> int:
-        """Reserve ``count`` rows for row blocks; returns the first."""
-        start = self._model.n_rows
-        self._model.n_rows += count
-        self._model._cache.clear()
-        return start
-
     def add_row(self, coeffs: list[tuple[int, float]], lb: float, ub: float,
                 label: str) -> int:
         """One row; a column given twice gets the sum of its coefficients."""
@@ -643,67 +533,45 @@ class MilpProblem:
             if not 0 <= col < self.num_vars:
                 raise ValueError(f"row {label}: unknown column {col}")
             merged[col] = merged[col] + coef if col in merged else coef
-        row = self.reserve_rows(1)
+        row = self.num_rows
         self._model.add_rows(
-            Block(label, [()], [row]),
+            label, [()], (),
             np.array(list(merged), dtype=np.int32).reshape(1, -1),
             np.array(list(merged.values()), dtype=float).reshape(1, -1),
-            np.array([lb], dtype=float), np.array([ub], dtype=float))
+            [lb], [ub], False)
         return row
 
-    def add_row_block(self, family: str, keys: list[tuple], first, terms, lb,
-                      ub, inner: tuple[tuple, ...] = (), step: int = 1,
+    def add_row_block(self, family: str | tuple[str, ...], keys: list[tuple],
+                      terms, lb, ub, inner: tuple[tuple, ...] = (),
                       padded: bool = False) -> None:
-        """One row per (key, inner position) of an equation family.
+        """Append one row per (key, inner position) of an equation family.
 
-        Row ``first[key] + step * q``, at flattened inner position q,
-        gets one term per (columns, coefficient) pair of ``terms`` and
-        the interval [lb, ub]; every array broadcasts to (keys, *inner).
-        With ``padded``, a column of -1 leaves that term out of its row,
-        so rows of one family may have different lengths.  ``family`` may
-        be a tuple of families interleaved at each position (see
-        ``Block``); ``terms``, ``lb`` and ``ub`` then hold one entry per
-        family.  The rows must lie in a range taken by ``reserve_rows``.
+        The rows follow the last row, key by key, each key's run over the
+        flattened inner axes.  Each row gets one term per (columns,
+        coefficient) pair of ``terms`` and the interval [lb, ub]; every
+        array broadcasts to (keys, *inner).  With ``padded``, a column of
+        -1 leaves that term out of its row, so rows of one family may
+        have different lengths.  ``family`` may be a tuple of families
+        over the same grid; ``terms``, ``lb`` and ``ub`` then hold one
+        entry per family, and each family is its own block, one after
+        another.
         """
-        block = Block(family, keys, first, inner, step)
-        if not block.size:
-            return
         if isinstance(family, tuple):
-            shape = block.shape + (len(family),)
-            m = max(map(len, terms))
-            cols = np.empty(shape + (m,), dtype=np.int32)
-            cols.fill(-1)
-            vals = np.zeros(shape + (m,))
-            for e, family_terms in enumerate(terms):
-                for j, (col, coef) in enumerate(family_terms):
-                    cols[..., e, j] = col
-                    vals[..., e, j] = coef
-            bounds = []
-            for given in (lb, ub):
-                if all(isinstance(b, (int, float)) and b == given[0]
-                       for b in given):
-                    bounds.append(float(given[0]))
-                    continue
-                bounds.append(np.empty(shape))
-                for e, bound in enumerate(given):
-                    bounds[-1][..., e] = bound
-            lb, ub = bounds
-            padded = padded or min(map(len, terms)) < m
-            n = block.size
-        else:
-            n, m = block.size, len(terms)
-            cols = np.empty(block.shape + (m,), dtype=np.int32)
-            vals = np.empty(block.shape + (m,))
-            for j, (col, coef) in enumerate(terms):
-                cols[..., j] = col
-                vals[..., j] = coef
-        cols = cols.reshape(n, m)
-        shape = block.shape + ((len(block.names),) if len(block.names) > 1 else ())
+            for name, *rest in zip(family, terms, lb, ub):
+                self.add_row_block(name, keys, *rest, inner, padded)
+            return
+        shape = (len(keys),) + tuple(map(len, inner))
+        n, m = math.prod(shape), len(terms)
+        if not n:
+            return
+        cols = np.empty(shape + (m,), dtype=np.int32)
+        vals = np.empty(shape + (m,))
+        for j, (col, coef) in enumerate(terms):
+            cols[..., j] = col
+            vals[..., j] = coef
         self._model.add_rows(
-            block, cols, vals.reshape(n, m),
-            float(lb) if isinstance(lb, (int, float)) else _flat(lb, shape),
-            float(ub) if isinstance(ub, (int, float)) else _flat(ub, shape),
-            np.add.reduce(cols >= 0, axis=1, dtype=np.int32) if padded else None)
+            family, keys, inner, cols.reshape(n, m), vals.reshape(n, m),
+            _flat(lb, shape), _flat(ub, shape), padded)
 
     def matrix(self, n_cols: int | None = None):
         """The cached (CSC matrix, row lb, row ub) of every row, as the
@@ -794,9 +662,9 @@ class MilpProblem:
         x = np.asarray(x, dtype=float)
         model = self._model
         row_of, floor = model.row_terms()
-        lo, hi, indptr = model._lo, model._hi, model._indptr
-        terms = x[model._indices]
-        np.multiply(terms, model._data, out=terms)
+        indptr, indices, data, lo, hi = model.csr()
+        terms = x[indices]
+        np.multiply(terms, data, out=terms)
         # summed term by term in each row's stored order, as a scalar loop
         act = np.bincount(row_of, weights=terms, minlength=lo.size)
         viol = np.fmax(np.fmax(0.0, lo - act), act - hi)
@@ -824,9 +692,7 @@ class MilpProblem:
     def rows_by_equation(self) -> dict[str, int]:
         """Row counts keyed by the label prefix before '['."""
         counts: dict[str, int] = {}
-        blocks = sorted(self._model.blocks, key=lambda b: int(b.first.min()))
-        for block in blocks:
-            for name in block.names:
-                eq = name.split("[", 1)[0]
-                counts[eq] = counts.get(eq, 0) + block.size // len(block.names)
+        for block in self._model.blocks:
+            eq = block.name.split("[", 1)[0]
+            counts[eq] = counts.get(eq, 0) + block.size
         return counts

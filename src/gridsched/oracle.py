@@ -141,6 +141,12 @@ def enumerate_commitments(
     for pos, (cid, _k, t, s_id) in enumerate(z_keys):
         z_groups.setdefault((cid, t, s_id), []).append(pos)
 
+    # the fixed columns and their names, looked up once per model
+    names = prob.var_names
+    u_cols = [reg.col("u", *key) for key in u_keys]
+    v_cols = {key: reg.col("v", *key) for key in u_keys}
+    z_cols = [reg.col("z", *key) for key in z_keys]
+
     lp_opts = SolveOptions(mip_gap=0.0, time_limit=None)
     best: float | None = None
     best_assignment: dict[str, int] | None = None
@@ -166,25 +172,23 @@ def enumerate_commitments(
                     v_bits[pos] = 1
             if extras and not _updown_feasible(u_bits, v_bits, sys, T):
                 continue
+            commitment = dict(zip(u_cols, map(float, u_vec)))
+            commitment.update((v_cols[key], float(val))
+                              for key, val in v_bits.items())
             for z_vec in itertools.product((0, 1), repeat=len(z_keys)):
                 opened_ok = all(
                     sum(1 - z_vec[pos] for pos in group) <= cfg.switch_limit
                     for group in z_groups.values())
                 if not opened_ok:
                     continue
-                fixes = {reg.col("u", *key): float(val)
-                         for key, val in u_bits.items()}
-                fixes.update({reg.col("v", *key): float(val)
-                              for key, val in v_bits.items()})
-                fixes.update({reg.col("z", *key): float(z_vec[pos])
-                              for pos, key in enumerate(z_keys)})
+                fixes = dict(commitment)
+                fixes.update(zip(z_cols, map(float, z_vec)))
                 lp_solves += 1
                 if lp_solves > caps.max_lp_solves:
                     raise CapExceeded(
                         f"enumeration needs more than {caps.max_lp_solves} LP solves")
                 result = solve(prob.clone_with_bounds(fixes), lp_opts)
-                assignment = {
-                    prob.var_names[col]: int(val) for col, val in fixes.items()}
+                assignment = {names[col]: int(val) for col, val in fixes.items()}
                 if result.status is SolveStatus.OPTIMAL:
                     if keep_records:
                         records.append(AssignmentRecord(

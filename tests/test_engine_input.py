@@ -4,6 +4,7 @@ reference evaluated on the materialised rows."""
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -20,14 +21,24 @@ from gridsched.scenarios import build_scenario_set, synth_wind_profiles
 
 KINDS = (ModelKind.SSCUC, ModelKind.SSCUC_CNR)
 
-# recorded from the builder that emitted one Row at a time; a formulation
-# change that alters what the engine sees must update these knowingly
+# recorded with the rows laid out family by family in builder order (see
+# the formulation docstring); a change to the rows, their order, the
+# columns or the names alters what the engine sees and must update these
+# knowingly
 TOY3_DIGESTS = {
     ModelKind.SSCUC:
-        "00e3378f4f8f31ff4583c21b383cd4f1061a4af3f62cb5f37ae73303fb329313",
+        "d3806c44dfc86a08cd5c00491b2c6485657af5918a3c3af47523e944249aa873",
     ModelKind.SSCUC_CNR:
-        "bbb89b749b6e11bddcda50e001ce052293f7f0d4a82724c14be169714303376e",
+        "2c364d3d07612319d30ffd427815db9554a21a0f7cce8b3924ca21bd9e4a147a",
 }
+
+
+# the row families in the order the builders append them (the formulation
+# docstring); eq23/eq24 hold fixed lines, eq25-eq28 switchable ones
+ROW_FAMILIES = ("eq2", "eq3", "eq4", "eq5", "eq6", "eq7", "eq8", "eq9",
+                "eq10", "eq13", "eq14", "eq15", "eq16", "eq17", "eq18",
+                "eq19", "eq20", "eq21", "eq22", "eq23", "eq24", "eq25",
+                "eq26", "eq27L", "eq27U", "eq28")
 
 
 class _Captured(Exception):
@@ -167,6 +178,20 @@ class TestEngineInput:
         assert after.A.shape[0] == before + 1
         assert prob.rows[-1].label == "extra"
         assert after.lb[-1] == 0.0 and after.ub[-1] == 1.0
+
+
+class TestRowOrder:
+    @pytest.mark.parametrize("kind, absent", [
+        (ModelKind.SSCUC, {"eq25", "eq26", "eq27L", "eq27U", "eq28"}),
+        # every surviving toy3 line is a switch candidate
+        (ModelKind.SSCUC_CNR, {"eq23", "eq24"})])
+    def test_families_are_contiguous_in_builder_order(self, kind, absent):
+        prob = assemble(*toy3_inputs(), FormulationConfig(model_kind=kind))
+        families = list(prob.rows_by_equation())
+        assert families == [f for f in ROW_FAMILIES if f not in absent]
+        runs = [family for family, _ in itertools.groupby(
+            row.label.split("[", 1)[0] for row in prob.rows)]
+        assert runs == families
 
 
 class TestMaxViolationReference:
