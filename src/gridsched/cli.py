@@ -18,6 +18,7 @@ import argparse
 import csv
 import json
 import sys as _sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import metrics, oracle
@@ -44,8 +45,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("scenarios", help="scenario JSON file")
     p.add_argument("--model", default="sscuc", choices=["sscuc", "sscuc-cnr"],
                    help="model kind (default sscuc)")
-    p.add_argument("--penalty", default=None, metavar="VALUE|off",
-                   help="override curtailment penalty in $/MWh, or 'off'")
     p.add_argument("--mip-gap", type=float, default=0.01,
                    help="relative MIP gap (default 0.01)")
     p.add_argument("--switch-limit", type=int, default=1,
@@ -65,9 +64,11 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="accepted for scripts; HiGHS runs with its fixed "
                         "default seed")
     p.add_argument("--out-dir", default=".", help="output directory")
-    p.add_argument("--penalty-table", action="store_true",
-                   help="also solve with the penalty disabled and write a "
-                        "side-by-side report_table.csv")
+
+
+def _add_penalty_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--penalty", default=None, metavar="VALUE|off",
+                   help="override curtailment penalty in $/MWh, or 'off'")
 
 
 def _coerce_id(sys_obj: PowerSystem, raw: str | None):
@@ -89,13 +90,10 @@ def _load_inputs(args) -> tuple[PowerSystem, ScenarioSet]:
         lines = "\n".join(f"  {v}" for v in report.violations)
         raise InputError(f"case fails validation:\n{lines}")
     try:
-        scen = load_scenario_set(args.scenarios, block_len=args.block_len)
+        scen = align_scenarios(system, load_scenario_set(
+            args.scenarios, block_len=args.block_len))
     except (OSError, ValueError) as exc:
         raise InputError(f"scenarios: {exc}") from exc
-    scen = align_scenarios(system, scen)
-    if scen.horizon != system.horizon:
-        raise InputError(
-            f"scenario horizon {scen.horizon} != demand horizon {system.horizon}")
     return system, scen
 
 
@@ -112,7 +110,6 @@ def _apply_penalty(system: PowerSystem, penalty: str | None
         raise InputError(f"--penalty must be a number or 'off', got {penalty!r}")
     if value < 0:
         raise InputError("--penalty must be >= 0")
-    from dataclasses import replace
     res_units = tuple(replace(w, curtail_penalty=value) for w in system.res_units)
     return replace(system, res_units=res_units), True
 
@@ -137,8 +134,11 @@ def _contingencies(args, system: PowerSystem):
             raise InputError(f"contingency whitelist: {exc}") from exc
         by_str = {str(k.id): k.id for k in system.lines}
         whitelist = {by_str.get(str(c), c) for c in raw}
-    return build_contingency_set(system, whitelist=whitelist,
-                                 strict_islanding=args.strict_islanding)
+    try:
+        return build_contingency_set(system, whitelist=whitelist,
+                                     strict_islanding=args.strict_islanding)
+    except ValueError as exc:
+        raise InputError(f"contingencies: {exc}") from exc
 
 
 def _solve_one(system, scen, contingencies, cfg, opts):
@@ -176,8 +176,7 @@ def cmd_run(args) -> int:
     report = metrics.build_report(sol, system, scen, contingencies, cfg)
     metrics.write_report(report, args.out_dir)
     if args.penalty_table and penalty_enabled:
-        from dataclasses import replace as _replace
-        off_cfg = _replace(cfg, penalty_enabled=False)
+        off_cfg = replace(cfg, penalty_enabled=False)
         prob_off, result_off = _solve_one(system, scen, contingencies,
                                           off_cfg, opts)
         if result_off.status.has_solution:
@@ -213,16 +212,11 @@ def cmd_sweep(args) -> int:
         if factor < 0:
             raise InputError(f"factor must be >= 0, got {factor}")
         scaled = scale_penetration(scen, factor)
-        for model in ("sscuc", "sscuc-cnr"):
+        for kind in ModelKind:
             for penalty_on in (True, False):
-                cfg = FormulationConfig(
-                    model_kind=ModelKind.parse(model),
-                    switch_limit=args.switch_limit,
-                    angle_bound=args.angle_bound,
-                    reference_bus=_coerce_id(system, args.ref_bus),
-                    penalty_enabled=penalty_on,
-                )
-                row = {"factor": factor, "model": model,
+                cfg = replace(_build_config(args, system, penalty_on),
+                              model_kind=kind)
+                row = {"factor": factor, "model": kind.value,
                        "penalty": "on" if penalty_on else "off"}
                 try:
                     prob, result = _solve_one(system, scaled, contingencies,
@@ -344,6 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="solve one model and write reports")
     _add_common_flags(p_run)
+    _add_penalty_flag(p_run)
+    p_run.add_argument("--penalty-table", action="store_true",
+                       help="also solve with the penalty disabled and write "
+                            "a side-by-side report_table.csv")
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="penetration sweep")
@@ -354,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="MILP vs exhaustive oracle")
     _add_common_flags(p_verify)
+    _add_penalty_flag(p_verify)
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

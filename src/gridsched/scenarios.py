@@ -39,11 +39,6 @@ class ScenarioSet:
     def probabilities(self) -> tuple[float, ...]:
         return tuple(s.probability for s in self.scenarios)
 
-    def availability(self, scenario_idx: int, res_id: str | int, t: int) -> float:
-        """Availability P^max of ``res_id`` in period ``t`` (1-based)."""
-        prof = self.scenarios[scenario_idx].availability.get(res_id)
-        return prof[t - 1] if prof is not None else 0.0
-
     def check(self) -> None:
         """Raise ValueError on any broken scenario-set invariant."""
         if not self.scenarios:

@@ -5,9 +5,13 @@ Susceptances are per-unit on ``mva_base``; the formulation layer converts
 them to MW/rad when it builds flow equations.
 
 Objects are plain frozen dataclasses and are never mutated after
-construction.  Constructors do not validate; :func:`validate_system`
-reports every broken invariant instead of raising, so that a loader can
-show all problems at once.
+construction.  Where an element sits is stated once, on the element:
+``Generator.bus_id``, ``ResUnit.bus_id`` and a line's ``from_bus`` and
+``to_bus``; a ``Bus`` is only its id.  Constructors do not validate;
+:func:`validate_system` reports every broken invariant instead of raising,
+so that a loader can show all problems at once.  A case document may also
+list each bus's generators, RES units and lines; the loader checks those
+lists against the element fields and drops them.
 """
 
 from __future__ import annotations
@@ -40,10 +44,6 @@ class InitialStatus:
 @dataclass(frozen=True)
 class Bus:
     id: Id
-    generator_ids: tuple[Id, ...] = ()
-    res_ids: tuple[Id, ...] = ()
-    inbound_line_ids: tuple[Id, ...] = ()   # lines with this bus as receiving end
-    outbound_line_ids: tuple[Id, ...] = ()  # lines with this bus as sending end
 
 
 @dataclass(frozen=True)
@@ -114,25 +114,12 @@ class PowerSystem:
     demand: DemandProfile
     mva_base: float = 100.0
 
-    def bus(self, bus_id: Id) -> Bus:
-        return _index(self.buses)[bus_id]
-
-    def generator(self, gen_id: Id) -> Generator:
-        return _index(self.generators)[gen_id]
-
     def line(self, line_id: Id) -> TransmissionLine:
-        return _index(self.lines)[line_id]
-
-    def res_unit(self, res_id: Id) -> ResUnit:
-        return _index(self.res_units)[res_id]
+        return {k.id: k for k in self.lines}[line_id]
 
     @property
     def horizon(self) -> int:
         return self.demand.horizon_length
-
-
-def _index(items: Iterable[Any]) -> dict[Id, Any]:
-    return {item.id: item for item in items}
 
 
 def build_system(
@@ -143,26 +130,11 @@ def build_system(
     demand: DemandProfile,
     mva_base: float = 100.0,
 ) -> PowerSystem:
-    """Assemble a PowerSystem, deriving the per-bus adjacency sets."""
-    generators = tuple(generators)
-    lines = tuple(lines)
-    res_units = tuple(res_units)
-    buses = []
-    for b in bus_ids:
-        buses.append(
-            Bus(
-                id=b,
-                generator_ids=tuple(g.id for g in generators if g.bus_id == b),
-                res_ids=tuple(w.id for w in res_units if w.bus_id == b),
-                inbound_line_ids=tuple(k.id for k in lines if k.to_bus == b),
-                outbound_line_ids=tuple(k.id for k in lines if k.from_bus == b),
-            )
-        )
     return PowerSystem(
-        buses=tuple(buses),
-        generators=generators,
-        lines=lines,
-        res_units=res_units,
+        buses=tuple(Bus(id=b) for b in bus_ids),
+        generators=tuple(generators),
+        lines=tuple(lines),
+        res_units=tuple(res_units),
         demand=demand,
         mva_base=mva_base,
     )
@@ -250,22 +222,6 @@ def validate_system(sys: PowerSystem) -> ValidationReport:
         if w.curtail_penalty < 0:
             bad(f"{p}.curtail_penalty", "must be >= 0")
 
-    # adjacency consistency against line/generator/RES placement
-    gen_by_bus = {b: tuple(g.id for g in sys.generators if g.bus_id == b) for b in known_buses}
-    res_by_bus = {b: tuple(w.id for w in sys.res_units if w.bus_id == b) for b in known_buses}
-    in_by_bus = {b: tuple(k.id for k in sys.lines if k.to_bus == b) for b in known_buses}
-    out_by_bus = {b: tuple(k.id for k in sys.lines if k.from_bus == b) for b in known_buses}
-    for b in sys.buses:
-        p = f"buses[{b.id}]"
-        if set(b.generator_ids) != set(gen_by_bus.get(b.id, ())):
-            bad(f"{p}.generator_ids", "inconsistent with generator bus_id fields")
-        if set(b.res_ids) != set(res_by_bus.get(b.id, ())):
-            bad(f"{p}.res_ids", "inconsistent with RES bus_id fields")
-        if set(b.inbound_line_ids) != set(in_by_bus.get(b.id, ())):
-            bad(f"{p}.inbound_line_ids", "inconsistent with line to_bus fields")
-        if set(b.outbound_line_ids) != set(out_by_bus.get(b.id, ())):
-            bad(f"{p}.outbound_line_ids", "inconsistent with line from_bus fields")
-
     # demand rows
     T = sys.demand.horizon_length
     if T < 1:
@@ -284,15 +240,16 @@ def validate_system(sys: PowerSystem) -> ValidationReport:
 
     # connectivity of the in-service network
     if sys.buses and sys.lines is not None:
-        comp = _components(known_buses, [(k.from_bus, k.to_bus) for k in sys.lines
-                                         if k.from_bus in known_buses and k.to_bus in known_buses])
+        comp = _components(bus_ids, [(k.from_bus, k.to_bus) for k in sys.lines
+                                     if k.from_bus in known_buses and k.to_bus in known_buses])
         if len(comp) > 1:
             bad("lines", f"network is disconnected ({len(comp)} components)")
 
     return ValidationReport(tuple(out))
 
 
-def _components(nodes: set[Id], edges: list[tuple[Id, Id]]) -> list[set[Id]]:
+def _components(nodes: list[Id], edges: list[tuple[Id, Id]]) -> list[set[Id]]:
+    """Connected components, each started from its first node in ``nodes``."""
     adj: dict[Id, list[Id]] = {n: [] for n in nodes}
     for a, b in edges:
         adj[a].append(b)
@@ -335,17 +292,26 @@ def align_scenarios(sys: PowerSystem, scen: ScenarioSet) -> ScenarioSet:
     """Re-key scenario availability maps onto the system's RES unit ids.
 
     JSON object keys are strings; a case file with integer RES ids needs
-    its scenario keys coerced back.  Keys matching no unit are kept as-is
-    so validation can flag them.
+    its scenario keys coerced back.  Raises ValueError when a key names no
+    RES unit, or when a unit's profile is missing or not ``sys.horizon``
+    periods long, so that a misspelt key cannot leave a unit at 0 MW.
     """
     by_str = {str(w.id): w.id for w in sys.res_units}
-    return ScenarioSet(
-        scenarios=tuple(
-            replace(s, availability={by_str.get(str(w), w): prof
-                                     for w, prof in s.availability.items()})
-            for s in scen.scenarios
-        )
-    )
+    scenarios = []
+    for s in scen.scenarios:
+        unknown = sorted(str(w) for w in s.availability if str(w) not in by_str)
+        if unknown:
+            raise ValueError(f"scenario {s.id}: no RES unit named {', '.join(unknown)}")
+        availability = {by_str[str(w)]: prof for w, prof in s.availability.items()}
+        for w in sys.res_units:
+            if w.id not in availability:
+                raise ValueError(f"scenario {s.id}: no profile for RES unit {w.id!r}")
+            if len(availability[w.id]) != sys.horizon:
+                raise ValueError(
+                    f"scenario {s.id}, unit {w.id!r}: profile has "
+                    f"{len(availability[w.id])} periods, horizon is {sys.horizon}")
+        scenarios.append(replace(s, availability=availability))
+    return ScenarioSet(scenarios=tuple(scenarios))
 
 
 def peak_penetration(sys: PowerSystem, scen: ScenarioSet) -> float:
@@ -372,19 +338,20 @@ class CaseFormatError(ValueError):
     """Raised when a case document is structurally invalid."""
 
 
+# per-bus id lists a case document may carry: the element collection and
+# field each one repeats
+_BUS_LISTS = {
+    "generator_ids": ("generators", "bus_id"),
+    "res_ids": ("res_units", "bus_id"),
+    "inbound_line_ids": ("lines", "to_bus"),
+    "outbound_line_ids": ("lines", "from_bus"),
+}
+
+
 def system_to_dict(sys: PowerSystem) -> dict[str, Any]:
     return {
         "mva_base": sys.mva_base,
-        "buses": [
-            {
-                "id": b.id,
-                "generator_ids": list(b.generator_ids),
-                "res_ids": list(b.res_ids),
-                "inbound_line_ids": list(b.inbound_line_ids),
-                "outbound_line_ids": list(b.outbound_line_ids),
-            }
-            for b in sys.buses
-        ],
+        "buses": [{"id": b.id} for b in sys.buses],
         "generators": [
             {
                 "id": g.id,
@@ -508,38 +475,24 @@ def system_from_dict(doc: dict[str, Any]) -> PowerSystem:
         horizon = max(horizon, len(mw))
     demand = DemandProfile(rows=rows, horizon_length=horizon)
 
-    bus_docs = doc["buses"]
-    explicit_adjacency = any(
-        key in b for b in bus_docs
-        for key in ("generator_ids", "res_ids", "inbound_line_ids", "outbound_line_ids")
-    )
-    if explicit_adjacency:
-        buses = tuple(
-            Bus(
-                id=_require(b, "id", f"buses[{i}]"),
-                generator_ids=tuple(b.get("generator_ids", ())),
-                res_ids=tuple(b.get("res_ids", ())),
-                inbound_line_ids=tuple(b.get("inbound_line_ids", ())),
-                outbound_line_ids=tuple(b.get("outbound_line_ids", ())),
-            )
-            for i, b in enumerate(bus_docs)
-        )
-        return PowerSystem(
-            buses=buses,
-            generators=tuple(generators),
-            lines=tuple(lines),
-            res_units=tuple(res_units),
-            demand=demand,
-            mva_base=float(doc.get("mva_base", 100.0)),
-        )
-    return build_system(
-        bus_ids=[_require(b, "id", f"buses[{i}]") for i, b in enumerate(bus_docs)],
+    system = build_system(
+        bus_ids=[_require(b, "id", f"buses[{i}]") for i, b in enumerate(doc["buses"])],
         generators=generators,
         lines=lines,
         res_units=res_units,
         demand=demand,
         mva_base=float(doc.get("mva_base", 100.0)),
     )
+    for i, b in enumerate(doc["buses"]):
+        for key, (coll, attr) in _BUS_LISTS.items():
+            if key not in b:
+                continue
+            placed = {item.id for item in getattr(system, coll)
+                      if getattr(item, attr) == b["id"]}
+            if not isinstance(b[key], list) or set(b[key]) != placed:
+                raise CaseFormatError(
+                    f"buses[{i}].{key}: does not match the {attr} fields of {coll}")
+    return system
 
 
 def load_system(path: str | Path) -> PowerSystem:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .system import Id, PowerSystem
+from .system import Id, PowerSystem, _components
 
 
 @dataclass(frozen=True)
@@ -19,13 +19,10 @@ class Contingency:
     candidate_switch_ids: tuple[Id, ...] = ()
 
 
-def _adjacency(sys: PowerSystem, removed: set[Id] | frozenset[Id] = frozenset()
-               ) -> dict[Id, list[tuple[Id, Id]]]:
-    """bus -> list of (neighbor bus, line id), excluding removed lines."""
+def _adjacency(sys: PowerSystem) -> dict[Id, list[tuple[Id, Id]]]:
+    """bus -> list of (neighbor bus, line id)."""
     adj: dict[Id, list[tuple[Id, Id]]] = {b.id: [] for b in sys.buses}
     for line in sys.lines:
-        if line.id in removed:
-            continue
         adj[line.from_bus].append((line.to_bus, line.id))
         adj[line.to_bus].append((line.from_bus, line.id))
     return adj
@@ -34,23 +31,9 @@ def _adjacency(sys: PowerSystem, removed: set[Id] | frozenset[Id] = frozenset()
 def islands_after(sys: PowerSystem, removed_line_ids: set[Id] | frozenset[Id] = frozenset()
                   ) -> list[set[Id]]:
     """Connected components of the network after removing the given lines."""
-    adj = _adjacency(sys, set(removed_line_ids))
-    seen: set[Id] = set()
-    comps: list[set[Id]] = []
-    for start in adj:
-        if start in seen:
-            continue
-        comp: set[Id] = set()
-        stack = [start]
-        while stack:
-            n = stack.pop()
-            if n in comp:
-                continue
-            comp.add(n)
-            stack.extend(m for m, _k in adj[n] if m not in comp)
-        seen |= comp
-        comps.append(comp)
-    return comps
+    removed = set(removed_line_ids)
+    return _components([b.id for b in sys.buses],
+                       [(k.from_bus, k.to_bus) for k in sys.lines if k.id not in removed])
 
 
 def find_bridges(sys: PowerSystem) -> set[Id]:
@@ -107,13 +90,19 @@ def build_contingency_set(
 
     Switch candidates for each contingency are the switchable non-bridge
     lines other than the outaged one, intersected with ``switch_pool``
-    when given.  ``whitelist`` restricts which lines are outaged at all.
+    when given.  ``whitelist`` restricts which lines are outaged at all;
+    a bridge in it is skipped, an id that names no line raises ValueError.
     With ``strict_islanding`` a candidate is dropped when opening it
     together with the outage would split the network; by default such
     candidates are kept and the nodal balance decides their fate.
     """
-    bridges = find_bridges(sys)
     line_ids = [k.id for k in sys.lines]
+    if whitelist is not None:
+        unknown = set(whitelist) - set(line_ids)
+        if unknown:
+            raise ValueError(
+                f"whitelist names no line: {', '.join(sorted(map(str, unknown)))}")
+    bridges = find_bridges(sys)
     switchable = {k.id for k in sys.lines if k.switchable}
     contingencies: list[Contingency] = []
     for c in line_ids:

@@ -95,6 +95,9 @@ class TestRun:
         white.write_text(json.dumps(["L1"]))
         assert run_cli("run", TOY, TOY_SCEN, "--contingencies", str(white),
                        "--out-dir", str(tmp_path)) == 0
+        white.write_text(json.dumps(["L1", "L9"]))
+        assert run_cli("run", TOY, TOY_SCEN, "--contingencies", str(white),
+                       "--out-dir", str(tmp_path)) == 2
 
     def _stop_at_time_limit(self, monkeypatch, **changes):
         real_solve = cli_mod.solve
@@ -157,6 +160,28 @@ class TestRun:
             [{"id": "s0", "probability": 1.0, "availability": {"w1": [1, 2]}}]))
         assert run_cli("run", TOY, str(scen), "--block-len", "1",
                        "--out-dir", str(tmp_path)) == 2
+
+    def test_misspelt_res_key_is_input_error(self, tmp_path, capsys):
+        doc = json.loads(bundled("toy3_scenarios.json").read_text())
+        for s in doc:
+            s["availability"]["w1_typo"] = s["availability"].pop("w1")
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(doc))
+        assert run_cli("run", TOY, str(scen), "--out-dir", str(tmp_path)) == 2
+        assert "w1_typo" in capsys.readouterr().err
+
+
+class TestFlags:
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--factors", "1", "--penalty", "50"),
+        ("sweep", "--factors", "1", "--penalty-table"),
+        ("verify", "--penalty-table"),
+    ])
+    def test_flags_a_command_ignores_are_rejected(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(argv[0], TOY, TOY_SCEN, *argv[1:], "--out-dir",
+                    str(tmp_path))
+        assert exc.value.code == 2
 
 
 class TestSweep:

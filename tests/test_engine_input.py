@@ -31,6 +31,14 @@ TOY3_DIGESTS = {
     ModelKind.SSCUC_CNR:
         "2c364d3d07612319d30ffd427815db9554a21a0f7cce8b3924ca21bd9e4a147a",
 }
+# the same for ``rts24_slice()``, which pins the bundled RTS-24 case document
+# and everything loaded from it
+RTS24_SLICE_DIGESTS = {
+    ModelKind.SSCUC:
+        "4b963c2647265e17f6130cf9d0e53823c0d5f06ea5ca3cfebded44ea423261c4",
+    ModelKind.SSCUC_CNR:
+        "7a4771e4558c5860d7207e49a255c491ddeb440fb398ab756daeecc8af820882",
+}
 
 
 # the row families in the order the builders append them (the formulation
@@ -163,6 +171,11 @@ class TestEngineInput:
     def test_toy3_digest(self, kind):
         prob = assemble(*toy3_inputs(), FormulationConfig(model_kind=kind))
         assert digest(prob) == TOY3_DIGESTS[kind]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rts24_slice_digest(self, kind):
+        prob = assemble(*rts24_slice(), FormulationConfig(model_kind=kind))
+        assert digest(prob) == RTS24_SLICE_DIGESTS[kind]
 
     def test_clones_share_the_matrix(self):
         prob = assemble(*toy3_inputs(), FormulationConfig())

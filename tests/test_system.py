@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridsched import (DemandProfile, ResUnit, build_scenario_set,
-                       build_system, load_system, peak_penetration,
-                       scale_penetration, save_system, validate_system)
+from gridsched import (DemandProfile, ResUnit, ScenarioSet, align_scenarios,
+                       build_scenario_set, build_system, load_system,
+                       peak_penetration, scale_penetration, save_system,
+                       validate_system)
+from gridsched.scenarios import Scenario
 from gridsched.system import CaseFormatError, system_from_dict, system_to_dict
 
 from conftest import make_gen, triangle_scenarios, triangle_system
@@ -49,11 +51,16 @@ class TestValidation:
         assert any("disconnected" in v.message for v in report.violations)
 
     def test_inconsistent_adjacency_reported(self):
-        sys_obj = triangle_system()
-        bus0 = replace(sys_obj.buses[0], generator_ids=("g1", "g2"))
-        sys_obj = replace(sys_obj, buses=(bus0,) + sys_obj.buses[1:])
-        report = validate_system(sys_obj)
-        assert any("generator_ids" in v.path for v in report.violations)
+        # a document's per-bus lists are checked against the element fields
+        # when it is loaded
+        doc = system_to_dict(triangle_system())
+        doc["buses"][0]["generator_ids"] = ["g1", "g2"]
+        with pytest.raises(CaseFormatError, match=r"buses\[0\]\.generator_ids"):
+            system_from_dict(doc)
+        doc["buses"][0]["generator_ids"] = ["g1"]
+        doc["buses"][2]["inbound_line_ids"] = ["L2"]
+        with pytest.raises(CaseFormatError, match=r"buses\[2\]\.inbound_line_ids"):
+            system_from_dict(doc)
 
 
 class TestScalePenetration:
@@ -86,6 +93,27 @@ class TestScalePenetration:
             for w in s1.availability:
                 for v1, v2 in zip(s1.availability[w], s2.availability[w]):
                     assert v1 == pytest.approx(v2, rel=1e-12, abs=1e-12)
+
+
+class TestAlignScenarios:
+    @pytest.mark.parametrize("availability, match", [
+        ({"w1": [1.0, 2.0], "w2": [0.0, 0.0]}, "no RES unit named w2"),
+        ({"w1_typo": [1.0, 2.0]}, "no RES unit named w1_typo"),
+        ({}, "no profile for RES unit 'w1'"),
+        ({"w1": [1.0, 2.0, 3.0]}, "3 periods, horizon is 2"),
+    ])
+    def test_rejects_profiles_that_miss_the_units(self, availability, match):
+        scen = ScenarioSet(scenarios=(Scenario("s0", 1.0, availability),))
+        with pytest.raises(ValueError, match=match):
+            align_scenarios(triangle_system(T=2), scen)
+
+    def test_integer_keys_are_coerced(self):
+        demand = DemandProfile(rows={"n": (5.0,)}, horizon_length=1)
+        sys_obj = build_system(["n"], [make_gen("g", "n")], [],
+                               [ResUnit(id=7, bus_id="n")], demand)
+        scen = build_scenario_set([{"7": [3.0]}], [1.0])
+        assert align_scenarios(sys_obj, scen).scenarios[0].availability == \
+            {7: (3.0,)}
 
 
 class TestPeakPenetration:
@@ -136,13 +164,15 @@ class TestJsonRoundTrip:
 
     def test_adjacency_derived_when_absent(self):
         doc = system_to_dict(triangle_system())
-        for bus in doc["buses"]:
-            for key in ("generator_ids", "res_ids", "inbound_line_ids",
-                        "outbound_line_ids"):
-                del bus[key]
-        rebuilt = system_from_dict(doc)
-        assert validate_system(rebuilt).ok
-        assert rebuilt == triangle_system()
+        assert all(set(bus) == {"id"} for bus in doc["buses"])
+        listed = json.loads(json.dumps(doc))
+        for bus, gens, res, inbound, outbound in zip(
+                listed["buses"], (["g1"], ["g2"], []), ([], [], ["w1"]),
+                ([], ["L1"], ["L3", "L2"]), (["L1", "L2"], ["L3"], [])):
+            bus.update(generator_ids=gens, res_ids=res,
+                       inbound_line_ids=inbound, outbound_line_ids=outbound)
+        assert system_from_dict(listed) == system_from_dict(doc) \
+            == triangle_system()
 
     def test_missing_field_diagnostic(self):
         doc = system_to_dict(triangle_system())

@@ -95,6 +95,12 @@ class TestContingencySet:
         cont = build_contingency_set(triangle_system(), whitelist={"L2"})
         assert [c.outaged_line_id for c in cont] == ["L2"]
 
+    def test_whitelist_id_naming_no_line_rejected(self):
+        with pytest.raises(ValueError, match="L9"):
+            build_contingency_set(triangle_system(), whitelist={"L9"})
+        # a bridge names a line: it is skipped, not rejected
+        assert build_contingency_set(path_system(), whitelist={"La"}) == []
+
     def test_switch_pool_restricts_candidates(self):
         cont = build_contingency_set(triangle_system(), switch_pool={"L3"})
         for c in cont:
