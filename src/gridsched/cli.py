@@ -43,8 +43,6 @@ class InputError(Exception):
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("case", help="case JSON document")
     p.add_argument("scenarios", help="scenario JSON file")
-    p.add_argument("--model", default="sscuc", choices=["sscuc", "sscuc-cnr"],
-                   help="model kind (default sscuc)")
     p.add_argument("--mip-gap", type=float, default=0.01,
                    help="relative MIP gap (default 0.01)")
     p.add_argument("--switch-limit", type=int, default=1,
@@ -64,6 +62,11 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="accepted for scripts; HiGHS runs with its fixed "
                         "default seed")
     p.add_argument("--out-dir", default=".", help="output directory")
+
+
+def _add_model_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--model", default="sscuc", choices=["sscuc", "sscuc-cnr"],
+                   help="model kind (default sscuc)")
 
 
 def _add_penalty_flag(p: argparse.ArgumentParser) -> None:
@@ -114,10 +117,10 @@ def _apply_penalty(system: PowerSystem, penalty: str | None
     return replace(system, res_units=res_units), True
 
 
-def _build_config(args, system: PowerSystem, penalty_enabled: bool
-                  ) -> FormulationConfig:
+def _build_config(args, system: PowerSystem, kind: ModelKind,
+                  penalty_enabled: bool) -> FormulationConfig:
     return FormulationConfig(
-        model_kind=ModelKind.parse(args.model),
+        model_kind=kind,
         switch_limit=args.switch_limit,
         angle_bound=args.angle_bound,
         reference_bus=_coerce_id(system, args.ref_bus),
@@ -150,7 +153,8 @@ def _solve_one(system, scen, contingencies, cfg, opts):
 def cmd_run(args) -> int:
     system, scen = _load_inputs(args)
     system, penalty_enabled = _apply_penalty(system, args.penalty)
-    cfg = _build_config(args, system, penalty_enabled)
+    cfg = _build_config(args, system, ModelKind.parse(args.model),
+                        penalty_enabled)
     contingencies = _contingencies(args, system)
     opts = SolveOptions(mip_gap=args.mip_gap, time_limit=args.time_limit,
                         deterministic_seed=args.seed)
@@ -214,8 +218,7 @@ def cmd_sweep(args) -> int:
         scaled = scale_penetration(scen, factor)
         for kind in ModelKind:
             for penalty_on in (True, False):
-                cfg = replace(_build_config(args, system, penalty_on),
-                              model_kind=kind)
+                cfg = _build_config(args, system, kind, penalty_on)
                 row = {"factor": factor, "model": kind.value,
                        "penalty": "on" if penalty_on else "off"}
                 try:
@@ -274,7 +277,8 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     system, scen = _load_inputs(args)
     system, penalty_enabled = _apply_penalty(system, args.penalty)
-    cfg = _build_config(args, system, penalty_enabled)
+    cfg = _build_config(args, system, ModelKind.parse(args.model),
+                        penalty_enabled)
     contingencies = _contingencies(args, system)
     opts = SolveOptions(mip_gap=0.0, time_limit=args.time_limit,
                         deterministic_seed=args.seed)
@@ -338,6 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="solve one model and write reports")
     _add_common_flags(p_run)
+    _add_model_flag(p_run)
     _add_penalty_flag(p_run)
     p_run.add_argument("--penalty-table", action="store_true",
                        help="also solve with the penalty disabled and write "
@@ -352,6 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="MILP vs exhaustive oracle")
     _add_common_flags(p_verify)
+    _add_model_flag(p_verify)
     _add_penalty_flag(p_verify)
     p_verify.set_defaults(func=cmd_verify)
     return parser

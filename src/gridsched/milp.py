@@ -21,7 +21,8 @@ the CSR arrays (each row's terms in the order its family lists them,
 explicit zeros kept, no column twice in a row) with the row lb/ub
 vectors.  ``check``, ``objective_value`` and ``max_violation`` are numpy
 operations on these arrays.  The sparse matrix handed to the engine is
-built from them once and cached; ``clone_with_bounds`` copies share it.
+built from them once and cached; ``clone_with_bounds`` copies share it,
+and so does anything else kept with it through ``shared``.
 
 Names are derived on demand from (block, offset): row labels like
 ``eq15[L2,3,s0]`` map a row back to the printed model equation, and
@@ -335,7 +336,6 @@ class _Model:
         self.lo = _Column(float)
         self.hi = _Column(float)
         self._cache: dict = {}
-        self.view = RowView(self)
 
     # -- rows ---------------------------------------------------------------
 
@@ -451,6 +451,9 @@ class MilpProblem:
         self._lb = _Column(float)
         self._ub = _Column(float)
         self._model = _Model()
+        # held here, not on the model: a model that referred back to
+        # itself would wait for the cycle collector to free its cache
+        self._rows = RowView(self._model)
 
     # -- columns -----------------------------------------------------------
 
@@ -523,7 +526,7 @@ class MilpProblem:
 
     @property
     def rows(self) -> RowView:
-        return self._model.view
+        return self._rows
 
     def add_row(self, coeffs: list[tuple[int, float]], lb: float, ub: float,
                 label: str) -> int:
@@ -577,6 +580,15 @@ class MilpProblem:
         """The cached (CSC matrix, row lb, row ub) of every row, as the
         engine takes it; clones share it."""
         return self._model.matrix(n_cols)
+
+    def shared(self, key: str, build):
+        """The value cached under ``key`` with the matrix, which clones
+        share: ``build()`` makes it on first use, and adding columns,
+        rows or objective terms drops it."""
+        cache = self._model._cache
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
 
     # -- objective ---------------------------------------------------------
 

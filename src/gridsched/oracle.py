@@ -188,18 +188,21 @@ def enumerate_commitments(
                     raise CapExceeded(
                         f"enumeration needs more than {caps.max_lp_solves} LP solves")
                 result = solve(prob.clone_with_bounds(fixes), lp_opts)
-                assignment = {names[col]: int(val) for col, val in fixes.items()}
-                if result.status is SolveStatus.OPTIMAL:
-                    if keep_records:
-                        records.append(AssignmentRecord(
-                            assignment, result.status.value, result.objective))
-                    if best is None or result.objective < best - 1e-12:
-                        best = result.objective
-                        best_assignment = assignment
-                else:
-                    if keep_records:
-                        records.append(AssignmentRecord(
-                            assignment, result.status.value, None))
+                optimal = result.status is SolveStatus.OPTIMAL
+                better = optimal and (best is None
+                                      or result.objective < best - 1e-12)
+                # most LPs are infeasible: name an assignment only when
+                # it is kept
+                if keep_records or better:
+                    assignment = {names[col]: int(val)
+                                  for col, val in fixes.items()}
+                if keep_records:
+                    records.append(AssignmentRecord(
+                        assignment, result.status.value,
+                        result.objective if optimal else None))
+                if better:
+                    best = result.objective
+                    best_assignment = assignment
     return OracleResult(best_objective=best, best_assignment=best_assignment,
                         records=records, lp_solves=lp_solves)
 

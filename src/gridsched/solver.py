@@ -1,29 +1,58 @@
-"""MILP solve contract over HiGHS, reached through scipy's ``milp``.
+"""MILP solve contract over HiGHS.
 
 ``solve`` hands HiGHS a ``MilpProblem``'s arrays and its cached sparse
 matrix, runs it once and checks what comes back: integer columns must be
 integral and the point must satisfy every row and bound.  A failure of
 HiGHS itself raises ``EngineError``; a point that fails the checks raises
-``SolverError``.  HiGHS runs with its fixed
-default random seed; ``SolveOptions.deterministic_seed`` (the CLI's
-``--seed``) is accepted but not passed to it, because scipy's ``milp``
-has no option for it.
+``SolverError``.
+
+The model's bounds choose how HiGHS is reached:
+
+- A problem whose integer columns are all fixed (``lb == ub``) is an LP,
+  like each of the exhaustive oracle's fixed-binary clones.  It goes to
+  one HiGHS instance per model, made through scipy's bundled bindings
+  and kept with the cached matrix, which ``clone_with_bounds`` copies
+  share.  A solve passes only the column bounds that differ from the
+  ones the instance last saw, and HiGHS's dual simplex restarts from the
+  last basis.  The bindings are private to scipy; ``_highs_bindings``
+  checks them and fails with ``EngineError``.
+- Every other problem goes through scipy's ``milp``, which builds a new
+  HiGHS object per call.  MILPs stay there because the benchmark under
+  ``perfbench/`` traces ``gridsched.solver.milp`` as the engine, so moving
+  them off it needs a change to the benchmark first.
+
+HiGHS runs with its fixed default random seed;
+``SolveOptions.deterministic_seed`` (the CLI's ``--seed``) is accepted but
+not passed to it, because scipy's ``milp`` has no option for it.
 """
 
 from __future__ import annotations
 
 import enum
+import importlib
 import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
+import scipy
+from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, milp
 
 from .milp import MilpProblem
 
 INTEGRALITY_TOL = 1e-6
 FEASIBILITY_TOL = 1e-6  # scaled row violation accepted from the engine
+
+_BINDINGS = "scipy.optimize._highspy._core"
+_BINDING_NAMES = ("_Highs", "HighsLp", "HighsModelStatus", "HighsStatus",
+                  "MatrixFormat")
+_HIGHS_METHODS = ("passModel", "changeColsBounds", "setOptionValue", "run",
+                  "getModelStatus", "getSolution", "modelStatusToString")
+# scipy's status codes for HiGHS's model statuses, as scipy's own wrapper
+# maps them (0 optimal, 1 limit, 2 infeasible, 3 unbounded); any other
+# status, kUnboundedOrInfeasible and the error statuses among them, is 4
+_SCIPY_CODES = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1,
+                "kInfeasible": 2, "kModelError": 2, "kUnbounded": 3}
 
 
 class SolverError(RuntimeError):
@@ -82,28 +111,13 @@ def solve(prob: MilpProblem, opts: SolveOptions | None = None) -> SolveResult:
     n = prob.num_vars
     if n == 0:
         raise SolverError("malformed problem: no variables")
-    c = prob.objective_vector()
-    lb, ub = prob.lb, prob.ub
-    integrality = prob.integer.astype(np.uint8)
-    # a constant objective term rides along as a column fixed to 1, so the
-    # engine's relative-gap termination sees the true objective scale
-    shift = prob.objective_constant != 0.0
-    if shift:
-        c = np.concatenate((c, [prob.objective_constant]))
-        lb, ub = np.concatenate((lb, [1.0])), np.concatenate((ub, [1.0]))
-        integrality = np.concatenate((integrality, np.zeros(1, dtype=np.uint8)))
-    constraints = []
-    if prob.num_rows:
-        A, lo, hi = prob.matrix(n + 1 if shift else n)
-        constraints.append(LinearConstraint(A, lo, hi))
-
-    options: dict = {"mip_rel_gap": opts.mip_gap, "presolve": True}
-    if opts.time_limit is not None:
-        options["time_limit"] = float(opts.time_limit)
-
+    cols = np.flatnonzero(prob.integer)
     started = time.perf_counter()
-    res = milp(c=c, constraints=constraints, integrality=integrality,
-               bounds=Bounds(lb, ub), options=options)
+    if (prob.lb[cols] == prob.ub[cols]).all():
+        res = prob.shared("highs-lp", lambda: _HighsLp(prob)).solve(
+            prob, opts.time_limit)
+    else:
+        res = _solve_milp(prob, opts)
     wall = time.perf_counter() - started
     stats = {"wall_time": wall, "message": res.message,
              "nodes": _stat(res, "mip_node_count", int),
@@ -120,7 +134,6 @@ def solve(prob: MilpProblem, opts: SolveOptions | None = None) -> SolveResult:
 
     x = np.array(res.x[:n], dtype=float)
     # integer values must already be integral up to tolerance; then round
-    cols = np.flatnonzero(prob.integer)
     rounded = np.round(x[cols]) + 0.0  # + 0.0 turns -0.0 into 0.0
     residual = np.abs(x[cols] - rounded)
     bad = np.flatnonzero(residual > INTEGRALITY_TOL)
@@ -150,6 +163,102 @@ def solve(prob: MilpProblem, opts: SolveOptions | None = None) -> SolveResult:
 
     return SolveResult(status=status, objective=objective, best_bound=best_bound,
                        x=x, max_violation=viol, **stats)
+
+
+def _solve_milp(prob: MilpProblem, opts: SolveOptions) -> OptimizeResult:
+    """One call of scipy's ``milp``, which makes a new HiGHS object."""
+    n = prob.num_vars
+    c = prob.objective_vector()
+    lb, ub = prob.lb, prob.ub
+    integrality = prob.integer.astype(np.uint8)
+    # a constant objective term rides along as a column fixed to 1, so the
+    # engine's relative-gap termination sees the true objective scale
+    shift = prob.objective_constant != 0.0
+    if shift:
+        c = np.concatenate((c, [prob.objective_constant]))
+        lb, ub = np.concatenate((lb, [1.0])), np.concatenate((ub, [1.0]))
+        integrality = np.concatenate((integrality, np.zeros(1, dtype=np.uint8)))
+    constraints = []
+    if prob.num_rows:
+        A, lo, hi = prob.matrix(n + 1 if shift else n)
+        constraints.append(LinearConstraint(A, lo, hi))
+
+    options: dict = {"mip_rel_gap": opts.mip_gap, "presolve": True}
+    if opts.time_limit is not None:
+        options["time_limit"] = float(opts.time_limit)
+    return milp(c=c, constraints=constraints, integrality=integrality,
+                bounds=Bounds(lb, ub), options=options)
+
+
+def _highs_bindings():
+    """scipy's bundled HiGHS bindings, with every name the LP route uses.
+
+    The module is private to scipy and may move or change between
+    versions; then this raises ``EngineError`` naming scipy's version.
+    """
+    try:
+        core = importlib.import_module(_BINDINGS)
+    except ImportError as exc:
+        raise EngineError(f"scipy {scipy.__version__} has no HiGHS bindings "
+                          f"at {_BINDINGS}: {exc}") from exc
+    missing = [name for name in _BINDING_NAMES if not hasattr(core, name)]
+    if not missing:
+        missing = [f"_Highs.{name}" for name in _HIGHS_METHODS
+                   if not hasattr(core._Highs, name)]
+    if missing:
+        raise EngineError(f"scipy {scipy.__version__}'s HiGHS bindings at "
+                          f"{_BINDINGS} lack {', '.join(missing)}")
+    return core
+
+
+class _HighsLp:
+    """One HiGHS instance holding a model's LP, and the column bounds it
+    last saw."""
+
+    def __init__(self, prob: MilpProblem) -> None:
+        core = _highs_bindings()
+        A, lo, hi = prob.matrix()
+        lp = core.HighsLp()
+        lp.num_col_, lp.num_row_ = prob.num_vars, prob.num_rows
+        lp.col_cost_ = prob.objective_vector()
+        lp.col_lower_, lp.col_upper_ = prob.lb, prob.ub
+        lp.row_lower_, lp.row_upper_ = lo, hi
+        matrix = lp.a_matrix_
+        matrix.format_ = core.MatrixFormat.kColwise
+        matrix.num_col_, matrix.num_row_ = prob.num_vars, prob.num_rows
+        matrix.start_, matrix.index_, matrix.value_ = A.indptr, A.indices, A.data
+        self.highs = core._Highs()
+        self.highs.setOptionValue("output_flag", False)
+        self.highs.setOptionValue("presolve", "on")  # as ``milp`` sets it
+        self.error = core.HighsStatus.kError
+        if self.highs.passModel(lp) == self.error:
+            raise EngineError("engine failure: HiGHS rejected the model")
+        self.codes = {getattr(core.HighsModelStatus, name): code
+                      for name, code in _SCIPY_CODES.items()}
+        self.lb, self.ub = prob.lb.copy(), prob.ub.copy()
+        self.time_limit = math.inf
+
+    def solve(self, prob: MilpProblem, time_limit: float | None
+              ) -> OptimizeResult:
+        """Pass the bounds that changed, then rerun from the last basis."""
+        highs = self.highs
+        changed = np.flatnonzero((prob.lb != self.lb) | (prob.ub != self.ub))
+        if changed.size:
+            lb, ub = prob.lb[changed], prob.ub[changed]
+            if highs.changeColsBounds(changed.size, changed.astype(np.int32),
+                                      lb, ub) == self.error:
+                raise EngineError("engine failure: HiGHS rejected a bound")
+            self.lb[changed], self.ub[changed] = lb, ub
+        limit = math.inf if time_limit is None else float(time_limit)
+        if limit != self.time_limit:
+            highs.setOptionValue("time_limit", limit)
+            self.time_limit = limit
+        highs.run()
+        model_status = highs.getModelStatus()
+        status = self.codes.get(model_status, 4)
+        x = np.array(highs.getSolution().col_value) if status == 0 else None
+        return OptimizeResult(status=status, x=x,
+                              message=highs.modelStatusToString(model_status))
 
 
 def _stat(res, name: str, kind):

@@ -176,6 +176,7 @@ class TestFlags:
         ("sweep", "--factors", "1", "--penalty", "50"),
         ("sweep", "--factors", "1", "--penalty-table"),
         ("verify", "--penalty-table"),
+        ("sweep", "--factors", "1", "--model", "sscuc-cnr"),
     ])
     def test_flags_a_command_ignores_are_rejected(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
