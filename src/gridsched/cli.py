@@ -58,9 +58,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="drop switch candidates that would island the network")
     p.add_argument("--time-limit", type=float, default=None,
                    help="solver time limit in seconds")
-    p.add_argument("--seed", type=int, default=0,
-                   help="accepted for scripts; HiGHS runs with its fixed "
-                        "default seed")
     p.add_argument("--out-dir", default=".", help="output directory")
 
 
@@ -156,8 +153,7 @@ def cmd_run(args) -> int:
     cfg = _build_config(args, system, ModelKind.parse(args.model),
                         penalty_enabled)
     contingencies = _contingencies(args, system)
-    opts = SolveOptions(mip_gap=args.mip_gap, time_limit=args.time_limit,
-                        deterministic_seed=args.seed)
+    opts = SolveOptions(mip_gap=args.mip_gap, time_limit=args.time_limit)
     prob, result = _solve_one(system, scen, contingencies, cfg, opts)
     # a time-limit incumbent is verified and reported, with exit 3
     limited = result.status is SolveStatus.TIME_LIMIT
@@ -209,8 +205,7 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     system, scen = _load_inputs(args)
     contingencies = _contingencies(args, system)
-    opts = SolveOptions(mip_gap=args.mip_gap, time_limit=args.time_limit,
-                        deterministic_seed=args.seed)
+    opts = SolveOptions(mip_gap=args.mip_gap, time_limit=args.time_limit)
     rows, engine_failures = [], 0
     for factor in args.factors:
         if factor < 0:
@@ -280,8 +275,7 @@ def cmd_verify(args) -> int:
     cfg = _build_config(args, system, ModelKind.parse(args.model),
                         penalty_enabled)
     contingencies = _contingencies(args, system)
-    opts = SolveOptions(mip_gap=0.0, time_limit=args.time_limit,
-                        deterministic_seed=args.seed)
+    opts = SolveOptions(mip_gap=0.0, time_limit=args.time_limit)
 
     try:
         oracle_result = oracle.enumerate_commitments(

@@ -64,7 +64,6 @@ class ModelKind(enum.Enum):
 class FormulationConfig:
     model_kind: ModelKind = ModelKind.SSCUC
     switch_limit: int = 1          # max opened lines per contingency/period/scenario
-    big_m_margin: float = 10.0     # MW of slack on top of the worst-case flow term
     angle_bound: float = 0.6       # radians, symmetric box on every bus angle
     reference_bus: Id | None = None  # defaults to the first bus
     penalty_enabled: bool = True   # charge post-contingency curtailment in the objective
@@ -74,8 +73,9 @@ class FormulationConfig:
             raise ValueError("switch_limit must be >= 0")
         if self.angle_bound <= 0:
             raise ValueError("angle_bound must be > 0")
-        if self.big_m_margin < 0:
-            raise ValueError("big_m_margin must be >= 0")
+
+
+BIG_M_MARGIN = 10.0  # MW of slack on top of the worst-case flow term
 
 
 def compute_big_m(line: TransmissionLine, cfg: FormulationConfig,
@@ -86,7 +86,7 @@ def compute_big_m(line: TransmissionLine, cfg: FormulationConfig,
     so setting the switch state to 0 silences the flow definition without
     cutting any feasible angles.
     """
-    return abs(line.susceptance) * mva_base * 2.0 * cfg.angle_bound + cfg.big_m_margin
+    return abs(line.susceptance) * mva_base * 2.0 * cfg.angle_bound + BIG_M_MARGIN
 
 
 def _line_ends(sys: PowerSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -150,7 +150,7 @@ def _previous(cols: np.ndarray) -> np.ndarray:
     return np.concatenate([first, cols[:, :-1]], axis=1)
 
 
-def _padded(rows: list[list[tuple]], shape: tuple) -> list[tuple]:
+def padded_terms(rows: list[list[tuple]], shape: tuple) -> list[tuple]:
     """Per-row term lists of different lengths as block terms: term j of
     row i is ``rows[i][j]`` (columns of ``shape``, coefficient); the
     result's term j stacks them over the rows, shaped (rows, *shape), with
@@ -315,17 +315,17 @@ def add_base_generator_constraints(prob: MilpProblem, sys: PowerSystem,
     up = [(i, t) for i, g in enumerate(gens) for t in range(g.min_up, T + 1)]
     prob.add_row_block(
         "eq8", [(gens[i].id, t) for i, t in up],
-        _padded([[(v[i, q - 1], 1.0)
-                  for q in range(t - gens[i].min_up + 1, t + 1)]
-                 + [(u[i, t - 1], -1.0)] for i, t in up], ()),
+        padded_terms([[(v[i, q - 1], 1.0)
+                       for q in range(t - gens[i].min_up + 1, t + 1)]
+                      + [(u[i, t - 1], -1.0)] for i, t in up], ()),
         -INF, 0.0, padded=True)
     down = [(i, t) for i, g in enumerate(gens)
             for t in range(1, T - g.min_down + 1)]
     prob.add_row_block(
         "eq9", [(gens[i].id, t) for i, t in down],
-        _padded([[(v[i, q - 1], 1.0)
-                  for q in range(t + 1, t + gens[i].min_down + 1)]
-                 + [(u[i, t - 1], 1.0)] for i, t in down], ()),
+        padded_terms([[(v[i, q - 1], 1.0)
+                       for q in range(t + 1, t + gens[i].min_down + 1)]
+                      + [(u[i, t - 1], 1.0)] for i, t in down], ()),
         -INF, 1.0, padded=True)
     # eq10: startup indicator
     lb10 = np.zeros((G, T))
@@ -376,7 +376,7 @@ def _add_balance(prob: MilpProblem, family: str, sys: PowerSystem, inner,
     prob.add_row_block(
         family, [(n.id, *sfx) for n in sys.buses for sfx in suffixes],
         [(col.reshape(N * runs, T, S), coef.repeat(runs, axis=0)[..., 0])
-         for col, coef in _padded(terms, (runs, T, S))],
+         for col, coef in padded_terms(terms, (runs, T, S))],
         demand.reshape(-1, T, 1), demand.reshape(-1, T, 1), inner, padded=True)
 
 
@@ -532,9 +532,9 @@ def add_contingency_network(prob: MilpProblem, sys: PowerSystem,
     budgeted = [j for j, cands in enumerate(candidates) if cands]
     prob.add_row_block(
         "eq28", [(cids[j],) for j in budgeted],
-        _padded([[(z_all[z_at[(cids[j], k)]], 1.0)
-                  for k in contingencies[j].candidate_switch_ids]
-                 for j in budgeted], (T, S)),
+        padded_terms([[(z_all[z_at[(cids[j], k)]], 1.0)
+                       for k in contingencies[j].candidate_switch_ids]
+                      for j in budgeted], (T, S)),
         np.array([len(candidates[j]) - cfg.switch_limit for j in budgeted],
                  dtype=float).reshape(-1, 1, 1), INF, inner, padded=True)
 

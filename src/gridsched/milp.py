@@ -9,9 +9,11 @@ grid: each of its keys owns a run ``first[key] + q`` over the
 flattened inner axes (typically periods x scenarios), so one block holds
 every row of an equation family, or every column of a variable symbol,
 and a position's index tuple is its key followed by its inner values.
-The model builders emit whole blocks with numpy index arithmetic; the
-scalar ``add_var`` / ``add_registered`` / ``add_row`` /
-``add_objective_term`` calls are the one-element case of the same storage.
+The model builders emit whole blocks with numpy index arithmetic, and
+blocks are the only way in: ``add_cols`` appends columns that
+``registry.add_block`` names, one block per symbol; ``add_row_block``
+appends an equation family's rows; ``add_objective`` adds objective
+terms.  A single column or row is a block with one key and no inner axes.
 
 Row blocks are appended at the end of the model, so the rows are the
 blocks in the order they were added, each block key by key and one
@@ -24,9 +26,9 @@ operations on these arrays.  The sparse matrix handed to the engine is
 built from them once and cached; ``clone_with_bounds`` copies share it,
 and so does anything else kept with it through ``shared``.
 
-Names are derived on demand from (block, offset): row labels like
-``eq15[L2,3,s0]`` map a row back to the printed model equation, and
-registered columns are named by the documented scheme ``u[g,t]``,
+Names are derived on demand from (block, offset) by ``Block.label``: row
+labels like ``eq15[L2,3,s0]`` map a row back to the printed model
+equation, and columns are named by the documented scheme ``u[g,t]``,
 ``Pg[g,t,s]``, ``z[c,k,t,s]``.  Both are deterministic for a given
 system/scenario/contingency input order.  ``rows`` materialises ``Row``
 objects for inspection.
@@ -134,14 +136,6 @@ class Block:
         p = int(hit[0])
         return p * self.run + int(rel[p])
 
-    def append(self, key: tuple, number: int) -> None:
-        self.keys.append(key)
-        self.first = np.append(self.first, number)
-        self.shape = (len(self.keys),)
-        self._numbers = None
-        if self._positions is not None:
-            self._positions[0][self.keys[-1]] = len(self.keys) - 1
-
     def label(self, local: int) -> str:
         parts = self.index(local)
         if not parts:
@@ -172,95 +166,59 @@ def _flat(values, shape: tuple) -> np.ndarray:
     return out.reshape(-1)
 
 
-def _var_name(symbol: str, index: tuple) -> str:
-    return f"{symbol}[{','.join(str(i) for i in index)}]"
-
-
 class VariableRegistry:
-    """Maps (symbol, index tuple) to a column through column blocks."""
+    """Maps (symbol, index tuple) to a column: one column block per symbol."""
 
     def __init__(self) -> None:
-        self._blocks: dict[str, list[Block]] = {}
-        self._scalar: dict[str, Block] = {}  # grown by one-element adds
-
-    def add(self, symbol: str, index: tuple, col: int) -> None:
-        index = tuple(index)
-        if self._find(symbol, index) is not None:
-            raise ValueError(f"duplicate registration for {symbol}{list(index)}")
-        block = self._scalar.get(symbol)
-        if block is None:
-            block = self._scalar[symbol] = Block(symbol, [], [])
-            self._blocks.setdefault(symbol, []).append(block)
-        block.append(index, col)
+        self._blocks: dict[str, Block] = {}
 
     def add_block(self, block: Block) -> None:
+        """Register every column of a symbol; its keys, and the values
+        along each inner axis, must be distinct."""
+        if block.name in self._blocks:
+            raise ValueError(f"symbol {block.name} is already registered")
         if (len(set(block.keys)) < len(block.keys)
-                or any(len(set(axis)) < len(axis) for axis in block.inner)
-                or any(self._find(block.name, index) is not None
-                       for index in (block.indices()
-                                     if block.name in self._blocks else ()))):
+                or any(len(set(axis)) < len(axis) for axis in block.inner)):
             raise ValueError(f"duplicate registration in block {block.name}")
-        self._blocks.setdefault(block.name, []).append(block)
+        self._blocks[block.name] = block
 
     def block(self, symbol: str) -> Block:
-        """The single block holding every column of a symbol."""
-        blocks = self._blocks.get(symbol, [])
-        if len(blocks) != 1:
-            raise KeyError(f"{symbol}: {len(blocks)} column blocks, expected 1")
-        return blocks[0]
-
-    def _find(self, symbol: str, index: tuple) -> int | None:
-        for block in self._blocks.get(symbol, ()):
-            col = block.find(index)
-            if col is not None:
-                return col
-        return None
+        """The block holding every column of a symbol."""
+        return self._blocks[symbol]
 
     def col(self, symbol: str, *index) -> int:
-        col = self._find(symbol, index)
+        block = self._blocks.get(symbol)
+        col = None if block is None else block.find(index)
         if col is None:
             raise KeyError((symbol, index))
         return col
 
-    def _ordered(self, symbols) -> list[tuple[tuple[str, tuple], int]]:
-        """((symbol, index), column) pairs of these symbols, by column."""
-        keys: list[tuple[str, tuple]] = []
-        cols = [np.empty(0, dtype=np.int64)]
-        for symbol in symbols:
-            for block in self._blocks.get(symbol, ()):
-                keys.extend((symbol, index) for index in block.indices())
-                cols.append(block.numbers().ravel())
-        flat = np.concatenate(cols)
-        order = np.argsort(flat, kind="stable")
-        return [(keys[i], c) for i, c in zip(order.tolist(), flat[order].tolist())]
-
     def indices(self, symbol: str) -> list[tuple]:
-        return [index for (_, index), _ in self._ordered([symbol])]
+        block = self._blocks.get(symbol)
+        return [] if block is None else block.indices()
 
     def groups(self):
-        """Per symbol: its index tuples and their columns, in the order
-        they were registered."""
-        for symbol, blocks in self._blocks.items():
-            if len(blocks) == 1:
-                yield symbol, blocks[0].indices(), blocks[0].numbers().reshape(-1)
-                continue
-            yield (symbol, [index for block in blocks
-                            for index in block.indices()],
-                   np.concatenate([block.numbers().reshape(-1)
-                                   for block in blocks]))
+        """Per symbol, in the order they were registered: its index tuples
+        and their columns, in offset order."""
+        for symbol, block in self._blocks.items():
+            yield symbol, block.indices(), block.numbers().reshape(-1)
 
     def count(self, symbol: str) -> int:
-        return sum(block.size for block in self._blocks.get(symbol, ()))
+        block = self._blocks.get(symbol)
+        return 0 if block is None else block.size
 
-    def items(self) -> list[tuple[tuple[str, tuple], int]]:
-        return self._ordered(list(self._blocks))
+    def names(self, n_cols: int) -> list:
+        """Every column's name; None for a column no block holds."""
+        names = np.full(n_cols, None, dtype=object)
+        for block in self._blocks.values():
+            names[block.numbers().reshape(-1)] = block.labels()
+        return names.tolist()
 
     def name(self, col: int) -> str:
-        for symbol, blocks in self._blocks.items():
-            for block in blocks:
-                local = block.locate(col)
-                if local is not None:
-                    return _var_name(symbol, block.index(local))
+        for block in self._blocks.values():
+            local = block.locate(col)
+            if local is not None:
+                return block.label(local)
         raise KeyError(f"column {col} is not registered")
 
 
@@ -318,13 +276,12 @@ class RowView(Sequence):
 
 
 class _Model:
-    """Columns' integrality and names, the objective and the rows: the
-    storage a problem shares with its clones."""
+    """Columns' integrality, the objective and the rows: the storage a
+    problem shares with its clones."""
 
     def __init__(self) -> None:
         self.n_cols = 0
         self.integer = _Column(bool)
-        self.names: dict[int, str] = {}  # columns added by add_var
         self.obj_cols = _Column(np.int64)  # objective terms in call order
         self.obj_vals = _Column(float)
         self.n_rows = 0
@@ -478,17 +435,11 @@ class MilpProblem:
         model = self._model
         key = ("names", model.n_cols)
         if key not in model._cache:
-            names: list = [None] * model.n_cols
-            for col, name in model.names.items():
-                names[col] = name
-            for (symbol, index), col in self.registry.items():
-                names[col] = _var_name(symbol, index)
-            model._cache[key] = names
+            model._cache[key] = self.registry.names(model.n_cols)
         return model._cache[key]
 
     def var_name(self, col: int) -> str:
-        name = self._model.names.get(int(col))
-        return self.registry.name(int(col)) if name is None else name
+        return self.registry.name(int(col))
 
     def add_cols(self, lb, ub, integer) -> int:
         """Append columns with these bound and integrality arrays, for
@@ -501,23 +452,6 @@ class MilpProblem:
         self._model._cache.clear()
         return start
 
-    def add_var(self, name: str, lb: float = 0.0, ub: float = INF,
-                integer: bool = False) -> int:
-        if lb > ub:
-            raise ValueError(f"variable {name}: lb {lb} > ub {ub}")
-        col = self.add_cols([lb], [ub], [bool(integer)])
-        self._model.names[col] = name
-        return col
-
-    def add_registered(self, symbol: str, index: tuple, lb: float = 0.0,
-                       ub: float = INF, integer: bool = False) -> int:
-        if lb > ub:
-            raise ValueError(
-                f"variable {_var_name(symbol, tuple(index))}: lb {lb} > ub {ub}")
-        col = self.add_cols([lb], [ub], [bool(integer)])
-        self.registry.add(symbol, index, col)
-        return col
-
     # -- rows --------------------------------------------------------------
 
     @property
@@ -527,22 +461,6 @@ class MilpProblem:
     @property
     def rows(self) -> RowView:
         return self._rows
-
-    def add_row(self, coeffs: list[tuple[int, float]], lb: float, ub: float,
-                label: str) -> int:
-        """One row; a column given twice gets the sum of its coefficients."""
-        merged: dict[int, float] = {}
-        for col, coef in coeffs:
-            if not 0 <= col < self.num_vars:
-                raise ValueError(f"row {label}: unknown column {col}")
-            merged[col] = merged[col] + coef if col in merged else coef
-        row = self.num_rows
-        self._model.add_rows(
-            label, [()], (),
-            np.array(list(merged), dtype=np.int32).reshape(1, -1),
-            np.array(list(merged.values()), dtype=float).reshape(1, -1),
-            [lb], [ub], False)
-        return row
 
     def add_row_block(self, family: str | tuple[str, ...], keys: list[tuple],
                       terms, lb, ub, inner: tuple[tuple, ...] = (),
@@ -600,11 +518,6 @@ class MilpProblem:
     def objective_vector(self) -> np.ndarray:
         """Dense objective coefficients, one per column."""
         return self._model.objective_vector()
-
-    def add_objective_term(self, col: int, coef: float) -> None:
-        if not 0 <= col < self.num_vars:
-            raise ValueError(f"objective references unknown column {col}")
-        self.add_objective(np.array([col]), np.array([coef], dtype=float))
 
     def add_objective(self, cols, coefs) -> None:
         """Add objective terms (same-shape arrays); a column's coefficients
@@ -702,9 +615,8 @@ class MilpProblem:
         return worst, where
 
     def rows_by_equation(self) -> dict[str, int]:
-        """Row counts keyed by the label prefix before '['."""
+        """Row counts keyed by equation family, in row order."""
         counts: dict[str, int] = {}
         for block in self._model.blocks:
-            eq = block.name.split("[", 1)[0]
-            counts[eq] = counts.get(eq, 0) + block.size
+            counts[block.name] = counts.get(block.name, 0) + block.size
         return counts

@@ -15,8 +15,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .formulation import FormulationConfig, assemble, reference_bus
-from .milp import INF, MilpProblem
+import numpy as np
+
+from .formulation import (FormulationConfig, assemble, padded_terms,
+                          reference_bus)
+from .milp import INF, Block, MilpProblem
 from .scenarios import ScenarioSet
 from .solver import SolveOptions, SolveResult, SolveStatus, solve
 from .system import Id, PowerSystem
@@ -112,15 +115,14 @@ def enumerate_commitments(
     contingencies: list[Contingency],
     cfg: FormulationConfig,
     caps: OracleCaps | None = None,
-    exact_startup_relaxation: bool = True,
     keep_records: bool = True,
 ) -> OracleResult:
     """Exhaustive optimum over commitment, startup and switch binaries.
 
-    Startups are derived tight from the commitment pattern; with
-    ``exact_startup_relaxation`` the positions where an extra startup
-    could legally relax a ramp row are enumerated too, so the result
-    matches the model exactly even when paying a startup buys ramp slack.
+    Startups are derived tight from the commitment pattern, and the
+    positions where an extra startup could legally relax a ramp row are
+    enumerated too, so the result matches the model exactly even when
+    paying a startup buys ramp slack.
     """
     caps = caps or OracleCaps()
     T = sys.horizon
@@ -158,9 +160,8 @@ def enumerate_commitments(
         tight_v = _tight_startups(u_bits, sys, T)
         if not _updown_feasible(u_bits, tight_v, sys, T):
             continue
-        extras = (_extra_startup_positions(u_bits, sys, T)
-                  if exact_startup_relaxation else [])
-        extras = [pos for pos in extras if tight_v[pos] == 0]
+        extras = [pos for pos in _extra_startup_positions(u_bits, sys, T)
+                  if tight_v[pos] == 0]
         if len(extras) > caps.max_extra_v_bits:
             raise CapExceeded(
                 f"{len(extras)} discretionary startup bits exceed cap "
@@ -239,50 +240,56 @@ def _post_contingency_lp(sys: PowerSystem, point: FixedOperatingPoint,
                          removed: set[Id], cfg: FormulationConfig) -> MilpProblem:
     prob = MilpProblem(name="switch-check")
     ref = reference_bus(sys, cfg)
+    lines = [k for k in sys.lines if k.id not in removed]
+    bounds = []
     for g in sys.generators:
-        ug = point.commitment.get(g.id, 0)
-        if ug:
+        if point.commitment.get(g.id, 0):
             base = point.dispatch.get(g.id, 0.0)
-            lb = max(g.p_min, base - g.ramp_10min)
-            ub = min(g.p_max, base + g.ramp_10min)
+            bounds.append((max(g.p_min, base - g.ramp_10min),
+                           min(g.p_max, base + g.ramp_10min)))
         else:
-            lb = ub = 0.0
-        prob.add_registered("Pgc", (g.id,), lb, ub)
-    for w in sys.res_units:
-        avail = point.availability.get(w.id, 0.0)
-        col = prob.add_registered("Pwc", (w.id,), 0.0, avail)
-        prob.objective_constant += avail
-        prob.add_objective_term(col, -1.0)
+            bounds.append((0.0, 0.0))
+    avail = [point.availability.get(w.id, 0.0) for w in sys.res_units]
+    bounds += [(0.0, a) for a in avail]
+    bounds += [(0.0, 0.0) if n.id == ref else (-cfg.angle_bound, cfg.angle_bound)
+               for n in sys.buses]
+    bounds += [(-INF, INF)] * len(lines)
+    lb, ub = np.array(bounds, dtype=float).reshape(-1, 2).T.copy()
+    start = prob.add_cols(lb, ub, np.zeros(lb.size, dtype=bool))
+    reg = prob.registry
+    for symbol, items in (("Pgc", sys.generators), ("Pwc", sys.res_units),
+                          ("thc", sys.buses), ("Pkc", lines)):
+        reg.add_block(Block(symbol, [(e.id,) for e in items],
+                            start + np.arange(len(items))))
+        start += len(items)
+    prob.objective_constant = sum(avail)
+    prob.add_objective(reg.block("Pwc").numbers(), np.full(len(avail), -1.0))
+
+    keys = [(k.id,) for k in lines]
+    pkc = reg.block("Pkc").numbers()
+    coef = np.array([k.susceptance * sys.mva_base for k in lines])
+    limit = np.array([k.limit_emergency for k in lines])
+    prob.add_row_block(
+        "flow", keys, [(pkc, 1.0),
+                       ([reg.col("thc", k.from_bus) for k in lines], -coef),
+                       ([reg.col("thc", k.to_bus) for k in lines], coef)],
+        0.0, 0.0)
+    prob.add_row_block("limit", keys, [(pkc, 1.0)], -limit, limit)
+    terms = []
     for n in sys.buses:
-        if n.id == ref:
-            prob.add_registered("thc", (n.id,), 0.0, 0.0)
-        else:
-            prob.add_registered("thc", (n.id,), -cfg.angle_bound, cfg.angle_bound)
-    for k in sys.lines:
-        if k.id in removed:
-            continue
-        col = prob.add_registered("Pkc", (k.id,), -INF, INF)
-        coef = k.susceptance * sys.mva_base
-        prob.add_row([(col, 1.0),
-                      (prob.registry.col("thc", k.from_bus), -coef),
-                      (prob.registry.col("thc", k.to_bus), coef)],
-                     0.0, 0.0, f"flow[{k.id}]")
-        prob.add_row([(col, 1.0)], -k.limit_emergency, k.limit_emergency,
-                     f"limit[{k.id}]")
-    for n in sys.buses:
-        coeffs = [(prob.registry.col("Pgc", g.id), 1.0)
-                  for g in sys.generators if g.bus_id == n.id]
-        coeffs += [(prob.registry.col("Pwc", w.id), 1.0)
-                   for w in sys.res_units if w.bus_id == n.id]
-        for k in sys.lines:
-            if k.id in removed:
-                continue
+        row = [(reg.col("Pgc", g.id), 1.0)
+               for g in sys.generators if g.bus_id == n.id]
+        row += [(reg.col("Pwc", w.id), 1.0)
+                for w in sys.res_units if w.bus_id == n.id]
+        for k in lines:
             if k.to_bus == n.id:
-                coeffs.append((prob.registry.col("Pkc", k.id), 1.0))
+                row.append((reg.col("Pkc", k.id), 1.0))
             elif k.from_bus == n.id:
-                coeffs.append((prob.registry.col("Pkc", k.id), -1.0))
-        d = point.demand.get(n.id, 0.0)
-        prob.add_row(coeffs, d, d, f"balance[{n.id}]")
+                row.append((reg.col("Pkc", k.id), -1.0))
+        terms.append(row)
+    demand = [point.demand.get(n.id, 0.0) for n in sys.buses]
+    prob.add_row_block("balance", [(n.id,) for n in sys.buses],
+                       padded_terms(terms, ()), demand, demand, padded=True)
     return prob
 
 

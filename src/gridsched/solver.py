@@ -22,8 +22,8 @@ The model's bounds choose how HiGHS is reached:
   them off it needs a change to the benchmark first.
 
 HiGHS runs with its fixed default random seed;
-``SolveOptions.deterministic_seed`` (the CLI's ``--seed``) is accepted but
-not passed to it, because scipy's ``milp`` has no option for it.
+``SolveOptions.deterministic_seed`` is accepted but not passed to it,
+because scipy's ``milp`` has no option for it.
 """
 
 from __future__ import annotations
@@ -79,6 +79,7 @@ class SolveStatus(enum.Enum):
 class SolveOptions:
     mip_gap: float = 0.01
     time_limit: float | None = None
+    # read by nothing: kept because the benchmark under perfbench/ passes it
     deterministic_seed: int = 0
 
     def __post_init__(self) -> None:

@@ -30,8 +30,11 @@ Id = str | int
 class InitialStatus:
     """Generator state just before period 1.
 
-    ``hours`` is how long the unit has been in that state.  The default is
-    an off unit that has been down long enough to restart freely.
+    ``hours`` is how long the unit has been in that state.  The minimum
+    up/down rows carry nothing over from before period 1, so
+    ``validate_system`` requires at least ``min_up`` hours for an on unit
+    and ``min_down`` for an off one.  The default is an off unit that has
+    been down long enough to restart freely.
     ``dispatch`` is the pre-horizon output used by the ramp equations at
     t=1; when None it defaults to p_min for an on unit and 0 otherwise.
     """
@@ -196,6 +199,12 @@ def validate_system(sys: PowerSystem) -> ValidationReport:
             bad(f"{p}.min_up", "must be >= 1")
         if g.min_down < 1:
             bad(f"{p}.min_down", "must be >= 1")
+        init = g.initial_status
+        need, term = (g.min_up, "min_up") if init.on else (g.min_down, "min_down")
+        if init.hours < need:
+            bad(f"{p}.initial_status.hours",
+                f"unit {'on' if init.on else 'off'} for {init.hours} h, "
+                f"fewer than its {term} of {need} h")
         if g.emission_rate < 0:
             bad(f"{p}.emission_rate", "must be >= 0")
 

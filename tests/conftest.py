@@ -2,11 +2,24 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from gridsched import (DemandProfile, Generator, InitialStatus, PowerSystem,
                        ResUnit, ScenarioSet, TransmissionLine,
                        build_scenario_set, build_system)
+from gridsched.milp import Block, MilpProblem
+
+
+def named_cols(prob: MilpProblem, names, lb, ub, integer=False) -> list[int]:
+    """Append one column per name, each registered as its own one-column
+    block with no key, so it is named by the bare name; returns them."""
+    start = prob.add_cols(np.broadcast_to(lb, len(names)),
+                          np.broadcast_to(ub, len(names)),
+                          np.broadcast_to(integer, len(names)))
+    for i, name in enumerate(names):
+        prob.registry.add_block(Block(name, [()], [start + i]))
+    return list(range(start, start + len(names)))
 
 
 def make_gen(gid, bus, p_min=0.0, p_max=100.0, c=20.0, c_nl=10.0, c_su=100.0,

@@ -205,11 +205,11 @@ class TestCriterion3PenaltyEliminatesCurtailment:
         # (a) with the penalty off, positive post-contingency curtailment is
         # permitted at no cost: force 5 MW of curtailment and re-solve
         forced = copy.deepcopy(off.prob)
-        pwc_cols = [col for (sym, _idx), col in forced.registry.items()
-                    if sym == "Pwc"]
+        pwc_cols = forced.registry.block("Pwc").numbers().reshape(-1).tolist()
         total_avail = sum(forced.ub[c] for c in pwc_cols)
-        forced.add_row([(c, 1.0) for c in pwc_cols], 0.0, total_avail - 5.0,
-                       "forced_curtailment")
+        forced.add_row_block("forced_curtailment", [()],
+                             [(c, 1.0) for c in pwc_cols], 0.0,
+                             total_avail - 5.0)
         res_forced = solve(forced, GAP0)
         assert res_forced.status is SolveStatus.OPTIMAL
         assert res_forced.objective == pytest.approx(j0, rel=1e-6)

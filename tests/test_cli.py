@@ -170,6 +170,17 @@ class TestRun:
         assert run_cli("run", TOY, str(scen), "--out-dir", str(tmp_path)) == 2
         assert "w1_typo" in capsys.readouterr().err
 
+    def test_short_initial_state_is_input_error(self, tmp_path, capsys):
+        # eq8 carries nothing over: g1 must have been on for min_up hours
+        doc = json.loads(bundled("toy3.json").read_text())
+        doc["generators"][0].update(
+            min_up=3, initial_status={"on": True, "hours": 2})
+        case = tmp_path / "case.json"
+        case.write_text(json.dumps(doc))
+        assert run_cli("run", str(case), TOY_SCEN,
+                       "--out-dir", str(tmp_path)) == 2
+        assert "generators[g1].initial_status.hours" in capsys.readouterr().err
+
 
 class TestFlags:
     @pytest.mark.parametrize("argv", [
@@ -177,6 +188,9 @@ class TestFlags:
         ("sweep", "--factors", "1", "--penalty-table"),
         ("verify", "--penalty-table"),
         ("sweep", "--factors", "1", "--model", "sscuc-cnr"),
+        ("run", "--seed", "0"),
+        ("sweep", "--factors", "1", "--seed", "0"),
+        ("verify", "--seed", "0"),
     ])
     def test_flags_a_command_ignores_are_rejected(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:

@@ -16,8 +16,10 @@ from gridsched import (DemandProfile, FormulationConfig, ModelKind,
                        load_scenario_set, load_system)
 from gridsched import solver as solver_mod
 from gridsched.data import bundled
-from gridsched.milp import INF, MilpProblem
+from gridsched.milp import INF, Block, MilpProblem
 from gridsched.scenarios import build_scenario_set, synth_wind_profiles
+
+from conftest import named_cols
 
 KINDS = (ModelKind.SSCUC, ModelKind.SSCUC_CNR)
 
@@ -186,7 +188,7 @@ class TestEngineInput:
     def test_rows_added_after_a_solve_reach_the_engine(self):
         prob = assemble(*toy3_inputs(), FormulationConfig())
         before = engine_input(prob)["constraints"][0].A.shape[0]
-        prob.add_row([(0, 1.0)], 0.0, 1.0, "extra")
+        prob.add_row_block("extra", [()], [(0, 1.0)], 0.0, 1.0)
         after = engine_input(prob)["constraints"][0]
         assert after.A.shape[0] == before + 1
         assert prob.rows[-1].label == "extra"
@@ -236,10 +238,9 @@ class TestMaxViolationReference:
 
     def test_ties_go_to_the_first_row_then_rows_before_bounds(self):
         prob = MilpProblem()
-        x = prob.add_var("x", 0.0, 1.0)
-        y = prob.add_var("y", -INF, INF)
-        prob.add_row([(y, 1.0)], 2.0, 2.0, "first")
-        prob.add_row([(y, 1.0)], 2.0, 2.0, "second")
+        x, y = named_cols(prob, ["x", "y"], [0.0, -INF], [1.0, INF])
+        prob.add_row_block("first", [()], [(y, 1.0)], 2.0, 2.0)
+        prob.add_row_block("second", [()], [(y, 1.0)], 2.0, 2.0)
         point = np.array([3.0, 0.0])  # bound violation 2/3, rows 2/2
         assert prob.max_violation(point) == (1.0, "first")
         assert prob.max_violation(point, scaled=False) == (2.0, "first")
@@ -250,10 +251,11 @@ class TestMaxViolationReference:
 
     def test_bound_only_violation(self):
         prob = MilpProblem()
-        x = prob.add_var("x", 0.0, 1.0)
-        y = prob.add_var("y", 0.0, 1.0)
-        u = prob.add_registered("u", ("g1", 1), 0.0, 1.0, integer=True)
-        prob.add_row([(x, 1.0), (y, 1.0), (u, 1.0)], -INF, 10.0, "cap")
+        x, y = named_cols(prob, ["x", "y"], 0.0, 1.0)
+        u = prob.add_cols([0.0], [1.0], [True])
+        prob.registry.add_block(Block("u", [("g1",)], [u], ((1,),)))
+        prob.add_row_block("cap", [()], [(x, 1.0), (y, 1.0), (u, 1.0)],
+                           -INF, 10.0)
         # x and y both miss a bound by 1; scaled, y's 1/1 beats x's 1/2,
         # unscaled they tie and the first column wins
         point = np.array([2.0, -1.0, 1.0])
@@ -266,6 +268,6 @@ class TestMaxViolationReference:
 
     def test_feasible_point_reports_nothing(self):
         prob = MilpProblem()
-        x = prob.add_var("x", 0.0, 1.0)
-        prob.add_row([(x, 1.0)], 0.0, 1.0, "r")
+        [x] = named_cols(prob, ["x"], 0.0, 1.0)
+        prob.add_row_block("r", [()], [(x, 1.0)], 0.0, 1.0)
         assert prob.max_violation(np.array([0.5])) == (0.0, "")

@@ -9,7 +9,8 @@ import pytest
 from gridsched import (DemandProfile, FormulationConfig, ModelKind, ResUnit,
                        assemble, build_contingency_set, build_scenario_set,
                        build_system, compute_big_m, solve)
-from gridsched.formulation import (add_base_generator_constraints,
+from gridsched.formulation import (BIG_M_MARGIN,
+                                   add_base_generator_constraints,
                                    add_base_network_constraints,
                                    add_contingency_generator_constraints,
                                    register_variables)
@@ -351,28 +352,27 @@ class TestCnrNetwork:
 class TestBigM:
     def test_direct_formula(self):
         line = make_line("K", "a", "b", b=10.0)
-        cfg = replace(SSCUC, big_m_margin=0.0, angle_bound=0.6)
-        assert compute_big_m(line, cfg, 100.0) == pytest.approx(1200.0)
+        cfg = replace(SSCUC, angle_bound=0.6)
+        assert compute_big_m(line, cfg, 100.0) == \
+            pytest.approx(1200.0 + BIG_M_MARGIN)
 
     def test_zero_susceptance_leaves_margin(self):
         line = make_line("K", "a", "b", b=0.0)
-        cfg = replace(SSCUC, big_m_margin=7.5)
-        assert compute_big_m(line, cfg, 100.0) == 7.5
+        assert compute_big_m(line, SSCUC, 100.0) == BIG_M_MARGIN
 
     def test_linear_in_angle_bound(self):
         line = make_line("K", "a", "b", b=4.0)
-        m1 = compute_big_m(line, replace(SSCUC, big_m_margin=3.0,
-                                         angle_bound=0.3), 100.0)
-        m2 = compute_big_m(line, replace(SSCUC, big_m_margin=3.0,
-                                         angle_bound=0.6), 100.0)
-        assert m2 - 3.0 == pytest.approx(2 * (m1 - 3.0))
+        m1 = compute_big_m(line, replace(SSCUC, angle_bound=0.3), 100.0)
+        m2 = compute_big_m(line, replace(SSCUC, angle_bound=0.6), 100.0)
+        assert m2 - BIG_M_MARGIN == pytest.approx(2 * (m1 - BIG_M_MARGIN))
 
     def test_big_m_covers_angle_box_corners(self):
-        """With the switch open and zero flow, eq25/eq26 hold at any angles."""
-        cfg = replace(CNR, big_m_margin=0.0)
+        """With the switch open and zero flow, eq25/eq26 hold at any
+        angles, even without the margin."""
+        cfg = CNR
         for b in (0.5, 4.0, 25.0):
             line = make_line("K", "a", "b", b=b)
-            m = compute_big_m(line, cfg, 100.0)
+            m = compute_big_m(line, cfg, 100.0) - BIG_M_MARGIN
             for th_n in (-cfg.angle_bound, cfg.angle_bound):
                 for th_m in (-cfg.angle_bound, cfg.angle_bound):
                     body = 0.0 - b * 100.0 * (th_n - th_m)
@@ -416,9 +416,8 @@ class TestObjective:
         cfg = replace(SSCUC, penalty_enabled=False)
         prob = assemble(sys_obj, scen, cont, cfg)
         assert prob.objective_constant == 0.0
-        for (sym, _idx), col in prob.registry.items():
-            if sym == "Pwc":
-                assert col not in prob.objective
+        for col in prob.registry.block("Pwc").numbers().reshape(-1).tolist():
+            assert col not in prob.objective
 
     def test_all_off_zero_objective(self):
         sys_obj = triangle_system(T=1, wind=False)

@@ -3,20 +3,19 @@
 import numpy as np
 import pytest
 
-from gridsched.milp import INF, MilpProblem
+from gridsched.milp import INF, Block, MilpProblem
+
+from conftest import named_cols
 
 
 def small_mip() -> MilpProblem:
     prob = MilpProblem(name="small")
-    x = prob.add_var("x", 0, 10)
-    y = prob.add_var("y", -INF, INF)
-    b = prob.add_var("b[1,2]", 0, 1, integer=True)
-    prob.add_row([(x, 1.0), (y, 2.0)], 4.0, INF, "c1")
-    prob.add_row([(y, 1.0), (b, -5.0)], -INF, 0.0, "c2")
-    prob.add_row([(x, 1.0), (y, 1.0)], -3.0, 8.0, "ranged")
-    prob.add_objective_term(x, 1.0)
-    prob.add_objective_term(y, 3.0)
-    prob.add_objective_term(b, 7.0)
+    x, y, b = named_cols(prob, ["x", "y", "b"], [0, -INF, 0], [10, INF, 1],
+                         [False, False, True])
+    prob.add_row_block("c1", [()], [(x, 1.0), (y, 2.0)], 4.0, INF)
+    prob.add_row_block("c2", [()], [(y, 1.0), (b, -5.0)], -INF, 0.0)
+    prob.add_row_block("ranged", [()], [(x, 1.0), (y, 1.0)], -3.0, 8.0)
+    prob.add_objective([x, y, b], [1.0, 3.0, 7.0])
     prob.objective_constant = 2.5
     return prob
 
@@ -24,26 +23,38 @@ def small_mip() -> MilpProblem:
 class TestContainer:
     def test_registry_round_trip(self):
         prob = MilpProblem()
-        col = prob.add_registered("Pg", ("g1", 2, "s0"), 0, 50)
-        assert prob.registry.col("Pg", "g1", 2, "s0") == col
-        assert prob.var_names[col] == "Pg[g1,2,s0]"
+        start = prob.add_cols(np.zeros(4), np.full(4, 50.0), np.zeros(4, bool))
+        prob.registry.add_block(Block("Pg", [("g1",), ("g2",)],
+                                      [start, start + 2], ((1, 2),)))
+        assert prob.registry.col("Pg", "g2", 1) == start + 2
+        assert prob.var_names == ["Pg[g1,1]", "Pg[g1,2]", "Pg[g2,1]",
+                                  "Pg[g2,2]"]
+        assert prob.var_name(start + 3) == "Pg[g2,2]"
 
-    def test_duplicate_registration_rejected(self):
+    def test_one_block_per_symbol(self):
         prob = MilpProblem()
-        prob.add_registered("u", ("g", 1))
-        with pytest.raises(ValueError):
-            prob.registry.add("u", ("g", 1), 0)
+        prob.add_cols(np.zeros(4), np.ones(4), np.zeros(4, bool))
+        prob.registry.add_block(Block("u", [("g",)], [0], ((1,),)))
+        with pytest.raises(ValueError, match="already registered"):
+            prob.registry.add_block(Block("u", [("h",)], [1], ((1,),)))
+        with pytest.raises(ValueError, match="duplicate"):
+            prob.registry.add_block(Block("v", [("g",), ("g",)], [1, 2]))
+        with pytest.raises(ValueError, match="duplicate"):
+            prob.registry.add_block(Block("w", [("g",)], [2], ((1, 1),)))
+        assert prob.registry.count("u") == 1
+        assert prob.registry.count("v") == prob.registry.count("w") == 0
 
-    def test_unknown_column_in_row_rejected(self):
+    def test_unknown_column_in_row_block_fails_check(self):
         prob = MilpProblem()
-        prob.add_var("x")
-        with pytest.raises(ValueError):
-            prob.add_row([(3, 1.0)], 0, 0, "bad")
+        named_cols(prob, ["x"], 0.0, INF)
+        prob.add_row_block("bad", [()], [(3, 1.0)], 0.0, 0.0)
+        with pytest.raises(ValueError, match="unknown column"):
+            prob.check()
 
     def test_row_violation_scaled(self):
         prob = MilpProblem()
-        x = prob.add_var("x", -INF, INF)
-        prob.add_row([(x, 1000.0)], -INF, 1000.0, "r")
+        [x] = named_cols(prob, ["x"], -INF, INF)
+        prob.add_row_block("r", [()], [(x, 1000.0)], -INF, 1000.0)
         viol = prob.row_violation(prob.rows[0], np.array([1.001]))
         assert viol == pytest.approx(1.0 / 1001.0, rel=1e-6)
         assert prob.row_violation(prob.rows[0], np.array([1.001]),
@@ -63,8 +74,9 @@ class TestContainer:
 
     def test_rows_by_equation(self):
         prob = MilpProblem()
-        x = prob.add_var("x")
-        prob.add_row([(x, 1.0)], 0, 1, "eq2[a,1]")
-        prob.add_row([(x, 1.0)], 0, 1, "eq2[a,2]")
-        prob.add_row([(x, 1.0)], 0, 1, "eq15[k,1]")
+        [x] = named_cols(prob, ["x"], 0.0, INF)
+        prob.add_row_block("eq2", [("a", 1), ("a", 2)], [(x, 1.0)], 0, 1)
+        prob.add_row_block("eq15", [("k", 1)], [(x, 1.0)], 0, 1)
         assert prob.rows_by_equation() == {"eq2": 2, "eq15": 1}
+        assert [row.label for row in prob.rows] == ["eq2[a,1]", "eq2[a,2]",
+                                                    "eq15[k,1]"]

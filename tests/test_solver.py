@@ -22,8 +22,9 @@ from gridsched.milp import INF, MilpProblem
 from gridsched.solver import (EngineError, SolveOptions, SolveStatus,
                               SolverError)
 
-from conftest import (parallel_pair_scenarios, parallel_pair_system,
-                      triangle_scenarios, triangle_system)
+from conftest import (named_cols, parallel_pair_scenarios,
+                      parallel_pair_system, triangle_scenarios,
+                      triangle_system)
 
 
 U, V = 0, 1  # tiny_uc's commitment and startup columns
@@ -32,24 +33,21 @@ U, V = 0, 1  # tiny_uc's commitment and startup columns
 def tiny_uc() -> MilpProblem:
     """Single unit, single period: commit, start up, serve 5 MW."""
     prob = MilpProblem(name="tiny-uc")
-    u = prob.add_var("u", 0, 1, integer=True)
-    v = prob.add_var("v", 0, 1, integer=True)
-    p = prob.add_var("p", 0, INF)
-    prob.add_row([(p, 1.0)], 5.0, 5.0, "demand")
-    prob.add_row([(p, 1.0), (u, -120.0)], -INF, 0.0, "cap")
-    prob.add_row([(v, 1.0), (u, -1.0)], 0.0, INF, "startup")
-    prob.add_objective_term(u, 10.0)
-    prob.add_objective_term(v, 100.0)
-    prob.add_objective_term(p, 20.0)
+    u, v, p = named_cols(prob, ["u", "v", "p"], 0, [1, 1, INF],
+                         [True, True, False])
+    prob.add_row_block("demand", [()], [(p, 1.0)], 5.0, 5.0)
+    prob.add_row_block("cap", [()], [(p, 1.0), (u, -120.0)], -INF, 0.0)
+    prob.add_row_block("startup", [()], [(v, 1.0), (u, -1.0)], 0.0, INF)
+    prob.add_objective([u, v, p], [10.0, 100.0, 20.0])
     return prob
 
 
 class TestSolveContract:
     def test_minimal_lp(self):
         prob = MilpProblem()
-        x = prob.add_var("x", -INF, INF)
-        prob.add_row([(x, 1.0)], 3.0, INF, "c")
-        prob.add_objective_term(x, 1.0)
+        [x] = named_cols(prob, ["x"], -INF, INF)
+        prob.add_row_block("c", [()], [(x, 1.0)], 3.0, INF)
+        prob.add_objective([x], [1.0])
         res = solve(prob, SolveOptions(mip_gap=0.0))
         assert res.status is SolveStatus.OPTIMAL
         assert res.objective == pytest.approx(3.0, abs=1e-9)
@@ -93,8 +91,8 @@ class TestSolveContract:
 
     def test_unbounded(self):
         prob = MilpProblem()
-        x = prob.add_var("x", -INF, INF)
-        prob.add_objective_term(x, 1.0)
+        [x] = named_cols(prob, ["x"], -INF, INF)
+        prob.add_objective([x], [1.0])
         res = solve(prob)
         assert res.status is SolveStatus.UNBOUNDED
 
@@ -275,10 +273,9 @@ def milp_reference(prob: MilpProblem):
 def fixed_lp() -> tuple[MilpProblem, int, int]:
     """min x subject to x + b >= 2, with the binary b to be fixed."""
     prob = MilpProblem()
-    x = prob.add_var("x", 0, 10)
-    b = prob.add_var("b", 0, 1, integer=True)
-    prob.add_row([(x, 1.0), (b, 1.0)], 2.0, INF, "cover")
-    prob.add_objective_term(x, 1.0)
+    x, b = named_cols(prob, ["x", "b"], 0, [10, 1], [False, True])
+    prob.add_row_block("cover", [()], [(x, 1.0), (b, 1.0)], 2.0, INF)
+    prob.add_objective([x], [1.0])
     return prob, x, b
 
 
@@ -318,10 +315,10 @@ class TestLpRoute:
             pytest.approx(1.0)
         assert solve(prob.clone_with_bounds({b: 0.0})).objective == \
             pytest.approx(2.0)
-        prob.add_row([(x, 1.0)], 3.0, INF, "floor")
+        prob.add_row_block("floor", [()], [(x, 1.0)], 3.0, INF)
         assert solve(prob.clone_with_bounds({b: 1.0})).objective == \
             pytest.approx(3.0)
-        prob.add_objective_term(b, 5.0)
+        prob.add_objective([b], [5.0])
         res = solve(prob.clone_with_bounds({b: 1.0}))
         assert res.objective == pytest.approx(8.0)
         assert res.x.tolist() == [3.0, 1.0]

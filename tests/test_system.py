@@ -40,6 +40,21 @@ class TestValidation:
         paths = [v.path for v in report.violations]
         assert any("generators[g1].bus_id" in p for p in paths)
 
+    @pytest.mark.parametrize("on, attr", [(True, "min_up"), (False, "min_down")])
+    def test_initial_state_shorter_than_min_up_down_reported(self, on, attr):
+        sys_obj = triangle_system()
+        g = sys_obj.generators[0]
+        g = replace(g, **{attr: 3},
+                    initial_status=replace(g.initial_status, on=on, hours=2))
+        sys_obj = replace(sys_obj, generators=(g, sys_obj.generators[1]))
+        report = validate_system(sys_obj)
+        assert [v.path for v in report.violations] == \
+            ["generators[g1].initial_status.hours"]
+        assert attr in report.violations[0].message
+        g = replace(g, initial_status=replace(g.initial_status, hours=3))
+        sys_obj = replace(sys_obj, generators=(g, sys_obj.generators[1]))
+        assert validate_system(sys_obj).ok
+
     def test_validation_is_pure(self):
         sys_obj = triangle_system()
         assert validate_system(sys_obj) == validate_system(sys_obj)
