@@ -150,7 +150,7 @@ def _previous(cols: np.ndarray) -> np.ndarray:
     return np.concatenate([first, cols[:, :-1]], axis=1)
 
 
-def padded_terms(rows: list[list[tuple]], shape: tuple) -> list[tuple]:
+def _padded(rows: list[list[tuple]], shape: tuple) -> list[tuple]:
     """Per-row term lists of different lengths as block terms: term j of
     row i is ``rows[i][j]`` (columns of ``shape``, coefficient); the
     result's term j stacks them over the rows, shaped (rows, *shape), with
@@ -315,17 +315,17 @@ def add_base_generator_constraints(prob: MilpProblem, sys: PowerSystem,
     up = [(i, t) for i, g in enumerate(gens) for t in range(g.min_up, T + 1)]
     prob.add_row_block(
         "eq8", [(gens[i].id, t) for i, t in up],
-        padded_terms([[(v[i, q - 1], 1.0)
-                       for q in range(t - gens[i].min_up + 1, t + 1)]
-                      + [(u[i, t - 1], -1.0)] for i, t in up], ()),
+        _padded([[(v[i, q - 1], 1.0)
+                  for q in range(t - gens[i].min_up + 1, t + 1)]
+                 + [(u[i, t - 1], -1.0)] for i, t in up], ()),
         -INF, 0.0, padded=True)
     down = [(i, t) for i, g in enumerate(gens)
             for t in range(1, T - g.min_down + 1)]
     prob.add_row_block(
         "eq9", [(gens[i].id, t) for i, t in down],
-        padded_terms([[(v[i, q - 1], 1.0)
-                       for q in range(t + 1, t + gens[i].min_down + 1)]
-                      + [(u[i, t - 1], 1.0)] for i, t in down], ()),
+        _padded([[(v[i, q - 1], 1.0)
+                  for q in range(t + 1, t + gens[i].min_down + 1)]
+                 + [(u[i, t - 1], 1.0)] for i, t in down], ()),
         -INF, 1.0, padded=True)
     # eq10: startup indicator
     lb10 = np.zeros((G, T))
@@ -341,8 +341,12 @@ def add_base_generator_constraints(prob: MilpProblem, sys: PowerSystem,
 
 
 def scen_avail(scenario, res_id: Id, t: int) -> float:
-    prof = scenario.availability.get(res_id, ())
-    return prof[t - 1] if len(prof) >= t else 0.0
+    """Availability of a RES unit at 1-based period ``t``, in MW.
+
+    A missing or short profile raises (KeyError, IndexError) rather than
+    reading as 0 MW; ``align_scenarios`` turns both into input errors.
+    """
+    return scenario.availability[res_id][t - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +380,7 @@ def _add_balance(prob: MilpProblem, family: str, sys: PowerSystem, inner,
     prob.add_row_block(
         family, [(n.id, *sfx) for n in sys.buses for sfx in suffixes],
         [(col.reshape(N * runs, T, S), coef.repeat(runs, axis=0)[..., 0])
-         for col, coef in padded_terms(terms, (runs, T, S))],
+         for col, coef in _padded(terms, (runs, T, S))],
         demand.reshape(-1, T, 1), demand.reshape(-1, T, 1), inner, padded=True)
 
 
@@ -388,7 +392,6 @@ def add_base_network_constraints(prob: MilpProblem, sys: PowerSystem,
                                  scen: ScenarioSet,
                                  cfg: FormulationConfig) -> None:
     """eq14 and eq15 per line, then eq16 per bus."""
-    reference_bus(sys, cfg)  # raises if configured bus is unknown
     inner = _axes(sys, scen)
     lines = sys.lines
     pk, th = _cols(prob, "Pk"), _cols(prob, "th")
@@ -532,9 +535,9 @@ def add_contingency_network(prob: MilpProblem, sys: PowerSystem,
     budgeted = [j for j, cands in enumerate(candidates) if cands]
     prob.add_row_block(
         "eq28", [(cids[j],) for j in budgeted],
-        padded_terms([[(z_all[z_at[(cids[j], k)]], 1.0)
-                       for k in contingencies[j].candidate_switch_ids]
-                      for j in budgeted], (T, S)),
+        _padded([[(z_all[z_at[(cids[j], k)]], 1.0)
+                  for k in contingencies[j].candidate_switch_ids]
+                 for j in budgeted], (T, S)),
         np.array([len(candidates[j]) - cfg.switch_limit for j in budgeted],
                  dtype=float).reshape(-1, 1, 1), INF, inner, padded=True)
 

@@ -4,10 +4,6 @@
 solves the remaining LP per assignment and takes the minimum, giving an
 optimum that is independent of the branch-and-bound path.  Exponential by
 nature: hard caps refuse anything beyond desk scale.
-
-``exhaustive_switch_check`` evaluates, for one contingency and a frozen
-base operating point, every single-line switching action (and no action)
-by direct DC feasibility, as a cross-check on the chosen switch states.
 """
 
 from __future__ import annotations
@@ -15,14 +11,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .formulation import (FormulationConfig, assemble, padded_terms,
-                          reference_bus)
-from .milp import INF, Block, MilpProblem
+from .formulation import FormulationConfig, assemble
 from .scenarios import ScenarioSet
-from .solver import SolveOptions, SolveResult, SolveStatus, solve
-from .system import Id, PowerSystem
+from .solver import SolveOptions, SolveStatus, solve
+from .system import PowerSystem
 from .topology import Contingency
 
 
@@ -207,121 +199,3 @@ def enumerate_commitments(
     return OracleResult(best_objective=best, best_assignment=best_assignment,
                         records=records, lp_solves=lp_solves)
 
-
-# ---------------------------------------------------------------------------
-# Single-contingency switching cross-check
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FixedOperatingPoint:
-    """Frozen base-case point for one period and scenario."""
-
-    commitment: dict[Id, int]
-    dispatch: dict[Id, float]
-    availability: dict[Id, float]
-    demand: dict[Id, float]
-
-
-@dataclass(frozen=True)
-class SwitchEvaluation:
-    action: Id | None
-    feasible: bool
-    curtailment: float
-
-
-@dataclass(frozen=True)
-class SwitchCheckResult:
-    best_action: Id | None
-    curtailment: float
-    evaluations: tuple[SwitchEvaluation, ...]
-
-
-def _post_contingency_lp(sys: PowerSystem, point: FixedOperatingPoint,
-                         removed: set[Id], cfg: FormulationConfig) -> MilpProblem:
-    prob = MilpProblem(name="switch-check")
-    ref = reference_bus(sys, cfg)
-    lines = [k for k in sys.lines if k.id not in removed]
-    bounds = []
-    for g in sys.generators:
-        if point.commitment.get(g.id, 0):
-            base = point.dispatch.get(g.id, 0.0)
-            bounds.append((max(g.p_min, base - g.ramp_10min),
-                           min(g.p_max, base + g.ramp_10min)))
-        else:
-            bounds.append((0.0, 0.0))
-    avail = [point.availability.get(w.id, 0.0) for w in sys.res_units]
-    bounds += [(0.0, a) for a in avail]
-    bounds += [(0.0, 0.0) if n.id == ref else (-cfg.angle_bound, cfg.angle_bound)
-               for n in sys.buses]
-    bounds += [(-INF, INF)] * len(lines)
-    lb, ub = np.array(bounds, dtype=float).reshape(-1, 2).T.copy()
-    start = prob.add_cols(lb, ub, np.zeros(lb.size, dtype=bool))
-    reg = prob.registry
-    for symbol, items in (("Pgc", sys.generators), ("Pwc", sys.res_units),
-                          ("thc", sys.buses), ("Pkc", lines)):
-        reg.add_block(Block(symbol, [(e.id,) for e in items],
-                            start + np.arange(len(items))))
-        start += len(items)
-    prob.objective_constant = sum(avail)
-    prob.add_objective(reg.block("Pwc").numbers(), np.full(len(avail), -1.0))
-
-    keys = [(k.id,) for k in lines]
-    pkc = reg.block("Pkc").numbers()
-    coef = np.array([k.susceptance * sys.mva_base for k in lines])
-    limit = np.array([k.limit_emergency for k in lines])
-    prob.add_row_block(
-        "flow", keys, [(pkc, 1.0),
-                       ([reg.col("thc", k.from_bus) for k in lines], -coef),
-                       ([reg.col("thc", k.to_bus) for k in lines], coef)],
-        0.0, 0.0)
-    prob.add_row_block("limit", keys, [(pkc, 1.0)], -limit, limit)
-    terms = []
-    for n in sys.buses:
-        row = [(reg.col("Pgc", g.id), 1.0)
-               for g in sys.generators if g.bus_id == n.id]
-        row += [(reg.col("Pwc", w.id), 1.0)
-                for w in sys.res_units if w.bus_id == n.id]
-        for k in lines:
-            if k.to_bus == n.id:
-                row.append((reg.col("Pkc", k.id), 1.0))
-            elif k.from_bus == n.id:
-                row.append((reg.col("Pkc", k.id), -1.0))
-        terms.append(row)
-    demand = [point.demand.get(n.id, 0.0) for n in sys.buses]
-    prob.add_row_block("balance", [(n.id,) for n in sys.buses],
-                       padded_terms(terms, ()), demand, demand, padded=True)
-    return prob
-
-
-def exhaustive_switch_check(sys: PowerSystem, point: FixedOperatingPoint,
-                            contingency: Contingency,
-                            cfg: FormulationConfig) -> SwitchCheckResult:
-    """Try no action and each single-line opening; report the one with the
-    least reachable curtailment.
-
-    Ties keep the earlier option, so no action wins over any equally good
-    switch and candidate order breaks remaining ties deterministically.
-    Actions whose DC flow is infeasible (for example, islanding a loaded
-    bus) are excluded.
-    """
-    options: list[Id | None] = [None] + list(contingency.candidate_switch_ids)
-    evaluations = []
-    best_action: Id | None = None
-    best_curtail = INF
-    for action in options:
-        removed = {contingency.outaged_line_id}
-        if action is not None:
-            removed.add(action)
-        lp = _post_contingency_lp(sys, point, removed, cfg)
-        result: SolveResult = solve(lp, SolveOptions(mip_gap=0.0))
-        if result.status is SolveStatus.OPTIMAL:
-            curtail = max(0.0, result.objective)
-            evaluations.append(SwitchEvaluation(action, True, curtail))
-            if curtail < best_curtail - 1e-9:
-                best_curtail = curtail
-                best_action = action
-        else:
-            evaluations.append(SwitchEvaluation(action, False, INF))
-    return SwitchCheckResult(best_action=best_action,
-                             curtailment=best_curtail,
-                             evaluations=tuple(evaluations))

@@ -32,10 +32,6 @@ class Scenario:
 class ScenarioSet:
     scenarios: tuple[Scenario, ...]
 
-    @property
-    def horizon(self) -> int:
-        return self.scenarios[0].horizon() if self.scenarios else 0
-
     def probabilities(self) -> tuple[float, ...]:
         return tuple(s.probability for s in self.scenarios)
 
@@ -145,29 +141,15 @@ def synth_wind_profiles(
 
 
 # ---------------------------------------------------------------------------
-# JSON I/O
+# JSON input
 # ---------------------------------------------------------------------------
 
-def scenario_set_to_list(scen: ScenarioSet) -> list[dict[str, Any]]:
-    return [
-        {
-            "id": s.id,
-            "probability": s.probability,
-            "availability": {str(w): list(prof) for w, prof in s.availability.items()},
-        }
-        for s in scen.scenarios
-    ]
-
-
-def scenario_set_from_list(
-    doc: list[dict[str, Any]],
-    block_len: int = 1,
-    res_id_type: type | None = None,
-) -> ScenarioSet:
+def scenario_set_from_list(doc: list[dict[str, Any]],
+                           block_len: int = 1) -> ScenarioSet:
     """Parse a scenario array; optionally block-average on load.
 
-    JSON object keys are always strings; pass ``res_id_type=int`` when the
-    case file uses integer RES ids.
+    JSON object keys are always strings; ``align_scenarios`` re-keys them
+    onto a case's RES unit ids.
     """
     if not isinstance(doc, list) or not doc:
         raise ValueError("scenario file must be a nonempty JSON array")
@@ -182,23 +164,15 @@ def scenario_set_from_list(
         avail = s["availability"]
         if not isinstance(avail, dict):
             raise ValueError(f"scenario[{i}].availability must map res_id -> values")
-        profiles.append({
-            (res_id_type(w) if res_id_type is not None else w): [float(v) for v in prof]
-            for w, prof in avail.items()
-        })
+        profiles.append({w: [float(v) for v in prof] for w, prof in avail.items()})
     return build_scenario_set(profiles, probabilities, block_len=block_len, ids=ids)
 
 
-def load_scenario_set(path: str | Path, block_len: int = 1,
-                      res_id_type: type | None = None) -> ScenarioSet:
+def load_scenario_set(path: str | Path, block_len: int = 1) -> ScenarioSet:
     text = Path(path).read_text()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
-    return scenario_set_from_list(doc, block_len=block_len, res_id_type=res_id_type)
+    return scenario_set_from_list(doc, block_len=block_len)
 
-
-def save_scenario_set(scen: ScenarioSet, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(scenario_set_to_list(scen), indent=2, sort_keys=True) + "\n")

@@ -340,7 +340,7 @@ def peak_penetration(sys: PowerSystem, scen: ScenarioSet) -> float:
 
 
 # ---------------------------------------------------------------------------
-# JSON document I/O
+# JSON document input
 # ---------------------------------------------------------------------------
 
 class CaseFormatError(ValueError):
@@ -355,56 +355,6 @@ _BUS_LISTS = {
     "inbound_line_ids": ("lines", "to_bus"),
     "outbound_line_ids": ("lines", "from_bus"),
 }
-
-
-def system_to_dict(sys: PowerSystem) -> dict[str, Any]:
-    return {
-        "mva_base": sys.mva_base,
-        "buses": [{"id": b.id} for b in sys.buses],
-        "generators": [
-            {
-                "id": g.id,
-                "bus_id": g.bus_id,
-                "p_min": g.p_min,
-                "p_max": g.p_max,
-                "cost_linear": g.cost_linear,
-                "cost_no_load": g.cost_no_load,
-                "cost_startup": g.cost_startup,
-                "ramp_hourly": g.ramp_hourly,
-                "ramp_startup": g.ramp_startup,
-                "ramp_shutdown": g.ramp_shutdown,
-                "ramp_10min": g.ramp_10min,
-                "min_up": g.min_up,
-                "min_down": g.min_down,
-                "emission_rate": g.emission_rate,
-                "initial_status": {
-                    "on": g.initial_status.on,
-                    "hours": g.initial_status.hours,
-                    "dispatch": g.initial_status.dispatch,
-                },
-            }
-            for g in sys.generators
-        ],
-        "lines": [
-            {
-                "id": k.id,
-                "from_bus": k.from_bus,
-                "to_bus": k.to_bus,
-                "susceptance": k.susceptance,
-                "limit_long_term": k.limit_long_term,
-                "limit_emergency": k.limit_emergency,
-                "switchable": k.switchable,
-            }
-            for k in sys.lines
-        ],
-        "res_units": [
-            {"id": w.id, "bus_id": w.bus_id, "curtail_penalty": w.curtail_penalty}
-            for w in sys.res_units
-        ],
-        "demand": [
-            {"bus_id": b, "mw": list(row)} for b, row in sys.demand.rows.items()
-        ],
-    }
 
 
 def _require(doc: dict, key: str, where: str) -> Any:
@@ -513,6 +463,3 @@ def load_system(path: str | Path) -> PowerSystem:
         raise CaseFormatError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
     return system_from_dict(doc)
 
-
-def save_system(sys: PowerSystem, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(system_to_dict(sys), indent=2, sort_keys=True) + "\n")

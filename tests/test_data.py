@@ -1,15 +1,12 @@
-"""Bundled data: provenance, validity, and converter round-trip."""
-
-import json
+"""Bundled data: provenance and validity."""
 
 import pytest
 
 from gridsched import (align_scenarios, load_system, peak_penetration,
                        validate_system)
 from gridsched.data import bundled
-from gridsched.rtscsv import convert_rts_csv
 from gridsched.scenarios import (build_scenario_set, load_scenario_set,
-                                 scenario_set_to_list, synth_wind_profiles)
+                                 synth_wind_profiles)
 from gridsched.topology import find_bridges
 
 
@@ -26,17 +23,6 @@ class TestToy3:
 
 
 class TestRts24:
-    def test_case_matches_csv_conversion(self):
-        doc = convert_rts_csv(
-            bus_csv=bundled("rts24_bus.csv"),
-            branch_csv=bundled("rts24_branch.csv"),
-            gen_csv=bundled("rts24_gen.csv"),
-            res_csv=bundled("rts24_res.csv"),
-            load_profile_csv=bundled("rts24_load_profile.csv"),
-        )
-        committed = json.loads(bundled("rts24.json").read_text())
-        assert doc == committed
-
     def test_case_shape_and_validity(self):
         sys_obj = load_system(bundled("rts24.json"))
         assert validate_system(sys_obj).ok
@@ -53,8 +39,7 @@ class TestRts24:
                                        res_ids=["w12", "w16", "w22"],
                                        mean_mw=295.0, amplitude_mw=170.0)
         scen = build_scenario_set(profiles, [1, 1, 1, 1, 1], block_len=3)
-        committed = json.loads(bundled("rts24_scenarios.json").read_text())
-        assert scenario_set_to_list(scen) == committed
+        assert load_scenario_set(bundled("rts24_scenarios.json")) == scen
 
     def test_base_case_penetration_near_thirty_percent(self):
         sys_obj = load_system(bundled("rts24.json"))

@@ -94,6 +94,17 @@ class TestBaseGeneratorBlock:
         assert rows["eq13[w1,1,s0]"].ub == 30.0
         assert rows["eq13[w1,2,s0]"].ub == 12.5
 
+    @pytest.mark.parametrize("profiles, error", [
+        ([{"w1": [30.0]}], IndexError),         # one period on a T=2 case
+        ([{"w_1": [30.0, 30.0]}], KeyError),    # no profile for w1
+    ])
+    def test_missing_availability_is_not_zero(self, profiles, error):
+        # a profile that does not cover the unit raises instead of capping
+        # its output at 0 MW
+        scen = build_scenario_set(profiles, [1.0])
+        with pytest.raises(error):
+            assemble(triangle_system(T=2), scen, [], SSCUC)
+
     def test_reserve_implication_holds_on_solutions(self):
         # implied form of the reserve row: total reserve minus a unit's own
         # covers that unit's output in every feasible solution

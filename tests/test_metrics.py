@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from gridsched import formulation, metrics
 from gridsched import (FormulationConfig, ModelKind, ScheduleSolution,
                        assemble, base_case_curtailment, build_contingency_set,
                        build_report, build_scenario_set, carbon_emissions,
@@ -198,6 +199,34 @@ class TestVerifySolution:
         bad = replace(sol, u=u)
         assert prob.max_violation(x)[0] > 1e-6
         assert verify_solution(bad, sys_obj, scen, cont, CNR) != []
+
+    def test_open_line_verdict_does_not_read_big_m(self, monkeypatch):
+        """An opened line is held to zero flow, not to the model's big-M
+        rows, so breaking compute_big_m leaves the verdict unchanged."""
+        sys_obj, scen = ring4_system(), ring4_scenarios()
+        cont = build_contingency_set(sys_obj, whitelist={"CH"})
+        prob = assemble(sys_obj, scen, cont, CNR)
+        sol = extract_schedule(prob, solve(prob, SolveOptions(mip_gap=0.0)))
+        assert sol.z[("CH", "R2", 1, "s0")] == 0.0
+        dtheta = sol.angle_c[(2, "CH", 1, "s0")] - sol.angle_c[(3, "CH", 1, "s0")]
+        assert abs(10.0 * 100.0 * dtheta) > 1.0  # b * dtheta across the gap
+        assert verify_solution(sol, sys_obj, scen, cont, CNR) == []
+        # patched wherever the verifier could look the name up
+        for module in (formulation, metrics):
+            monkeypatch.setattr(module, "compute_big_m", lambda *a, **k: 0.0,
+                                raising=False)
+        assert verify_solution(sol, sys_obj, scen, cont, CNR) == []
+
+    def test_flow_on_an_open_line_reports_eq27(self):
+        sys_obj, scen, cont, prob, res, sol = solved_triangle(CNR)
+        c = cont[0]
+        k = next(k for k in c.candidate_switch_ids
+                 if abs(sol.flow_c[(k, c.outaged_line_id, 1, "s0")]) > 1.0)
+        z = dict(sol.z)
+        z[(c.outaged_line_id, k, 1, "s0")] = 0.0
+        viols = verify_solution(replace(sol, z=z), sys_obj, scen, cont, CNR)
+        assert (k, c.outaged_line_id, 1, "s0") in \
+            {v.index for v in viols if v.equation == "eq27"}
 
     def test_violation_carries_equation_index_residual(self):
         sys_obj, scen, cont, prob, res, sol = solved_triangle()

@@ -1,19 +1,16 @@
-"""Exhaustive enumeration oracle and switching cross-check."""
+"""Exhaustive enumeration oracle."""
 
 from dataclasses import replace
 
 import pytest
 
-from gridsched import (CapExceeded, DemandProfile, FixedOperatingPoint,
-                       FormulationConfig, ModelKind, OracleCaps, ResUnit,
-                       assemble, build_contingency_set, build_scenario_set,
-                       build_system, enumerate_commitments,
-                       exhaustive_switch_check, solve)
+from gridsched import (CapExceeded, DemandProfile, FormulationConfig,
+                       ModelKind, OracleCaps, assemble, build_contingency_set,
+                       build_scenario_set, build_system, enumerate_commitments,
+                       solve)
 from gridsched.solver import SolveOptions
-from gridsched.topology import Contingency
 
-from conftest import (make_gen, make_line, ring4_system, triangle_scenarios,
-                      triangle_system)
+from conftest import make_gen, triangle_scenarios, triangle_system
 
 SSCUC = FormulationConfig(model_kind=ModelKind.SSCUC)
 CNR = FormulationConfig(model_kind=ModelKind.SSCUC_CNR)
@@ -133,48 +130,3 @@ class TestEnumerateCommitments:
         assert milp.best_bound - 1e-6 <= result.best_objective
         assert result.best_objective <= milp.objective + 1e-6
 
-
-class TestExhaustiveSwitchCheck:
-    def test_uncongested_prefers_no_action(self):
-        sys_obj = ring4_system()
-        lines = tuple(replace(k, limit_long_term=200.0, limit_emergency=240.0)
-                      for k in sys_obj.lines)
-        sys_obj = replace(sys_obj, lines=lines)
-        cont = build_contingency_set(sys_obj, whitelist={"CH"})[0]
-        point = FixedOperatingPoint(
-            commitment={"gA": 1}, dispatch={"gA": 0.0},
-            availability={"w3": 60.0}, demand={2: 60.0})
-        out = exhaustive_switch_check(sys_obj, point, cont, CNR)
-        assert out.best_action is None
-        assert out.curtailment == pytest.approx(0.0, abs=1e-9)
-
-    def test_opening_the_binding_line_wins(self):
-        """Outage of the chord overloads the weak ring line; opening it
-        reroutes everything and clears the curtailment."""
-        sys_obj = ring4_system()
-        cont = build_contingency_set(sys_obj, whitelist={"CH"})[0]
-        point = FixedOperatingPoint(
-            commitment={"gA": 1}, dispatch={"gA": 0.0},
-            availability={"w3": 60.0}, demand={2: 60.0})
-        out = exhaustive_switch_check(sys_obj, point, cont, CNR)
-        assert out.best_action == "R2"
-        assert out.curtailment == pytest.approx(0.0, abs=1e-6)
-        no_action = next(e for e in out.evaluations if e.action is None)
-        assert no_action.curtailment == pytest.approx(10.0, abs=1e-6)
-
-    def test_islanding_actions_excluded(self):
-        # parallel pair: the only candidate islands the loaded bus
-        demand = DemandProfile(rows={"a": (0.0,), "b": (30.0,)},
-                               horizon_length=1)
-        sys_obj = build_system(
-            ["a", "b"], [make_gen("g", "a", p_max=100)],
-            [make_line("P1", "a", "b"), make_line("P2", "a", "b")],
-            [ResUnit(id="w", bus_id="a")], demand)
-        cont = Contingency("P1", ("P2",))
-        point = FixedOperatingPoint(
-            commitment={"g": 1}, dispatch={"g": 30.0},
-            availability={"w": 0.0}, demand={"b": 30.0})
-        out = exhaustive_switch_check(sys_obj, point, cont, CNR)
-        assert out.best_action is None
-        bad = next(e for e in out.evaluations if e.action == "P2")
-        assert not bad.feasible

@@ -1,12 +1,13 @@
-"""Scenario construction: blocking, normalization, synthesis."""
+"""Scenario construction: blocking, normalization, synthesis, loading."""
+
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridsched import block_average, build_scenario_set, synth_wind_profiles
-from gridsched.scenarios import (load_scenario_set, save_scenario_set,
-                                 scenario_set_from_list)
+from gridsched.scenarios import load_scenario_set, scenario_set_from_list
 
 
 class TestBlockAverage:
@@ -113,16 +114,17 @@ class TestSynthWind:
 
 class TestScenarioIO:
     def test_file_round_trip(self, tmp_path):
-        scen = build_scenario_set([{"w": [1.0, 2.0]}, {"w": [3.0, 4.0]}], [3, 1])
         path = tmp_path / "scen.json"
-        save_scenario_set(scen, path)
-        loaded = load_scenario_set(path)
-        assert loaded == scen
+        path.write_text(json.dumps([
+            {"id": "s0", "probability": 0.75, "availability": {"w": [1, 2]}},
+            {"id": "s1", "probability": 0.25, "availability": {"w": [3, 4]}}]))
+        scen = build_scenario_set([{"w": [1.0, 2.0]}, {"w": [3.0, 4.0]}], [3, 1])
+        assert load_scenario_set(path) == scen
 
     def test_blocking_on_load(self, tmp_path):
-        scen = build_scenario_set([{"w": [1, 2, 3, 4, 5, 6]}], [1])
         path = tmp_path / "scen.json"
-        save_scenario_set(scen, path)
+        path.write_text(json.dumps(
+            [{"probability": 1, "availability": {"w": [1, 2, 3, 4, 5, 6]}}]))
         loaded = load_scenario_set(path, block_len=3)
         assert loaded.scenarios[0].availability["w"] == (2, 2, 2, 5, 5, 5)
 

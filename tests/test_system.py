@@ -1,4 +1,4 @@
-"""System model: validation, penetration helpers, JSON round-trip."""
+"""System model: validation, penetration helpers, JSON loading."""
 
 import json
 from dataclasses import replace
@@ -9,12 +9,25 @@ from hypothesis import strategies as st
 
 from gridsched import (DemandProfile, ResUnit, ScenarioSet, align_scenarios,
                        build_scenario_set, build_system, load_system,
-                       peak_penetration, scale_penetration, save_system,
-                       validate_system)
+                       peak_penetration, scale_penetration, validate_system)
+from gridsched.data import bundled
 from gridsched.scenarios import Scenario
-from gridsched.system import CaseFormatError, system_from_dict, system_to_dict
+from gridsched.system import CaseFormatError, system_from_dict
 
 from conftest import make_gen, triangle_scenarios, triangle_system
+
+
+def toy3_doc() -> dict:
+    """The bundled toy3 case document: the conftest triangle over four
+    periods, with no per-bus lists."""
+    return json.loads(bundled("toy3.json").read_text())
+
+
+def toy3_system():
+    """toy3.json built in code."""
+    sys_obj = triangle_system(T=4, demand_b3=(60.0, 80.0, 70.0, 60.0))
+    rows = dict(sys_obj.demand.rows, b2=(20.0, 30.0, 25.0, 20.0))
+    return replace(sys_obj, demand=DemandProfile(rows=rows, horizon_length=4))
 
 
 class TestValidation:
@@ -68,7 +81,7 @@ class TestValidation:
     def test_inconsistent_adjacency_reported(self):
         # a document's per-bus lists are checked against the element fields
         # when it is loaded
-        doc = system_to_dict(triangle_system())
+        doc = toy3_doc()
         doc["buses"][0]["generator_ids"] = ["g1", "g2"]
         with pytest.raises(CaseFormatError, match=r"buses\[0\]\.generator_ids"):
             system_from_dict(doc)
@@ -171,26 +184,25 @@ class TestPeakPenetration:
 
 class TestJsonRoundTrip:
     def test_round_trip_preserves_system(self, tmp_path):
-        sys_obj = triangle_system()
+        # a document written out and loaded back is the system built in code
         path = tmp_path / "case.json"
-        save_system(sys_obj, path)
-        loaded = load_system(path)
-        assert loaded == sys_obj
+        path.write_text(json.dumps(toy3_doc()))
+        assert load_system(path) == toy3_system()
 
     def test_adjacency_derived_when_absent(self):
-        doc = system_to_dict(triangle_system())
+        doc = toy3_doc()
         assert all(set(bus) == {"id"} for bus in doc["buses"])
-        listed = json.loads(json.dumps(doc))
+        listed = toy3_doc()
         for bus, gens, res, inbound, outbound in zip(
                 listed["buses"], (["g1"], ["g2"], []), ([], [], ["w1"]),
                 ([], ["L1"], ["L3", "L2"]), (["L1", "L2"], ["L3"], [])):
             bus.update(generator_ids=gens, res_ids=res,
                        inbound_line_ids=inbound, outbound_line_ids=outbound)
         assert system_from_dict(listed) == system_from_dict(doc) \
-            == triangle_system()
+            == toy3_system()
 
     def test_missing_field_diagnostic(self):
-        doc = system_to_dict(triangle_system())
+        doc = toy3_doc()
         del doc["generators"][0]["p_max"]
         with pytest.raises(CaseFormatError, match=r"generators\[0\].*p_max"):
             system_from_dict(doc)
@@ -202,7 +214,8 @@ class TestJsonRoundTrip:
             load_system(path)
 
     def test_demand_is_a_top_level_array(self):
-        doc = system_to_dict(triangle_system())
-        assert isinstance(doc["demand"], list)
+        doc = toy3_doc()
         assert {row["bus_id"] for row in doc["demand"]} == {"b1", "b2", "b3"}
-        assert json.dumps(doc)  # serializable
+        doc["demand"] = {row["bus_id"]: row["mw"] for row in doc["demand"]}
+        with pytest.raises(CaseFormatError, match=r"case\.demand must be an array"):
+            system_from_dict(doc)
