@@ -6,10 +6,16 @@ Subcommands:
 * ``sweep``  penetration sweep over scale factors x model kinds x penalty
 * ``verify`` exact MILP vs exhaustive-enumeration cross-check
 
-Exit codes: 0 ok, 1 verification mismatch (including a solver point that
-fails the post-solve integrality or feasibility check), 2 input error,
-3 caps or limits exceeded (``run`` and ``sweep`` still verify and report
-a time-limit incumbent), 4 solver reports infeasible or HiGHS fails.
+Each command's MILP goes through ``_schedule``, which assembles, solves,
+extracts, verifies and reports one model.  A point that the verifier
+rejects, or whose recomputed cost does not reconcile with the solver
+objective, gets no report.
+
+Exit codes: 0 ok, 1 verification mismatch (a verifier violation, a cost
+that fails reconciliation, or a solver point that fails the post-solve
+integrality or feasibility check), 2 input error, 3 caps or limits
+exceeded (``run`` and ``sweep`` still verify and report a time-limit
+incumbent), 4 solver reports infeasible or HiGHS fails.
 """
 
 from __future__ import annotations
@@ -61,12 +67,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out-dir", default=".", help="output directory")
 
 
-def _add_model_flag(p: argparse.ArgumentParser) -> None:
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", default="sscuc", choices=["sscuc", "sscuc-cnr"],
                    help="model kind (default sscuc)")
-
-
-def _add_penalty_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--penalty", default=None, metavar="VALUE|off",
                    help="override curtailment penalty in $/MWh, or 'off'")
 
@@ -141,53 +144,47 @@ def _contingencies(args, system: PowerSystem):
         raise InputError(f"contingencies: {exc}") from exc
 
 
-def _solve_one(system, scen, contingencies, cfg, opts):
+def _schedule(system, scen, contingencies, cfg, opts):
+    """Assemble, solve, extract, verify and report one model.
+
+    Returns ``(result, report, failures)``.  ``failures`` lists the
+    verifier's violations, or the cost-reconciliation message when the
+    recomputed cost disagrees with the solver objective.  ``report`` is
+    None when the solve gave no point or a check failed.
+    """
     prob = assemble(system, scen, contingencies, cfg)
     result = solve(prob, opts)
-    return prob, result
+    if result.x is None:
+        return result, None, []
+    sol = metrics.extract_schedule(prob, result)
+    violations = metrics.verify_solution(sol, system, scen, contingencies, cfg)
+    if violations:
+        return result, None, violations
+    try:
+        report = metrics.build_report(sol, system, scen, contingencies, cfg)
+    except metrics.ReconciliationError as exc:
+        return result, None, [f"cost reconciliation: {exc}"]
+    return result, report, []
 
 
 def cmd_run(args) -> int:
     system, scen = _load_inputs(args)
     system, penalty_enabled = _apply_penalty(system, args.penalty)
-    cfg = _build_config(args, system, ModelKind.parse(args.model),
-                        penalty_enabled)
+    cfg = _build_config(args, system, ModelKind(args.model), penalty_enabled)
     contingencies = _contingencies(args, system)
     opts = SolveOptions(mip_gap=args.mip_gap, time_limit=args.time_limit)
-    prob, result = _solve_one(system, scen, contingencies, cfg, opts)
+    result, report, failures = _schedule(system, scen, contingencies, cfg, opts)
     # a time-limit incumbent is verified and reported, with exit 3
     limited = result.status is SolveStatus.TIME_LIMIT
-    if result.status is SolveStatus.INFEASIBLE:
-        print("solve: infeasible")
-        return EXIT_INFEASIBLE
-    if limited and result.x is None:
-        print(f"solve: time limit reached with no incumbent {result.message}")
-        return EXIT_CAPS
     if result.x is None:
-        print(f"solve failed: {result.status.value} {result.message}")
-        return EXIT_INFEASIBLE
-    sol = metrics.extract_schedule(prob, result)
-    violations = metrics.verify_solution(sol, system, scen, contingencies, cfg)
-    if violations:
-        for v in violations[:20]:
-            print(f"verification: {v}")
-        print(f"verification failed with {len(violations)} violations")
+        print(f"solve: {result.status.value} with no point {result.message}")
+        return EXIT_CAPS if limited else EXIT_INFEASIBLE
+    if failures:
+        for failure in failures[:20]:
+            print(f"verification: {failure}")
+        print(f"verification failed: {len(failures)} failed checks")
         return EXIT_MISMATCH
-    report = metrics.build_report(sol, system, scen, contingencies, cfg)
     metrics.write_report(report, args.out_dir)
-    if args.penalty_table and penalty_enabled:
-        off_cfg = replace(cfg, penalty_enabled=False)
-        prob_off, result_off = _solve_one(system, scen, contingencies,
-                                          off_cfg, opts)
-        if result_off.status.has_solution:
-            sol_off = metrics.extract_schedule(prob_off, result_off)
-            rep_off = metrics.build_report(sol_off, system, scen,
-                                           contingencies, off_cfg)
-            table = metrics.reports_to_table_csv(
-                {"penalty_on": report, "penalty_off": rep_off})
-            out = Path(args.out_dir)
-            (out / "report_table.csv").write_text(table)
-            print(f"penalty table written to {out / 'report_table.csv'}")
     gap = abs(result.objective - result.best_bound) / max(1.0, abs(result.objective))
     print(f"status: {result.status.value}")
     print(f"objective: {result.objective:.2f}")
@@ -204,43 +201,37 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     system, scen = _load_inputs(args)
+    try:  # every factor is checked before anything is solved
+        scaled = [scale_penetration(scen, factor) for factor in args.factors]
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     contingencies = _contingencies(args, system)
     opts = SolveOptions(mip_gap=args.mip_gap, time_limit=args.time_limit)
     rows, engine_failures = [], 0
-    for factor in args.factors:
-        if factor < 0:
-            raise InputError(f"factor must be >= 0, got {factor}")
-        scaled = scale_penetration(scen, factor)
+    for factor, factor_scen in zip(args.factors, scaled):
         for kind in ModelKind:
             for penalty_on in (True, False):
                 cfg = _build_config(args, system, kind, penalty_on)
                 row = {"factor": factor, "model": kind.value,
                        "penalty": "on" if penalty_on else "off"}
+                rows.append(row)
                 try:
-                    prob, result = _solve_one(system, scaled, contingencies,
-                                              cfg, opts)
                     # a time-limit incumbent is verified and reported too
-                    sol = (metrics.extract_schedule(prob, result)
-                           if result.x is not None else None)
-                    if sol is None:
-                        row["status"] = result.status.value
-                    elif metrics.verify_solution(sol, system, scaled,
-                                                 contingencies, cfg):
-                        row["status"] = "verification-failed"
-                    else:
-                        rep = metrics.build_report(sol, system, scaled,
-                                                   contingencies, cfg)
-                        row.update({
-                            "status": result.status.value,
-                            "total_cost": f"{rep.total_cost:.6f}",
-                            "bcc": f"{rep.bcc:.6f}",
-                            "pcc": f"{rep.pcc:.6f}",
-                            "emissions": f"{rep.emissions:.6f}",
-                        })
+                    result, rep, failures = _schedule(
+                        system, factor_scen, contingencies, cfg, opts)
                 except SolverError as exc:
                     row["status"] = f"error: {exc}"
                     engine_failures += isinstance(exc, EngineError)
-                rows.append(row)
+                    continue
+                row["status"] = ("verification-failed" if failures
+                                 else result.status.value)
+                if rep is not None:
+                    row.update({
+                        "total_cost": f"{rep.total_cost:.6f}",
+                        "bcc": f"{rep.bcc:.6f}",
+                        "pcc": f"{rep.pcc:.6f}",
+                        "emissions": f"{rep.emissions:.6f}",
+                    })
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sweep_path = out / "sweep.csv"
@@ -272,8 +263,7 @@ def cmd_sweep(args) -> int:
 def cmd_verify(args) -> int:
     system, scen = _load_inputs(args)
     system, penalty_enabled = _apply_penalty(system, args.penalty)
-    cfg = _build_config(args, system, ModelKind.parse(args.model),
-                        penalty_enabled)
+    cfg = _build_config(args, system, ModelKind(args.model), penalty_enabled)
     contingencies = _contingencies(args, system)
     opts = SolveOptions(mip_gap=0.0, time_limit=args.time_limit)
 
@@ -284,7 +274,7 @@ def cmd_verify(args) -> int:
         print(f"oracle caps exceeded: {exc}")
         return EXIT_CAPS
 
-    prob, result = _solve_one(system, scen, contingencies, cfg, opts)
+    result, _report, failures = _schedule(system, scen, contingencies, cfg, opts)
     certificate = {
         "milp_status": result.status.value,
         "milp_objective": (result.objective
@@ -306,7 +296,10 @@ def cmd_verify(args) -> int:
     if result.status is SolveStatus.INFEASIBLE and not oracle_result.feasible:
         print("verify: both paths report infeasible")
         return EXIT_OK
-    if result.status is SolveStatus.INFEASIBLE or not oracle_result.feasible:
+    if result.status is SolveStatus.TIME_LIMIT and result.x is None:
+        print("verify: time limit reached with no MILP incumbent")
+        return EXIT_CAPS
+    if result.x is None or not oracle_result.feasible:
         print(f"verify MISMATCH: milp={result.status.value} "
               f"oracle_feasible={oracle_result.feasible}")
         return EXIT_MISMATCH
@@ -314,14 +307,13 @@ def cmd_verify(args) -> int:
     milp_obj = result.objective
     oracle_obj = oracle_result.best_objective
     drift = abs(milp_obj - oracle_obj) / max(1.0, abs(oracle_obj))
-    sol = metrics.extract_schedule(prob, result)
-    violations = metrics.verify_solution(sol, system, scen, contingencies, cfg)
     print(f"milp objective:   {milp_obj:.6f}")
     print(f"oracle objective: {oracle_obj:.6f} ({oracle_result.lp_solves} LPs)")
-    print(f"constraint violations: {len(violations)}")
-    if drift > 1e-6 or violations:
+    for failure in failures[:20]:
+        print(f"verification: {failure}")
+    if drift > 1e-6 or failures:
         print(f"verify MISMATCH: relative drift {drift:.3g}, "
-              f"{len(violations)} violations")
+              f"{len(failures)} failed checks")
         return EXIT_MISMATCH
     print("verify: ok")
     return EXIT_OK
@@ -336,11 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="solve one model and write reports")
     _add_common_flags(p_run)
-    _add_model_flag(p_run)
-    _add_penalty_flag(p_run)
-    p_run.add_argument("--penalty-table", action="store_true",
-                       help="also solve with the penalty disabled and write "
-                            "a side-by-side report_table.csv")
+    _add_model_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="penetration sweep")
@@ -351,8 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="MILP vs exhaustive oracle")
     _add_common_flags(p_verify)
-    _add_model_flag(p_verify)
-    _add_penalty_flag(p_verify)
+    _add_model_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

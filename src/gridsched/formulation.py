@@ -52,13 +52,6 @@ class ModelKind(enum.Enum):
     SSCUC = "sscuc"
     SSCUC_CNR = "sscuc-cnr"
 
-    @classmethod
-    def parse(cls, text: str) -> "ModelKind":
-        for kind in cls:
-            if text.lower() in (kind.value, kind.name.lower()):
-                return kind
-        raise ValueError(f"unknown model kind {text!r}")
-
 
 @dataclass(frozen=True)
 class FormulationConfig:
@@ -253,8 +246,7 @@ def register_variables(prob: MilpProblem, sys: PowerSystem, scen: ScenarioSet,
 # ---------------------------------------------------------------------------
 
 def add_base_generator_constraints(prob: MilpProblem, sys: PowerSystem,
-                                   scen: ScenarioSet,
-                                   cfg: FormulationConfig) -> None:
+                                   scen: ScenarioSet) -> None:
     """eq2-eq10 per unit, then eq13 per RES unit."""
     inner = _axes(sys, scen)
     periods = inner[0]
@@ -389,8 +381,7 @@ def _add_balance(prob: MilpProblem, family: str, sys: PowerSystem, inner,
 # ---------------------------------------------------------------------------
 
 def add_base_network_constraints(prob: MilpProblem, sys: PowerSystem,
-                                 scen: ScenarioSet,
-                                 cfg: FormulationConfig) -> None:
+                                 scen: ScenarioSet) -> None:
     """eq14 and eq15 per line, then eq16 per bus."""
     inner = _axes(sys, scen)
     lines = sys.lines
@@ -594,8 +585,8 @@ def assemble(sys: PowerSystem, scen: ScenarioSet,
     scen.check()
     prob = MilpProblem(name=f"{cfg.model_kind.value}")
     register_variables(prob, sys, scen, contingencies, cfg)
-    add_base_generator_constraints(prob, sys, scen, cfg)
-    add_base_network_constraints(prob, sys, scen, cfg)
+    add_base_generator_constraints(prob, sys, scen)
+    add_base_network_constraints(prob, sys, scen)
     add_contingency_generator_constraints(prob, sys, scen, contingencies, cfg)
     add_contingency_network(prob, sys, scen, contingencies, cfg)
     build_objective(prob, sys, scen, contingencies, cfg)

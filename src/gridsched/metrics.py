@@ -475,21 +475,8 @@ def report_to_csv(report: RunReport) -> str:
     return buf.getvalue()
 
 
-def reports_to_table_csv(reports: dict[str, RunReport]) -> str:
-    """Side-by-side comparison table: one column per labelled run."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    labels = list(reports)
-    writer.writerow(["metric"] + labels)
-    writer.writerow(["total_cost"] + [f"{reports[c].total_cost:.6f}" for c in labels])
-    writer.writerow(["bcc_mw"] + [f"{reports[c].bcc:.6f}" for c in labels])
-    writer.writerow(["pcc_mw"] + [f"{reports[c].pcc:.6f}" for c in labels])
-    writer.writerow(["emissions_lbs"] + [f"{reports[c].emissions:.6f}" for c in labels])
-    return buf.getvalue()
-
-
-def write_report(report: RunReport, out_dir: str | Path, stem: str = "report") -> None:
+def write_report(report: RunReport, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / f"{stem}.json").write_text(report_to_json(report))
-    (out / f"{stem}.csv").write_text(report_to_csv(report))
+    (out / "report.json").write_text(report_to_json(report))
+    (out / "report.csv").write_text(report_to_csv(report))

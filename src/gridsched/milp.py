@@ -510,11 +510,6 @@ class MilpProblem:
 
     # -- objective ---------------------------------------------------------
 
-    @property
-    def objective(self) -> dict[int, float]:
-        cols, coefs = self._model.objective_terms()
-        return dict(zip(cols.tolist(), coefs.tolist()))
-
     def objective_vector(self) -> np.ndarray:
         """Dense objective coefficients, one per column."""
         return self._model.objective_vector()

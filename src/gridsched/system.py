@@ -93,9 +93,9 @@ class DemandProfile:
     horizon_length: int
 
     def at(self, bus_id: Id, t: int) -> float:
-        """Demand at 1-based period ``t``; buses without a row draw 0 MW."""
-        row = self.rows.get(bus_id)
-        return row[t - 1] if row is not None else 0.0
+        """Demand at 1-based period ``t``; a bus without a row raises
+        KeyError."""
+        return self.rows[bus_id][t - 1]
 
     def system_load(self, t: int) -> float:
         return sum(row[t - 1] for row in self.rows.values())

@@ -22,6 +22,19 @@ def run_cli(*args):
     return main(list(args))
 
 
+def shift_objective_constant(monkeypatch):
+    """Corrupt the MILP path only: the solver objective no longer equals
+    the cost recomputed from the schedule."""
+    real_assemble = cli_mod.assemble
+
+    def broken(sys_obj, scen, cont, cfg):
+        prob = real_assemble(sys_obj, scen, cont, cfg)
+        prob.objective_constant += 50.0
+        return prob
+
+    monkeypatch.setattr(cli_mod, "assemble", broken)
+
+
 class TestRun:
     def test_smoke_sscuc(self, tmp_path, capsys):
         code = run_cli("run", TOY, TOY_SCEN, "--out-dir", str(tmp_path),
@@ -82,13 +95,13 @@ class TestRun:
                          + (d / "report.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
-    def test_penalty_table(self, tmp_path):
-        assert run_cli("run", TOY, TOY_SCEN, "--penalty-table",
-                       "--mip-gap", "0", "--out-dir", str(tmp_path)) == 0
-        table = (tmp_path / "report_table.csv").read_text()
-        head, total = table.splitlines()[:2]
-        assert head == "metric,penalty_on,penalty_off"
-        assert total.startswith("total_cost,")
+    def test_unreconciled_cost_is_mismatch(self, tmp_path, capsys,
+                                           monkeypatch):
+        shift_objective_constant(monkeypatch)
+        assert run_cli("run", TOY, TOY_SCEN, "--mip-gap", "0",
+                       "--out-dir", str(tmp_path)) == 1
+        assert "cost reconciliation: recomputed cost" in capsys.readouterr().out
+        assert not (tmp_path / "report.json").exists()
 
     def test_contingency_whitelist(self, tmp_path):
         white = tmp_path / "white.json"
@@ -191,6 +204,7 @@ class TestFlags:
         ("run", "--seed", "0"),
         ("sweep", "--factors", "1", "--seed", "0"),
         ("verify", "--seed", "0"),
+        ("run", "--penalty-table"),
     ])
     def test_flags_a_command_ignores_are_rejected(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
@@ -294,6 +308,25 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert all(r["status"].startswith("error: engine failure") for r in rows)
 
+    def test_unreconciled_cost_marks_rows(self, tmp_path, monkeypatch):
+        shift_objective_constant(monkeypatch)
+        assert run_cli("sweep", TOY, TOY_SCEN, "--factors", "1",
+                       "--mip-gap", "0", "--out-dir", str(tmp_path)) == 1
+        with open(tmp_path / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        assert all(r["status"] == "verification-failed" for r in rows)
+
+    def test_negative_factor_rejected_before_solving(self, tmp_path,
+                                                     monkeypatch):
+        solves = []
+        monkeypatch.setattr(cli_mod, "solve",
+                            lambda prob, opts: solves.append(prob))
+        assert run_cli("sweep", TOY, TOY_SCEN, "--factors", "1", "-1",
+                       "--out-dir", str(tmp_path)) == 2
+        assert solves == []
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_verification_failure_marks_rows(self, tmp_path, monkeypatch):
         monkeypatch.setattr(
             metrics_mod, "verify_solution",
@@ -318,16 +351,14 @@ class TestVerify:
         assert cert["assignments"]
 
     def test_broken_builder_detected(self, tmp_path, monkeypatch):
-        real_assemble = cli_mod.assemble
-
-        def broken(sys_obj, scen, cont, cfg):
-            prob = real_assemble(sys_obj, scen, cont, cfg)
-            prob.objective_constant += 50.0  # corrupt the MILP path only
-            return prob
-
-        monkeypatch.setattr(cli_mod, "assemble", broken)
+        shift_objective_constant(monkeypatch)
         code = run_cli("verify", TOY, TOY_SCEN, "--out-dir", str(tmp_path))
         assert code == 1
+
+    def test_time_limit_without_milp_point(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli_mod, "solve", lambda prob, opts: dataclasses.replace(
+            solver_mod.solve(prob, opts), status=SolveStatus.TIME_LIMIT, x=None))
+        assert run_cli("verify", TOY, TOY_SCEN, "--out-dir", str(tmp_path)) == 3
 
     def test_oversized_case_is_capped(self, tmp_path):
         # CNR on the toy case needs 48 switch bits, beyond the cap

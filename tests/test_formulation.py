@@ -8,7 +8,8 @@ import pytest
 
 from gridsched import (DemandProfile, FormulationConfig, ModelKind, ResUnit,
                        assemble, build_contingency_set, build_scenario_set,
-                       build_system, compute_big_m, solve)
+                       build_system, compute_big_m, extract_schedule, solve,
+                       verify_solution)
 from gridsched.formulation import (BIG_M_MARGIN,
                                    add_base_generator_constraints,
                                    add_base_network_constraints,
@@ -43,7 +44,7 @@ class TestBaseGeneratorBlock:
         scen = single_scenario(T=2)
         prob = MilpProblem()
         register_variables(prob, sys_obj, scen, [], SSCUC)
-        add_base_generator_constraints(prob, sys_obj, scen, SSCUC)
+        add_base_generator_constraints(prob, sys_obj, scen)
         counts = prob.rows_by_equation()
         # G*T*S rows for eq2..eq7; printed windows for eq8/eq9; G*T for eq10
         assert counts == {
@@ -56,7 +57,7 @@ class TestBaseGeneratorBlock:
         scen = single_scenario(T=4)
         prob = MilpProblem()
         register_variables(prob, sys_obj, scen, [], SSCUC)
-        add_base_generator_constraints(prob, sys_obj, scen, SSCUC)
+        add_base_generator_constraints(prob, sys_obj, scen)
         counts = prob.rows_by_equation()
         assert counts["eq8"] == 2   # t in {3, 4}
         assert counts["eq9"] == 2   # t in {1, 2}
@@ -66,7 +67,7 @@ class TestBaseGeneratorBlock:
         scen = single_scenario(T=2)
         prob = MilpProblem()
         register_variables(prob, sys_obj, scen, [], SSCUC)
-        add_base_generator_constraints(prob, sys_obj, scen, SSCUC)
+        add_base_generator_constraints(prob, sys_obj, scen)
         rows = [r for r in prob.rows if r.label.startswith("eq8")]
         for row in rows:
             coeffs = dict(row.coeffs)
@@ -89,7 +90,7 @@ class TestBaseGeneratorBlock:
         scen = single_scenario(T=2, avail=[30.0, 12.5])
         prob = MilpProblem()
         register_variables(prob, sys_obj, scen, [], SSCUC)
-        add_base_generator_constraints(prob, sys_obj, scen, SSCUC)
+        add_base_generator_constraints(prob, sys_obj, scen)
         rows = {r.label: r for r in prob.rows if r.label.startswith("eq13")}
         assert rows["eq13[w1,1,s0]"].ub == 30.0
         assert rows["eq13[w1,2,s0]"].ub == 12.5
@@ -104,6 +105,21 @@ class TestBaseGeneratorBlock:
         scen = build_scenario_set(profiles, [1.0])
         with pytest.raises(error):
             assemble(triangle_system(T=2), scen, [], SSCUC)
+
+    def test_missing_demand_row_is_not_zero(self):
+        # a bus without a demand row raises instead of drawing 0 MW, in the
+        # builder and in the verifier alike
+        sys_obj = triangle_system(T=2)
+        scen = triangle_scenarios(T=2)
+        prob = assemble(sys_obj, scen, [], SSCUC)
+        sol = extract_schedule(prob, solve(prob, SolveOptions(mip_gap=0.0)))
+        rows = {b: row for b, row in sys_obj.demand.rows.items() if b != "b1"}
+        short = replace(sys_obj, demand=DemandProfile(rows=rows,
+                                                      horizon_length=2))
+        with pytest.raises(KeyError):
+            assemble(short, scen, [], SSCUC)
+        with pytest.raises(KeyError):
+            verify_solution(sol, short, scen, [], SSCUC)
 
     def test_reserve_implication_holds_on_solutions(self):
         # implied form of the reserve row: total reserve minus a unit's own
@@ -138,7 +154,7 @@ class TestNetworkBlock:
         scen = build_scenario_set([{}], [1.0])
         prob = MilpProblem()
         register_variables(prob, sys_obj, scen, [], SSCUC)
-        add_base_network_constraints(prob, sys_obj, scen, SSCUC)
+        add_base_network_constraints(prob, sys_obj, scen)
         row = next(r for r in prob.rows if r.label == "eq14[K,1,s0]")
         x = np.zeros(prob.num_vars)
         x[prob.registry.col("Pk", "K", 1, "s0")] = 50.0
@@ -151,7 +167,7 @@ class TestNetworkBlock:
         scen = triangle_scenarios(T=2)
         prob = MilpProblem()
         register_variables(prob, sys_obj, scen, [], SSCUC)
-        add_base_network_constraints(prob, sys_obj, scen, SSCUC)
+        add_base_network_constraints(prob, sys_obj, scen)
         counts = prob.rows_by_equation()
         # K*T*S for eq14/eq15, N*T*S for eq16
         assert counts == {"eq14": 12, "eq15": 12, "eq16": 12}
@@ -427,8 +443,8 @@ class TestObjective:
         cfg = replace(SSCUC, penalty_enabled=False)
         prob = assemble(sys_obj, scen, cont, cfg)
         assert prob.objective_constant == 0.0
-        for col in prob.registry.block("Pwc").numbers().reshape(-1).tolist():
-            assert col not in prob.objective
+        pwc = prob.registry.block("Pwc").numbers().reshape(-1)
+        assert not prob.objective_vector()[pwc].any()
 
     def test_all_off_zero_objective(self):
         sys_obj = triangle_system(T=1, wind=False)
@@ -480,5 +496,6 @@ class TestAssemble:
             assert np.array_equal(fixed.ub, cnr.ub)
             assert np.array_equal(fixed.integer, cnr.integer)
             assert list(fixed.rows) == list(cnr.rows)
-            assert fixed.objective == cnr.objective
+            assert np.array_equal(fixed.objective_vector(),
+                                  cnr.objective_vector())
             assert fixed.objective_constant == cnr.objective_constant

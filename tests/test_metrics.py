@@ -12,7 +12,7 @@ from gridsched import (FormulationConfig, ModelKind, ScheduleSolution,
                        post_contingency_curtailment, solve, switching_report,
                        verify_solution)
 from gridsched.metrics import (ReconciliationError, report_to_csv,
-                               report_to_json, reports_to_table_csv)
+                               report_to_json)
 from gridsched.solver import SolveOptions
 from conftest import (ring4_scenarios, ring4_system, triangle_scenarios,
                       triangle_system)
@@ -273,5 +273,3 @@ class TestRunReport:
         assert '"total_cost"' in doc and '"switching_actions"' in doc
         csv_text = report_to_csv(rep)
         assert csv_text.startswith("metric,value")
-        table = reports_to_table_csv({"penalty_on": rep, "penalty_off": rep})
-        assert table.splitlines()[0] == "metric,penalty_on,penalty_off"
