@@ -119,13 +119,23 @@ def _apply_penalty(system: PowerSystem, penalty: str | None
 
 def _build_config(args, system: PowerSystem, kind: ModelKind,
                   penalty_enabled: bool) -> FormulationConfig:
-    return FormulationConfig(
-        model_kind=kind,
-        switch_limit=args.switch_limit,
-        angle_bound=args.angle_bound,
-        reference_bus=_coerce_id(system, args.ref_bus),
-        penalty_enabled=penalty_enabled,
-    )
+    try:
+        return FormulationConfig(
+            model_kind=kind,
+            switch_limit=args.switch_limit,
+            angle_bound=args.angle_bound,
+            reference_bus=_coerce_id(system, args.ref_bus),
+            penalty_enabled=penalty_enabled,
+        )
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+
+
+def _solve_options(mip_gap: float, time_limit: float | None) -> SolveOptions:
+    try:
+        return SolveOptions(mip_gap=mip_gap, time_limit=time_limit)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _contingencies(args, system: PowerSystem):
@@ -172,7 +182,7 @@ def cmd_run(args) -> int:
     system, penalty_enabled = _apply_penalty(system, args.penalty)
     cfg = _build_config(args, system, ModelKind(args.model), penalty_enabled)
     contingencies = _contingencies(args, system)
-    opts = SolveOptions(mip_gap=args.mip_gap, time_limit=args.time_limit)
+    opts = _solve_options(args.mip_gap, args.time_limit)
     result, report, failures = _schedule(system, scen, contingencies, cfg, opts)
     # a time-limit incumbent is verified and reported, with exit 3
     limited = result.status is SolveStatus.TIME_LIMIT
@@ -206,7 +216,7 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     contingencies = _contingencies(args, system)
-    opts = SolveOptions(mip_gap=args.mip_gap, time_limit=args.time_limit)
+    opts = _solve_options(args.mip_gap, args.time_limit)
     rows, engine_failures = [], 0
     for factor, factor_scen in zip(args.factors, scaled):
         for kind in ModelKind:
@@ -265,7 +275,7 @@ def cmd_verify(args) -> int:
     system, penalty_enabled = _apply_penalty(system, args.penalty)
     cfg = _build_config(args, system, ModelKind(args.model), penalty_enabled)
     contingencies = _contingencies(args, system)
-    opts = SolveOptions(mip_gap=0.0, time_limit=args.time_limit)
+    opts = _solve_options(0.0, args.time_limit)
 
     try:
         oracle_result = oracle.enumerate_commitments(

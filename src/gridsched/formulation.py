@@ -64,8 +64,8 @@ class FormulationConfig:
     def __post_init__(self) -> None:
         if self.switch_limit < 0:
             raise ValueError("switch_limit must be >= 0")
-        if self.angle_bound <= 0:
-            raise ValueError("angle_bound must be > 0")
+        if not (math.isfinite(self.angle_bound) and self.angle_bound > 0):
+            raise ValueError("angle_bound must be finite and > 0")
 
 
 BIG_M_MARGIN = 10.0  # MW of slack on top of the worst-case flow term

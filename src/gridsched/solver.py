@@ -6,24 +6,25 @@ integral and the point must satisfy every row and bound.  A failure of
 HiGHS itself raises ``EngineError``; a point that fails the checks raises
 ``SolverError``.
 
-The model's bounds choose how HiGHS is reached:
+HiGHS is reached through scipy's bundled bindings.  One loader,
+``_Engine``, passes the arrays to a HiGHS instance with the options
+scipy's ``milp`` sets, and one table maps HiGHS's model statuses to
+scipy's status codes.  The model's bounds choose the route:
 
 - A problem whose integer columns are all fixed (``lb == ub``) is an LP,
   like each of the exhaustive oracle's fixed-binary clones.  It goes to
-  one HiGHS instance per model, made through scipy's bundled bindings
-  and kept with the cached matrix, which ``clone_with_bounds`` copies
-  share.  A solve passes only the column bounds that differ from the
-  ones the instance last saw, and HiGHS's dual simplex restarts from the
-  last basis.  The bindings are private to scipy; ``_highs_bindings``
-  checks them and fails with ``EngineError``.
-- Every other problem goes through scipy's ``milp``, which builds a new
-  HiGHS object per call.  MILPs stay there because the benchmark under
-  ``perfbench/`` traces ``gridsched.solver.milp`` as the engine, so moving
-  them off it needs a change to the benchmark first.
+  one instance per model, kept with the cached matrix, which
+  ``clone_with_bounds`` copies share.  A solve passes only the column
+  bounds that differ from the ones the instance last saw, and HiGHS's
+  dual simplex restarts from the last basis.
+- Every other problem goes to ``milp``, which loads a new instance per
+  call.  ``milp`` is the one engine entry point: the benchmark under
+  ``perfbench/`` traces ``gridsched.solver.milp`` by name as the engine.
 
-HiGHS runs with its fixed default random seed;
-``SolveOptions.deterministic_seed`` is accepted but not passed to it,
-because scipy's ``milp`` has no option for it.
+The bindings are private to scipy; ``_highs_bindings`` checks them and
+fails with ``EngineError`` naming scipy's version.  HiGHS runs with its
+fixed default random seed; ``SolveOptions.deterministic_seed`` is accepted
+but not passed to it, so the search path does not vary with that seed.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy
-from scipy.optimize import Bounds, LinearConstraint, OptimizeResult, milp
+from scipy.optimize import OptimizeResult
 
 from .milp import MilpProblem
 
@@ -44,10 +45,11 @@ INTEGRALITY_TOL = 1e-6
 FEASIBILITY_TOL = 1e-6  # scaled row violation accepted from the engine
 
 _BINDINGS = "scipy.optimize._highspy._core"
-_BINDING_NAMES = ("_Highs", "HighsLp", "HighsModelStatus", "HighsStatus",
-                  "MatrixFormat")
+_BINDING_NAMES = ("_Highs", "HighsModelStatus", "HighsStatus", "MatrixFormat",
+                  "ObjSense", "kHighsInf")
 _HIGHS_METHODS = ("passModel", "changeColsBounds", "setOptionValue", "run",
-                  "getModelStatus", "getSolution", "modelStatusToString")
+                  "getModelStatus", "getInfo", "getSolution",
+                  "modelStatusToString")
 # scipy's status codes for HiGHS's model statuses, as scipy's own wrapper
 # maps them (0 optimal, 1 limit, 2 infeasible, 3 unbounded); any other
 # status, kUnboundedOrInfeasible and the error statuses among them, is 4
@@ -60,7 +62,8 @@ class SolverError(RuntimeError):
 
 
 class EngineError(SolverError):
-    """HiGHS itself failed (error status, or success without a point)."""
+    """HiGHS itself failed (error status, rejected model or option, or
+    success without a point)."""
 
 
 class SolveStatus(enum.Enum):
@@ -83,8 +86,13 @@ class SolveOptions:
     deterministic_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mip_gap < 0:
-            raise ValueError("mip_gap must be >= 0")
+        # HiGHS accepts a NaN gap and drops a negative time limit
+        if not (math.isfinite(self.mip_gap) and self.mip_gap >= 0):
+            raise ValueError(f"mip_gap must be finite and >= 0, "
+                             f"got {self.mip_gap}")
+        if self.time_limit is not None and not self.time_limit >= 0:
+            raise ValueError(f"time_limit must be None or >= 0, "
+                             f"got {self.time_limit}")
 
 
 @dataclass
@@ -167,32 +175,45 @@ def solve(prob: MilpProblem, opts: SolveOptions | None = None) -> SolveResult:
 
 
 def _solve_milp(prob: MilpProblem, opts: SolveOptions) -> OptimizeResult:
-    """One call of scipy's ``milp``, which makes a new HiGHS object."""
+    """The problem's arrays, handed to the engine call ``milp``."""
     n = prob.num_vars
     c = prob.objective_vector()
     lb, ub = prob.lb, prob.ub
-    integrality = prob.integer.astype(np.uint8)
+    integrality = prob.integer.astype(np.int32)
     # a constant objective term rides along as a column fixed to 1, so the
     # engine's relative-gap termination sees the true objective scale
     shift = prob.objective_constant != 0.0
     if shift:
         c = np.concatenate((c, [prob.objective_constant]))
         lb, ub = np.concatenate((lb, [1.0])), np.concatenate((ub, [1.0]))
-        integrality = np.concatenate((integrality, np.zeros(1, dtype=np.uint8)))
-    constraints = []
-    if prob.num_rows:
-        A, lo, hi = prob.matrix(n + 1 if shift else n)
-        constraints.append(LinearConstraint(A, lo, hi))
+        integrality = np.concatenate((integrality, np.zeros(1, dtype=np.int32)))
+    A, lo, hi = prob.matrix(n + 1 if shift else n)
+    return milp(c=c, integrality=integrality, col_lower=lb, col_upper=ub,
+                A=A, row_lower=lo, row_upper=hi, mip_rel_gap=opts.mip_gap,
+                time_limit=opts.time_limit)
 
-    options: dict = {"mip_rel_gap": opts.mip_gap, "presolve": True}
-    if opts.time_limit is not None:
-        options["time_limit"] = float(opts.time_limit)
-    return milp(c=c, constraints=constraints, integrality=integrality,
-                bounds=Bounds(lb, ub), options=options)
+
+def milp(*, c, integrality, col_lower, col_upper, A, row_lower, row_upper,
+         mip_rel_gap: float, time_limit: float | None) -> OptimizeResult:
+    """Minimise ``c @ x`` over ``row_lower <= A @ x <= row_upper`` and the
+    column bounds, with ``integrality`` 1 on integer columns, on a new
+    HiGHS instance.
+
+    ``A`` is a CSC matrix.  The result carries scipy's status code,
+    ``x`` and HiGHS's ``mip_node_count``, ``mip_gap`` and
+    ``mip_dual_bound``; a limit status whose objective is infinite has no
+    point, as in scipy's ``milp``.
+    """
+    engine = _Engine(c, integrality, col_lower, col_upper, A, row_lower,
+                     row_upper)
+    engine.set_option("mip_rel_gap", float(mip_rel_gap))
+    if time_limit is not None:
+        engine.set_option("time_limit", float(time_limit))
+    return engine.run()
 
 
 def _highs_bindings():
-    """scipy's bundled HiGHS bindings, with every name the LP route uses.
+    """scipy's bundled HiGHS bindings, with every name the engine uses.
 
     The module is private to scipy and may move or change between
     versions; then this raises ``EngineError`` naming scipy's version.
@@ -212,54 +233,90 @@ def _highs_bindings():
     return core
 
 
-class _HighsLp:
-    """One HiGHS instance holding a model's LP, and the column bounds it
-    last saw."""
+class _Engine:
+    """One HiGHS instance loaded with a model, as both routes use it; the
+    model is a MILP when ``integrality`` marks an integer column."""
 
-    def __init__(self, prob: MilpProblem) -> None:
+    def __init__(self, c, integrality, col_lower, col_upper, A, row_lower,
+                 row_upper) -> None:
+        # HiGHS reads num_col and num_row values from each array unchecked
+        n, m = c.size, row_lower.size
+        if (A.shape != (m, n) or row_upper.size != m
+                or {integrality.size, col_lower.size, col_upper.size} != {n}):
+            raise ValueError(f"engine input sizes disagree: {n} costs, "
+                             f"{m} row bounds, matrix {A.shape}")
         core = _highs_bindings()
-        A, lo, hi = prob.matrix()
-        lp = core.HighsLp()
-        lp.num_col_, lp.num_row_ = prob.num_vars, prob.num_rows
-        lp.col_cost_ = prob.objective_vector()
-        lp.col_lower_, lp.col_upper_ = prob.lb, prob.ub
-        lp.row_lower_, lp.row_upper_ = lo, hi
-        matrix = lp.a_matrix_
-        matrix.format_ = core.MatrixFormat.kColwise
-        matrix.num_col_, matrix.num_row_ = prob.num_vars, prob.num_rows
-        matrix.start_, matrix.index_, matrix.value_ = A.indptr, A.indices, A.data
         self.highs = core._Highs()
-        self.highs.setOptionValue("output_flag", False)
-        self.highs.setOptionValue("presolve", "on")  # as ``milp`` sets it
         self.error = core.HighsStatus.kError
-        if self.highs.passModel(lp) == self.error:
-            raise EngineError("engine failure: HiGHS rejected the model")
+        self.infinity = core.kHighsInf
         self.codes = {getattr(core.HighsModelStatus, name): code
                       for name, code in _SCIPY_CODES.items()}
+        self.mip = bool(integrality.any())
+        # scipy's ``milp`` sets presolve on and the console log off; HiGHS
+        # still formats the log lines it then drops, so all output goes
+        # off, which leaves the search path as it was
+        self.set_option("output_flag", False)
+        self.set_option("presolve", "on")
+        if self.highs.passModel(
+                n, m, A.nnz, core.MatrixFormat.kColwise,
+                core.ObjSense.kMinimize, 0.0, c, col_lower, col_upper,
+                row_lower, row_upper, A.indptr.astype(np.int32, copy=False),
+                A.indices.astype(np.int32, copy=False), A.data,
+                integrality.astype(np.int32, copy=False)) == self.error:
+            raise EngineError("engine failure: HiGHS rejected the model")
+
+    def set_option(self, name: str, value) -> None:
+        if self.highs.setOptionValue(name, value) == self.error:
+            raise EngineError(f"engine failure: HiGHS rejected the option "
+                              f"{name}={value!r}")
+
+    def run(self) -> OptimizeResult:
+        """Run the model; an LP has a point only when optimal."""
+        highs, mip = self.highs, self.mip
+        ran = highs.run() != self.error
+        model_status = highs.getModelStatus()
+        res = OptimizeResult(status=self.codes.get(model_status, 4), x=None,
+                             message=highs.modelStatusToString(model_status),
+                             mip_node_count=None, mip_gap=None,
+                             mip_dual_bound=None)
+        if not ran or res.status not in ((0, 1) if mip else (0,)):
+            return res
+        if mip:
+            info = highs.getInfo()
+            if res.status == 1 and info.objective_function_value == self.infinity:
+                return res
+            res.update(mip_node_count=info.mip_node_count,
+                       mip_gap=info.mip_gap, mip_dual_bound=info.mip_dual_bound)
+        res.x = np.array(highs.getSolution().col_value)
+        return res
+
+
+class _HighsLp(_Engine):
+    """The engine holding a model's LP, and the column bounds it last saw."""
+
+    def __init__(self, prob: MilpProblem) -> None:
+        A, lo, hi = prob.matrix()
+        super().__init__(prob.objective_vector(),
+                         np.zeros(prob.num_vars, dtype=np.int32),
+                         prob.lb, prob.ub, A, lo, hi)
         self.lb, self.ub = prob.lb.copy(), prob.ub.copy()
         self.time_limit = math.inf
 
     def solve(self, prob: MilpProblem, time_limit: float | None
               ) -> OptimizeResult:
         """Pass the bounds that changed, then rerun from the last basis."""
-        highs = self.highs
         changed = np.flatnonzero((prob.lb != self.lb) | (prob.ub != self.ub))
         if changed.size:
             lb, ub = prob.lb[changed], prob.ub[changed]
-            if highs.changeColsBounds(changed.size, changed.astype(np.int32),
-                                      lb, ub) == self.error:
+            if self.highs.changeColsBounds(
+                    changed.size, changed.astype(np.int32), lb, ub) == self.error:
                 raise EngineError("engine failure: HiGHS rejected a bound")
             self.lb[changed], self.ub[changed] = lb, ub
         limit = math.inf if time_limit is None else float(time_limit)
         if limit != self.time_limit:
-            highs.setOptionValue("time_limit", limit)
+            self.set_option("time_limit", limit)
             self.time_limit = limit
-        highs.run()
-        model_status = highs.getModelStatus()
-        status = self.codes.get(model_status, 4)
-        x = np.array(highs.getSolution().col_value) if status == 0 else None
-        return OptimizeResult(status=status, x=x,
-                              message=highs.modelStatusToString(model_status))
+        return self.run()
 
 
 def _stat(res, name: str, kind):

@@ -195,6 +195,11 @@ class TestRun:
         assert "generators[g1].initial_status.hours" in capsys.readouterr().err
 
 
+BAD_OPTION_VALUES = [("--mip-gap", "-1"), ("--mip-gap", "nan"),
+                     ("--time-limit", "-1"), ("--switch-limit", "-1"),
+                     ("--angle-bound", "-1"), ("--angle-bound", "nan")]
+
+
 class TestFlags:
     @pytest.mark.parametrize("argv", [
         ("sweep", "--factors", "1", "--penalty", "50"),
@@ -211,6 +216,21 @@ class TestFlags:
             run_cli(argv[0], TOY, TOY_SCEN, *argv[1:], "--out-dir",
                     str(tmp_path))
         assert exc.value.code == 2
+
+    # verify solves at gap 0 whatever --mip-gap says
+    @pytest.mark.parametrize("command, flag, value", [
+        (command, flag, value) for command in ("run", "sweep", "verify")
+        for flag, value in BAD_OPTION_VALUES
+        if not (command == "verify" and flag == "--mip-gap")])
+    def test_bad_option_value_is_input_error(self, tmp_path, capsys,
+                                             monkeypatch, command, flag,
+                                             value):
+        monkeypatch.setattr(cli_mod, "solve", lambda prob, opts: pytest.fail(
+            "solved with a bad option value"))
+        extra = ("--factors", "1") if command == "sweep" else ()
+        assert run_cli(command, TOY, TOY_SCEN, *extra, flag, value,
+                       "--out-dir", str(tmp_path)) == 2
+        assert "input error" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -87,16 +87,15 @@ def digest(prob: MilpProblem) -> str:
 
     add("c", seen["c"], np.float64)
     add("integrality", seen["integrality"], np.uint8)
-    add("col_lb", seen["bounds"].lb, np.float64)
-    add("col_ub", seen["bounds"].ub, np.float64)
-    for con in seen["constraints"]:
-        A = sparse.csc_array(con.A)
-        assert A.has_sorted_indices
-        add("indptr", A.indptr, np.int64)
-        add("indices", A.indices, np.int64)
-        add("data", A.data, np.float64)
-        add("row_lo", con.lb, np.float64)
-        add("row_hi", con.ub, np.float64)
+    add("col_lb", seen["col_lower"], np.float64)
+    add("col_ub", seen["col_upper"], np.float64)
+    A = sparse.csc_array(seen["A"])
+    assert A.has_sorted_indices
+    add("indptr", A.indptr, np.int64)
+    add("indices", A.indices, np.int64)
+    add("data", A.data, np.float64)
+    add("row_lo", seen["row_lower"], np.float64)
+    add("row_hi", seen["row_upper"], np.float64)
     h.update("\n".join(row.label for row in prob.rows).encode())
     h.update("\n".join(prob.var_names).encode())
     return h.hexdigest()
@@ -187,12 +186,12 @@ class TestEngineInput:
 
     def test_rows_added_after_a_solve_reach_the_engine(self):
         prob = assemble(*toy3_inputs(), FormulationConfig())
-        before = engine_input(prob)["constraints"][0].A.shape[0]
+        before = engine_input(prob)["A"].shape[0]
         prob.add_row_block("extra", [()], [(0, 1.0)], 0.0, 1.0)
-        after = engine_input(prob)["constraints"][0]
-        assert after.A.shape[0] == before + 1
+        after = engine_input(prob)
+        assert after["A"].shape[0] == before + 1
         assert prob.rows[-1].label == "extra"
-        assert after.lb[-1] == 0.0 and after.ub[-1] == 1.0
+        assert after["row_lower"][-1] == 0.0 and after["row_upper"][-1] == 1.0
 
 
 class TestRowOrder:

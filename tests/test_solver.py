@@ -13,6 +13,7 @@ import pytest
 import scipy
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+import gridsched.solver as solver_mod
 from gridsched import (DemandProfile, FormulationConfig, ModelKind,
                        align_scenarios, assemble, build_contingency_set,
                        build_scenario_set, enumerate_commitments,
@@ -25,6 +26,7 @@ from gridsched.solver import (EngineError, SolveOptions, SolveStatus,
 from conftest import (named_cols, parallel_pair_scenarios,
                       parallel_pair_system, triangle_scenarios,
                       triangle_system)
+from test_engine_input import KINDS, rts24_slice, toy3_inputs
 
 
 U, V = 0, 1  # tiny_uc's commitment and startup columns
@@ -145,6 +147,19 @@ class TestSolveContract:
         with pytest.raises(ValueError):
             SolveOptions(mip_gap=-0.1)
 
+    @pytest.mark.parametrize("fields", [
+        {"mip_gap": math.nan}, {"mip_gap": math.inf},
+        {"time_limit": -1.0}, {"time_limit": math.nan}])
+    def test_values_highs_would_drop_rejected(self, fields):
+        with pytest.raises(ValueError):
+            SolveOptions(**fields)
+
+    def test_zero_time_limit_stops_without_a_point(self):
+        prob = assemble(*toy3_inputs(), FormulationConfig())
+        res = solve(prob, SolveOptions(time_limit=0.0))
+        assert res.status is SolveStatus.TIME_LIMIT
+        assert res.x is None
+
 
 class TestEngineStatistics:
     def test_toy3_solve_keeps_node_count_and_gap(self):
@@ -162,7 +177,6 @@ class TestEngineStatistics:
         assert 0.0 <= res.mip_gap <= 1e-9
 
     def test_absent_statistics_are_none(self, monkeypatch):
-        import gridsched.solver as solver_mod
         from scipy.optimize import OptimizeResult
         monkeypatch.setattr(solver_mod, "milp", lambda **kwargs: OptimizeResult(
             status=2, x=None, message="infeasible", mip_node_count=None,
@@ -174,7 +188,6 @@ class TestEngineStatistics:
 
 class TestEngineFailures:
     def _engine_returns(self, monkeypatch, **fields):
-        import gridsched.solver as solver_mod
         from scipy.optimize import OptimizeResult
         monkeypatch.setattr(solver_mod, "milp", lambda **kwargs: OptimizeResult(
             **{"message": "engine says no", "mip_node_count": None,
@@ -280,7 +293,7 @@ def fixed_lp() -> tuple[MilpProblem, int, int]:
 
 
 def no_milp(**kwargs):
-    raise AssertionError("a fixed-binary problem reached scipy's milp")
+    raise AssertionError("a fixed-binary problem reached the MILP engine call")
 
 
 class TestLpRoute:
@@ -308,7 +321,6 @@ class TestLpRoute:
 
     def test_rows_and_objective_added_after_a_solve_reach_the_engine(
             self, monkeypatch):
-        import gridsched.solver as solver_mod
         monkeypatch.setattr(solver_mod, "milp", no_milp)
         prob, x, b = fixed_lp()
         assert solve(prob.clone_with_bounds({b: 1.0})).objective == \
@@ -324,7 +336,6 @@ class TestLpRoute:
         assert res.x.tolist() == [3.0, 1.0]
 
     def test_time_limit_option_reaches_the_instance(self, monkeypatch):
-        import gridsched.solver as solver_mod
         monkeypatch.setattr(solver_mod, "milp", no_milp)
         prob, _, b = fixed_lp()
         for limit in (10.0, None, 5.0):
@@ -372,7 +383,62 @@ class TestBindingsGuard:
         with pytest.raises(EngineError, match="changeColsBounds"):
             solve(prob.clone_with_bounds({b: 1.0}))
 
-    def test_free_binaries_do_not_need_the_bindings(self, monkeypatch):
+    def test_free_binaries_need_the_bindings(self, monkeypatch):
         monkeypatch.setitem(sys.modules, self.BINDINGS, None)
-        res = solve(tiny_uc(), SolveOptions(mip_gap=0.0))
-        assert res.objective == pytest.approx(210.0, abs=1e-9)
+        with pytest.raises(EngineError, match=f"scipy {scipy.__version__}"):
+            solve(tiny_uc(), SolveOptions(mip_gap=0.0))
+
+
+# -- the MILP route: one new HiGHS instance per call of ``solver.milp`` ------
+
+class TestMilpRoute:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("make", [toy3_inputs, rts24_slice],
+                             ids=["toy3", "rts24-slice"])
+    def test_matches_scipy_milp_bit_for_bit(self, monkeypatch, make, kind):
+        """The same arrays and options through scipy's ``milp`` take the
+        same search path."""
+        seen = {}
+        engine = solver_mod.milp
+
+        def record(**kwargs):
+            seen.update(kwargs)
+            seen["result"] = engine(**kwargs)
+            return seen["result"]
+
+        monkeypatch.setattr(solver_mod, "milp", record)
+        prob = assemble(*make(), FormulationConfig(model_kind=kind))
+        solve(prob, SolveOptions(mip_gap=0.01))
+        got = seen["result"]
+        want = milp(c=seen["c"], integrality=seen["integrality"],
+                    bounds=Bounds(seen["col_lower"], seen["col_upper"]),
+                    constraints=[LinearConstraint(
+                        seen["A"], seen["row_lower"], seen["row_upper"])],
+                    options={"mip_rel_gap": 0.01, "presolve": True})
+        assert got.status == want.status == 0
+        assert got.x.tobytes() == want.x.tobytes()
+        for stat in ("mip_node_count", "mip_dual_bound", "mip_gap"):
+            assert getattr(got, stat) == getattr(want, stat), stat
+
+    @pytest.mark.parametrize("option, value", [("time_limit", -1.0),
+                                               ("mip_rel_gap", -1.0)])
+    def test_rejected_option_is_engine_error(self, option, value):
+        with pytest.raises(EngineError, match=option):
+            solver_mod.milp(**{**tiny_uc_engine_input(), option: value})
+
+    def test_short_array_is_rejected_before_highs_reads_it(self):
+        kwargs = tiny_uc_engine_input()
+        kwargs["col_lower"] = kwargs["col_lower"][:-1]
+        with pytest.raises(ValueError, match="sizes disagree"):
+            solver_mod.milp(**kwargs)
+
+
+def tiny_uc_engine_input() -> dict:
+    """``tiny_uc`` as the keyword arguments of ``solver.milp``."""
+    prob = tiny_uc()
+    A, lo, hi = prob.matrix()
+    return {"c": prob.objective_vector(),
+            "integrality": prob.integer.astype(np.int32),
+            "col_lower": prob.lb, "col_upper": prob.ub, "A": A,
+            "row_lower": lo, "row_upper": hi, "mip_rel_gap": 0.0,
+            "time_limit": None}
