@@ -49,8 +49,6 @@ class InputError(Exception):
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("case", help="case JSON document")
     p.add_argument("scenarios", help="scenario JSON file")
-    p.add_argument("--mip-gap", type=float, default=0.01,
-                   help="relative MIP gap (default 0.01)")
     p.add_argument("--switch-limit", type=int, default=1,
                    help="max switching actions per contingency (default 1)")
     p.add_argument("--block-len", type=int, default=3,
@@ -65,6 +63,12 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--time-limit", type=float, default=None,
                    help="solver time limit in seconds")
     p.add_argument("--out-dir", default=".", help="output directory")
+
+
+def _add_gap_flag(p: argparse.ArgumentParser) -> None:
+    # verify always solves at gap 0
+    p.add_argument("--mip-gap", type=float, default=0.01,
+                   help="relative MIP gap (default 0.01)")
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -338,11 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="solve one model and write reports")
     _add_common_flags(p_run)
+    _add_gap_flag(p_run)
     _add_model_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="penetration sweep")
     _add_common_flags(p_sweep)
+    _add_gap_flag(p_sweep)
     p_sweep.add_argument("--factors", type=float, nargs="+", required=True,
                          help="availability scale factors")
     p_sweep.set_defaults(func=cmd_sweep)

@@ -4,6 +4,12 @@
 solves the remaining LP per assignment and takes the minimum, giving an
 optimum that is independent of the branch-and-bound path.  Exponential by
 nature: hard caps refuse anything beyond desk scale.
+
+A commitment's switch settings are walked only after one LP, with every
+switch column in [0, 1] and every row kept, has not been proven
+infeasible.  That LP relaxes each of the commitment's settings, so when
+it is infeasible they are all recorded infeasible without a solve.  Its
+objective is not used: nothing is pruned by bound.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .formulation import FormulationConfig, assemble
 from .scenarios import ScenarioSet
-from .solver import SolveOptions, SolveStatus, solve
+from .solver import SolveOptions, SolveStatus, solve, solve_relaxation
 from .system import PowerSystem
 from .topology import Contingency
 
@@ -27,6 +33,8 @@ class OracleCaps:
     max_u_bits: int = 12
     max_z_combos: int = 4096
     max_extra_v_bits: int = 8
+    # caps the LPs solved and, when records are kept, the records too: a
+    # pruned commitment adds one record per switch setting for one LP
     max_lp_solves: int = 250_000
 
 
@@ -42,7 +50,7 @@ class OracleResult:
     best_objective: float | None
     best_assignment: dict[str, int] | None
     records: list[AssignmentRecord] = field(default_factory=list)
-    lp_solves: int = 0
+    lp_solves: int = 0  # LPs solved: switch relaxations and fixed LPs
 
     @property
     def feasible(self) -> bool:
@@ -141,11 +149,28 @@ def enumerate_commitments(
     v_cols = {key: reg.col("v", *key) for key in u_keys}
     z_cols = [reg.col("z", *key) for key in z_keys]
 
+    # the switch column fixes within the budget of every (contingency,
+    # period, scenario); a model without switches has one empty setting
+    settings = [dict(zip(z_cols, map(float, z_vec)))
+                for z_vec in itertools.product((0, 1), repeat=len(z_keys))
+                if all(sum(1 - z_vec[pos] for pos in group) <= cfg.switch_limit
+                       for group in z_groups.values())]
+
     lp_opts = SolveOptions(mip_gap=0.0, time_limit=None)
     best: float | None = None
     best_assignment: dict[str, int] | None = None
     records: list[AssignmentRecord] = []
     lp_solves = 0
+
+    def named(fixes: dict[int, float]) -> dict[str, int]:
+        return {names[col]: int(val) for col, val in fixes.items()}
+
+    def count_lp() -> None:
+        nonlocal lp_solves
+        lp_solves += 1
+        if lp_solves > caps.max_lp_solves:
+            raise CapExceeded(
+                f"enumeration needs more than {caps.max_lp_solves} LP solves")
 
     for u_vec in itertools.product((0, 1), repeat=len(u_keys)):
         u_bits = dict(zip(u_keys, u_vec))
@@ -168,18 +193,26 @@ def enumerate_commitments(
             commitment = dict(zip(u_cols, map(float, u_vec)))
             commitment.update((v_cols[key], float(val))
                               for key, val in v_bits.items())
-            for z_vec in itertools.product((0, 1), repeat=len(z_keys)):
-                opened_ok = all(
-                    sum(1 - z_vec[pos] for pos in group) <= cfg.switch_limit
-                    for group in z_groups.values())
-                if not opened_ok:
+            # every commitment gets one record per setting, pruned or not
+            if (keep_records
+                    and len(records) + len(settings) > caps.max_lp_solves):
+                raise CapExceeded(
+                    f"enumeration keeps more than {caps.max_lp_solves} records")
+            # the LP with every z in [0, 1] relaxes each switch setting of
+            # this commitment: when it is infeasible, so are they all
+            if z_cols:
+                count_lp()
+                relaxed = solve_relaxation(prob.clone_with_bounds(commitment))
+                if relaxed.status is SolveStatus.INFEASIBLE:
+                    if keep_records:
+                        records.extend(AssignmentRecord(
+                            named({**commitment, **setting}),
+                            SolveStatus.INFEASIBLE.value, None)
+                            for setting in settings)
                     continue
-                fixes = dict(commitment)
-                fixes.update(zip(z_cols, map(float, z_vec)))
-                lp_solves += 1
-                if lp_solves > caps.max_lp_solves:
-                    raise CapExceeded(
-                        f"enumeration needs more than {caps.max_lp_solves} LP solves")
+            for setting in settings:
+                fixes = {**commitment, **setting}
+                count_lp()
                 result = solve(prob.clone_with_bounds(fixes), lp_opts)
                 optimal = result.status is SolveStatus.OPTIMAL
                 better = optimal and (best is None
@@ -187,8 +220,7 @@ def enumerate_commitments(
                 # most LPs are infeasible: name an assignment only when
                 # it is kept
                 if keep_records or better:
-                    assignment = {names[col]: int(val)
-                                  for col, val in fixes.items()}
+                    assignment = named(fixes)
                 if keep_records:
                     records.append(AssignmentRecord(
                         assignment, result.status.value,
@@ -198,4 +230,3 @@ def enumerate_commitments(
                     best_assignment = assignment
     return OracleResult(best_objective=best, best_assignment=best_assignment,
                         records=records, lp_solves=lp_solves)
-

@@ -2,9 +2,10 @@
 
 ``solve`` hands HiGHS a ``MilpProblem``'s arrays and its cached sparse
 matrix, runs it once and checks what comes back: integer columns must be
-integral and the point must satisfy every row and bound.  A failure of
-HiGHS itself raises ``EngineError``; a point that fails the checks raises
-``SolverError``.
+integral and the point must satisfy every row and bound.
+``solve_relaxation`` does the same for the LP relaxation, with no
+integrality check.  A failure of HiGHS itself raises ``EngineError``; a
+point that fails the checks raises ``SolverError``.
 
 HiGHS is reached through scipy's bundled bindings.  One loader,
 ``_Engine``, passes the arrays to a HiGHS instance with the options
@@ -16,7 +17,9 @@ scipy's status codes.  The model's bounds choose the route:
   one instance per model, kept with the cached matrix, which
   ``clone_with_bounds`` copies share.  A solve passes only the column
   bounds that differ from the ones the instance last saw, and HiGHS's
-  dual simplex restarts from the last basis.
+  dual simplex restarts from the last basis.  ``solve_relaxation`` runs
+  any problem on that instance, which holds no integrality, so it solves
+  the LP relaxation over the problem's bounds.
 - Every other problem goes to ``milp``, which loads a new instance per
   call.  ``milp`` is the one engine entry point: the benchmark under
   ``perfbench/`` traces ``gridsched.solver.milp`` by name as the engine.
@@ -116,18 +119,48 @@ class SolveResult:
 def solve(prob: MilpProblem, opts: SolveOptions | None = None) -> SolveResult:
     """Solve the problem with HiGHS."""
     opts = opts or SolveOptions()
-    prob.check()
-    n = prob.num_vars
-    if n == 0:
-        raise SolverError("malformed problem: no variables")
+    _check_input(prob)
     cols = np.flatnonzero(prob.integer)
     started = time.perf_counter()
     if (prob.lb[cols] == prob.ub[cols]).all():
-        res = prob.shared("highs-lp", lambda: _HighsLp(prob)).solve(
-            prob, opts.time_limit)
+        res = _lp_engine(prob).solve(prob, opts.time_limit)
     else:
         res = _solve_milp(prob, opts)
-    wall = time.perf_counter() - started
+    return _checked_result(prob, res, cols, time.perf_counter() - started)
+
+
+def solve_relaxation(prob: MilpProblem) -> SolveResult:
+    """Solve the problem's LP relaxation with HiGHS: every column keeps its
+    bounds and no column is integer.
+
+    It runs on the model's LP instance, as a fixed-binary solve does, with
+    no time limit, and its point gets the same row and bound check; there
+    is no integrality check, and an optimal relaxation's ``best_bound`` is
+    its objective.
+    """
+    _check_input(prob)
+    started = time.perf_counter()
+    res = _lp_engine(prob).solve(prob, None)
+    return _checked_result(prob, res, np.empty(0, dtype=np.intp),
+                           time.perf_counter() - started)
+
+
+def _check_input(prob: MilpProblem) -> None:
+    prob.check()
+    if prob.num_vars == 0:
+        raise SolverError("malformed problem: no variables")
+
+
+def _lp_engine(prob: MilpProblem) -> "_HighsLp":
+    """The model's one LP instance, kept with its cached matrix."""
+    return prob.shared("highs-lp", lambda: _HighsLp(prob))
+
+
+def _checked_result(prob: MilpProblem, res: OptimizeResult, cols: np.ndarray,
+                    wall: float) -> SolveResult:
+    """The engine's result as a ``SolveResult``, after the post-solve
+    checks: the integer columns ``cols`` must be integral (then they are
+    rounded) and the point must satisfy every row and bound."""
     stats = {"wall_time": wall, "message": res.message,
              "nodes": _stat(res, "mip_node_count", int),
              "mip_gap": _stat(res, "mip_gap", float)}
@@ -141,7 +174,7 @@ def solve(prob: MilpProblem, opts: SolveOptions | None = None) -> SolveResult:
     if res.status == 1 and res.x is None:
         return SolveResult(SolveStatus.TIME_LIMIT, **stats)
 
-    x = np.array(res.x[:n], dtype=float)
+    x = np.array(res.x[:prob.num_vars], dtype=float)
     # integer values must already be integral up to tolerance; then round
     rounded = np.round(x[cols]) + 0.0  # + 0.0 turns -0.0 into 0.0
     residual = np.abs(x[cols] - rounded)

@@ -210,6 +210,7 @@ class TestFlags:
         ("sweep", "--factors", "1", "--seed", "0"),
         ("verify", "--seed", "0"),
         ("run", "--penalty-table"),
+        ("verify", "--mip-gap", "0.5"),
     ])
     def test_flags_a_command_ignores_are_rejected(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
@@ -217,7 +218,7 @@ class TestFlags:
                     str(tmp_path))
         assert exc.value.code == 2
 
-    # verify solves at gap 0 whatever --mip-gap says
+    # verify takes no --mip-gap: it always solves at gap 0
     @pytest.mark.parametrize("command, flag, value", [
         (command, flag, value) for command in ("run", "sweep", "verify")
         for flag, value in BAD_OPTION_VALUES

@@ -121,6 +121,27 @@ class TestEnumerateCommitments:
         with pytest.raises(CapExceeded):
             enumerate_commitments(sys_obj, scen, cont, CNR)
 
+    def test_lp_solve_cap_counts_pruned_records(self):
+        """The switch relaxation prunes most of the 256 settings to 32 LPs;
+        kept records still count against the cap, pruned ones included."""
+        sys_obj = triangle_system(T=2)
+        scen = triangle_scenarios(T=2)
+        cont = build_contingency_set(sys_obj, whitelist={"L2"},
+                                     switch_pool={"L3"})
+        full = enumerate_commitments(sys_obj, scen, cont, CNR)
+        assert full.lp_solves < 100 < len(full.records)
+        caps = OracleCaps(max_lp_solves=100)
+        with pytest.raises(CapExceeded, match="more than 100 records"):
+            enumerate_commitments(sys_obj, scen, cont, CNR, caps=caps)
+        lean = enumerate_commitments(sys_obj, scen, cont, CNR, caps=caps,
+                                     keep_records=False)
+        assert lean.lp_solves == full.lp_solves
+        assert lean.best_objective == full.best_objective
+        with pytest.raises(CapExceeded, match="more than 10 LP solves"):
+            enumerate_commitments(sys_obj, scen, cont, CNR,
+                                  caps=OracleCaps(max_lp_solves=10),
+                                  keep_records=False)
+
     def test_oracle_within_milp_bounds(self):
         sys_obj = triangle_system(T=2)
         scen = triangle_scenarios(T=2)

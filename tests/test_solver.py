@@ -1,6 +1,7 @@
 """Solve contract: statuses, tolerances, determinism."""
 
 import gc
+import itertools
 import json
 import math
 import sys
@@ -13,6 +14,7 @@ import pytest
 import scipy
 from scipy.optimize import Bounds, LinearConstraint, milp
 
+import gridsched.oracle as oracle_mod
 import gridsched.solver as solver_mod
 from gridsched import (DemandProfile, FormulationConfig, ModelKind,
                        align_scenarios, assemble, build_contingency_set,
@@ -362,6 +364,108 @@ class TestLpRoute:
         prob.shared("highs-lp", None).codes = {}  # no status is known
         with pytest.raises(EngineError, match="engine failure"):
             solve(clone)
+
+
+# -- the oracle's switch relaxation: one LP per commitment, z in [0, 1] ----
+
+def switch_settings(prob: MilpProblem, cfg: FormulationConfig) -> list[dict]:
+    """Every switch setting within the budget, as column name -> bit."""
+    keys = prob.registry.indices("z")
+    names = [prob.var_name(prob.registry.col("z", *key)) for key in keys]
+    groups: dict[tuple, list[int]] = {}
+    for pos, (cid, _k, t, s_id) in enumerate(keys):
+        groups.setdefault((cid, t, s_id), []).append(pos)
+    return [dict(zip(names, bits))
+            for bits in itertools.product((0, 1), repeat=len(keys))
+            if all(sum(1 - bits[pos] for pos in group) <= cfg.switch_limit
+                   for group in groups.values())]
+
+
+def logged_oracle_lps(monkeypatch) -> list[tuple[str, SolveStatus]]:
+    """The oracle's LPs in solve order: ("relaxation" or "fixed", status)."""
+    log = []
+    for name, kind in (("solve_relaxation", "relaxation"), ("solve", "fixed")):
+        def spy(prob, *opts, real=getattr(oracle_mod, name), kind=kind):
+            result = real(prob, *opts)
+            log.append((kind, result.status))
+            return result
+        monkeypatch.setattr(oracle_mod, name, spy)
+    return log
+
+
+class TestSwitchRelaxation:
+    def test_relaxation_keeps_bounds_and_drops_integrality(self, monkeypatch):
+        """min x + b/2 over x + 2b >= 1: the relaxation takes b = 1/2."""
+        monkeypatch.setattr(solver_mod, "milp", no_milp)
+        prob = MilpProblem()
+        x, b = named_cols(prob, ["x", "b"], 0, [10, 1], [False, True])
+        prob.add_row_block("cover", [()], [(x, 1.0), (b, 2.0)], 1.0, INF)
+        prob.add_objective([x, b], [1.0, 0.5])
+        res = solver_mod.solve_relaxation(prob)
+        assert res.status is SolveStatus.OPTIMAL
+        assert res.x.tolist() == [0.0, 0.5]
+        assert res.objective == res.best_bound == pytest.approx(0.25)
+        fixed = solver_mod.solve_relaxation(prob.clone_with_bounds({b: 0.0}))
+        assert fixed.objective == pytest.approx(1.0)
+        assert solver_mod.solve_relaxation(prob.clone_with_bounds(
+            {x: 0.0, b: 0.0})).status is SolveStatus.INFEASIBLE
+
+    @pytest.mark.parametrize("name", list(ORACLE_CASES))
+    def test_records_stay_complete(self, name):
+        """Every commitment the SSCUC walk admits gets one record per
+        switch setting in the budget, pruned or not."""
+        prob, found, _, (inputs, cfg) = oracle_fixes(name)
+        settings = switch_settings(prob, cfg)
+        commitments = [rec.assignment for rec in
+                       enumerate_commitments(*inputs, SSCUC).records]
+        want = sorted(sorted({**commitment, **setting}.items())
+                      for commitment in commitments for setting in settings)
+        assert sorted(sorted(rec.assignment.items())
+                      for rec in found.records) == want
+        if prob.registry.indices("z"):
+            assert found.lp_solves < len(found.records)
+        else:
+            assert found.lp_solves == len(found.records)
+
+    def test_unknown_relaxation_status_is_engine_error(self, monkeypatch):
+        real = oracle_mod.assemble
+
+        def unmapped(*args):
+            prob = real(*args)
+            solver_mod.solve_relaxation(prob)
+            prob.shared("highs-lp", None).codes = {}  # no status is known
+            return prob
+
+        monkeypatch.setattr(oracle_mod, "assemble", unmapped)
+        monkeypatch.setattr(oracle_mod, "solve", lambda prob, opts: pytest.fail(
+            "a fixed LP was solved after the relaxation failed"))
+        make, cfg = ORACLE_CASES["triangle-cnr"]
+        with pytest.raises(EngineError, match="engine failure"):
+            enumerate_commitments(*make(), cfg)
+
+    @pytest.mark.parametrize("name", ["triangle-cnr", "pair-cnr"])
+    def test_only_an_infeasible_relaxation_skips_settings(self, monkeypatch,
+                                                          name):
+        """A commitment whose relaxation is optimal has every setting
+        solved, the infeasible ones among them."""
+        make, cfg = ORACLE_CASES[name]
+        inputs = make()
+        n_settings = len(switch_settings(assemble(*inputs, cfg), cfg))
+        log = logged_oracle_lps(monkeypatch)
+        found = enumerate_commitments(*inputs, cfg)
+        assert found.lp_solves == len(log)
+        walks = []
+        for kind, status in log:
+            if kind == "relaxation":
+                walks.append((status, []))
+            else:
+                walks[-1][1].append(status)
+        assert all(len(fixed) == (0 if relaxed is SolveStatus.INFEASIBLE
+                                  else n_settings)
+                   for relaxed, fixed in walks)
+        assert any(relaxed is SolveStatus.OPTIMAL
+                   and SolveStatus.INFEASIBLE in fixed
+                   for relaxed, fixed in walks)
 
 
 class TestBindingsGuard:
