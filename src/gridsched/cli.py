@@ -15,7 +15,8 @@ Exit codes: 0 ok, 1 verification mismatch (a verifier violation, a cost
 that fails reconciliation, or a solver point that fails the post-solve
 integrality or feasibility check), 2 input error, 3 caps or limits
 exceeded (``run`` and ``sweep`` still verify and report a time-limit
-incumbent), 4 solver reports infeasible or HiGHS fails.
+incumbent), 4 solver reports infeasible or HiGHS fails.  A NaN or
+infinite input number, sweep factor or ``--penalty`` is an input error.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys as _sys
 from dataclasses import replace
 from pathlib import Path
@@ -115,8 +117,8 @@ def _apply_penalty(system: PowerSystem, penalty: str | None
         value = float(penalty)
     except ValueError:
         raise InputError(f"--penalty must be a number or 'off', got {penalty!r}")
-    if value < 0:
-        raise InputError("--penalty must be >= 0")
+    if not (math.isfinite(value) and value >= 0):
+        raise InputError(f"--penalty must be finite and >= 0, got {penalty!r}")
     res_units = tuple(replace(w, curtail_penalty=value) for w in system.res_units)
     return replace(system, res_units=res_units), True
 

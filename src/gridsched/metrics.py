@@ -130,12 +130,12 @@ class CostBreakdown:
 
 
 def cost_breakdown(sol: ScheduleSolution, sys: PowerSystem, scen: ScenarioSet,
-                   cfg: FormulationConfig, check: bool = True) -> CostBreakdown:
+                   cfg: FormulationConfig) -> CostBreakdown:
     """Recompute each objective term from solution values.
 
-    With ``check`` the sum must agree with the solution's recorded
-    objective to 1e-6 relative; a mismatch means the formulation and the
-    extraction disagree and is raised as ReconciliationError.
+    When the solution records an objective, the sum must agree with it to
+    1e-6 relative; a mismatch means the formulation and the extraction
+    disagree and is raised as ReconciliationError.
     """
     pi = _probabilities(scen)
     by_id = _scenario_by_id(scen)
@@ -154,9 +154,9 @@ def cost_breakdown(sol: ScheduleSolution, sys: PowerSystem, scen: ScenarioSet,
                         * (scen_avail(s, w, t) - value))
     out = CostBreakdown(no_load=no_load, startup=startup, energy=energy,
                         penalty=penalty)
-    if check and not math.isnan(sol.objective):
+    if not math.isnan(sol.objective):
         drift = abs(out.total - sol.objective) / max(1.0, abs(sol.objective))
-        if drift > 1e-6:
+        if not drift <= 1e-6:  # a NaN cost fails too
             raise ReconciliationError(
                 f"recomputed cost {out.total:.6f} vs solver objective "
                 f"{sol.objective:.6f} (relative drift {drift:.3g})")
@@ -218,42 +218,46 @@ class ConstraintViolation:
 
 
 class _Checker:
-    def __init__(self, tol: float):
-        self.tol = tol
+    def __init__(self) -> None:
         self.violations: list[ConstraintViolation] = []
 
     def check(self, equation: str, index: tuple, terms: list[float],
               lo: float, hi: float) -> None:
         """Terms are the signed additive pieces of the row activity."""
         act = sum(terms)
+        if not math.isfinite(act):  # a NaN or infinite value: its own size
+            self.violations.append(ConstraintViolation(equation, index,
+                                                       abs(act)))
+            return
         viol = max(0.0, lo - act, act - hi)
         if viol == 0.0:
             return
         scale = max(1.0, max((abs(t) for t in terms), default=0.0),
                     abs(lo) if math.isfinite(lo) else 0.0,
                     abs(hi) if math.isfinite(hi) else 0.0)
-        if viol / scale > self.tol:
+        if viol / scale > VERIFY_TOL:
             self.violations.append(ConstraintViolation(equation, index, viol / scale))
 
     def binary(self, equation: str, index: tuple, value: float) -> None:
-        if min(abs(value), abs(value - 1.0)) > self.tol:
+        residual = min(abs(value), abs(value - 1.0))
+        if not residual <= VERIFY_TOL:  # NaN is no binary value
             self.violations.append(ConstraintViolation(equation, index,
-                                                       min(abs(value), abs(value - 1.0))))
+                                                       residual))
 
 
 def verify_solution(sol: ScheduleSolution, sys: PowerSystem, scen: ScenarioSet,
-                    contingencies: list[Contingency], cfg: FormulationConfig,
-                    tol: float = VERIFY_TOL) -> list[ConstraintViolation]:
+                    contingencies: list[Contingency],
+                    cfg: FormulationConfig) -> list[ConstraintViolation]:
     """Re-evaluate every model equation from domain data.
 
     A switchable line is held to its physics rather than to the big-M rows
     eq25/eq26: with ``z`` = 1 it must meet eq23/eq24 like a fixed line,
     with ``z`` = 0 it must carry no flow.  So no big-M constant enters the
     verdict.  Residuals are scaled by the largest term in the row; the
-    list is empty iff the solution is feasible within ``tol``.
+    list is empty iff the solution is feasible within ``VERIFY_TOL``.
     """
     INF = math.inf
-    ck = _Checker(tol)
+    ck = _Checker()
     T = sys.horizon
     u, v = sol.u, sol.v
 

@@ -331,16 +331,13 @@ class _Model:
                                   self.lo.array, self.hi.array)
         return self._cache["csr"]
 
-    def matrix(self, n_cols: int | None = None):
-        """(CSC matrix, row lb, row ub); the matrix has ``n_cols`` columns,
-        by default every column of the problem."""
+    def matrix(self):
+        """(CSC matrix, row lb, row ub) of every row and column."""
         indptr, indices, data, lo, hi = self.csr()
-        n_cols = self.n_cols if n_cols is None else n_cols
-        key = ("matrix", n_cols)
-        if key not in self._cache:
-            self._cache[key] = sparse.csr_matrix(
-                (data, indices, indptr), shape=(self.n_rows, n_cols)).tocsc()
-        return self._cache[key], lo, hi
+        if "matrix" not in self._cache:
+            self._cache["matrix"] = sparse.csr_matrix(
+                (data, indices, indptr), shape=(self.n_rows, self.n_cols)).tocsc()
+        return self._cache["matrix"], lo, hi
 
     def row_terms(self) -> tuple[np.ndarray, np.ndarray]:
         """Each stored term's row, and each row's scale floor
@@ -494,10 +491,10 @@ class MilpProblem:
             family, keys, inner, cols.reshape(n, m), vals.reshape(n, m),
             _flat(lb, shape), _flat(ub, shape), padded)
 
-    def matrix(self, n_cols: int | None = None):
+    def matrix(self):
         """The cached (CSC matrix, row lb, row ub) of every row, as the
         engine takes it; clones share it."""
-        return self._model.matrix(n_cols)
+        return self._model.matrix()
 
     def shared(self, key: str, build):
         """The value cached under ``key`` with the matrix, which clones
@@ -577,7 +574,8 @@ class MilpProblem:
 
         Rows use ``row_violation``'s measure and bounds divide by
         max(1, |x|) when scaled; ties go to the first row, and a bound
-        wins only when strictly worse than every row.
+        wins only when strictly worse than every row.  A NaN point value
+        or activity is an infinite violation.
         """
         x = np.asarray(x, dtype=float)
         model = self._model
@@ -587,7 +585,7 @@ class MilpProblem:
         np.multiply(terms, data, out=terms)
         # summed term by term in each row's stored order, as a scalar loop
         act = np.bincount(row_of, weights=terms, minlength=lo.size)
-        viol = np.fmax(np.fmax(0.0, lo - act), act - hi)
+        viol = np.maximum(np.maximum(0.0, lo - act), act - hi)
         if scaled and viol.size:
             scale = floor.copy()
             filled = (indptr[1:] > indptr[:-1]).nonzero()[0]
@@ -595,14 +593,16 @@ class MilpProblem:
                 scale[filled] = np.fmax(scale[filled], np.maximum.reduceat(
                     np.abs(terms, out=terms), indptr[filled]))
             viol = np.divide(viol, scale, out=viol, where=viol > 0.0)
+        viol[np.isnan(viol)] = INF
         worst, where = 0.0, ""
         if viol.size:
             i = int(np.argmax(viol))
             if viol[i] > worst:
                 worst, where = float(viol[i]), self._model.label(i)
-        bound = np.fmax(np.fmax(0.0, self.lb - x), x - self.ub)
+        bound = np.maximum(np.maximum(0.0, self.lb - x), x - self.ub)
         if scaled:
             bound = bound / np.fmax(1.0, np.abs(x))
+        bound[np.isnan(bound)] = INF
         if bound.size:
             j = int(np.argmax(bound))
             if bound[j] > worst:

@@ -9,6 +9,7 @@ wind inputs are coarsened to keep the reconfiguration problem tractable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
@@ -16,6 +17,7 @@ from typing import Any, Sequence
 import numpy as np
 
 PROBABILITY_TOL = 1e-9
+WIND_STEP_FRAC = 0.35  # a wind walk's step deviation over its amplitude
 
 
 @dataclass(frozen=True)
@@ -45,12 +47,14 @@ class ScenarioSet:
         horizons = {s.horizon() for s in self.scenarios}
         if len(horizons) > 1:
             raise ValueError(f"scenarios disagree on horizon length: {sorted(horizons)}")
-        for s in self.scenarios:
-            if s.probability < 0:
-                raise ValueError(f"scenario {s.id}: negative probability")
+        for s in self.scenarios:  # NaN fails each test: it passes no bound
+            if not 0 <= s.probability <= 1:
+                raise ValueError(f"scenario {s.id}: probability must be in "
+                                 f"[0, 1], got {s.probability}")
             for w, prof in s.availability.items():
-                if any(v < 0 for v in prof):
-                    raise ValueError(f"scenario {s.id}, unit {w}: negative availability")
+                if not all(0 <= v < math.inf for v in prof):
+                    raise ValueError(f"scenario {s.id}, unit {w}: availability "
+                                     f"must be finite and >= 0")
 
 
 def block_average(profile: Sequence[float], block_len: int) -> tuple[float, ...]:
@@ -80,8 +84,6 @@ def build_scenario_set(
     if len(profiles) != len(probabilities):
         raise ValueError(
             f"{len(profiles)} profiles but {len(probabilities)} probabilities")
-    if any(p < 0 for p in probabilities):
-        raise ValueError("probabilities must be >= 0")
     total = float(sum(probabilities))
     if total <= 0:
         raise ValueError("probability weights sum to zero")
@@ -108,12 +110,11 @@ def synth_wind_profiles(
     res_ids: Sequence[str | int],
     mean_mw: float | dict[str | int, float] = 100.0,
     amplitude_mw: float = 50.0,
-    step_frac: float = 0.35,
 ) -> list[dict[str | int, tuple[float, ...]]]:
     """Synthesize per-site wind profiles as bounded random walks.
 
     Each site starts at its mean and takes Gaussian steps of standard
-    deviation ``step_frac * amplitude_mw``, clipped to stay inside
+    deviation ``WIND_STEP_FRAC * amplitude_mw``, clipped to stay inside
     ``[max(0, mean - amplitude), mean + amplitude]``.  Fully deterministic
     for a given seed; amplitude 0 yields flat profiles at the mean.
     """
@@ -133,7 +134,7 @@ def synth_wind_profiles(
             walk = []
             for _t in range(horizon):
                 level = float(np.clip(
-                    level + rng.normal(0.0, step_frac * amplitude_mw), lo, hi))
+                    level + rng.normal(0.0, WIND_STEP_FRAC * amplitude_mw), lo, hi))
                 walk.append(level)
             site_profiles[w] = tuple(walk)
         profiles.append(site_profiles)

@@ -2,15 +2,17 @@
 
 ``solve`` hands HiGHS a ``MilpProblem``'s arrays and its cached sparse
 matrix, runs it once and checks what comes back: integer columns must be
-integral and the point must satisfy every row and bound.
+integral and the point must satisfy every row and bound; a NaN fails.
 ``solve_relaxation`` does the same for the LP relaxation, with no
 integrality check.  A failure of HiGHS itself raises ``EngineError``; a
 point that fails the checks raises ``SolverError``.
 
 HiGHS is reached through scipy's bundled bindings.  One loader,
-``_Engine``, passes the arrays to a HiGHS instance with the options
-scipy's ``milp`` sets, and one table maps HiGHS's model statuses to
-scipy's status codes.  The model's bounds choose the route:
+``_Engine``, passes the arrays to a HiGHS instance, with the objective
+constant as HiGHS's objective offset and the options scipy's ``milp``
+sets.  One table maps HiGHS's model statuses to ``SolveStatus``; any
+other status, ``kModelError`` among them, raises ``EngineError``.  The
+model's bounds choose the route:
 
 - A problem whose integer columns are all fixed (``lb == ub``) is an LP,
   like each of the exhaustive oracle's fixed-binary clones.  It goes to
@@ -35,12 +37,10 @@ from __future__ import annotations
 import enum
 import importlib
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 import scipy
-from scipy.optimize import OptimizeResult
 
 from .milp import MilpProblem
 
@@ -53,11 +53,6 @@ _BINDING_NAMES = ("_Highs", "HighsModelStatus", "HighsStatus", "MatrixFormat",
 _HIGHS_METHODS = ("passModel", "changeColsBounds", "setOptionValue", "run",
                   "getModelStatus", "getInfo", "getSolution",
                   "modelStatusToString")
-# scipy's status codes for HiGHS's model statuses, as scipy's own wrapper
-# maps them (0 optimal, 1 limit, 2 infeasible, 3 unbounded); any other
-# status, kUnboundedOrInfeasible and the error statuses among them, is 4
-_SCIPY_CODES = {"kOptimal": 0, "kTimeLimit": 1, "kIterationLimit": 1,
-                "kInfeasible": 2, "kModelError": 2, "kUnbounded": 3}
 
 
 class SolverError(RuntimeError):
@@ -79,6 +74,14 @@ class SolveStatus(enum.Enum):
     @property
     def has_solution(self) -> bool:
         return self in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE_WITHIN_GAP)
+
+
+# HiGHS's model statuses that answer a model; any other is an engine failure
+_STATUSES = {"kOptimal": SolveStatus.OPTIMAL,
+             "kInfeasible": SolveStatus.INFEASIBLE,
+             "kUnbounded": SolveStatus.UNBOUNDED,
+             "kTimeLimit": SolveStatus.TIME_LIMIT,
+             "kIterationLimit": SolveStatus.TIME_LIMIT}
 
 
 @dataclass(frozen=True)
@@ -104,16 +107,20 @@ class SolveResult:
     objective: float = math.nan
     best_bound: float = math.nan
     x: np.ndarray | None = None
-    wall_time: float = 0.0
-    max_violation: float = 0.0
     message: str = ""
     nodes: int | None = None  # branch-and-bound nodes, as HiGHS reports
     mip_gap: float | None = None  # HiGHS's own relative gap
 
-    def value(self, prob: MilpProblem, symbol: str, *index) -> float:
-        if self.x is None:
-            raise SolverError("no solution values available")
-        return float(self.x[prob.registry.col(symbol, *index)])
+
+@dataclass
+class EngineResult:
+    """One engine run; its statistics keep the names ``perfbench/`` reads."""
+    status: SolveStatus
+    message: str
+    x: np.ndarray | None = None
+    mip_node_count: int | None = None
+    mip_gap: float | None = None
+    mip_dual_bound: float | None = None
 
 
 def solve(prob: MilpProblem, opts: SolveOptions | None = None) -> SolveResult:
@@ -121,12 +128,16 @@ def solve(prob: MilpProblem, opts: SolveOptions | None = None) -> SolveResult:
     opts = opts or SolveOptions()
     _check_input(prob)
     cols = np.flatnonzero(prob.integer)
-    started = time.perf_counter()
     if (prob.lb[cols] == prob.ub[cols]).all():
         res = _lp_engine(prob).solve(prob, opts.time_limit)
     else:
-        res = _solve_milp(prob, opts)
-    return _checked_result(prob, res, cols, time.perf_counter() - started)
+        A, lo, hi = prob.matrix()
+        res = milp(c=prob.objective_vector(), offset=prob.objective_constant,
+                   integrality=prob.integer.astype(np.int32),
+                   col_lower=prob.lb, col_upper=prob.ub, A=A, row_lower=lo,
+                   row_upper=hi, mip_rel_gap=opts.mip_gap,
+                   time_limit=opts.time_limit)
+    return _checked_result(prob, res, cols)
 
 
 def solve_relaxation(prob: MilpProblem) -> SolveResult:
@@ -139,10 +150,8 @@ def solve_relaxation(prob: MilpProblem) -> SolveResult:
     its objective.
     """
     _check_input(prob)
-    started = time.perf_counter()
     res = _lp_engine(prob).solve(prob, None)
-    return _checked_result(prob, res, np.empty(0, dtype=np.intp),
-                           time.perf_counter() - started)
+    return _checked_result(prob, res, np.empty(0, dtype=np.intp))
 
 
 def _check_input(prob: MilpProblem) -> None:
@@ -156,29 +165,23 @@ def _lp_engine(prob: MilpProblem) -> "_HighsLp":
     return prob.shared("highs-lp", lambda: _HighsLp(prob))
 
 
-def _checked_result(prob: MilpProblem, res: OptimizeResult, cols: np.ndarray,
-                    wall: float) -> SolveResult:
+def _checked_result(prob: MilpProblem, res: EngineResult,
+                    cols: np.ndarray) -> SolveResult:
     """The engine's result as a ``SolveResult``, after the post-solve
     checks: the integer columns ``cols`` must be integral (then they are
     rounded) and the point must satisfy every row and bound."""
-    stats = {"wall_time": wall, "message": res.message,
-             "nodes": _stat(res, "mip_node_count", int),
-             "mip_gap": _stat(res, "mip_gap", float)}
+    stats = {"message": res.message, "nodes": res.mip_node_count,
+             "mip_gap": res.mip_gap}
+    if res.x is None:  # the engine sets a point only on OPTIMAL or TIME_LIMIT
+        if res.status is SolveStatus.OPTIMAL:
+            raise EngineError(f"engine failure: {res.message}")
+        return SolveResult(res.status, **stats)
 
-    if res.status == 2:
-        return SolveResult(SolveStatus.INFEASIBLE, **stats)
-    if res.status == 3:
-        return SolveResult(SolveStatus.UNBOUNDED, **stats)
-    if res.status == 4 or (res.status == 0 and res.x is None):
-        raise EngineError(f"engine failure: {res.message}")
-    if res.status == 1 and res.x is None:
-        return SolveResult(SolveStatus.TIME_LIMIT, **stats)
-
-    x = np.array(res.x[:prob.num_vars], dtype=float)
+    x = np.array(res.x, dtype=float)
     # integer values must already be integral up to tolerance; then round
     rounded = np.round(x[cols]) + 0.0  # + 0.0 turns -0.0 into 0.0
     residual = np.abs(x[cols] - rounded)
-    bad = np.flatnonzero(residual > INTEGRALITY_TOL)
+    bad = np.flatnonzero(~(residual <= INTEGRALITY_TOL))  # NaN is bad too
     if bad.size:
         raise SolverError(
             f"integrality residual {residual[bad[0]]:.3g} on "
@@ -186,17 +189,12 @@ def _checked_result(prob: MilpProblem, res: OptimizeResult, cols: np.ndarray,
     x[cols] = rounded
 
     objective = prob.objective_value(x)
-    has_integers = bool(cols.size)
-    dual_bound = getattr(res, "mip_dual_bound", None)
-    best_bound = (float(dual_bound) if (has_integers and dual_bound is not None)
-                  else objective)
-
-    if res.status == 1:
-        status = SolveStatus.TIME_LIMIT
-    else:
-        gap = abs(objective - best_bound) / max(1.0, abs(objective))
-        status = (SolveStatus.FEASIBLE_WITHIN_GAP
-                  if has_integers and gap > 1e-9 else SolveStatus.OPTIMAL)
+    best_bound = (float(res.mip_dual_bound)  # an LP's bound is its objective
+                  if cols.size and res.mip_dual_bound is not None else objective)
+    gap = abs(objective - best_bound) / max(1.0, abs(objective))
+    status = (SolveStatus.TIME_LIMIT if res.status is SolveStatus.TIME_LIMIT
+              else SolveStatus.FEASIBLE_WITHIN_GAP if gap > 1e-9
+              else SolveStatus.OPTIMAL)
 
     viol, where = prob.max_violation(x, scaled=True)
     if viol > FEASIBILITY_TOL:
@@ -204,41 +202,17 @@ def _checked_result(prob: MilpProblem, res: OptimizeResult, cols: np.ndarray,
             f"engine returned an infeasible point: violation {viol:.3g} at {where}")
 
     return SolveResult(status=status, objective=objective, best_bound=best_bound,
-                       x=x, max_violation=viol, **stats)
+                       x=x, **stats)
 
 
-def _solve_milp(prob: MilpProblem, opts: SolveOptions) -> OptimizeResult:
-    """The problem's arrays, handed to the engine call ``milp``."""
-    n = prob.num_vars
-    c = prob.objective_vector()
-    lb, ub = prob.lb, prob.ub
-    integrality = prob.integer.astype(np.int32)
-    # a constant objective term rides along as a column fixed to 1, so the
-    # engine's relative-gap termination sees the true objective scale
-    shift = prob.objective_constant != 0.0
-    if shift:
-        c = np.concatenate((c, [prob.objective_constant]))
-        lb, ub = np.concatenate((lb, [1.0])), np.concatenate((ub, [1.0]))
-        integrality = np.concatenate((integrality, np.zeros(1, dtype=np.int32)))
-    A, lo, hi = prob.matrix(n + 1 if shift else n)
-    return milp(c=c, integrality=integrality, col_lower=lb, col_upper=ub,
-                A=A, row_lower=lo, row_upper=hi, mip_rel_gap=opts.mip_gap,
-                time_limit=opts.time_limit)
-
-
-def milp(*, c, integrality, col_lower, col_upper, A, row_lower, row_upper,
-         mip_rel_gap: float, time_limit: float | None) -> OptimizeResult:
-    """Minimise ``c @ x`` over ``row_lower <= A @ x <= row_upper`` and the
-    column bounds, with ``integrality`` 1 on integer columns, on a new
-    HiGHS instance.
-
-    ``A`` is a CSC matrix.  The result carries scipy's status code,
-    ``x`` and HiGHS's ``mip_node_count``, ``mip_gap`` and
-    ``mip_dual_bound``; a limit status whose objective is infinite has no
-    point, as in scipy's ``milp``.
-    """
-    engine = _Engine(c, integrality, col_lower, col_upper, A, row_lower,
-                     row_upper)
+def milp(*, c, offset: float, integrality, col_lower, col_upper, A, row_lower,
+         row_upper, mip_rel_gap: float, time_limit: float | None
+         ) -> EngineResult:
+    """Minimise ``c @ x + offset`` over ``row_lower <= A @ x <= row_upper``
+    (``A`` in CSC form) and the column bounds, with ``integrality`` 1 on
+    integer columns, on a new HiGHS instance."""
+    engine = _Engine(c, offset, integrality, col_lower, col_upper, A,
+                     row_lower, row_upper)
     engine.set_option("mip_rel_gap", float(mip_rel_gap))
     if time_limit is not None:
         engine.set_option("time_limit", float(time_limit))
@@ -270,8 +244,8 @@ class _Engine:
     """One HiGHS instance loaded with a model, as both routes use it; the
     model is a MILP when ``integrality`` marks an integer column."""
 
-    def __init__(self, c, integrality, col_lower, col_upper, A, row_lower,
-                 row_upper) -> None:
+    def __init__(self, c, offset, integrality, col_lower, col_upper, A,
+                 row_lower, row_upper) -> None:
         # HiGHS reads num_col and num_row values from each array unchecked
         n, m = c.size, row_lower.size
         if (A.shape != (m, n) or row_upper.size != m
@@ -282,8 +256,8 @@ class _Engine:
         self.highs = core._Highs()
         self.error = core.HighsStatus.kError
         self.infinity = core.kHighsInf
-        self.codes = {getattr(core.HighsModelStatus, name): code
-                      for name, code in _SCIPY_CODES.items()}
+        self.statuses = {getattr(core.HighsModelStatus, name): status
+                         for name, status in _STATUSES.items()}
         self.mip = bool(integrality.any())
         # scipy's ``milp`` sets presolve on and the console log off; HiGHS
         # still formats the log lines it then drops, so all output goes
@@ -292,8 +266,9 @@ class _Engine:
         self.set_option("presolve", "on")
         if self.highs.passModel(
                 n, m, A.nnz, core.MatrixFormat.kColwise,
-                core.ObjSense.kMinimize, 0.0, c, col_lower, col_upper,
-                row_lower, row_upper, A.indptr.astype(np.int32, copy=False),
+                core.ObjSense.kMinimize, float(offset), c, col_lower,
+                col_upper, row_lower, row_upper,
+                A.indptr.astype(np.int32, copy=False),
                 A.indices.astype(np.int32, copy=False), A.data,
                 integrality.astype(np.int32, copy=False)) == self.error:
             raise EngineError("engine failure: HiGHS rejected the model")
@@ -303,23 +278,25 @@ class _Engine:
             raise EngineError(f"engine failure: HiGHS rejected the option "
                               f"{name}={value!r}")
 
-    def run(self) -> OptimizeResult:
-        """Run the model; an LP has a point only when optimal."""
-        highs, mip = self.highs, self.mip
+    def run(self) -> EngineResult:
+        """Run the model; an LP has a point only when optimal, a MILP also
+        at a limit that found an incumbent."""
+        highs = self.highs
         ran = highs.run() != self.error
         model_status = highs.getModelStatus()
-        res = OptimizeResult(status=self.codes.get(model_status, 4), x=None,
-                             message=highs.modelStatusToString(model_status),
-                             mip_node_count=None, mip_gap=None,
-                             mip_dual_bound=None)
-        if not ran or res.status not in ((0, 1) if mip else (0,)):
+        res = EngineResult(self.statuses.get(model_status),
+                           highs.modelStatusToString(model_status))
+        if res.status is None:
+            raise EngineError(f"engine failure: {res.message}")
+        if not ran or not (res.status is SolveStatus.OPTIMAL or self.mip
+                           and res.status is SolveStatus.TIME_LIMIT):
             return res
-        if mip:
+        if self.mip:
             info = highs.getInfo()
-            if res.status == 1 and info.objective_function_value == self.infinity:
+            if info.objective_function_value == self.infinity:  # no incumbent
                 return res
-            res.update(mip_node_count=info.mip_node_count,
-                       mip_gap=info.mip_gap, mip_dual_bound=info.mip_dual_bound)
+            res.mip_node_count, res.mip_gap, res.mip_dual_bound = (
+                info.mip_node_count, info.mip_gap, info.mip_dual_bound)
         res.x = np.array(highs.getSolution().col_value)
         return res
 
@@ -329,14 +306,14 @@ class _HighsLp(_Engine):
 
     def __init__(self, prob: MilpProblem) -> None:
         A, lo, hi = prob.matrix()
-        super().__init__(prob.objective_vector(),
+        super().__init__(prob.objective_vector(), prob.objective_constant,
                          np.zeros(prob.num_vars, dtype=np.int32),
                          prob.lb, prob.ub, A, lo, hi)
         self.lb, self.ub = prob.lb.copy(), prob.ub.copy()
         self.time_limit = math.inf
 
     def solve(self, prob: MilpProblem, time_limit: float | None
-              ) -> OptimizeResult:
+              ) -> EngineResult:
         """Pass the bounds that changed, then rerun from the last basis."""
         changed = np.flatnonzero((prob.lb != self.lb) | (prob.ub != self.ub))
         if changed.size:
@@ -350,9 +327,3 @@ class _HighsLp(_Engine):
             self.set_option("time_limit", limit)
             self.time_limit = limit
         return self.run()
-
-
-def _stat(res, name: str, kind):
-    """An engine statistic from scipy's result, or None when absent."""
-    value = getattr(res, name, None)
-    return None if value is None else kind(value)

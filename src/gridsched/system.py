@@ -17,6 +17,7 @@ lists against the element fields and drops them.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable
@@ -175,6 +176,13 @@ def validate_system(sys: PowerSystem) -> ValidationReport:
     def bad(path: str, message: str) -> None:
         out.append(Violation(path, message))
 
+    def finite(path: str, item) -> None:  # flag each NaN or infinite field
+        for name, value in vars(item).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                bad(f"{path}.{name}", f"must be finite, got {value}")
+
+    if not (math.isfinite(sys.mva_base) and sys.mva_base > 0):
+        bad("mva_base", f"must be finite and > 0, got {sys.mva_base}")
     bus_ids = [b.id for b in sys.buses]
     if len(set(bus_ids)) != len(bus_ids):
         bad("buses", "duplicate bus ids")
@@ -188,6 +196,8 @@ def validate_system(sys: PowerSystem) -> ValidationReport:
 
     for g in sys.generators:
         p = f"generators[{g.id}]"
+        finite(p, g)
+        finite(f"{p}.initial_status", g.initial_status)
         if g.bus_id not in known_buses:
             bad(f"{p}.bus_id", f"references unknown bus {g.bus_id!r}")
         if not 0 <= g.p_min <= g.p_max:
@@ -210,6 +220,7 @@ def validate_system(sys: PowerSystem) -> ValidationReport:
 
     for k in sys.lines:
         p = f"lines[{k.id}]"
+        finite(p, k)
         if k.from_bus not in known_buses:
             bad(f"{p}.from_bus", f"references unknown bus {k.from_bus!r}")
         if k.to_bus not in known_buses:
@@ -226,6 +237,7 @@ def validate_system(sys: PowerSystem) -> ValidationReport:
 
     for w in sys.res_units:
         p = f"res_units[{w.id}]"
+        finite(p, w)
         if w.bus_id not in known_buses:
             bad(f"{p}.bus_id", f"references unknown bus {w.bus_id!r}")
         if w.curtail_penalty < 0:
@@ -241,8 +253,8 @@ def validate_system(sys: PowerSystem) -> ValidationReport:
             bad(p, f"references unknown bus {b!r}")
         if len(row) != T:
             bad(p, f"row length {len(row)} != horizon {T}")
-        if any(d < 0 for d in row):
-            bad(p, "demand must be >= 0")
+        if not all(0 <= d < math.inf for d in row):
+            bad(p, "demand must be finite and >= 0")
     for b in known_buses:
         if b not in sys.demand.rows:
             bad(f"demand[{b}]", "missing demand row for bus")
@@ -286,8 +298,8 @@ def _components(nodes: list[Id], edges: list[tuple[Id, Id]]) -> list[set[Id]]:
 
 def scale_penetration(scen: ScenarioSet, factor: float) -> ScenarioSet:
     """Scale every availability profile by ``factor``; probabilities unchanged."""
-    if factor < 0:
-        raise ValueError(f"scale factor must be >= 0, got {factor}")
+    if not (math.isfinite(factor) and factor >= 0):
+        raise ValueError(f"scale factor must be finite and >= 0, got {factor}")
     return ScenarioSet(
         scenarios=tuple(
             replace(s, availability={w: tuple(factor * v for v in prof)
@@ -363,6 +375,13 @@ def _require(doc: dict, key: str, where: str) -> Any:
     return doc[key]
 
 
+def _int(value: Any, where: str) -> int:
+    try:  # NaN, infinity or no number at all
+        return int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise CaseFormatError(f"{where}: {exc}") from exc
+
+
 def system_from_dict(doc: dict[str, Any]) -> PowerSystem:
     if not isinstance(doc, dict):
         raise CaseFormatError("case document must be a JSON object")
@@ -387,12 +406,13 @@ def system_from_dict(doc: dict[str, Any]) -> PowerSystem:
                 ramp_startup=float(_require(g, "ramp_startup", where)),
                 ramp_shutdown=float(_require(g, "ramp_shutdown", where)),
                 ramp_10min=float(_require(g, "ramp_10min", where)),
-                min_up=int(g.get("min_up", 1)),
-                min_down=int(g.get("min_down", 1)),
+                min_up=_int(g.get("min_up", 1), f"{where}.min_up"),
+                min_down=_int(g.get("min_down", 1), f"{where}.min_down"),
                 emission_rate=float(g.get("emission_rate", 0.0)),
                 initial_status=InitialStatus(
                     on=bool(init.get("on", False)),
-                    hours=int(init.get("hours", 10_000)),
+                    hours=_int(init.get("hours", 10_000),
+                               f"{where}.initial_status.hours"),
                     dispatch=(None if init.get("dispatch") is None
                               else float(init["dispatch"])),
                 ),

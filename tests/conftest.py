@@ -22,6 +22,11 @@ def named_cols(prob: MilpProblem, names, lb, ub, integer=False) -> list[int]:
     return list(range(start, start + len(names)))
 
 
+def col_value(prob: MilpProblem, res, symbol: str, *index) -> float:
+    """The value a solve result gives the column of ``symbol[index]``."""
+    return float(res.x[prob.registry.col(symbol, *index)])
+
+
 def make_gen(gid, bus, p_min=0.0, p_max=100.0, c=20.0, c_nl=10.0, c_su=100.0,
              ramp_hourly=None, ramp_startup=None, ramp_shutdown=None,
              ramp_10min=None, min_up=1, min_down=1, emission_rate=0.0,

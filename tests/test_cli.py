@@ -14,6 +14,8 @@ from gridsched.data import bundled
 from gridsched.metrics import ConstraintViolation
 from gridsched.solver import SolveStatus
 
+from test_solver import ENGINE_FAILURES, engine_reports, report_model_status
+
 TOY = str(bundled("toy3.json"))
 TOY_SCEN = str(bundled("toy3_scenarios.json"))
 
@@ -145,14 +147,10 @@ class TestRun:
         assert "gap:" in line and "nodes:" in line
         assert int(line.rsplit("nodes:", 1)[1]) >= 1
 
-    @pytest.mark.parametrize("fields", [{"status": 4, "x": None},
-                                        {"status": 0, "x": None}])
+    @pytest.mark.parametrize("fields", ENGINE_FAILURES)
     def test_engine_failure_exit_code(self, tmp_path, capsys, monkeypatch,
                                       fields):
-        from scipy.optimize import OptimizeResult
-        monkeypatch.setattr(solver_mod, "milp", lambda **kwargs: OptimizeResult(
-            message="engine says no", mip_node_count=None, mip_gap=None,
-            mip_dual_bound=None, **fields))
+        engine_reports(monkeypatch, fields)
         assert run_cli("run", TOY, TOY_SCEN, "--out-dir", str(tmp_path)) == 4
         assert "engine failure" in capsys.readouterr().err
 
@@ -193,6 +191,83 @@ class TestRun:
         assert run_cli("run", str(case), TOY_SCEN,
                        "--out-dir", str(tmp_path)) == 2
         assert "generators[g1].initial_status.hours" in capsys.readouterr().err
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestNonFiniteInput:
+    """A NaN or infinite number in the inputs exits 2 before a solve."""
+
+    @pytest.fixture(autouse=True)
+    def no_solve(self, monkeypatch):
+        monkeypatch.setattr(cli_mod, "solve", lambda prob, opts: pytest.fail(
+            "solved a non-finite input"))
+
+    @staticmethod
+    def write(tmp_path, name, doc) -> str:
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))  # NaN and Infinity as JSON reads them
+        return str(path)
+
+    def expect_input_error(self, capsys, *argv, says):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and says in err
+
+    @pytest.mark.parametrize("collection, index, field, value, says", [
+        ("lines", 0, "susceptance", NAN, "lines[L1].susceptance"),
+        ("lines", 1, "limit_emergency", NAN, "lines[L2].limit_emergency"),
+        ("generators", 0, "cost_linear", NAN, "generators[g1].cost_linear"),
+        ("generators", 1, "cost_startup", INF, "generators[g2].cost_startup"),
+        ("generators", 0, "min_up", NAN, "generators[0].min_up"),
+        ("res_units", 0, "curtail_penalty", NAN,
+         "res_units[w1].curtail_penalty"),
+        (None, None, "mva_base", INF, "mva_base")])
+    def test_case_field(self, tmp_path, capsys, collection, index, field,
+                        value, says):
+        doc = json.loads(bundled("toy3.json").read_text())
+        (doc if collection is None else doc[collection][index])[field] = value
+        case = self.write(tmp_path, "case.json", doc)
+        self.expect_input_error(capsys, "run", case, TOY_SCEN, "--out-dir",
+                                str(tmp_path), says=says)
+
+    @pytest.mark.parametrize("value", [NAN, INF])
+    def test_demand_row(self, tmp_path, capsys, value):
+        doc = json.loads(bundled("toy3.json").read_text())
+        doc["demand"][2]["mw"][1] = value
+        bus = doc["demand"][2]["bus_id"]
+        case = self.write(tmp_path, "case.json", doc)
+        self.expect_input_error(capsys, "run", case, TOY_SCEN, "--out-dir",
+                                str(tmp_path), says=f"demand[{bus}]")
+
+    @pytest.mark.parametrize("field, value, says", [
+        ("probability", NAN, "probability must be in [0, 1], got nan"),
+        ("probability", INF, "probability must be in [0, 1], got nan"),
+        ("availability", NAN, "availability must be finite"),
+        ("availability", INF, "availability must be finite")])
+    def test_scenario_file(self, tmp_path, capsys, field, value, says):
+        doc = json.loads(bundled("toy3_scenarios.json").read_text())
+        if field == "probability":
+            doc[0]["probability"] = value
+        else:
+            doc[1]["availability"]["w1"][0] = value
+        scen = self.write(tmp_path, "scen.json", doc)
+        self.expect_input_error(capsys, "run", TOY, scen, "--out-dir",
+                                str(tmp_path), says=says)
+
+    @pytest.mark.parametrize("factor", ["nan", "inf"])
+    def test_sweep_factor(self, tmp_path, capsys, factor):
+        self.expect_input_error(capsys, "sweep", TOY, TOY_SCEN, "--factors",
+                                "1", factor, "--out-dir", str(tmp_path),
+                                says="scale factor must be finite")
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("penalty", ["nan", "inf"])
+    def test_penalty_flag(self, tmp_path, capsys, penalty):
+        self.expect_input_error(capsys, "run", TOY, TOY_SCEN, "--penalty",
+                                penalty, "--out-dir", str(tmp_path),
+                                says="--penalty must be finite")
 
 
 BAD_OPTION_VALUES = [("--mip-gap", "-1"), ("--mip-gap", "nan"),
@@ -319,10 +394,7 @@ class TestSweep:
                        "--out-dir", str(tmp_path)) == 1
 
     def test_engine_failure_rows_exit_4(self, tmp_path, monkeypatch):
-        from scipy.optimize import OptimizeResult
-        monkeypatch.setattr(solver_mod, "milp", lambda **kwargs: OptimizeResult(
-            status=4, x=None, message="engine says no", mip_node_count=None,
-            mip_gap=None, mip_dual_bound=None))
+        report_model_status(monkeypatch, "kModelError")
         assert run_cli("sweep", TOY, TOY_SCEN, "--factors", "1",
                        "--out-dir", str(tmp_path)) == 4
         with open(tmp_path / "sweep.csv") as fh:
@@ -380,6 +452,14 @@ class TestVerify:
         monkeypatch.setattr(cli_mod, "solve", lambda prob, opts: dataclasses.replace(
             solver_mod.solve(prob, opts), status=SolveStatus.TIME_LIMIT, x=None))
         assert run_cli("verify", TOY, TOY_SCEN, "--out-dir", str(tmp_path)) == 3
+
+    def test_model_error_is_not_both_infeasible(self, tmp_path, capsys,
+                                                monkeypatch):
+        report_model_status(monkeypatch, "kModelError")
+        assert run_cli("verify", TOY, TOY_SCEN, "--out-dir", str(tmp_path)) == 4
+        captured = capsys.readouterr()
+        assert "engine failure: Model error" in captured.err
+        assert "both paths report infeasible" not in captured.out
 
     def test_oversized_case_is_capped(self, tmp_path):
         # CNR on the toy case needs 48 switch bits, beyond the cap

@@ -26,20 +26,21 @@ KINDS = (ModelKind.SSCUC, ModelKind.SSCUC_CNR)
 # recorded with the rows laid out family by family in builder order (see
 # the formulation docstring); a change to the rows, their order, the
 # columns or the names alters what the engine sees and must update these
-# knowingly
+# knowingly; the objective constant is hashed as the engine's objective
+# offset
 TOY3_DIGESTS = {
     ModelKind.SSCUC:
-        "d3806c44dfc86a08cd5c00491b2c6485657af5918a3c3af47523e944249aa873",
+        "fa747ecf18095f2603c34b9ace61df51e062c43d53656101bcdf66788597ecfa",
     ModelKind.SSCUC_CNR:
-        "2c364d3d07612319d30ffd427815db9554a21a0f7cce8b3924ca21bd9e4a147a",
+        "4c6c98eba99d2ac29faf79cb3782e7f610f3c185d5ed330545e454de7392e181",
 }
 # the same for ``rts24_slice()``, which pins the bundled RTS-24 case document
 # and everything loaded from it
 RTS24_SLICE_DIGESTS = {
     ModelKind.SSCUC:
-        "4b963c2647265e17f6130cf9d0e53823c0d5f06ea5ca3cfebded44ea423261c4",
+        "c0dbc72a679d8b03160356e16564541079d3fc49f43dc20201b87e9b70ebb446",
     ModelKind.SSCUC_CNR:
-        "7a4771e4558c5860d7207e49a255c491ddeb440fb398ab756daeecc8af820882",
+        "1dddf657ec3afe96db618f91053e59c0be91439c08c093de81c9bde156f1168c",
 }
 
 
@@ -75,9 +76,9 @@ def engine_input(prob: MilpProblem) -> dict:
 
 
 def digest(prob: MilpProblem) -> str:
-    """SHA-256 of the engine's input in canonical form (objective,
-    integrality, column bounds, CSC matrix, row bounds), the row labels
-    and the column names."""
+    """SHA-256 of the engine's input in canonical form (objective and its
+    offset, integrality, column bounds, CSC matrix, row bounds), the row
+    labels and the column names."""
     seen = engine_input(prob)
     h = hashlib.sha256()
 
@@ -86,6 +87,7 @@ def digest(prob: MilpProblem) -> str:
         h.update(np.ascontiguousarray(np.asarray(values), dtype=dtype).tobytes())
 
     add("c", seen["c"], np.float64)
+    add("offset", [seen["offset"]], np.float64)
     add("integrality", seen["integrality"], np.uint8)
     add("col_lb", seen["col_lower"], np.float64)
     add("col_ub", seen["col_upper"], np.float64)
@@ -264,6 +266,16 @@ class TestMaxViolationReference:
         point = np.array([0.5, 0.5, 3.0])
         assert prob.max_violation(point) == (2.0 / 3.0, "bound[u[g1,1]]")
         assert_matches_reference(prob, point)
+
+    def test_nan_is_an_infinite_violation(self):
+        prob = MilpProblem()
+        x, y = named_cols(prob, ["x", "y"], 0.0, 1.0)
+        prob.add_row_block("r", [()], [(x, 1.0)], 0.0, 1.0)
+        for scaled in (True, False):
+            assert prob.max_violation(np.array([np.nan, 0.5]),
+                                      scaled=scaled) == (INF, "r")
+            assert prob.max_violation(np.array([0.5, np.nan]),
+                                      scaled=scaled) == (INF, "bound[y]")
 
     def test_feasible_point_reports_nothing(self):
         prob = MilpProblem()

@@ -19,7 +19,7 @@ from gridsched.milp import MilpProblem
 from gridsched.solver import SolveOptions
 from gridsched.topology import Contingency
 
-from conftest import (make_gen, make_line, triangle_scenarios,
+from conftest import (col_value, make_gen, make_line, triangle_scenarios,
                       triangle_system)
 
 SSCUC = FormulationConfig(model_kind=ModelKind.SSCUC)
@@ -135,11 +135,11 @@ class TestBaseGeneratorBlock:
         assert res.status.has_solution
         for t in (1, 2):
             for s in scen.scenarios:
-                total = sum(res.value(prob, "r", g.id, t, s.id)
+                total = sum(col_value(prob, res, "r", g.id, t, s.id)
                             for g in sys_obj.generators)
                 for g in sys_obj.generators:
-                    own = res.value(prob, "r", g.id, t, s.id)
-                    out = res.value(prob, "Pg", g.id, t, s.id)
+                    own = col_value(prob, res, "r", g.id, t, s.id)
+                    out = col_value(prob, res, "Pg", g.id, t, s.id)
                     assert total - own >= out - 1e-6
 
 
@@ -237,8 +237,8 @@ class TestContingencyGeneratorBlock:
         saw_nonzero = False
         for c in cont:
             for s in scen.scenarios:
-                base = res.value(prob, "Pg", "g1", 1, s.id)
-                post = res.value(prob, "Pgc", "g1", c.outaged_line_id, 1, s.id)
+                base = col_value(prob, res, "Pg", "g1", 1, s.id)
+                post = col_value(prob, res, "Pgc", "g1", c.outaged_line_id, 1, s.id)
                 assert post == pytest.approx(base, abs=1e-6)
                 saw_nonzero = saw_nonzero or base > 1.0
         assert saw_nonzero
@@ -253,7 +253,7 @@ class TestContingencyGeneratorBlock:
         if res.status.has_solution:
             for c in cont:
                 for s in scen.scenarios:
-                    post = res.value(prob, "Pgc", "g2", c.outaged_line_id, 1, s.id)
+                    post = col_value(prob, res, "Pgc", "g2", c.outaged_line_id, 1, s.id)
                     assert post == pytest.approx(0.0, abs=1e-9)
 
 
@@ -293,10 +293,10 @@ class TestContingencyNetwork:
         prob = assemble(sys_obj, scen, cont, SSCUC)
         res = solve(prob, SolveOptions(mip_gap=0.0))
         assert res.status.has_solution
-        assert res.value(prob, "Pg", "g1", 1, "s0") == pytest.approx(30, abs=1e-6)
-        assert res.value(prob, "Pkc", "L1", "L2", 1, "s0") == pytest.approx(30, abs=1e-6)
-        assert res.value(prob, "Pkc", "L3", "L2", 1, "s0") == pytest.approx(30, abs=1e-6)
-        assert res.value(prob, "Pkc", "L2", "L2", 1, "s0") == 0.0
+        assert col_value(prob, res, "Pg", "g1", 1, "s0") == pytest.approx(30, abs=1e-6)
+        assert col_value(prob, res, "Pkc", "L1", "L2", 1, "s0") == pytest.approx(30, abs=1e-6)
+        assert col_value(prob, res, "Pkc", "L3", "L2", 1, "s0") == pytest.approx(30, abs=1e-6)
+        assert col_value(prob, res, "Pkc", "L2", "L2", 1, "s0") == 0.0
 
     def test_no_contingencies_no_rows(self):
         sys_obj = triangle_system(T=1)
@@ -328,9 +328,9 @@ class TestCnrNetwork:
         res = solve(prob.clone_with_bounds({z: 1.0}), SolveOptions(mip_gap=0.0))
         assert res.status.has_solution
         coef = sys_obj.line("L2").susceptance * sys_obj.mva_base
-        flow = res.value(prob, "Pkc", "L2", "L1", 1, "s0")
-        dtheta = (res.value(prob, "thc", "b1", "L1", 1, "s0")
-                  - res.value(prob, "thc", "b3", "L1", 1, "s0"))
+        flow = col_value(prob, res, "Pkc", "L2", "L1", 1, "s0")
+        dtheta = (col_value(prob, res, "thc", "b1", "L1", 1, "s0")
+                  - col_value(prob, res, "thc", "b3", "L1", 1, "s0"))
         assert flow == pytest.approx(coef * dtheta, abs=1e-6)
 
     def test_switch_state_zero_kills_flow(self):
@@ -341,7 +341,7 @@ class TestCnrNetwork:
         z = prob.registry.col("z", "L1", "L2", 1, "s0")
         res = solve(prob.clone_with_bounds({z: 0.0}), SolveOptions(mip_gap=0.0))
         assert res.status.has_solution
-        assert res.value(prob, "Pkc", "L2", "L1", 1, "s0") == pytest.approx(0.0, abs=1e-9)
+        assert col_value(prob, res, "Pkc", "L2", "L1", 1, "s0") == pytest.approx(0.0, abs=1e-9)
 
     def test_switch_limit_zero_equals_fixed_model(self):
         from conftest import ring4_scenarios, ring4_system

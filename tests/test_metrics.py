@@ -1,7 +1,9 @@
 """Metrics: curtailment formulas, cost reconciliation, verification."""
 
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from gridsched import formulation, metrics
@@ -103,6 +105,13 @@ class TestCostBreakdown:
         with pytest.raises(ReconciliationError):
             cost_breakdown(bad, sys_obj, scen, SSCUC)
 
+    def test_nan_cost_does_not_reconcile(self):
+        sys_obj, scen, cont, prob, res, sol = solved_triangle()
+        p = dict(sol.p)
+        p[("g1", 1, "s0")] = math.nan
+        with pytest.raises(ReconciliationError):
+            cost_breakdown(replace(sol, p=p), sys_obj, scen, SSCUC)
+
     def test_reconciles_with_solver_objective(self):
         for cfg in (SSCUC, CNR, replace(SSCUC, penalty_enabled=False)):
             sys_obj, scen, cont, prob, res, sol = solved_triangle(cfg)
@@ -186,7 +195,6 @@ class TestVerifySolution:
 
     def test_dual_path_agreement_on_feasibility(self):
         """Direct re-evaluation and container row evaluation must agree."""
-        import numpy as np
         sys_obj, scen, cont, prob, res, sol = solved_triangle(CNR)
         assert verify_solution(sol, sys_obj, scen, cont, CNR) == []
         assert prob.max_violation(res.x)[0] <= 1e-6
@@ -227,6 +235,27 @@ class TestVerifySolution:
         viols = verify_solution(replace(sol, z=z), sys_obj, scen, cont, CNR)
         assert (k, c.outaged_line_id, 1, "s0") in \
             {v.index for v in viols if v.equation == "eq27"}
+
+    def test_nan_flow_fails_both_paths(self):
+        """``max(0.0, nan, nan)`` is 0.0: a NaN activity must still count."""
+        sys_obj, scen, cont, prob, res, sol = solved_triangle(CNR)
+        key = ("L1", 1, "s0")
+        flows = dict(sol.flow)
+        flows[key] = math.nan
+        viols = verify_solution(replace(sol, flow=flows), sys_obj, scen,
+                                cont, CNR)
+        assert {v.equation for v in viols if v.index == key} == \
+            {"eq14", "eq15"}
+        x = np.array(res.x)
+        x[prob.registry.col("Pk", *key)] = math.nan
+        assert prob.max_violation(x) == (math.inf, "eq14[L1,1,s0]")
+
+    def test_nan_switch_is_no_binary(self):
+        sys_obj, scen, cont, prob, res, sol = solved_triangle(CNR)
+        key = next(iter(sol.z))
+        viols = verify_solution(replace(sol, z={**sol.z, key: math.nan}),
+                                sys_obj, scen, cont, CNR)
+        assert key in {v.index for v in viols if v.equation == "z01"}
 
     def test_violation_carries_equation_index_residual(self):
         sys_obj, scen, cont, prob, res, sol = solved_triangle()

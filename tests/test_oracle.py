@@ -10,7 +10,8 @@ from gridsched import (CapExceeded, DemandProfile, FormulationConfig,
                        solve)
 from gridsched.solver import SolveOptions
 
-from conftest import make_gen, triangle_scenarios, triangle_system
+from conftest import (col_value, make_gen, triangle_scenarios,
+                      triangle_system)
 
 SSCUC = FormulationConfig(model_kind=ModelKind.SSCUC)
 CNR = FormulationConfig(model_kind=ModelKind.SSCUC_CNR)
@@ -103,7 +104,8 @@ class TestEnumerateCommitments:
         prob = assemble(sys_obj, scen, [], cfg)
         milp = solve(prob, SolveOptions(mip_gap=0.0))
         # the optimum pays a startup at t=2 while the unit is still on
-        assert milp.value(prob, "u", "g", 1) == milp.value(prob, "v", "g", 2) == 1
+        assert (col_value(prob, milp, "u", "g", 1)
+                == col_value(prob, milp, "v", "g", 2) == 1)
         exact = enumerate_commitments(sys_obj, scen, [], cfg)
         assert exact.best_objective == pytest.approx(milp.objective, rel=1e-6)
 

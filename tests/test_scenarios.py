@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridsched import block_average, build_scenario_set, synth_wind_profiles
-from gridsched.scenarios import load_scenario_set, scenario_set_from_list
+from gridsched.scenarios import (Scenario, ScenarioSet, load_scenario_set,
+                                 scenario_set_from_list)
 
 
 class TestBlockAverage:
@@ -69,6 +70,19 @@ class TestBuildScenarioSet:
     def test_negative_probability_rejected(self):
         with pytest.raises(ValueError):
             build_scenario_set([{"w": [1.0]}, {"w": [1.0]}], [1, -1])
+
+    @pytest.mark.parametrize("probability, value", [
+        (float("nan"), 1.0), (1.0, float("nan")), (1.0, float("inf"))])
+    def test_non_finite_scenario_rejected(self, probability, value):
+        """NaN passes both the sign test and the sum-to-one test."""
+        scen = ScenarioSet((Scenario("s0", probability, {"w": (value,)}),))
+        with pytest.raises(ValueError, match="must be"):
+            scen.check()
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="probability must be in"):
+            build_scenario_set([{"w": [1.0]}, {"w": [1.0]}], [1.0, weight])
 
     def test_all_zero_probability_rejected(self):
         with pytest.raises(ValueError):

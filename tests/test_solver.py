@@ -12,7 +12,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy
+from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.optimize._highspy import _core as highs_core
 
 import gridsched.oracle as oracle_mod
 import gridsched.solver as solver_mod
@@ -22,8 +24,8 @@ from gridsched import (DemandProfile, FormulationConfig, ModelKind,
                        load_scenario_set, load_system, solve)
 from gridsched.data import bundled
 from gridsched.milp import INF, MilpProblem
-from gridsched.solver import (EngineError, SolveOptions, SolveStatus,
-                              SolverError)
+from gridsched.solver import (EngineError, EngineResult, SolveOptions,
+                              SolveStatus, SolverError)
 
 from conftest import (named_cols, parallel_pair_scenarios,
                       parallel_pair_system, triangle_scenarios,
@@ -131,6 +133,19 @@ class TestSolveContract:
         assert res.objective == pytest.approx(1e6 + 210.0, rel=1e-12)
         assert res.best_bound == pytest.approx(res.objective, rel=1e-9)
 
+    def test_objective_constant_reaches_engine_gap_at_nonzero_gap(self):
+        """HiGHS's own gap is the one computed from the objective with its
+        constant: an offset left out would make HiGHS's gap relative to
+        the objective without it."""
+        prob = assemble(*toy3_inputs(),
+                        FormulationConfig(model_kind=ModelKind.SSCUC_CNR))
+        prob.objective_constant += 1e6
+        res = solve(prob, SolveOptions(mip_gap=0.01))
+        gap = (res.objective - res.best_bound) / abs(res.objective)
+        assert res.status is SolveStatus.FEASIBLE_WITHIN_GAP
+        assert 0.0 < gap <= 0.01
+        assert res.mip_gap == pytest.approx(gap, rel=1e-6)
+
     def test_time_limit_status(self):
         sys_obj = triangle_system(T=2)
         scen = triangle_scenarios(T=2)
@@ -179,38 +194,74 @@ class TestEngineStatistics:
         assert 0.0 <= res.mip_gap <= 1e-9
 
     def test_absent_statistics_are_none(self, monkeypatch):
-        from scipy.optimize import OptimizeResult
-        monkeypatch.setattr(solver_mod, "milp", lambda **kwargs: OptimizeResult(
-            status=2, x=None, message="infeasible", mip_node_count=None,
-            mip_gap=None, mip_dual_bound=None))
+        engine_reports(monkeypatch, {"status": SolveStatus.INFEASIBLE,
+                                     "message": "infeasible"})
         res = solve(tiny_uc())
         assert res.status is SolveStatus.INFEASIBLE
         assert res.nodes is None and res.mip_gap is None
 
 
-class TestEngineFailures:
-    def _engine_returns(self, monkeypatch, **fields):
-        from scipy.optimize import OptimizeResult
-        monkeypatch.setattr(solver_mod, "milp", lambda **kwargs: OptimizeResult(
-            **{"message": "engine says no", "mip_node_count": None,
-               "mip_gap": None, "mip_dual_bound": None, **fields}))
+def report_model_status(monkeypatch, name: str) -> None:
+    """Every HiGHS instance made from now on runs, then reports the model
+    status ``name``: a stand-in for the engine's ``highs`` object."""
+    class Reporting(highs_core._Highs):
+        def getModelStatus(self):
+            return getattr(highs_core.HighsModelStatus, name)
 
-    @pytest.mark.parametrize("fields", [{"status": 4, "x": None},
-                                        {"status": 0, "x": None}])
+    monkeypatch.setattr(highs_core, "_Highs", Reporting)
+
+
+# two ways the engine fails: HiGHS reports an error status, or a success
+# with no point comes back
+ENGINE_FAILURES = [{"model_status": "kModelError"},
+                   {"status": SolveStatus.OPTIMAL, "x": None}]
+
+
+def engine_reports(monkeypatch, fields: dict) -> None:
+    """Make HiGHS report ``model_status``, or the engine call ``milp``
+    return an ``EngineResult`` with these fields."""
+    if "model_status" in fields:
+        report_model_status(monkeypatch, fields["model_status"])
+    else:
+        monkeypatch.setattr(solver_mod, "milp", lambda **kwargs: EngineResult(
+            **{"message": "engine says no", **fields}))
+
+
+class TestEngineFailures:
+    @pytest.mark.parametrize("fields", ENGINE_FAILURES)
     def test_engine_failure_is_engine_error(self, monkeypatch, fields):
-        from gridsched.solver import EngineError
-        self._engine_returns(monkeypatch, **fields)
-        with pytest.raises(EngineError):
+        engine_reports(monkeypatch, fields)
+        with pytest.raises(EngineError, match="engine failure"):
             solve(tiny_uc())
 
+    def test_model_error_is_engine_error_not_infeasible(self, monkeypatch):
+        """kModelError is no infeasibility: read as one on the LP route,
+        it would make the oracle record every switch setting of a
+        commitment infeasible."""
+        report_model_status(monkeypatch, "kModelError")
+        prob, _, b = fixed_lp()
+        with pytest.raises(EngineError, match="engine failure: Model error"):
+            solve(prob.clone_with_bounds({b: 1.0}))
+        with pytest.raises(EngineError, match="engine failure: Model error"):
+            solver_mod.solve_relaxation(prob)
+
     def test_fractional_binary_is_not_an_engine_error(self, monkeypatch):
-        from gridsched.solver import EngineError
-        self._engine_returns(monkeypatch, status=0,
-                             x=np.array([0.5, 0.5, 5.0]))
+        engine_reports(monkeypatch, {"status": SolveStatus.OPTIMAL,
+                                     "x": np.array([0.5, 0.5, 5.0])})
         with pytest.raises(SolverError) as err:
             solve(tiny_uc())
         assert not isinstance(err.value, EngineError)
         assert "integrality residual" in str(err.value)
+
+    @pytest.mark.parametrize("x, message", [
+        ([math.nan, 1.0, 5.0], "integrality residual nan on u"),
+        ([1.0, 1.0, math.nan], "violation inf at")])
+    def test_nan_point_is_not_an_engine_error(self, monkeypatch, x, message):
+        engine_reports(monkeypatch, {"status": SolveStatus.OPTIMAL,
+                                     "x": np.array(x)})
+        with pytest.raises(SolverError, match=message) as err:
+            solve(tiny_uc())
+        assert not isinstance(err.value, EngineError)
 
 
 # -- the LP route: fixed-binary problems on one HiGHS instance per model ----
@@ -361,7 +412,7 @@ class TestLpRoute:
         prob, _, b = fixed_lp()
         clone = prob.clone_with_bounds({b: 1.0})
         assert solve(clone).status is SolveStatus.OPTIMAL
-        prob.shared("highs-lp", None).codes = {}  # no status is known
+        prob.shared("highs-lp", None).statuses = {}  # no status is known
         with pytest.raises(EngineError, match="engine failure"):
             solve(clone)
 
@@ -433,7 +484,7 @@ class TestSwitchRelaxation:
         def unmapped(*args):
             prob = real(*args)
             solver_mod.solve_relaxation(prob)
-            prob.shared("highs-lp", None).codes = {}  # no status is known
+            prob.shared("highs-lp", None).statuses = {}  # no status is known
             return prob
 
         monkeypatch.setattr(oracle_mod, "assemble", unmapped)
@@ -500,8 +551,9 @@ class TestMilpRoute:
     @pytest.mark.parametrize("make", [toy3_inputs, rts24_slice],
                              ids=["toy3", "rts24-slice"])
     def test_matches_scipy_milp_bit_for_bit(self, monkeypatch, make, kind):
-        """The same arrays and options through scipy's ``milp`` take the
-        same search path."""
+        """The same arrays and options through scipy's ``milp``, with the
+        objective offset as a column fixed to 1, take the same search
+        path."""
         seen = {}
         engine = solver_mod.milp
 
@@ -513,14 +565,20 @@ class TestMilpRoute:
         monkeypatch.setattr(solver_mod, "milp", record)
         prob = assemble(*make(), FormulationConfig(model_kind=kind))
         solve(prob, SolveOptions(mip_gap=0.01))
-        got = seen["result"]
-        want = milp(c=seen["c"], integrality=seen["integrality"],
-                    bounds=Bounds(seen["col_lower"], seen["col_upper"]),
+        got, n, A = seen["result"], prob.num_vars, seen["A"]
+        assert seen["offset"] != 0.0
+        one = np.ones(1)
+        want = milp(c=np.concatenate((seen["c"], [seen["offset"]])),
+                    integrality=np.append(seen["integrality"], 0),
+                    bounds=Bounds(np.concatenate((seen["col_lower"], one)),
+                                  np.concatenate((seen["col_upper"], one))),
                     constraints=[LinearConstraint(
-                        seen["A"], seen["row_lower"], seen["row_upper"])],
+                        sparse.hstack((A, sparse.csc_matrix((A.shape[0], 1))),
+                                      format="csc"),
+                        seen["row_lower"], seen["row_upper"])],
                     options={"mip_rel_gap": 0.01, "presolve": True})
-        assert got.status == want.status == 0
-        assert got.x.tobytes() == want.x.tobytes()
+        assert got.status is SolveStatus.OPTIMAL and want.status == 0
+        assert got.x.tobytes() == want.x[:n].tobytes()
         for stat in ("mip_node_count", "mip_dual_bound", "mip_gap"):
             assert getattr(got, stat) == getattr(want, stat), stat
 
@@ -541,7 +599,7 @@ def tiny_uc_engine_input() -> dict:
     """``tiny_uc`` as the keyword arguments of ``solver.milp``."""
     prob = tiny_uc()
     A, lo, hi = prob.matrix()
-    return {"c": prob.objective_vector(),
+    return {"c": prob.objective_vector(), "offset": 0.0,
             "integrality": prob.integer.astype(np.int32),
             "col_lower": prob.lb, "col_upper": prob.ub, "A": A,
             "row_lower": lo, "row_upper": hi, "mip_rel_gap": 0.0,

@@ -68,6 +68,19 @@ class TestValidation:
         sys_obj = replace(sys_obj, generators=(g, sys_obj.generators[1]))
         assert validate_system(sys_obj).ok
 
+    def test_non_finite_numbers_reported(self):
+        sys_obj = triangle_system()
+        g = sys_obj.generators[0]
+        g = replace(g, initial_status=replace(g.initial_status,
+                                              dispatch=float("nan")))
+        line = replace(sys_obj.lines[0], limit_long_term=float("inf"))
+        sys_obj = replace(sys_obj, generators=(g, sys_obj.generators[1]),
+                          lines=(line,) + sys_obj.lines[1:],
+                          mva_base=float("nan"))
+        paths = {v.path for v in validate_system(sys_obj).violations}
+        assert {"mva_base", "generators[g1].initial_status.dispatch",
+                "lines[L1].limit_long_term"} <= paths
+
     def test_validation_is_pure(self):
         sys_obj = triangle_system()
         assert validate_system(sys_obj) == validate_system(sys_obj)
@@ -109,6 +122,11 @@ class TestScalePenetration:
     def test_negative_factor_rejected(self):
         with pytest.raises(ValueError):
             scale_penetration(triangle_scenarios(), -0.1)
+
+    @pytest.mark.parametrize("factor", [float("nan"), float("inf")])
+    def test_non_finite_factor_rejected(self, factor):
+        with pytest.raises(ValueError, match="finite"):
+            scale_penetration(triangle_scenarios(), factor)
 
     @given(a=st.floats(0, 4), b=st.floats(0, 4))
     @settings(max_examples=50, deadline=None)
