@@ -583,7 +583,7 @@ def assemble(sys: PowerSystem, scen: ScenarioSet,
              cfg: FormulationConfig) -> MilpProblem:
     """Build the full problem for the configured model kind."""
     scen.check()
-    prob = MilpProblem(name=f"{cfg.model_kind.value}")
+    prob = MilpProblem()
     register_variables(prob, sys, scen, contingencies, cfg)
     add_base_generator_constraints(prob, sys, scen)
     add_base_network_constraints(prob, sys, scen)

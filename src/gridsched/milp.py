@@ -22,9 +22,9 @@ columns and values; its padding is dropped and its terms are appended to
 the CSR arrays (each row's terms in the order its family lists them,
 explicit zeros kept, no column twice in a row) with the row lb/ub
 vectors.  ``check``, ``objective_value`` and ``max_violation`` are numpy
-operations on these arrays.  The sparse matrix handed to the engine is
-built from them once and cached; ``clone_with_bounds`` copies share it,
-and so does anything else kept with it through ``shared``.
+operations on these arrays, and the engine takes them as they are, row
+by row.  They are joined once and cached; ``clone_with_bounds`` copies
+share them, and so does anything else kept with them through ``shared``.
 
 Names are derived on demand from (block, offset) by ``Block.label``: row
 labels like ``eq15[L2,3,s0]`` map a row back to the printed model
@@ -44,7 +44,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 INF = math.inf
 
@@ -331,14 +330,6 @@ class _Model:
                                   self.lo.array, self.hi.array)
         return self._cache["csr"]
 
-    def matrix(self):
-        """(CSC matrix, row lb, row ub) of every row and column."""
-        indptr, indices, data, lo, hi = self.csr()
-        if "matrix" not in self._cache:
-            self._cache["matrix"] = sparse.csr_matrix(
-                (data, indices, indptr), shape=(self.n_rows, self.n_cols)).tocsc()
-        return self._cache["matrix"], lo, hi
-
     def row_terms(self) -> tuple[np.ndarray, np.ndarray]:
         """Each stored term's row, and each row's scale floor
         max(1, |lb|, |ub|) over its finite bounds."""
@@ -398,8 +389,7 @@ class _Model:
 
 
 class MilpProblem:
-    def __init__(self, name: str = "problem") -> None:
-        self.name = name
+    def __init__(self) -> None:
         self.objective_constant = 0.0
         self.registry = VariableRegistry()
         self._lb = _Column(float)
@@ -491,13 +481,13 @@ class MilpProblem:
             family, keys, inner, cols.reshape(n, m), vals.reshape(n, m),
             _flat(lb, shape), _flat(ub, shape), padded)
 
-    def matrix(self):
-        """The cached (CSC matrix, row lb, row ub) of every row, as the
-        engine takes it; clones share it."""
-        return self._model.matrix()
+    def matrix(self) -> tuple[np.ndarray, ...]:
+        """The cached CSR arrays (indptr, indices, data, row lb, row ub) of
+        every row, as the engine takes them; clones share them."""
+        return self._model.csr()
 
     def shared(self, key: str, build):
-        """The value cached under ``key`` with the matrix, which clones
+        """The value cached under ``key`` with the CSR arrays, which clones
         share: ``build()`` makes it on first use, and adding columns,
         rows or objective terms drops it."""
         cache = self._model._cache

@@ -123,18 +123,20 @@ def synth_wind_profiles(
     rng = np.random.default_rng(seed)
     means = (mean_mw if isinstance(mean_mw, dict)
              else {w: float(mean_mw) for w in res_ids})
+    # every step at once, in the order one draw per step would take them
+    steps = rng.normal(0.0, WIND_STEP_FRAC * amplitude_mw,
+                       size=(n_scenarios, len(res_ids), horizon)).tolist()
     profiles: list[dict[str | int, tuple[float, ...]]] = []
-    for _ in range(n_scenarios):
+    for scenario_steps in steps:
         site_profiles: dict[str | int, tuple[float, ...]] = {}
-        for w in res_ids:
-            mean = means[w]
+        for w, site_steps in zip(res_ids, scenario_steps):
+            mean = float(means[w])
             lo = max(0.0, mean - amplitude_mw)
             hi = mean + amplitude_mw
             level = mean
             walk = []
-            for _t in range(horizon):
-                level = float(np.clip(
-                    level + rng.normal(0.0, WIND_STEP_FRAC * amplitude_mw), lo, hi))
+            for step in site_steps:
+                level = min(max(level + step, lo), hi)
                 walk.append(level)
             site_profiles[w] = tuple(walk)
         profiles.append(site_profiles)
@@ -144,6 +146,13 @@ def synth_wind_profiles(
 # ---------------------------------------------------------------------------
 # JSON input
 # ---------------------------------------------------------------------------
+
+def _float(value: Any, where: str) -> float:
+    """A JSON number; a string, null or boolean is no number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
 
 def scenario_set_from_list(doc: list[dict[str, Any]],
                            block_len: int = 1) -> ScenarioSet:
@@ -161,11 +170,14 @@ def scenario_set_from_list(doc: list[dict[str, Any]],
         if "probability" not in s or "availability" not in s:
             raise ValueError(f"scenario[{i}]: needs 'probability' and 'availability'")
         ids.append(s.get("id", f"s{i}"))
-        probabilities.append(float(s["probability"]))
+        probabilities.append(_float(s["probability"],
+                                    f"scenario[{i}].probability"))
         avail = s["availability"]
-        if not isinstance(avail, dict):
+        if not isinstance(avail, dict) or not all(
+                isinstance(prof, list) for prof in avail.values()):
             raise ValueError(f"scenario[{i}].availability must map res_id -> values")
-        profiles.append({w: [float(v) for v in prof] for w, prof in avail.items()})
+        profiles.append({w: [_float(v, f"scenario[{i}].availability[{w}]")
+                             for v in prof] for w, prof in avail.items()})
     return build_scenario_set(profiles, probabilities, block_len=block_len, ids=ids)
 
 

@@ -1,22 +1,22 @@
 """MILP solve contract over HiGHS.
 
-``solve`` hands HiGHS a ``MilpProblem``'s arrays and its cached sparse
-matrix, runs it once and checks what comes back: integer columns must be
-integral and the point must satisfy every row and bound; a NaN fails.
+``solve`` hands HiGHS a ``MilpProblem``'s arrays, its rows as the cached
+CSR arrays, runs it once and checks what comes back: integer columns must
+be integral and the point must satisfy every row and bound; a NaN fails.
 ``solve_relaxation`` does the same for the LP relaxation, with no
 integrality check.  A failure of HiGHS itself raises ``EngineError``; a
 point that fails the checks raises ``SolverError``.
 
 HiGHS is reached through scipy's bundled bindings.  One loader,
-``_Engine``, passes the arrays to a HiGHS instance, with the objective
-constant as HiGHS's objective offset and the options scipy's ``milp``
-sets.  One table maps HiGHS's model statuses to ``SolveStatus``; any
-other status, ``kModelError`` among them, raises ``EngineError``.  The
-model's bounds choose the route:
+``_Engine``, passes the arrays to a HiGHS instance, the rows row-wise,
+with the objective constant as HiGHS's objective offset and the options
+scipy's ``milp`` sets.  One table maps HiGHS's model statuses to
+``SolveStatus``; any other status, ``kModelError`` among them, raises
+``EngineError``.  The model's bounds choose the route:
 
 - A problem whose integer columns are all fixed (``lb == ub``) is an LP,
   like each of the exhaustive oracle's fixed-binary clones.  It goes to
-  one instance per model, kept with the cached matrix, which
+  one instance per model, kept with the cached CSR arrays, which
   ``clone_with_bounds`` copies share.  A solve passes only the column
   bounds that differ from the ones the instance last saw, and HiGHS's
   dual simplex restarts from the last basis.  ``solve_relaxation`` runs
@@ -26,18 +26,23 @@ model's bounds choose the route:
   call.  ``milp`` is the one engine entry point: the benchmark under
   ``perfbench/`` traces ``gridsched.solver.milp`` by name as the engine.
 
-The bindings are private to scipy; ``_highs_bindings`` checks them and
-fails with ``EngineError`` naming scipy's version.  HiGHS runs with its
-fixed default random seed; ``SolveOptions.deterministic_seed`` is accepted
-but not passed to it, so the search path does not vary with that seed.
+The bindings are private to scipy; ``_highs_bindings`` loads the one
+extension module that holds them from scipy's files, without importing
+the ``scipy.optimize`` package, checks them and fails with
+``EngineError`` naming scipy's version.  HiGHS runs with its fixed
+default random seed; ``SolveOptions.deterministic_seed`` is accepted but
+not passed to it, so the search path does not vary with that seed.
 """
 
 from __future__ import annotations
 
 import enum
-import importlib
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import scipy
@@ -131,11 +136,12 @@ def solve(prob: MilpProblem, opts: SolveOptions | None = None) -> SolveResult:
     if (prob.lb[cols] == prob.ub[cols]).all():
         res = _lp_engine(prob).solve(prob, opts.time_limit)
     else:
-        A, lo, hi = prob.matrix()
+        indptr, indices, data, lo, hi = prob.matrix()
         res = milp(c=prob.objective_vector(), offset=prob.objective_constant,
                    integrality=prob.integer.astype(np.int32),
-                   col_lower=prob.lb, col_upper=prob.ub, A=A, row_lower=lo,
-                   row_upper=hi, mip_rel_gap=opts.mip_gap,
+                   col_lower=prob.lb, col_upper=prob.ub,
+                   A=(indptr, indices, data), row_lower=lo, row_upper=hi,
+                   mip_rel_gap=opts.mip_gap,
                    time_limit=opts.time_limit)
     return _checked_result(prob, res, cols)
 
@@ -161,7 +167,7 @@ def _check_input(prob: MilpProblem) -> None:
 
 
 def _lp_engine(prob: MilpProblem) -> "_HighsLp":
-    """The model's one LP instance, kept with its cached matrix."""
+    """The model's one LP instance, kept with its cached CSR arrays."""
     return prob.shared("highs-lp", lambda: _HighsLp(prob))
 
 
@@ -209,8 +215,8 @@ def milp(*, c, offset: float, integrality, col_lower, col_upper, A, row_lower,
          row_upper, mip_rel_gap: float, time_limit: float | None
          ) -> EngineResult:
     """Minimise ``c @ x + offset`` over ``row_lower <= A @ x <= row_upper``
-    (``A`` in CSC form) and the column bounds, with ``integrality`` 1 on
-    integer columns, on a new HiGHS instance."""
+    (``A`` the CSR triple indptr, indices, data) and the column bounds,
+    with ``integrality`` 1 on integer columns, on a new HiGHS instance."""
     engine = _Engine(c, offset, integrality, col_lower, col_upper, A,
                      row_lower, row_upper)
     engine.set_option("mip_rel_gap", float(mip_rel_gap))
@@ -225,11 +231,12 @@ def _highs_bindings():
     The module is private to scipy and may move or change between
     versions; then this raises ``EngineError`` naming scipy's version.
     """
-    try:
-        core = importlib.import_module(_BINDINGS)
-    except ImportError as exc:
-        raise EngineError(f"scipy {scipy.__version__} has no HiGHS bindings "
-                          f"at {_BINDINGS}: {exc}") from exc
+    if _BINDINGS in sys.modules:
+        core = sys.modules[_BINDINGS]
+        if core is None:  # the import system's mark of a blocked module
+            raise _no_bindings("import is blocked")
+    else:
+        core = _load_bindings()
     missing = [name for name in _BINDING_NAMES if not hasattr(core, name)]
     if not missing:
         missing = [f"_Highs.{name}" for name in _HIGHS_METHODS
@@ -240,18 +247,47 @@ def _highs_bindings():
     return core
 
 
+def _load_bindings():
+    """Load the bindings' extension module from scipy's files, without
+    running the ``scipy.optimize`` package, and register it under its
+    canonical name, so a later ``import scipy.optimize`` shares it."""
+    folder = Path(scipy.__file__).parent / "optimize" / "_highspy"
+    path = folder / f"_core{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+    if not path.is_file():
+        raise _no_bindings(f"no file {path}")
+    loader = importlib.machinery.ExtensionFileLoader(_BINDINGS, str(path))
+    spec = importlib.util.spec_from_file_location(_BINDINGS, path,
+                                                  loader=loader)
+    try:
+        core = importlib.util.module_from_spec(spec)
+        loader.exec_module(core)
+    except ImportError as exc:
+        raise _no_bindings(str(exc)) from exc
+    sys.modules[_BINDINGS] = core
+    return core
+
+
+def _no_bindings(reason: str) -> EngineError:
+    return EngineError(f"scipy {scipy.__version__} has no HiGHS bindings "
+                       f"at {_BINDINGS}: {reason}")
+
+
 class _Engine:
     """One HiGHS instance loaded with a model, as both routes use it; the
     model is a MILP when ``integrality`` marks an integer column."""
 
     def __init__(self, c, offset, integrality, col_lower, col_upper, A,
                  row_lower, row_upper) -> None:
-        # HiGHS reads num_col and num_row values from each array unchecked
+        # HiGHS reads num_col, num_row and num_nz values from the arrays
+        # unchecked
+        indptr, indices, data = A
         n, m = c.size, row_lower.size
-        if (A.shape != (m, n) or row_upper.size != m
+        if (indptr.size != m + 1 or row_upper.size != m
+                or {indices.size, data.size} != {int(indptr[-1])}
                 or {integrality.size, col_lower.size, col_upper.size} != {n}):
             raise ValueError(f"engine input sizes disagree: {n} costs, "
-                             f"{m} row bounds, matrix {A.shape}")
+                             f"{m} row bounds, {indptr.size} row starts, "
+                             f"{indices.size} indices, {data.size} values")
         core = _highs_bindings()
         self.highs = core._Highs()
         self.error = core.HighsStatus.kError
@@ -265,11 +301,11 @@ class _Engine:
         self.set_option("output_flag", False)
         self.set_option("presolve", "on")
         if self.highs.passModel(
-                n, m, A.nnz, core.MatrixFormat.kColwise,
+                n, m, indices.size, core.MatrixFormat.kRowwise,
                 core.ObjSense.kMinimize, float(offset), c, col_lower,
                 col_upper, row_lower, row_upper,
-                A.indptr.astype(np.int32, copy=False),
-                A.indices.astype(np.int32, copy=False), A.data,
+                indptr.astype(np.int32, copy=False),
+                indices.astype(np.int32, copy=False), data,
                 integrality.astype(np.int32, copy=False)) == self.error:
             raise EngineError("engine failure: HiGHS rejected the model")
 
@@ -305,10 +341,10 @@ class _HighsLp(_Engine):
     """The engine holding a model's LP, and the column bounds it last saw."""
 
     def __init__(self, prob: MilpProblem) -> None:
-        A, lo, hi = prob.matrix()
+        indptr, indices, data, lo, hi = prob.matrix()
         super().__init__(prob.objective_vector(), prob.objective_constant,
                          np.zeros(prob.num_vars, dtype=np.int32),
-                         prob.lb, prob.ub, A, lo, hi)
+                         prob.lb, prob.ub, (indptr, indices, data), lo, hi)
         self.lb, self.ub = prob.lb.copy(), prob.ub.copy()
         self.time_limit = math.inf
 

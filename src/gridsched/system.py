@@ -369,6 +369,13 @@ _BUS_LISTS = {
 }
 
 
+# the required number fields of a generator and of a line
+_GENERATOR_FLOATS = ("p_min", "p_max", "cost_linear", "cost_no_load",
+                     "cost_startup", "ramp_hourly", "ramp_startup",
+                     "ramp_shutdown", "ramp_10min")
+_LINE_FLOATS = ("susceptance", "limit_long_term", "limit_emergency")
+
+
 def _require(doc: dict, key: str, where: str) -> Any:
     if key not in doc:
         raise CaseFormatError(f"{where}: missing required field {key!r}")
@@ -380,6 +387,25 @@ def _int(value: Any, where: str) -> int:
         return int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise CaseFormatError(f"{where}: {exc}") from exc
+
+
+def _float(value: Any, where: str) -> float:
+    """A JSON number; a string, null or boolean is no number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CaseFormatError(f"{where}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _floats(doc: dict, keys: tuple[str, ...], where: str) -> dict[str, float]:
+    """The required number fields ``keys`` of an element."""
+    return {key: _float(_require(doc, key, where), f"{where}.{key}")
+            for key in keys}
+
+
+def _bool(value: Any, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise CaseFormatError(f"{where}: expected true or false, got {value!r}")
+    return value
 
 
 def system_from_dict(doc: dict[str, Any]) -> PowerSystem:
@@ -397,24 +423,19 @@ def system_from_dict(doc: dict[str, Any]) -> PowerSystem:
             Generator(
                 id=_require(g, "id", where),
                 bus_id=_require(g, "bus_id", where),
-                p_min=float(_require(g, "p_min", where)),
-                p_max=float(_require(g, "p_max", where)),
-                cost_linear=float(_require(g, "cost_linear", where)),
-                cost_no_load=float(_require(g, "cost_no_load", where)),
-                cost_startup=float(_require(g, "cost_startup", where)),
-                ramp_hourly=float(_require(g, "ramp_hourly", where)),
-                ramp_startup=float(_require(g, "ramp_startup", where)),
-                ramp_shutdown=float(_require(g, "ramp_shutdown", where)),
-                ramp_10min=float(_require(g, "ramp_10min", where)),
+                **_floats(g, _GENERATOR_FLOATS, where),
                 min_up=_int(g.get("min_up", 1), f"{where}.min_up"),
                 min_down=_int(g.get("min_down", 1), f"{where}.min_down"),
-                emission_rate=float(g.get("emission_rate", 0.0)),
+                emission_rate=_float(g.get("emission_rate", 0.0),
+                                     f"{where}.emission_rate"),
                 initial_status=InitialStatus(
-                    on=bool(init.get("on", False)),
+                    on=_bool(init.get("on", False),
+                             f"{where}.initial_status.on"),
                     hours=_int(init.get("hours", 10_000),
                                f"{where}.initial_status.hours"),
                     dispatch=(None if init.get("dispatch") is None
-                              else float(init["dispatch"])),
+                              else _float(init["dispatch"],
+                                          f"{where}.initial_status.dispatch")),
                 ),
             )
         )
@@ -427,10 +448,9 @@ def system_from_dict(doc: dict[str, Any]) -> PowerSystem:
                 id=_require(k, "id", where),
                 from_bus=_require(k, "from_bus", where),
                 to_bus=_require(k, "to_bus", where),
-                susceptance=float(_require(k, "susceptance", where)),
-                limit_long_term=float(_require(k, "limit_long_term", where)),
-                limit_emergency=float(_require(k, "limit_emergency", where)),
-                switchable=bool(k.get("switchable", True)),
+                **_floats(k, _LINE_FLOATS, where),
+                switchable=_bool(k.get("switchable", True),
+                                 f"{where}.switchable"),
             )
         )
 
@@ -438,7 +458,8 @@ def system_from_dict(doc: dict[str, Any]) -> PowerSystem:
         ResUnit(
             id=_require(w, "id", f"res_units[{i}]"),
             bus_id=_require(w, "bus_id", f"res_units[{i}]"),
-            curtail_penalty=float(w.get("curtail_penalty", 100.0)),
+            curtail_penalty=_float(w.get("curtail_penalty", 100.0),
+                                   f"res_units[{i}].curtail_penalty"),
         )
         for i, w in enumerate(doc["res_units"])
     ]
@@ -450,7 +471,8 @@ def system_from_dict(doc: dict[str, Any]) -> PowerSystem:
         mw = _require(row, "mw", where)
         if not isinstance(mw, list) or not mw:
             raise CaseFormatError(f"{where}.mw must be a nonempty array")
-        rows[_require(row, "bus_id", where)] = tuple(float(v) for v in mw)
+        rows[_require(row, "bus_id", where)] = tuple(
+            _float(v, f"{where}.mw[{t}]") for t, v in enumerate(mw))
         horizon = max(horizon, len(mw))
     demand = DemandProfile(rows=rows, horizon_length=horizon)
 
@@ -460,7 +482,7 @@ def system_from_dict(doc: dict[str, Any]) -> PowerSystem:
         lines=lines,
         res_units=res_units,
         demand=demand,
-        mva_base=float(doc.get("mva_base", 100.0)),
+        mva_base=_float(doc.get("mva_base", 100.0), "mva_base"),
     )
     for i, b in enumerate(doc["buses"]):
         for key, (coll, attr) in _BUS_LISTS.items():

@@ -197,7 +197,8 @@ NAN, INF = float("nan"), float("inf")
 
 
 class TestNonFiniteInput:
-    """A NaN or infinite number in the inputs exits 2 before a solve."""
+    """A NaN or infinite number, or a value of the wrong JSON type, in the
+    inputs exits 2 before a solve."""
 
     @pytest.fixture(autouse=True)
     def no_solve(self, monkeypatch):
@@ -254,6 +255,28 @@ class TestNonFiniteInput:
             doc[1]["availability"]["w1"][0] = value
         scen = self.write(tmp_path, "scen.json", doc)
         self.expect_input_error(capsys, "run", TOY, scen, "--out-dir",
+                                str(tmp_path), says=says)
+
+    @pytest.mark.parametrize("document, path, value, says", [
+        ("case", ("generators", 0, "p_min"), "ten", "generators[0].p_min"),
+        ("case", ("generators", 0, "p_min"), None, "generators[0].p_min"),
+        ("case", ("demand", 2, "mw", 1), "5", "demand[2].mw[1]"),
+        ("case", ("lines", 0, "switchable"), "false", "lines[0].switchable"),
+        ("scenarios", (0, "probability"), None, "scenario[0].probability"),
+        ("scenarios", (1, "availability", "w1", 0), None,
+         "scenario[1].availability[w1]")])
+    def test_ill_typed_value(self, tmp_path, capsys, document, path, value,
+                             says):
+        files = {"case": "toy3.json", "scenarios": "toy3_scenarios.json"}
+        docs = {name: json.loads(bundled(file).read_text())
+                for name, file in files.items()}
+        parent = docs[document]
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        case, scen = (self.write(tmp_path, files[name], docs[name])
+                      for name in ("case", "scenarios"))
+        self.expect_input_error(capsys, "run", case, scen, "--out-dir",
                                 str(tmp_path), says=says)
 
     @pytest.mark.parametrize("factor", ["nan", "inf"])

@@ -77,8 +77,8 @@ def engine_input(prob: MilpProblem) -> dict:
 
 def digest(prob: MilpProblem) -> str:
     """SHA-256 of the engine's input in canonical form (objective and its
-    offset, integrality, column bounds, CSC matrix, row bounds), the row
-    labels and the column names."""
+    offset, integrality, column bounds, the CSR rows converted to a CSC
+    matrix, row bounds), the row labels and the column names."""
     seen = engine_input(prob)
     h = hashlib.sha256()
 
@@ -91,7 +91,9 @@ def digest(prob: MilpProblem) -> str:
     add("integrality", seen["integrality"], np.uint8)
     add("col_lb", seen["col_lower"], np.float64)
     add("col_ub", seen["col_upper"], np.float64)
-    A = sparse.csc_array(seen["A"])
+    indptr, indices, data = seen["A"]
+    A = sparse.csr_array((data, indices, indptr),
+                         shape=(len(seen["row_lower"]), len(seen["c"]))).tocsc()
     assert A.has_sorted_indices
     add("indptr", A.indptr, np.int64)
     add("indices", A.indices, np.int64)
@@ -188,10 +190,12 @@ class TestEngineInput:
 
     def test_rows_added_after_a_solve_reach_the_engine(self):
         prob = assemble(*toy3_inputs(), FormulationConfig())
-        before = engine_input(prob)["A"].shape[0]
+        before = engine_input(prob)["A"][0].size
         prob.add_row_block("extra", [()], [(0, 1.0)], 0.0, 1.0)
         after = engine_input(prob)
-        assert after["A"].shape[0] == before + 1
+        indptr, indices, data = after["A"]
+        assert indptr.size == before + 1
+        assert indices[-1] == 0 and data[-1] == 1.0
         assert prob.rows[-1].label == "extra"
         assert after["row_lower"][-1] == 0.0 and after["row_upper"][-1] == 1.0
 

@@ -9,7 +9,7 @@ from conftest import named_cols
 
 
 def small_mip() -> MilpProblem:
-    prob = MilpProblem(name="small")
+    prob = MilpProblem()
     x, y, b = named_cols(prob, ["x", "y", "b"], [0, -INF, 0], [10, INF, 1],
                          [False, False, True])
     prob.add_row_block("c1", [()], [(x, 1.0), (y, 2.0)], 4.0, INF)

@@ -2,13 +2,37 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridsched import block_average, build_scenario_set, synth_wind_profiles
-from gridsched.scenarios import (Scenario, ScenarioSet, load_scenario_set,
-                                 scenario_set_from_list)
+from gridsched.scenarios import (WIND_STEP_FRAC, Scenario, ScenarioSet,
+                                 load_scenario_set, scenario_set_from_list)
+
+
+def scalar_wind_profiles(seed, n_scenarios, horizon, res_ids, mean_mw=100.0,
+                         amplitude_mw=50.0):
+    """The walk one draw and one ``np.clip`` per step."""
+    rng = np.random.default_rng(seed)
+    means = (mean_mw if isinstance(mean_mw, dict)
+             else {w: float(mean_mw) for w in res_ids})
+    profiles = []
+    for _ in range(n_scenarios):
+        site_profiles = {}
+        for w in res_ids:
+            mean = means[w]
+            lo, hi = max(0.0, mean - amplitude_mw), mean + amplitude_mw
+            level, walk = mean, []
+            for _t in range(horizon):
+                level = float(np.clip(
+                    level + rng.normal(0.0, WIND_STEP_FRAC * amplitude_mw),
+                    lo, hi))
+                walk.append(level)
+            site_profiles[w] = tuple(walk)
+        profiles.append(site_profiles)
+    return profiles
 
 
 class TestBlockAverage:
@@ -124,6 +148,24 @@ class TestSynthWind:
     def test_invalid_count_rejected(self):
         with pytest.raises(ValueError):
             synth_wind_profiles(1, 0, 4, ["w"])
+
+    @pytest.mark.parametrize("seed", [0, 7, 11, 2024])
+    @pytest.mark.parametrize("n_scenarios, horizon, res_ids, mean_mw, amplitude", [
+        (1, 1, ["w"], 100.0, 50.0),
+        (2, 24, ["w12", "w16", "w22"], 295.0, 170.0),
+        (5, 24, ["w1", "w2"], {"w1": 30.0, "w2": 400.0}, 100.0),
+        (3, 6, [1, 2], 40.0, 0.0),
+        (2, 0, ["w"], 10.0, 5.0)])
+    def test_matches_the_scalar_walk_bit_for_bit(
+            self, seed, n_scenarios, horizon, res_ids, mean_mw, amplitude):
+        got = synth_wind_profiles(seed, n_scenarios, horizon, res_ids,
+                                  mean_mw=mean_mw, amplitude_mw=amplitude)
+        want = scalar_wind_profiles(seed, n_scenarios, horizon, res_ids,
+                                    mean_mw=mean_mw, amplitude_mw=amplitude)
+        assert got == want
+        assert all(type(v) is float for prof in got for walk in prof.values()
+                   for v in walk)
+        assert repr(got) == repr(want)  # -0.0 and 0.0 differ here
 
 
 class TestScenarioIO:

@@ -4,10 +4,14 @@ import gc
 import itertools
 import json
 import math
+import os
+import subprocess
 import sys
+import textwrap
 import types
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +42,7 @@ U, V = 0, 1  # tiny_uc's commitment and startup columns
 
 def tiny_uc() -> MilpProblem:
     """Single unit, single period: commit, start up, serve 5 MW."""
-    prob = MilpProblem(name="tiny-uc")
+    prob = MilpProblem()
     u, v, p = named_cols(prob, ["u", "v", "p"], 0, [1, 1, INF],
                          [True, True, False])
     prob.add_row_block("demand", [()], [(p, 1.0)], 5.0, 5.0)
@@ -323,9 +327,16 @@ def oracle_fixes(name):
     return prob, found, fixes, (inputs, cfg)
 
 
+def csr_matrix(indptr, indices, data, n_cols: int):
+    """The engine's CSR triple as a scipy sparse matrix."""
+    return sparse.csr_array((data, indices, indptr),
+                            shape=(indptr.size - 1, n_cols))
+
+
 def milp_reference(prob: MilpProblem):
     """Status and objective from scipy's ``milp`` on the same problem."""
-    A, lo, hi = prob.matrix()
+    indptr, indices, data, lo, hi = prob.matrix()
+    A = csr_matrix(indptr, indices, data, prob.num_vars)
     res = milp(c=prob.objective_vector(), constraints=[LinearConstraint(A, lo, hi)],
                integrality=prob.integer.astype(np.uint8),
                bounds=Bounds(prob.lb, prob.ub),
@@ -543,6 +554,68 @@ class TestBindingsGuard:
         with pytest.raises(EngineError, match=f"scipy {scipy.__version__}"):
             solve(tiny_uc(), SolveOptions(mip_gap=0.0))
 
+    def test_missing_file_is_engine_error(self, monkeypatch, tmp_path):
+        monkeypatch.delitem(sys.modules, self.BINDINGS)
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+        with pytest.raises(EngineError,
+                           match=f"scipy {scipy.__version__} .* no file"):
+            solve(tiny_uc(), SolveOptions(mip_gap=0.0))
+        assert self.BINDINGS not in sys.modules
+
+
+def run_fresh(code: str) -> list[str]:
+    """Run ``code`` in a new interpreter importing gridsched from this
+    source tree; its printed lines."""
+    src = str(Path(solver_mod.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+class TestFootprint:
+    """A solve imports the bindings' one module, not the packages around
+    it."""
+
+    def test_solves_import_neither_optimize_nor_sparse(self):
+        lines = run_fresh("""
+            import sys
+            import numpy as np
+            from gridsched import (FormulationConfig, SolveOptions,
+                                   align_scenarios, assemble,
+                                   build_contingency_set, load_scenario_set,
+                                   load_system, solve)
+            from gridsched.data import bundled
+            system = load_system(bundled("toy3.json"))
+            scen = align_scenarios(system, load_scenario_set(
+                bundled("toy3_scenarios.json"), block_len=3))
+            prob = assemble(system, scen, build_contingency_set(system),
+                            FormulationConfig())
+            res = solve(prob, SolveOptions(mip_gap=0.0))
+            fixes = {int(j): res.x[j] for j in np.flatnonzero(prob.integer)}
+            lp = solve(prob.clone_with_bounds(fixes))
+            print(res.status.value, lp.status.value)
+            print(*sorted(name for name in ("scipy.optimize", "scipy.sparse",
+                                            "scipy.optimize._highspy._core")
+                          if name in sys.modules))
+            """)
+        assert lines == ["optimal optimal", "scipy.optimize._highspy._core"]
+
+    def test_scipy_optimize_shares_the_loaded_bindings(self):
+        lines = run_fresh("""
+            from gridsched.solver import _highs_bindings
+            core = _highs_bindings()
+            import scipy.optimize
+            from scipy.optimize._highspy import _core
+            res = scipy.optimize.milp(c=[1.0, 2.0], integrality=[1, 0],
+                                      bounds=scipy.optimize.Bounds(
+                                          [0.5, 0.0], [3.0, 1.0]))
+            print(_core is core, res.status, res.x.tolist())
+            """)
+        assert lines == ["True 0 [1.0, 0.0]"]
+
 
 # -- the MILP route: one new HiGHS instance per call of ``solver.milp`` ------
 
@@ -552,8 +625,8 @@ class TestMilpRoute:
                              ids=["toy3", "rts24-slice"])
     def test_matches_scipy_milp_bit_for_bit(self, monkeypatch, make, kind):
         """The same arrays and options through scipy's ``milp``, with the
-        objective offset as a column fixed to 1, take the same search
-        path."""
+        objective offset as a column fixed to 1 and the rows column-wise,
+        take the same search path."""
         seen = {}
         engine = solver_mod.milp
 
@@ -565,7 +638,8 @@ class TestMilpRoute:
         monkeypatch.setattr(solver_mod, "milp", record)
         prob = assemble(*make(), FormulationConfig(model_kind=kind))
         solve(prob, SolveOptions(mip_gap=0.01))
-        got, n, A = seen["result"], prob.num_vars, seen["A"]
+        got, n = seen["result"], prob.num_vars
+        A = csr_matrix(*seen["A"], n)
         assert seen["offset"] != 0.0
         one = np.ones(1)
         want = milp(c=np.concatenate((seen["c"], [seen["offset"]])),
@@ -594,13 +668,24 @@ class TestMilpRoute:
         with pytest.raises(ValueError, match="sizes disagree"):
             solver_mod.milp(**kwargs)
 
+    @pytest.mark.parametrize("part", [0, 1, 2],
+                             ids=["indptr", "indices", "data"])
+    def test_short_row_array_is_rejected_before_highs_reads_it(self, part):
+        kwargs = tiny_uc_engine_input()
+        A = list(kwargs["A"])
+        A[part] = A[part][:-1]
+        kwargs["A"] = tuple(A)
+        with pytest.raises(ValueError, match="sizes disagree"):
+            solver_mod.milp(**kwargs)
+
 
 def tiny_uc_engine_input() -> dict:
     """``tiny_uc`` as the keyword arguments of ``solver.milp``."""
     prob = tiny_uc()
-    A, lo, hi = prob.matrix()
+    indptr, indices, data, lo, hi = prob.matrix()
     return {"c": prob.objective_vector(), "offset": 0.0,
             "integrality": prob.integer.astype(np.int32),
-            "col_lower": prob.lb, "col_upper": prob.ub, "A": A,
+            "col_lower": prob.lb, "col_upper": prob.ub,
+            "A": (indptr, indices, data),
             "row_lower": lo, "row_upper": hi, "mip_rel_gap": 0.0,
             "time_limit": None}
