@@ -10,7 +10,9 @@ point that fails the checks raises ``SolverError``.
 HiGHS is reached through scipy's bundled bindings.  One loader,
 ``_Engine``, passes the arrays to a HiGHS instance, the rows row-wise,
 with the objective constant as HiGHS's objective offset and the options
-scipy's ``milp`` sets.  One table maps HiGHS's model statuses to
+scipy's ``milp`` sets, but for one: HiGHS's feasibility-jump heuristic
+is off, because on a tiny MILP it takes several times as long as the
+rest of the solve.  One table maps HiGHS's model statuses to
 ``SolveStatus``; any other status, ``kModelError`` among them, raises
 ``EngineError``.  The model's bounds choose the route:
 
@@ -300,6 +302,10 @@ class _Engine:
         # off, which leaves the search path as it was
         self.set_option("output_flag", False)
         self.set_option("presolve", "on")
+        # unlike ``milp``, no feasibility-jump heuristic: on a tiny MILP
+        # that presolve leaves it takes several times as long as the rest
+        # of the solve, and it found no other answer on the models measured
+        self.set_option("mip_heuristic_run_feasibility_jump", False)
         if self.highs.passModel(
                 n, m, indices.size, core.MatrixFormat.kRowwise,
                 core.ObjSense.kMinimize, float(offset), c, col_lower,

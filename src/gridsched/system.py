@@ -383,10 +383,13 @@ def _require(doc: dict, key: str, where: str) -> Any:
 
 
 def _int(value: Any, where: str) -> int:
-    try:  # NaN, infinity or no number at all
-        return int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise CaseFormatError(f"{where}: {exc}") from exc
+    """A count: an integral JSON number; a fraction, NaN, infinity or
+    boolean is no count."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not value.is_integer()):
+        raise CaseFormatError(
+            f"{where}: expected a whole number, got {value!r}")
+    return int(value)
 
 
 def _float(value: Any, where: str) -> float:
@@ -408,17 +411,26 @@ def _bool(value: Any, where: str) -> bool:
     return value
 
 
+def _object(value: Any, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise CaseFormatError(f"{where}: expected an object, got {value!r}")
+    return value
+
+
 def system_from_dict(doc: dict[str, Any]) -> PowerSystem:
     if not isinstance(doc, dict):
         raise CaseFormatError("case document must be a JSON object")
     for key in ("buses", "generators", "lines", "res_units", "demand"):
         if not isinstance(_require(doc, key, "case"), list):
             raise CaseFormatError(f"case.{key} must be an array")
+        for i, item in enumerate(doc[key]):
+            _object(item, f"{key}[{i}]")
 
     generators = []
     for i, g in enumerate(doc["generators"]):
         where = f"generators[{i}]"
-        init = g.get("initial_status") or {}
+        init = g.get("initial_status")
+        init = _object({} if init is None else init, f"{where}.initial_status")
         generators.append(
             Generator(
                 id=_require(g, "id", where),

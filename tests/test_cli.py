@@ -262,6 +262,15 @@ class TestNonFiniteInput:
         ("case", ("generators", 0, "p_min"), None, "generators[0].p_min"),
         ("case", ("demand", 2, "mw", 1), "5", "demand[2].mw[1]"),
         ("case", ("lines", 0, "switchable"), "false", "lines[0].switchable"),
+        ("case", ("generators", 0, "min_up"), 2.7, "generators[0].min_up"),
+        ("case", ("generators", 0, "min_up"), True, "generators[0].min_up"),
+        ("case", ("generators", 0, "initial_status"), {"hours": 1.5},
+         "generators[0].initial_status.hours"),
+        ("case", ("generators", 0, "initial_status"), [1],
+         "generators[0].initial_status: expected an object"),
+        ("case", ("generators",), [1], "generators[0]: expected an object"),
+        ("case", ("buses",), [5], "buses[0]: expected an object"),
+        ("case", ("lines",), ["x"], "lines[0]: expected an object"),
         ("scenarios", (0, "probability"), None, "scenario[0].probability"),
         ("scenarios", (1, "availability", "w1", 0), None,
          "scenario[1].availability[w1]")])

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+import gridsched.oracle as oracle_mod
 from gridsched import (CapExceeded, DemandProfile, FormulationConfig,
                        ModelKind, OracleCaps, assemble, build_contingency_set,
                        build_scenario_set, build_system, enumerate_commitments,
@@ -124,25 +125,62 @@ class TestEnumerateCommitments:
             enumerate_commitments(sys_obj, scen, cont, CNR)
 
     def test_lp_solve_cap_counts_pruned_records(self):
-        """The switch relaxation prunes most of the 256 settings to 32 LPs;
-        kept records still count against the cap, pruned ones included."""
+        """Relaxations prune most of the 256 assignments; kept records
+        still count against the cap, pruned ones included, and the LPs
+        count relaxations and fixed LPs alike."""
         sys_obj = triangle_system(T=2)
         scen = triangle_scenarios(T=2)
         cont = build_contingency_set(sys_obj, whitelist={"L2"},
                                      switch_pool={"L3"})
         full = enumerate_commitments(sys_obj, scen, cont, CNR)
-        assert full.lp_solves < 100 < len(full.records)
-        caps = OracleCaps(max_lp_solves=100)
-        with pytest.raises(CapExceeded, match="more than 100 records"):
-            enumerate_commitments(sys_obj, scen, cont, CNR, caps=caps)
-        lean = enumerate_commitments(sys_obj, scen, cont, CNR, caps=caps,
+        n_lps, n_records = full.lp_solves, len(full.records)
+        assert n_lps < n_records == 256
+        with pytest.raises(CapExceeded, match=f"more than {n_records - 1} "
+                                              "records"):
+            enumerate_commitments(sys_obj, scen, cont, CNR, caps=OracleCaps(
+                max_lp_solves=n_records - 1))
+        lean = enumerate_commitments(sys_obj, scen, cont, CNR,
+                                     caps=OracleCaps(max_lp_solves=n_lps),
                                      keep_records=False)
-        assert lean.lp_solves == full.lp_solves
+        assert lean.lp_solves == n_lps
         assert lean.best_objective == full.best_objective
-        with pytest.raises(CapExceeded, match="more than 10 LP solves"):
+        with pytest.raises(CapExceeded,
+                           match=f"more than {n_lps - 1} LP solves"):
             enumerate_commitments(sys_obj, scen, cont, CNR,
-                                  caps=OracleCaps(max_lp_solves=10),
+                                  caps=OracleCaps(max_lp_solves=n_lps - 1),
                                   keep_records=False)
+
+    def test_startup_cap_holds_inside_a_pruned_subtree(self, monkeypatch):
+        """Only h = (1, 1, 1) has two discretionary startup bits, and no
+        commitment with h on at t=1 is feasible (p_min 40 against a
+        10 MW load): the walk prunes them all, yet the cap still
+        refuses the instance."""
+        demand = DemandProfile(rows={"n": (10.0, 60.0, 60.0)},
+                               horizon_length=3)
+        sys_obj = build_system(["n"], [
+            make_gen("g", "n", p_max=80, c=10, initial_on=True,
+                     initial_dispatch=10.0),
+            make_gen("h", "n", p_min=40, p_max=80, c=5, ramp_hourly=20.0),
+            make_gen("r", "n", p_max=80, c=999, c_nl=1, c_su=2)],
+            [], [], demand)
+        scen = build_scenario_set([{}], [1.0])
+        solved = []
+        real = oracle_mod.solve
+
+        def spy(prob, opts):
+            solved.append([prob.lb[prob.registry.col("u", "h", t)]
+                           for t in (1, 2, 3)])
+            return real(prob, opts)
+
+        monkeypatch.setattr(oracle_mod, "solve", spy)
+        found = enumerate_commitments(sys_obj, scen, [], SSCUC)
+        assert found.feasible and found.lp_solves < len(found.records)
+        assert [0.0, 1.0, 1.0] in solved  # one discretionary bit: solved
+        assert all(h[0] == 0.0 for h in solved)
+        with pytest.raises(CapExceeded,
+                           match="2 discretionary startup bits exceed cap 1"):
+            enumerate_commitments(sys_obj, scen, [], SSCUC,
+                                  caps=OracleCaps(max_extra_v_bits=1))
 
     def test_oracle_within_milp_bounds(self):
         sys_obj = triangle_system(T=2)

@@ -137,13 +137,14 @@ class TestSolveContract:
         assert res.objective == pytest.approx(1e6 + 210.0, rel=1e-12)
         assert res.best_bound == pytest.approx(res.objective, rel=1e-9)
 
-    def test_objective_constant_reaches_engine_gap_at_nonzero_gap(self):
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_objective_constant_reaches_engine_gap_at_nonzero_gap(self, kind):
         """HiGHS's own gap is the one computed from the objective with its
         constant: an offset left out would make HiGHS's gap relative to
-        the objective without it."""
-        prob = assemble(*toy3_inputs(),
-                        FormulationConfig(model_kind=ModelKind.SSCUC_CNR))
-        prob.objective_constant += 1e6
+        the objective without it.  toy3 solves at the root with no gap
+        left, so the RTS-24 slice gives a nonzero one."""
+        prob = assemble(*rts24_slice(), FormulationConfig(model_kind=kind))
+        prob.objective_constant += 1e5
         res = solve(prob, SolveOptions(mip_gap=0.01))
         gap = (res.objective - res.best_bound) / abs(res.objective)
         assert res.status is SolveStatus.FEASIBLE_WITHIN_GAP
@@ -428,7 +429,8 @@ class TestLpRoute:
             solve(clone)
 
 
-# -- the oracle's switch relaxation: one LP per commitment, z in [0, 1] ----
+# -- the oracle's relaxation walk: one LP per branching node, free binaries
+# in [0, 1] ----------------------------------------------------------------
 
 def switch_settings(prob: MilpProblem, cfg: FormulationConfig) -> list[dict]:
     """Every switch setting within the budget, as column name -> bit."""
@@ -443,16 +445,25 @@ def switch_settings(prob: MilpProblem, cfg: FormulationConfig) -> list[dict]:
                    for group in groups.values())]
 
 
-def logged_oracle_lps(monkeypatch) -> list[tuple[str, SolveStatus]]:
-    """The oracle's LPs in solve order: ("relaxation" or "fixed", status)."""
+def logged_oracle_lps(monkeypatch, model: MilpProblem) -> list[tuple]:
+    """The oracle's LPs in solve order: ("relaxation" or "fixed", status,
+    the columns pinned against ``model`` as column -> value, point)."""
     log = []
     for name, kind in (("solve_relaxation", "relaxation"), ("solve", "fixed")):
         def spy(prob, *opts, real=getattr(oracle_mod, name), kind=kind):
             result = real(prob, *opts)
-            log.append((kind, result.status))
+            pinned = np.flatnonzero((prob.lb != model.lb)
+                                    | (prob.ub != model.ub))
+            log.append((kind, result.status,
+                        {int(col): prob.lb[col] for col in pinned}, result.x))
             return result
         monkeypatch.setattr(oracle_mod, name, spy)
     return log
+
+
+def under(pins: dict[int, float], fixes: dict[int, float]) -> bool:
+    """Whether the assignment ``fixes`` takes every value ``pins`` fixes."""
+    return all(fixes.get(col) == val for col, val in pins.items())
 
 
 class TestSwitchRelaxation:
@@ -484,10 +495,55 @@ class TestSwitchRelaxation:
                       for commitment in commitments for setting in settings)
         assert sorted(sorted(rec.assignment.items())
                       for rec in found.records) == want
-        if prob.registry.indices("z"):
-            assert found.lp_solves < len(found.records)
-        else:
-            assert found.lp_solves == len(found.records)
+
+    @pytest.mark.parametrize("name", list(ORACLE_CASES))
+    def test_a_record_is_unsolved_only_under_an_infeasible_relaxation(
+            self, monkeypatch, name):
+        """Each fixed LP is one record's, in record order; every other
+        record is infeasible and lies under a relaxation HiGHS proved
+        infeasible, below which nothing is solved.  A relaxation covers
+        more than one record, and none is solved where an earlier point
+        already takes all its pinned values."""
+        prob, _, fixes, (inputs, cfg) = oracle_fixes(name)
+        log = logged_oracle_lps(monkeypatch, prob)
+        found = enumerate_commitments(*inputs, cfg)
+        assert found.lp_solves == len(log)
+        fixed = [(status, pins) for kind, status, pins, _ in log
+                 if kind == "fixed"]
+        pruned = [pins for kind, status, pins, _ in log
+                  if status is SolveStatus.INFEASIBLE and kind == "relaxation"]
+        solved = iter(fixed)
+        want = next(solved, None)
+        for record, fix in zip(found.records, fixes, strict=True):
+            if want is not None and want[1] == fix:
+                assert record.status == want[0].value
+                want = next(solved, None)
+            else:
+                assert record.status == "infeasible"
+                assert any(under(pins, fix) for pins in pruned)
+        assert want is None  # every fixed LP is a record's
+        for i, (kind, status, pins, x) in enumerate(log):
+            earlier = log[:i]
+            assert not any(under(p, pins) for k, st, p, _ in earlier
+                           if k == "relaxation"
+                           and st is SolveStatus.INFEASIBLE)
+            if kind != "relaxation":
+                continue
+            assert sum(under(pins, fix) for fix in fixes) > 1
+            assert not any(under(p, pins) and under(pins, dict(enumerate(px)))
+                           for k, _, p, px in earlier
+                           if k == "relaxation" and px is not None)
+
+    def test_walk_solves_no_more_lps_than_one_relaxation_per_commitment(
+            self):
+        """Against the walk that relaxed each commitment's switch settings
+        and solved every other LP, the tree adds at most its root."""
+        per_commitment = {"toy3-sscuc": 256, "toy3-cnr": 32,
+                          "triangle-sscuc": 16, "triangle-cnr": 32,
+                          "pair-sscuc": 4, "pair-cnr": 8}
+        for name, (make, cfg) in ORACLE_CASES.items():
+            found = enumerate_commitments(*make(), cfg, keep_records=False)
+            assert found.lp_solves <= per_commitment[name] + 1, name
 
     def test_unknown_relaxation_status_is_engine_error(self, monkeypatch):
         real = oracle_mod.assemble
@@ -505,29 +561,26 @@ class TestSwitchRelaxation:
         with pytest.raises(EngineError, match="engine failure"):
             enumerate_commitments(*make(), cfg)
 
-    @pytest.mark.parametrize("name", ["triangle-cnr", "pair-cnr"])
-    def test_only_an_infeasible_relaxation_skips_settings(self, monkeypatch,
-                                                          name):
-        """A commitment whose relaxation is optimal has every setting
-        solved, the infeasible ones among them."""
-        make, cfg = ORACLE_CASES[name]
+    def test_the_oracle_frees_its_model_at_once(self, monkeypatch):
+        """No reference cycle keeps the oracle's model, and with it the
+        model's HiGHS instance, alive after the walk returns."""
+        engines = []
+        real = oracle_mod.solve
+
+        def spy(prob, opts):
+            result = real(prob, opts)
+            engines.append(weakref.ref(prob.shared("highs-lp", None)))
+            return result
+
+        monkeypatch.setattr(oracle_mod, "solve", spy)
+        make, cfg = ORACLE_CASES["triangle-cnr"]
         inputs = make()
-        n_settings = len(switch_settings(assemble(*inputs, cfg), cfg))
-        log = logged_oracle_lps(monkeypatch)
-        found = enumerate_commitments(*inputs, cfg)
-        assert found.lp_solves == len(log)
-        walks = []
-        for kind, status in log:
-            if kind == "relaxation":
-                walks.append((status, []))
-            else:
-                walks[-1][1].append(status)
-        assert all(len(fixed) == (0 if relaxed is SolveStatus.INFEASIBLE
-                                  else n_settings)
-                   for relaxed, fixed in walks)
-        assert any(relaxed is SolveStatus.OPTIMAL
-                   and SolveStatus.INFEASIBLE in fixed
-                   for relaxed, fixed in walks)
+        gc.disable()
+        try:
+            enumerate_commitments(*inputs, cfg)
+            assert engines and all(engine() is None for engine in engines)
+        finally:
+            gc.enable()
 
 
 class TestBindingsGuard:
@@ -655,6 +708,21 @@ class TestMilpRoute:
         assert got.x.tobytes() == want.x[:n].tobytes()
         for stat in ("mip_node_count", "mip_dual_bound", "mip_gap"):
             assert getattr(got, stat) == getattr(want, stat), stat
+
+    def test_feasibility_jump_is_off_on_every_instance(self):
+        """HiGHS runs the heuristic by default; both routes' instances
+        switch it off."""
+        option = "mip_heuristic_run_feasibility_jump"
+        assert highs_core._Highs().getOptionValue(option)[1] is True
+        kwargs = tiny_uc_engine_input()
+        mip = solver_mod._Engine(
+            kwargs["c"], kwargs["offset"], kwargs["integrality"],
+            kwargs["col_lower"], kwargs["col_upper"], kwargs["A"],
+            kwargs["row_lower"], kwargs["row_upper"])
+        prob, _, b = fixed_lp()
+        solve(prob.clone_with_bounds({b: 1.0}))
+        for engine in (mip, prob.shared("highs-lp", None)):
+            assert engine.highs.getOptionValue(option)[1] is False
 
     @pytest.mark.parametrize("option, value", [("time_limit", -1.0),
                                                ("mip_rel_gap", -1.0)])
