@@ -44,6 +44,11 @@ class ScenarioSet:
         total = sum(s.probability for s in self.scenarios)
         if abs(total - 1.0) > PROBABILITY_TOL:
             raise ValueError(f"probabilities sum to {total}, expected 1")
+        seen = set()
+        for s in self.scenarios:
+            if s.id in seen:
+                raise ValueError(f"scenario {s.id!r}: duplicate id")
+            seen.add(s.id)
         horizons = {s.horizon() for s in self.scenarios}
         if len(horizons) > 1:
             raise ValueError(f"scenarios disagree on horizon length: {sorted(horizons)}")
@@ -167,9 +172,15 @@ def scenario_set_from_list(doc: list[dict[str, Any]],
     probabilities = []
     ids = []
     for i, s in enumerate(doc):
+        if not isinstance(s, dict):
+            raise ValueError(f"scenario[{i}]: expected an object, got {s!r}")
         if "probability" not in s or "availability" not in s:
             raise ValueError(f"scenario[{i}]: needs 'probability' and 'availability'")
-        ids.append(s.get("id", f"s{i}"))
+        sid = s.get("id", f"s{i}")
+        if isinstance(sid, bool) or not isinstance(sid, (str, int)):
+            raise ValueError(f"scenario[{i}].id: expected a string or an "
+                             f"integer, got {sid!r}")
+        ids.append(sid)
         probabilities.append(_float(s["probability"],
                                     f"scenario[{i}].probability"))
         avail = s["availability"]

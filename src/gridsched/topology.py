@@ -125,11 +125,16 @@ def build_contingency_set(
 
 
 def load_contingency_whitelist(path) -> set[Id]:
-    """Whitelist file: a JSON array of line ids."""
+    """Whitelist file: a JSON array of line ids, each a string or an
+    integer."""
     import json
     from pathlib import Path
 
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, list):
         raise ValueError("contingency whitelist must be a JSON array of line ids")
+    for i, entry in enumerate(doc):
+        if isinstance(entry, bool) or not isinstance(entry, (str, int)):
+            raise ValueError(f"entry [{i}]: expected a line id (a string or "
+                             f"an integer), got {entry!r}")
     return set(doc)

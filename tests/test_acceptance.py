@@ -370,6 +370,7 @@ class TestCriterion8MetricFormulas:
               f"cost reconciles on {len(RESULTS)} runs")
 
 
+@pytest.mark.slow
 class TestCriterion9RtsScaleSmoke:
     def test_rts24_both_models_within_budget(self):
         sys_full = load_system(bundled("rts24.json"))

@@ -273,7 +273,12 @@ class TestNonFiniteInput:
         ("case", ("lines",), ["x"], "lines[0]: expected an object"),
         ("scenarios", (0, "probability"), None, "scenario[0].probability"),
         ("scenarios", (1, "availability", "w1", 0), None,
-         "scenario[1].availability[w1]")])
+         "scenario[1].availability[w1]"),
+        ("scenarios", (0,), 5, "scenario[0]: expected an object"),
+        ("scenarios", (0,), "x", "scenario[0]: expected an object"),
+        ("scenarios", (0, "id"), [1],
+         "scenario[0].id: expected a string or an integer"),
+        ("scenarios", (1, "id"), "s0", "scenario 's0': duplicate id")])
     def test_ill_typed_value(self, tmp_path, capsys, document, path, value,
                              says):
         files = {"case": "toy3.json", "scenarios": "toy3_scenarios.json"}
@@ -287,6 +292,13 @@ class TestNonFiniteInput:
                       for name in ("case", "scenarios"))
         self.expect_input_error(capsys, "run", case, scen, "--out-dir",
                                 str(tmp_path), says=says)
+
+    def test_malformed_whitelist_entry(self, tmp_path, capsys):
+        white = self.write(tmp_path, "white.json", [[1]])
+        self.expect_input_error(
+            capsys, "run", TOY, TOY_SCEN, "--contingencies", white,
+            "--out-dir", str(tmp_path),
+            says="contingency whitelist: entry [0]: expected a line id")
 
     @pytest.mark.parametrize("factor", ["nan", "inf"])
     def test_sweep_factor(self, tmp_path, capsys, factor):

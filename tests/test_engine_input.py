@@ -42,6 +42,11 @@ RTS24_SLICE_DIGESTS = {
     ModelKind.SSCUC_CNR:
         "1dddf657ec3afe96db618f91053e59c0be91439c08c093de81c9bde156f1168c",
 }
+# toy3 CNR with L2 as the only switch candidate (``toy3_mixed_inputs``):
+# L2's own contingency has no candidate, L1's and L3's have L2, so every
+# family from eq2 to eq28 is present and eq28 covers 2 of 3 contingencies
+TOY3_MIXED_CNR_DIGEST = \
+    "03a6fb8d8974f37ab002e278d29926b22e389fb60994d5840e4570994633b9c1"
 
 
 # the row families in the order the builders append them (the formulation
@@ -110,6 +115,11 @@ def toy3_inputs():
     scen = align_scenarios(
         system, load_scenario_set(bundled("toy3_scenarios.json"), block_len=3))
     return system, scen, build_contingency_set(system)
+
+
+def toy3_mixed_inputs():
+    system, scen, _ = toy3_inputs()
+    return system, scen, build_contingency_set(system, switch_pool={"L2"})
 
 
 def rts24_slice(hours: int = 2, whitelist=frozenset({10, 23})):
@@ -181,6 +191,17 @@ class TestEngineInput:
     def test_rts24_slice_digest(self, kind):
         prob = assemble(*rts24_slice(), FormulationConfig(model_kind=kind))
         assert digest(prob) == RTS24_SLICE_DIGESTS[kind]
+
+    def test_toy3_mixed_candidates_digest(self):
+        system, scen, cont = toy3_mixed_inputs()
+        assert [c.candidate_switch_ids for c in cont] == [("L2",), (), ("L2",)]
+        prob = assemble(system, scen, cont,
+                        FormulationConfig(model_kind=ModelKind.SSCUC_CNR))
+        assert list(prob.rows_by_equation()) == list(ROW_FAMILIES)
+        assert {row.label.split("[")[1].split(",")[0]
+                for row in prob.rows if row.label.startswith("eq28")} == \
+            {"L1", "L3"}
+        assert digest(prob) == TOY3_MIXED_CNR_DIGEST
 
     def test_clones_share_the_matrix(self):
         prob = assemble(*toy3_inputs(), FormulationConfig())

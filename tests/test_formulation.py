@@ -10,12 +10,7 @@ from gridsched import (DemandProfile, FormulationConfig, ModelKind, ResUnit,
                        assemble, build_contingency_set, build_scenario_set,
                        build_system, compute_big_m, extract_schedule, solve,
                        verify_solution)
-from gridsched.formulation import (BIG_M_MARGIN,
-                                   add_base_generator_constraints,
-                                   add_base_network_constraints,
-                                   add_contingency_generator_constraints,
-                                   register_variables)
-from gridsched.milp import MilpProblem
+from gridsched.formulation import BIG_M_MARGIN
 from gridsched.solver import SolveOptions
 from gridsched.topology import Contingency
 
@@ -38,14 +33,19 @@ def single_scenario(T=2, avail=None):
     return build_scenario_set(profiles, [1.0])
 
 
+def family_counts(prob, families):
+    """Row counts of these equation families, the rest of the model left
+    out."""
+    return {f: n for f, n in prob.rows_by_equation().items() if f in families}
+
+
 class TestBaseGeneratorBlock:
     def test_constraint_count_one_gen_two_periods(self):
         sys_obj = one_gen_system(T=2)
         scen = single_scenario(T=2)
-        prob = MilpProblem()
-        register_variables(prob, sys_obj, scen, [], SSCUC)
-        add_base_generator_constraints(prob, sys_obj, scen)
-        counts = prob.rows_by_equation()
+        prob = assemble(sys_obj, scen, [], SSCUC)
+        counts = family_counts(prob, ("eq2", "eq3", "eq4", "eq5", "eq6",
+                                      "eq7", "eq8", "eq9", "eq10", "eq13"))
         # G*T*S rows for eq2..eq7; printed windows for eq8/eq9; G*T for eq10
         assert counts == {
             "eq2": 2, "eq3": 2, "eq4": 2, "eq5": 2, "eq6": 2, "eq7": 2,
@@ -55,9 +55,7 @@ class TestBaseGeneratorBlock:
     def test_min_up_down_window_counts(self):
         sys_obj = one_gen_system(T=4, min_up=3, min_down=2)
         scen = single_scenario(T=4)
-        prob = MilpProblem()
-        register_variables(prob, sys_obj, scen, [], SSCUC)
-        add_base_generator_constraints(prob, sys_obj, scen)
+        prob = assemble(sys_obj, scen, [], SSCUC)
         counts = prob.rows_by_equation()
         assert counts["eq8"] == 2   # t in {3, 4}
         assert counts["eq9"] == 2   # t in {1, 2}
@@ -65,9 +63,7 @@ class TestBaseGeneratorBlock:
     def test_minimal_up_time_degenerates_to_v_le_u(self):
         sys_obj = one_gen_system(T=2, min_up=1)
         scen = single_scenario(T=2)
-        prob = MilpProblem()
-        register_variables(prob, sys_obj, scen, [], SSCUC)
-        add_base_generator_constraints(prob, sys_obj, scen)
+        prob = assemble(sys_obj, scen, [], SSCUC)
         rows = [r for r in prob.rows if r.label.startswith("eq8")]
         for row in rows:
             coeffs = dict(row.coeffs)
@@ -79,8 +75,7 @@ class TestBaseGeneratorBlock:
     def test_zero_availability_pins_res_output(self):
         sys_obj = triangle_system(T=2)
         scen = single_scenario(T=2, avail=[0.0, 0.0])
-        prob = MilpProblem()
-        register_variables(prob, sys_obj, scen, [], SSCUC)
+        prob = assemble(sys_obj, scen, [], SSCUC)
         for t in (1, 2):
             col = prob.registry.col("Pw", "w1", t, "s0")
             assert prob.lb[col] == prob.ub[col] == 0.0
@@ -88,9 +83,7 @@ class TestBaseGeneratorBlock:
     def test_eq13_rows_match_availability(self):
         sys_obj = triangle_system(T=2)
         scen = single_scenario(T=2, avail=[30.0, 12.5])
-        prob = MilpProblem()
-        register_variables(prob, sys_obj, scen, [], SSCUC)
-        add_base_generator_constraints(prob, sys_obj, scen)
+        prob = assemble(sys_obj, scen, [], SSCUC)
         rows = {r.label: r for r in prob.rows if r.label.startswith("eq13")}
         assert rows["eq13[w1,1,s0]"].ub == 30.0
         assert rows["eq13[w1,2,s0]"].ub == 12.5
@@ -152,9 +145,7 @@ class TestNetworkBlock:
             ["n1", "n2"], [make_gen("g", "n1")],
             [make_line("K", "n1", "n2", b=10.0, limit=100)], [], demand)
         scen = build_scenario_set([{}], [1.0])
-        prob = MilpProblem()
-        register_variables(prob, sys_obj, scen, [], SSCUC)
-        add_base_network_constraints(prob, sys_obj, scen)
+        prob = assemble(sys_obj, scen, [], SSCUC)
         row = next(r for r in prob.rows if r.label == "eq14[K,1,s0]")
         x = np.zeros(prob.num_vars)
         x[prob.registry.col("Pk", "K", 1, "s0")] = 50.0
@@ -165,18 +156,15 @@ class TestNetworkBlock:
     def test_network_row_counts(self):
         sys_obj = triangle_system(T=2)
         scen = triangle_scenarios(T=2)
-        prob = MilpProblem()
-        register_variables(prob, sys_obj, scen, [], SSCUC)
-        add_base_network_constraints(prob, sys_obj, scen)
-        counts = prob.rows_by_equation()
+        prob = assemble(sys_obj, scen, [], SSCUC)
+        counts = family_counts(prob, ("eq14", "eq15", "eq16"))
         # K*T*S for eq14/eq15, N*T*S for eq16
         assert counts == {"eq14": 12, "eq15": 12, "eq16": 12}
 
     def test_reference_bus_angle_fixed(self):
         sys_obj = triangle_system()
         scen = triangle_scenarios()
-        prob = MilpProblem()
-        register_variables(prob, sys_obj, scen, [], SSCUC)
+        prob = assemble(sys_obj, scen, [], SSCUC)
         col = prob.registry.col("th", "b1", 1, "s0")
         assert prob.lb[col] == prob.ub[col] == 0.0
         other = prob.registry.col("th", "b2", 1, "s0")
@@ -213,9 +201,7 @@ class TestContingencyGeneratorBlock:
         sys_obj = triangle_system(T=1)
         scen = single_scenario(T=1, avail=[20.0])
         cont = [Contingency("L1", ("L2",))]
-        prob = MilpProblem()
-        register_variables(prob, sys_obj, scen, cont, SSCUC)
-        add_contingency_generator_constraints(prob, sys_obj, scen, cont, SSCUC)
+        prob = assemble(sys_obj, scen, cont, SSCUC)
         counts = prob.rows_by_equation()
         assert counts["eq17"] == 2 and counts["eq18"] == 2
         assert counts["eq19"] == 2 and counts["eq20"] == 2

@@ -187,3 +187,24 @@ class TestScenarioIO:
     def test_malformed_scenario_rejected(self):
         with pytest.raises(ValueError):
             scenario_set_from_list([{"probability": 1.0}])
+
+    @pytest.mark.parametrize("entry", [5, "x", None, [1]])
+    def test_entry_that_is_no_object_rejected(self, entry):
+        with pytest.raises(ValueError, match=r"scenario\[0\]: expected an object"):
+            scenario_set_from_list([entry])
+
+    @pytest.mark.parametrize("sid", [[1], {"a": 1}, 1.5, None, True])
+    def test_id_that_is_no_string_or_integer_rejected(self, sid):
+        doc = [{"id": sid, "probability": 1.0, "availability": {"w": [1.0]}}]
+        with pytest.raises(ValueError, match=r"scenario\[0\]\.id"):
+            scenario_set_from_list(doc)
+
+    @pytest.mark.parametrize("ids", [("s0", "s0"), (3, 3)])
+    def test_duplicate_ids_rejected(self, ids):
+        doc = [{"id": sid, "probability": 0.5, "availability": {"w": [1.0]}}
+               for sid in ids]
+        with pytest.raises(ValueError, match="duplicate id"):
+            scenario_set_from_list(doc)
+        with pytest.raises(ValueError, match="duplicate id"):
+            ScenarioSet(tuple(Scenario(sid, 0.5, {"w": (1.0,)})
+                              for sid in ids)).check()

@@ -125,3 +125,10 @@ class TestContingencySet:
         path = tmp_path / "white.json"
         path.write_text(json.dumps(["L1", "L3"]))
         assert load_contingency_whitelist(path) == {"L1", "L3"}
+
+    @pytest.mark.parametrize("entry", [[1], {"id": "L1"}, None, True, 1.5])
+    def test_whitelist_entry_that_is_no_line_id_rejected(self, tmp_path, entry):
+        path = tmp_path / "white.json"
+        path.write_text(json.dumps(["L1", entry]))
+        with pytest.raises(ValueError, match=r"entry \[1\]"):
+            load_contingency_whitelist(path)
