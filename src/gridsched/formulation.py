@@ -76,7 +76,7 @@ BIG_M_MARGIN = 10.0  # MW of slack on top of the worst-case flow term
 
 
 def compute_big_m(line: TransmissionLine, cfg: FormulationConfig,
-                  mva_base: float = 100.0) -> float:
+                  mva_base: float) -> float:
     """Deactivation constant for the line's big-M flow rows, in MW.
 
     Covers the largest possible ``|b (th_n - th_m)|`` over the angle box,

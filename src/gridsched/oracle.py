@@ -5,10 +5,13 @@ solves the remaining LP per assignment and takes the minimum, giving an
 optimum that is independent of the branch-and-bound path.  Exponential by
 nature: hard caps refuse anything beyond desk scale.
 
-The walk is one depth-first tree over the binaries, bit 0 before bit 1:
-the commitment bits ``u`` in order, then each commitment's admissible
-startup vectors, then the switch bits ``z`` in order.  A node that
-branches solves one LP, its relaxation: the node's bits fixed, every
+The walk is one depth-first tree over two lists sorted by key: the
+admissible commitments, keyed by their ``u`` bits and then the position
+of their startup vector, and the switch settings within the budget, keyed
+by their ``z`` bits.  A node holds a run of each list; it splits the
+commitments into runs that agree at the next key position, and once their
+keys are spent, the settings by the next ``z`` bit, 0 before 1.  A node
+that branches solves one LP, its relaxation: the node's bits fixed, every
 other binary in [0, 1] and every row kept.  When HiGHS proves it
 infeasible, every assignment below is recorded infeasible without a
 solve.  No relaxation is solved where its answer is known: not at a node
@@ -64,18 +67,6 @@ class OracleResult:
         return self.best_objective is not None
 
 
-def _tight_startups(u_bits: dict[tuple, int], sys: PowerSystem, T: int
-                    ) -> dict[tuple, int]:
-    v = {}
-    for g in sys.generators:
-        u_prev = 1 if g.initial_status.on else 0
-        for t in range(1, T + 1):
-            u_t = u_bits[(g.id, t)]
-            v[(g.id, t)] = max(0, u_t - u_prev)
-            u_prev = u_t
-    return v
-
-
 def _updown_feasible(u_bits: dict[tuple, int], v_bits: dict[tuple, int],
                      sys: PowerSystem, T: int) -> bool:
     """Check the pure-binary min-up/min-down rows for a full assignment."""
@@ -91,17 +82,18 @@ def _updown_feasible(u_bits: dict[tuple, int], v_bits: dict[tuple, int],
     return True
 
 
-def _extra_startup_positions(u_bits: dict[tuple, int], sys: PowerSystem,
-                             T: int) -> list[tuple]:
-    """Startup bits beyond the tight ones that could relax a ramp row.
+def _startups(u_bits: dict[tuple, int], sys: PowerSystem, T: int
+              ) -> tuple[dict[tuple, int], list[tuple]]:
+    """The tight startup bits of a commitment pattern, and the positions
+    where a startup beyond them could relax a ramp row.
 
     A discretionary startup only matters while the unit was already on in
-    the previous period: it buys ramp-up/down slack between on periods
-    when the hourly ramp can bind, or shutdown slack when the shutdown
-    ramp can bind.  Positions that provably cannot help are skipped so
-    that ramp-slack instances stay enumerable.
+    the previous period, where the tight bit is 0: it buys ramp-up/down
+    slack between on periods when the hourly ramp can bind, or shutdown
+    slack when the shutdown ramp can bind.  Positions that provably cannot
+    help are skipped so that ramp-slack instances stay enumerable.
     """
-    out = []
+    tight, extras = {}, []
     for g in sys.generators:
         ramp_up_can_bind = g.ramp_hourly < g.p_max and (g.ramp_startup > 0
                                                         or g.ramp_shutdown > 0)
@@ -109,17 +101,20 @@ def _extra_startup_positions(u_bits: dict[tuple, int], sys: PowerSystem,
         u_prev = 1 if g.initial_status.on else 0
         for t in range(1, T + 1):
             u_t = u_bits[(g.id, t)]
+            tight[(g.id, t)] = max(0, u_t - u_prev)
             if u_prev == 1 and ((u_t == 1 and ramp_up_can_bind)
                                 or (u_t == 0 and shutdown_can_bind)):
-                out.append((g.id, t))
+                extras.append((g.id, t))
             u_prev = u_t
-    return out
+    return tight, extras
 
 
 def _commitments(sys: PowerSystem, T: int, u_keys: list[tuple],
-                 caps: OracleCaps) -> list[tuple[tuple, list[dict]]]:
-    """Every commitment pattern the up/down rows admit, in walk order,
-    with its admissible startup vectors: the tight one first, then those
+                 u_cols: list[int], v_cols: dict[tuple, int],
+                 caps: OracleCaps) -> list[tuple[tuple, dict[int, float]]]:
+    """Every commitment the up/down rows admit, in walk order, with its u
+    and v column fixes.  Its key is its u bits, then the position of its
+    startup vector among the pattern's: the tight one first, then those
     with discretionary startups added.
 
     Raises ``CapExceeded`` for a pattern with too many discretionary
@@ -128,11 +123,9 @@ def _commitments(sys: PowerSystem, T: int, u_keys: list[tuple],
     out = []
     for u_vec in itertools.product((0, 1), repeat=len(u_keys)):
         u_bits = dict(zip(u_keys, u_vec))
-        tight_v = _tight_startups(u_bits, sys, T)
+        tight_v, extras = _startups(u_bits, sys, T)
         if not _updown_feasible(u_bits, tight_v, sys, T):
             continue
-        extras = [pos for pos in _extra_startup_positions(u_bits, sys, T)
-                  if tight_v[pos] == 0]
         if len(extras) > caps.max_extra_v_bits:
             raise CapExceeded(
                 f"{len(extras)} discretionary startup bits exceed cap "
@@ -146,18 +139,21 @@ def _commitments(sys: PowerSystem, T: int, u_keys: list[tuple],
             if extras and not _updown_feasible(u_bits, v_bits, sys, T):
                 continue
             startups.append(v_bits)
-        out.append((u_vec, startups))
+        u_fixes = dict(zip(u_cols, map(float, u_vec)))
+        out.extend((u_vec + (i,), u_fixes | {v_cols[key]: float(val)
+                                             for key, val in v_bits.items()})
+                   for i, v_bits in enumerate(startups))
     return out
 
 
-def _split(vecs: list[tuple], lo: int, hi: int, pos: int
-           ) -> list[tuple[int, int, int]]:
-    """The nonempty runs of the sorted ``vecs[lo:hi]`` with bit 0, then
-    bit 1, at ``pos``: (bit, lo, hi) each."""
-    mid = lo
-    while mid < hi and vecs[mid][pos] == 0:
-        mid += 1
-    return [(bit, a, b) for bit, a, b in ((0, lo, mid), (1, mid, hi)) if a < b]
+def _groups(items: list[tuple], lo: int, hi: int, pos: int
+            ) -> list[tuple[int, int, int]]:
+    """The runs of ``items[lo:hi]``, sorted by key, whose keys agree at
+    ``pos``: (value, lo, hi) each."""
+    starts = [i for i in range(lo, hi)
+              if i == lo or items[i][0][pos] != items[i - 1][0][pos]]
+    return [(items[a][0][pos], a, b)
+            for a, b in zip(starts, starts[1:] + [hi])]
 
 
 def enumerate_commitments(
@@ -201,26 +197,15 @@ def enumerate_commitments(
     z_cols = [reg.col("z", *key) for key in z_keys]
 
     # the switch settings within the budget of every (contingency, period,
-    # scenario), as bits and as column fixes; a model without switches has
-    # one empty setting
-    z_vecs = [z_vec for z_vec in itertools.product((0, 1), repeat=len(z_keys))
-              if all(sum(1 - z_vec[pos] for pos in group) <= cfg.switch_limit
-                     for group in z_groups.values())]
-    settings = [dict(zip(z_cols, map(float, z_vec))) for z_vec in z_vecs]
-    # the commitments as column fixes: per pattern its u fixes and the u
-    # and v fixes of each of its startup vectors
-    patterns = [(u_vec, [dict(zip(u_cols, map(float, u_vec)))
-                         | {v_cols[key]: float(val)
-                            for key, val in v_bits.items()}
-                         for v_bits in startups])
-                for u_vec, startups in _commitments(sys, T, u_keys, caps)]
-    u_vecs = [u_vec for u_vec, _ in patterns]
-    # assignments below the first i patterns; each gets a record, pruned
-    # or not
-    below = list(itertools.accumulate(
-        (len(commitments) * len(settings) for _, commitments in patterns),
-        initial=0))
-    if keep_records and below[-1] > caps.max_lp_solves:
+    # scenario), keyed by their bits, with their column fixes; a model
+    # without switches has one empty setting
+    settings = [(z_vec, dict(zip(z_cols, map(float, z_vec))))
+                for z_vec in itertools.product((0, 1), repeat=len(z_keys))
+                if all(sum(1 - z_vec[pos] for pos in group) <= cfg.switch_limit
+                       for group in z_groups.values())]
+    commitments = _commitments(sys, T, u_keys, u_cols, v_cols, caps)
+    # each assignment gets a record, pruned or not
+    if keep_records and len(commitments) * len(settings) > caps.max_lp_solves:
         raise CapExceeded(
             f"enumeration keeps more than {caps.max_lp_solves} records")
 
@@ -241,21 +226,19 @@ def enumerate_commitments(
                 f"enumeration needs more than {caps.max_lp_solves} LP solves")
 
     # Depth-first over the binaries, bit 0 first, so records come in the
-    # order (u, startups, z).  Depths below len(u_keys) branch on a u bit
-    # and [lo, hi) indexes patterns; depth len(u_keys) holds one pattern
-    # and branches on its startup vectors; deeper ones branch on a z bit
-    # and [lo, hi) indexes settings.  ``point`` is a checked relaxation
-    # point that takes every value ``fixes`` pins, or None.
+    # order (u, startups, z).  A node holds the assignments
+    # commitments[c:d] x settings[a:b].  Depths up to len(u_keys) split the
+    # commitments by their key at that depth, a u bit and then the startup
+    # vector; deeper ones split the settings by a z bit.  ``point`` is a
+    # checked relaxation point that takes every value ``fixes`` pins, or
+    # None.
     n_u = len(u_keys)
-    stack: list[tuple] = [(0, 0, len(patterns), {}, None)]
+    stack: list[tuple] = [(0, 0, len(commitments), 0, len(settings), {}, None)]
     while stack:
-        depth, lo, hi, fixes, point = stack.pop()
-        if (below[hi] - below[lo] if depth <= n_u else hi - lo) == 1:
+        depth, c, d, a, b, fixes, point = stack.pop()
+        if (d - c) * (b - a) == 1:
             # one assignment left: solve its fixed LP
-            if depth <= n_u:
-                fixes = {**patterns[lo][1][0], **settings[0]}
-            else:
-                fixes = {**fixes, **settings[lo]}
+            fixes = {**commitments[c][1], **settings[a][1]}
             count_lp()
             result = solve(prob.clone_with_bounds(fixes), lp_opts)
             optimal = result.status is SolveStatus.OPTIMAL
@@ -273,16 +256,15 @@ def enumerate_commitments(
                 best = result.objective
                 best_assignment = assignment
             continue
-        if depth < n_u:
-            children = [(depth + 1, a, b, {u_cols[depth]: float(bit)})
-                        for bit, a, b in _split(u_vecs, lo, hi, depth)]
-        elif depth == n_u:
-            children = [(depth + 1, 0, len(settings), commitment)
-                        for commitment in patterns[lo][1]]
+        if depth <= n_u:
+            children = [(depth + 1, lo, hi, a, b,
+                         {u_cols[depth]: float(value)} if depth < n_u
+                         else commitments[lo][1])
+                        for value, lo, hi in _groups(commitments, c, d, depth)]
         else:
             pos = depth - n_u - 1
-            children = [(depth + 1, a, b, {z_cols[pos]: float(bit)})
-                        for bit, a, b in _split(z_vecs, lo, hi, pos)]
+            children = [(depth + 1, c, d, lo, hi, {z_cols[pos]: float(value)})
+                        for value, lo, hi in _groups(settings, a, b, pos)]
         # a node with one child has the same assignments below it, and the
         # child's relaxation is the tighter one
         if len(children) > 1 and point is None:
@@ -290,26 +272,19 @@ def enumerate_commitments(
             relaxed = solve_relaxation(prob.clone_with_bounds(fixes))
             if relaxed.status is SolveStatus.INFEASIBLE:
                 if keep_records:
-                    if depth <= n_u:
-                        assignments = (
-                            {**commitment, **setting}
-                            for _, commitments in patterns[lo:hi]
-                            for commitment in commitments
-                            for setting in settings)
-                    else:
-                        assignments = ({**fixes, **setting}
-                                       for setting in settings[lo:hi])
                     records.extend(AssignmentRecord(
-                        named(assignment), SolveStatus.INFEASIBLE.value, None)
-                        for assignment in assignments)
+                        named({**commitment, **setting}),
+                        SolveStatus.INFEASIBLE.value, None)
+                        for _, commitment in commitments[c:d]
+                        for _, setting in settings[a:b])
                 continue
             point = relaxed.x
-        for depth_, a, b, new in reversed(children):
+        for *node, new in reversed(children):
             # the parent's point proves a child feasible when it takes
             # the child's new fixes
             inherited = (point if point is not None
                          and all(point[col] == val for col, val in new.items())
                          else None)
-            stack.append((depth_, a, b, {**fixes, **new}, inherited))
+            stack.append((*node, {**fixes, **new}, inherited))
     return OracleResult(best_objective=best, best_assignment=best_assignment,
                         records=records, lp_solves=lp_solves)

@@ -38,6 +38,8 @@ class InitialStatus:
     been down long enough to restart freely.
     ``dispatch`` is the pre-horizon output used by the ramp equations at
     t=1; when None it defaults to p_min for an on unit and 0 otherwise.
+    ``validate_system`` requires a given one in [p_min, p_max] for an on
+    unit and 0 for an off one.
     """
 
     on: bool = False
@@ -215,6 +217,12 @@ def validate_system(sys: PowerSystem) -> ValidationReport:
             bad(f"{p}.initial_status.hours",
                 f"unit {'on' if init.on else 'off'} for {init.hours} h, "
                 f"fewer than its {term} of {need} h")
+        if init.dispatch is not None and math.isfinite(init.dispatch):
+            low, high = (g.p_min, g.p_max) if init.on else (0.0, 0.0)
+            if not low <= init.dispatch <= high:
+                bad(f"{p}.initial_status.dispatch",
+                    f"unit {'on' if init.on else 'off'} needs a dispatch in "
+                    f"[{low}, {high}], got {init.dispatch}")
         if g.emission_rate < 0:
             bad(f"{p}.emission_rate", "must be >= 0")
 
@@ -483,8 +491,12 @@ def system_from_dict(doc: dict[str, Any]) -> PowerSystem:
         mw = _require(row, "mw", where)
         if not isinstance(mw, list) or not mw:
             raise CaseFormatError(f"{where}.mw must be a nonempty array")
-        rows[_require(row, "bus_id", where)] = tuple(
-            _float(v, f"{where}.mw[{t}]") for t, v in enumerate(mw))
+        bus = _require(row, "bus_id", where)
+        if bus in rows:
+            raise CaseFormatError(
+                f"{where}.bus_id: a second demand row for bus {bus!r}")
+        rows[bus] = tuple(_float(v, f"{where}.mw[{t}]")
+                          for t, v in enumerate(mw))
         horizon = max(horizon, len(mw))
     demand = DemandProfile(rows=rows, horizon_length=horizon)
 

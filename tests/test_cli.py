@@ -192,6 +192,32 @@ class TestRun:
                        "--out-dir", str(tmp_path)) == 2
         assert "generators[g1].initial_status.hours" in capsys.readouterr().err
 
+    def test_second_demand_row_for_a_bus_is_input_error(self, tmp_path,
+                                                         capsys):
+        # a later row for b1 must not silently replace its first
+        doc = json.loads(bundled("toy3.json").read_text())
+        doc["demand"].append({"bus_id": "b1", "mw": [0, 0, 0, 0]})
+        case = tmp_path / "case.json"
+        case.write_text(json.dumps(doc))
+        assert run_cli("run", str(case), TOY_SCEN,
+                       "--out-dir", str(tmp_path)) == 2
+        assert "demand[3].bus_id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("on, dispatch", [(True, -500), (True, 1000),
+                                              (False, 40)])
+    def test_initial_dispatch_out_of_range_is_input_error(
+            self, tmp_path, capsys, on, dispatch):
+        # g1 has p_min 10 and p_max 120; an off unit dispatches 0
+        doc = json.loads(bundled("toy3.json").read_text())
+        doc["generators"][0]["initial_status"] = {"on": on,
+                                                  "dispatch": dispatch}
+        case = tmp_path / "case.json"
+        case.write_text(json.dumps(doc))
+        assert run_cli("run", str(case), TOY_SCEN,
+                       "--out-dir", str(tmp_path)) == 2
+        assert "generators[g1].initial_status.dispatch" in \
+            capsys.readouterr().err
+
 
 NAN, INF = float("nan"), float("inf")
 

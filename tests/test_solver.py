@@ -1,6 +1,7 @@
 """Solve contract: statuses, tolerances, determinism."""
 
 import gc
+import hashlib
 import itertools
 import json
 import math
@@ -315,6 +316,28 @@ ORACLE_CASES = {
 }
 
 
+# ``oracle_digest`` of the walk: LP counts toy3-sscuc 14, toy3-cnr 30,
+# triangle-sscuc 8, triangle-cnr 15, pair-sscuc 4 and pair-cnr 7, over
+# 804 records
+ORACLE_DIGEST = \
+    "6e85ae4be38d542a19ea9ae8ac5d72f374bfa475f4469694b35acb875147f86e"
+
+
+def oracle_digest() -> str:
+    """SHA-256 over each ``ORACLE_CASES`` entry in order: ``lp_solves``,
+    ``repr(best_objective)`` and, per record, its sorted assignment, its
+    status and ``repr(objective)``."""
+    h = hashlib.sha256()
+    for name, (make, cfg) in ORACLE_CASES.items():
+        found = enumerate_commitments(*make(), cfg)
+        h.update(f"{name} {found.lp_solves} {found.best_objective!r}\n"
+                 .encode())
+        for rec in found.records:
+            h.update(f"{sorted(rec.assignment.items())} {rec.status} "
+                     f"{rec.objective!r}\n".encode())
+    return h.hexdigest()
+
+
 def oracle_fixes(name):
     """The case's model, the oracle's result and the column fixes of each
     of its records, in enumeration order."""
@@ -533,6 +556,11 @@ class TestSwitchRelaxation:
             assert not any(under(p, pins) and under(pins, dict(enumerate(px)))
                            for k, _, p, px in earlier
                            if k == "relaxation" and px is not None)
+
+    def test_oracle_results_are_locked(self):
+        """Records, statuses, objectives and LP counts are those of the
+        walk this digest was recorded from, byte for byte."""
+        assert oracle_digest() == ORACLE_DIGEST
 
     def test_walk_solves_no_more_lps_than_one_relaxation_per_commitment(
             self):

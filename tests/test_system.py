@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridsched import (DemandProfile, ResUnit, ScenarioSet, align_scenarios,
-                       build_scenario_set, build_system, load_system,
-                       peak_penetration, scale_penetration, validate_system)
+from gridsched import (DemandProfile, InitialStatus, ResUnit, ScenarioSet,
+                       align_scenarios, build_scenario_set, build_system,
+                       load_system, peak_penetration, scale_penetration,
+                       validate_system)
 from gridsched.data import bundled
 from gridsched.scenarios import Scenario
 from gridsched.system import CaseFormatError, system_from_dict
@@ -68,6 +69,20 @@ class TestValidation:
         sys_obj = replace(sys_obj, generators=(g, sys_obj.generators[1]))
         assert validate_system(sys_obj).ok
 
+    @pytest.mark.parametrize("on, dispatch, ok", [
+        (True, 5.0, False), (True, 10.0, True), (True, 120.0, True),
+        (True, 120.5, False), (True, -500.0, False), (False, 0.0, True),
+        (False, 40.0, False), (False, None, True), (True, None, True)])
+    def test_initial_dispatch_within_the_unit_range(self, on, dispatch, ok):
+        """An on unit starts between p_min and p_max, an off one at 0."""
+        sys_obj = triangle_system()
+        g = replace(sys_obj.generators[0], p_min=10.0, p_max=120.0,
+                    initial_status=InitialStatus(on=on, dispatch=dispatch))
+        sys_obj = replace(sys_obj, generators=(g, sys_obj.generators[1]))
+        paths = [v.path for v in validate_system(sys_obj).violations]
+        assert paths == ([] if ok else
+                         ["generators[g1].initial_status.dispatch"])
+
     def test_non_finite_numbers_reported(self):
         sys_obj = triangle_system()
         g = sys_obj.generators[0]
@@ -101,6 +116,12 @@ class TestValidation:
         doc["buses"][0]["generator_ids"] = ["g1"]
         doc["buses"][2]["inbound_line_ids"] = ["L2"]
         with pytest.raises(CaseFormatError, match=r"buses\[2\]\.inbound_line_ids"):
+            system_from_dict(doc)
+
+    def test_second_demand_row_for_a_bus_rejected(self):
+        doc = toy3_doc()
+        doc["demand"].append({"bus_id": "b1", "mw": [0, 0, 0, 0]})
+        with pytest.raises(CaseFormatError, match=r"demand\[3\]\.bus_id"):
             system_from_dict(doc)
 
 
