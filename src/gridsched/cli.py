@@ -16,7 +16,8 @@ that fails reconciliation, or a solver point that fails the post-solve
 integrality or feasibility check), 2 input error, 3 caps or limits
 exceeded (``run`` and ``sweep`` still verify and report a time-limit
 incumbent), 4 solver reports infeasible or HiGHS fails.  A NaN or
-infinite input number, sweep factor or ``--penalty`` is an input error.
+infinite input number, sweep factor or ``--penalty`` is an input error,
+and so is an ``--out-dir`` that cannot be created.
 """
 
 from __future__ import annotations
@@ -160,6 +161,16 @@ def _contingencies(args, system: PowerSystem):
         raise InputError(f"contingencies: {exc}") from exc
 
 
+def _out_dir(args) -> Path:
+    """Create ``--out-dir`` once the inputs have loaded, before any solve."""
+    out = Path(args.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"--out-dir: {exc}") from exc
+    return out
+
+
 def _schedule(system, scen, contingencies, cfg, opts):
     """Assemble, solve, extract, verify and report one model.
 
@@ -189,6 +200,7 @@ def cmd_run(args) -> int:
     cfg = _build_config(args, system, ModelKind(args.model), penalty_enabled)
     contingencies = _contingencies(args, system)
     opts = _solve_options(args.mip_gap, args.time_limit)
+    out = _out_dir(args)
     result, report, failures = _schedule(system, scen, contingencies, cfg, opts)
     # a time-limit incumbent is verified and reported, with exit 3
     limited = result.status is SolveStatus.TIME_LIMIT
@@ -200,7 +212,7 @@ def cmd_run(args) -> int:
             print(f"verification: {failure}")
         print(f"verification failed: {len(failures)} failed checks")
         return EXIT_MISMATCH
-    metrics.write_report(report, args.out_dir)
+    metrics.write_report(report, out)
     gap = abs(result.objective - result.best_bound) / max(1.0, abs(result.objective))
     print(f"status: {result.status.value}")
     print(f"objective: {result.objective:.2f}")
@@ -211,7 +223,7 @@ def cmd_run(args) -> int:
     print(f"bcc: {report.bcc:.4f} MW  pcc: {report.pcc:.4f} MW")
     print(f"emissions: {report.emissions:.1f} lbs")
     print(f"switching actions: {len(report.switching_actions)}")
-    print(f"report written to {Path(args.out_dir) / 'report.json'}")
+    print(f"report written to {out / 'report.json'}")
     return EXIT_CAPS if limited else EXIT_OK
 
 
@@ -223,6 +235,7 @@ def cmd_sweep(args) -> int:
         raise InputError(str(exc)) from exc
     contingencies = _contingencies(args, system)
     opts = _solve_options(args.mip_gap, args.time_limit)
+    out = _out_dir(args)
     rows, engine_failures = [], 0
     for factor, factor_scen in zip(args.factors, scaled):
         for kind in ModelKind:
@@ -248,8 +261,6 @@ def cmd_sweep(args) -> int:
                         "pcc": f"{rep.pcc:.6f}",
                         "emissions": f"{rep.emissions:.6f}",
                     })
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     sweep_path = out / "sweep.csv"
     with open(sweep_path, "w", newline="") as fh:
         writer = csv.DictWriter(
@@ -282,6 +293,7 @@ def cmd_verify(args) -> int:
     cfg = _build_config(args, system, ModelKind(args.model), penalty_enabled)
     contingencies = _contingencies(args, system)
     opts = _solve_options(0.0, args.time_limit)
+    out = _out_dir(args)
 
     try:
         oracle_result = oracle.enumerate_commitments(
@@ -304,8 +316,6 @@ def cmd_verify(args) -> int:
             for rec in oracle_result.records
         ],
     }
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "certificate.json").write_text(
         json.dumps(certificate, indent=2, sort_keys=True) + "\n")
 

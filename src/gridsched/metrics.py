@@ -444,11 +444,10 @@ def build_report(sol: ScheduleSolution, sys: PowerSystem, scen: ScenarioSet,
                  contingencies: list[Contingency],
                  cfg: FormulationConfig) -> RunReport:
     breakdown = cost_breakdown(sol, sys, scen, cfg)
-    n_c = max(1, len(contingencies))
     return RunReport(
         total_cost=breakdown.total,
         bcc=base_case_curtailment(sol, scen),
-        pcc=(post_contingency_curtailment(sol, scen, n_c)
+        pcc=(post_contingency_curtailment(sol, scen, len(contingencies))
              if contingencies else 0.0),
         emissions=carbon_emissions(sol, sys, scen),
         no_load_cost=breakdown.no_load,
@@ -480,7 +479,7 @@ def report_to_csv(report: RunReport) -> str:
 
 
 def write_report(report: RunReport, out_dir: str | Path) -> None:
+    """Write report.json and report.csv into the existing ``out_dir``."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(report_to_json(report))
     (out / "report.csv").write_text(report_to_csv(report))

@@ -4,17 +4,20 @@ A scenario is a probability plus one MW availability profile per RES
 unit.  Profiles can be block-averaged so the availability is constant
 within multi-hour blocks (default three hours), which is how day-ahead
 wind inputs are coarsened to keep the reconfiguration problem tractable.
+A scenario file is read with the case document's JSON rules
+(``gridsched.document``).
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
+
+from .document import ident, load, number, obj
 
 PROBABILITY_TOL = 1e-9
 WIND_STEP_FRAC = 0.35  # a wind walk's step deviation over its amplitude
@@ -152,13 +155,6 @@ def synth_wind_profiles(
 # JSON input
 # ---------------------------------------------------------------------------
 
-def _float(value: Any, where: str) -> float:
-    """A JSON number; a string, null or boolean is no number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{where}: expected a number, got {value!r}")
-    return float(value)
-
-
 def scenario_set_from_list(doc: list[dict[str, Any]],
                            block_len: int = 1) -> ScenarioSet:
     """Parse a scenario array; optionally block-average on load.
@@ -172,31 +168,19 @@ def scenario_set_from_list(doc: list[dict[str, Any]],
     probabilities = []
     ids = []
     for i, s in enumerate(doc):
-        if not isinstance(s, dict):
-            raise ValueError(f"scenario[{i}]: expected an object, got {s!r}")
-        if "probability" not in s or "availability" not in s:
-            raise ValueError(f"scenario[{i}]: needs 'probability' and 'availability'")
-        sid = s.get("id", f"s{i}")
-        if isinstance(sid, bool) or not isinstance(sid, (str, int)):
-            raise ValueError(f"scenario[{i}].id: expected a string or an "
-                             f"integer, got {sid!r}")
-        ids.append(sid)
-        probabilities.append(_float(s["probability"],
-                                    f"scenario[{i}].probability"))
+        where = f"scenario[{i}]"
+        if "probability" not in obj(s, where) or "availability" not in s:
+            raise ValueError(f"{where}: needs 'probability' and 'availability'")
+        ids.append(ident(s.get("id", f"s{i}"), f"{where}.id"))
+        probabilities.append(number(s["probability"], f"{where}.probability"))
         avail = s["availability"]
         if not isinstance(avail, dict) or not all(
                 isinstance(prof, list) for prof in avail.values()):
-            raise ValueError(f"scenario[{i}].availability must map res_id -> values")
-        profiles.append({w: [_float(v, f"scenario[{i}].availability[{w}]")
+            raise ValueError(f"{where}.availability must map res_id -> values")
+        profiles.append({w: [number(v, f"{where}.availability[{w}]")
                              for v in prof] for w, prof in avail.items()})
     return build_scenario_set(profiles, probabilities, block_len=block_len, ids=ids)
 
 
 def load_scenario_set(path: str | Path, block_len: int = 1) -> ScenarioSet:
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
-    return scenario_set_from_list(doc, block_len=block_len)
-
+    return scenario_set_from_list(load(path), block_len=block_len)

@@ -11,20 +11,22 @@ construction.  Where an element sits is stated once, on the element:
 :func:`validate_system` reports every broken invariant instead of raising,
 so that a loader can show all problems at once.  A case document may also
 list each bus's generators, RES units and lines; the loader checks those
-lists against the element fields and drops them.
+lists against the element fields and drops them.  The loader reads each
+element by its dataclass's own fields (``document.element``): a field
+without a default is required, an id is a string or an integer, and a key
+that names no field is an input error.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable
 
+from .document import (CaseFormatError, Id, element, ident, known, load,
+                       number, obj, require)
 from .scenarios import ScenarioSet
-
-Id = str | int
 
 
 @dataclass(frozen=True)
@@ -268,7 +270,7 @@ def validate_system(sys: PowerSystem) -> ValidationReport:
             bad(f"demand[{b}]", "missing demand row for bus")
 
     # connectivity of the in-service network
-    if sys.buses and sys.lines is not None:
+    if sys.buses:
         comp = _components(bus_ids, [(k.from_bus, k.to_bus) for k in sys.lines
                                      if k.from_bus in known_buses and k.to_bus in known_buses])
         if len(comp) > 1:
@@ -363,10 +365,6 @@ def peak_penetration(sys: PowerSystem, scen: ScenarioSet) -> float:
 # JSON document input
 # ---------------------------------------------------------------------------
 
-class CaseFormatError(ValueError):
-    """Raised when a case document is structurally invalid."""
-
-
 # per-bus id lists a case document may carry: the element collection and
 # field each one repeats
 _BUS_LISTS = {
@@ -375,157 +373,63 @@ _BUS_LISTS = {
     "inbound_line_ids": ("lines", "to_bus"),
     "outbound_line_ids": ("lines", "from_bus"),
 }
-
-
-# the required number fields of a generator and of a line
-_GENERATOR_FLOATS = ("p_min", "p_max", "cost_linear", "cost_no_load",
-                     "cost_startup", "ramp_hourly", "ramp_startup",
-                     "ramp_shutdown", "ramp_10min")
-_LINE_FLOATS = ("susceptance", "limit_long_term", "limit_emergency")
-
-
-def _require(doc: dict, key: str, where: str) -> Any:
-    if key not in doc:
-        raise CaseFormatError(f"{where}: missing required field {key!r}")
-    return doc[key]
-
-
-def _int(value: Any, where: str) -> int:
-    """A count: an integral JSON number; a fraction, NaN, infinity or
-    boolean is no count."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or isinstance(value, float) and not value.is_integer()):
-        raise CaseFormatError(
-            f"{where}: expected a whole number, got {value!r}")
-    return int(value)
-
-
-def _float(value: Any, where: str) -> float:
-    """A JSON number; a string, null or boolean is no number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise CaseFormatError(f"{where}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _floats(doc: dict, keys: tuple[str, ...], where: str) -> dict[str, float]:
-    """The required number fields ``keys`` of an element."""
-    return {key: _float(_require(doc, key, where), f"{where}.{key}")
-            for key in keys}
-
-
-def _bool(value: Any, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise CaseFormatError(f"{where}: expected true or false, got {value!r}")
-    return value
-
-
-def _object(value: Any, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise CaseFormatError(f"{where}: expected an object, got {value!r}")
-    return value
+_BUS_KEYS = frozenset(_BUS_LISTS)
+_CASE_ARRAYS = ("buses", "generators", "lines", "res_units", "demand")
+_CASE_KEYS = frozenset(_CASE_ARRAYS + ("mva_base",))
+_DEMAND_KEYS = frozenset(("bus_id", "mw"))
+_ELEMENTS = {"generators": Generator, "lines": TransmissionLine,
+             "res_units": ResUnit}
 
 
 def system_from_dict(doc: dict[str, Any]) -> PowerSystem:
     if not isinstance(doc, dict):
         raise CaseFormatError("case document must be a JSON object")
-    for key in ("buses", "generators", "lines", "res_units", "demand"):
-        if not isinstance(_require(doc, key, "case"), list):
+    known(doc, _CASE_KEYS, "case")
+    for key in _CASE_ARRAYS:
+        if not isinstance(require(doc, key, "case"), list):
             raise CaseFormatError(f"case.{key} must be an array")
-        for i, item in enumerate(doc[key]):
-            _object(item, f"{key}[{i}]")
-
-    generators = []
-    for i, g in enumerate(doc["generators"]):
-        where = f"generators[{i}]"
-        init = g.get("initial_status")
-        init = _object({} if init is None else init, f"{where}.initial_status")
-        generators.append(
-            Generator(
-                id=_require(g, "id", where),
-                bus_id=_require(g, "bus_id", where),
-                **_floats(g, _GENERATOR_FLOATS, where),
-                min_up=_int(g.get("min_up", 1), f"{where}.min_up"),
-                min_down=_int(g.get("min_down", 1), f"{where}.min_down"),
-                emission_rate=_float(g.get("emission_rate", 0.0),
-                                     f"{where}.emission_rate"),
-                initial_status=InitialStatus(
-                    on=_bool(init.get("on", False),
-                             f"{where}.initial_status.on"),
-                    hours=_int(init.get("hours", 10_000),
-                               f"{where}.initial_status.hours"),
-                    dispatch=(None if init.get("dispatch") is None
-                              else _float(init["dispatch"],
-                                          f"{where}.initial_status.dispatch")),
-                ),
-            )
-        )
-
-    lines = []
-    for i, k in enumerate(doc["lines"]):
-        where = f"lines[{i}]"
-        lines.append(
-            TransmissionLine(
-                id=_require(k, "id", where),
-                from_bus=_require(k, "from_bus", where),
-                to_bus=_require(k, "to_bus", where),
-                **_floats(k, _LINE_FLOATS, where),
-                switchable=_bool(k.get("switchable", True),
-                                 f"{where}.switchable"),
-            )
-        )
-
-    res_units = [
-        ResUnit(
-            id=_require(w, "id", f"res_units[{i}]"),
-            bus_id=_require(w, "bus_id", f"res_units[{i}]"),
-            curtail_penalty=_float(w.get("curtail_penalty", 100.0),
-                                   f"res_units[{i}].curtail_penalty"),
-        )
-        for i, w in enumerate(doc["res_units"])
-    ]
+    buses = tuple(element(Bus, b, f"buses[{i}]", _BUS_KEYS)
+                  for i, b in enumerate(doc["buses"]))
+    elements = {key: tuple(element(cls, item, f"{key}[{i}]")
+                           for i, item in enumerate(doc[key]))
+                for key, cls in _ELEMENTS.items()}
 
     rows: dict[Id, tuple[float, ...]] = {}
-    horizon = 0
     for i, row in enumerate(doc["demand"]):
         where = f"demand[{i}]"
-        mw = _require(row, "mw", where)
+        known(obj(row, where), _DEMAND_KEYS, where)
+        mw = require(row, "mw", where)
         if not isinstance(mw, list) or not mw:
             raise CaseFormatError(f"{where}.mw must be a nonempty array")
-        bus = _require(row, "bus_id", where)
+        bus = ident(require(row, "bus_id", where), f"{where}.bus_id")
         if bus in rows:
             raise CaseFormatError(
                 f"{where}.bus_id: a second demand row for bus {bus!r}")
-        rows[bus] = tuple(_float(v, f"{where}.mw[{t}]")
+        rows[bus] = tuple(number(v, f"{where}.mw[{t}]")
                           for t, v in enumerate(mw))
-        horizon = max(horizon, len(mw))
-    demand = DemandProfile(rows=rows, horizon_length=horizon)
 
-    system = build_system(
-        bus_ids=[_require(b, "id", f"buses[{i}]") for i, b in enumerate(doc["buses"])],
-        generators=generators,
-        lines=lines,
-        res_units=res_units,
-        demand=demand,
-        mva_base=_float(doc.get("mva_base", 100.0), "mva_base"),
+    system = PowerSystem(
+        buses=buses,
+        demand=DemandProfile(rows=rows, horizon_length=max(
+            map(len, rows.values()), default=0)),
+        mva_base=number(doc.get("mva_base", 100.0), "mva_base"),
+        **elements,
     )
     for i, b in enumerate(doc["buses"]):
         for key, (coll, attr) in _BUS_LISTS.items():
             if key not in b:
                 continue
+            where = f"buses[{i}].{key}"
             placed = {item.id for item in getattr(system, coll)
                       if getattr(item, attr) == b["id"]}
-            if not isinstance(b[key], list) or set(b[key]) != placed:
+            if not isinstance(b[key], list) or {
+                    ident(x, f"{where}[{j}]")
+                    for j, x in enumerate(b[key])} != placed:
                 raise CaseFormatError(
-                    f"buses[{i}].{key}: does not match the {attr} fields of {coll}")
+                    f"{where}: does not match the {attr} fields of {coll}")
     return system
 
 
 def load_system(path: str | Path) -> PowerSystem:
     """Load a case JSON document; raises CaseFormatError with diagnostics."""
-    text = Path(path).read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CaseFormatError(f"{path}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
-    return system_from_dict(doc)
-
+    return system_from_dict(load(path))

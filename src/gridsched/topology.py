@@ -3,14 +3,17 @@
 The grid graph is treated as an undirected multigraph: parallel circuits
 are distinct edges with their own ids and are never bridges.  Bridges are
 the radial lines; outaging one would split the network, so the N-1
-contingency set is built from the non-bridge lines only.
+contingency set is built from the non-bridge lines only.  A whitelist
+file restricting that set is read with the case document's JSON rules
+(``gridsched.document``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .system import Id, PowerSystem, _components
+from .document import Id, ident, load
+from .system import PowerSystem, _components
 
 
 @dataclass(frozen=True)
@@ -127,14 +130,8 @@ def build_contingency_set(
 def load_contingency_whitelist(path) -> set[Id]:
     """Whitelist file: a JSON array of line ids, each a string or an
     integer."""
-    import json
-    from pathlib import Path
-
-    doc = json.loads(Path(path).read_text())
+    doc = load(path)
     if not isinstance(doc, list):
         raise ValueError("contingency whitelist must be a JSON array of line ids")
-    for i, entry in enumerate(doc):
-        if isinstance(entry, bool) or not isinstance(entry, (str, int)):
-            raise ValueError(f"entry [{i}]: expected a line id (a string or "
-                             f"an integer), got {entry!r}")
-    return set(doc)
+    return {ident(entry, f"entry [{i}]", "a line id (a string or an integer)")
+            for i, entry in enumerate(doc)}

@@ -221,6 +221,15 @@ class TestRun:
 
 NAN, INF = float("nan"), float("inf")
 
+# every id field of a case document; a list, object, boolean, null or
+# fraction there is no id
+CASE_ID_FIELDS = [("buses", "id"), ("generators", "id"),
+                  ("generators", "bus_id"), ("lines", "id"),
+                  ("lines", "from_bus"), ("lines", "to_bus"),
+                  ("res_units", "id"), ("res_units", "bus_id"),
+                  ("demand", "bus_id")]
+ILL_TYPED_IDS = [["b1"], {"a": 1}, True, None, 1.5]
+
 
 class TestNonFiniteInput:
     """A NaN or infinite number, or a value of the wrong JSON type, in the
@@ -304,7 +313,25 @@ class TestNonFiniteInput:
         ("scenarios", (0,), "x", "scenario[0]: expected an object"),
         ("scenarios", (0, "id"), [1],
          "scenario[0].id: expected a string or an integer"),
-        ("scenarios", (1, "id"), "s0", "scenario 's0': duplicate id")])
+        ("scenarios", (1, "id"), "s0", "scenario 's0': duplicate id"),
+        ("case", ("buses", 0, "generator_ids"), [["g1"]],
+         "buses[0].generator_ids[0]: expected a string or an integer"),
+        # a misspelt field is an error, not a field read as its default
+        ("case", ("mva_bse",), 50, "case: case.mva_bse: unknown field"),
+        ("case", ("generators", 0, "emissions_rate"), 500,
+         "case: generators[0].emissions_rate: unknown field"),
+        ("case", ("generators", 0, "initial_status"), {"hour": 5},
+         "generators[0].initial_status.hour: unknown field"),
+        ("case", ("lines", 1, "switchabel"), False,
+         "lines[1].switchabel: unknown field"),
+        ("case", ("res_units", 0, "curtail_penalti"), 5,
+         "res_units[0].curtail_penalti: unknown field"),
+        ("case", ("demand", 2, "mv"), [1, 2, 3, 4],
+         "demand[2].mv: unknown field"),
+    ] + [("case", (collection, 0, field), value,
+          f"{collection}[0].{field}: expected a string or an integer")
+         for collection, field in CASE_ID_FIELDS
+         for value in ILL_TYPED_IDS])
     def test_ill_typed_value(self, tmp_path, capsys, document, path, value,
                              says):
         files = {"case": "toy3.json", "scenarios": "toy3_scenarios.json"}
@@ -325,6 +352,15 @@ class TestNonFiniteInput:
             capsys, "run", TOY, TOY_SCEN, "--contingencies", white,
             "--out-dir", str(tmp_path),
             says="contingency whitelist: entry [0]: expected a line id")
+
+    def test_whitelist_syntax_error_names_its_place(self, tmp_path, capsys):
+        white = tmp_path / "white.json"
+        white.write_text('["L1",\n')
+        self.expect_input_error(
+            capsys, "run", TOY, TOY_SCEN, "--contingencies", str(white),
+            "--out-dir", str(tmp_path),
+            says=f"contingency whitelist: {white}: line 2 col 1: "
+                 f"Expecting value")
 
     @pytest.mark.parametrize("factor", ["nan", "inf"])
     def test_sweep_factor(self, tmp_path, capsys, factor):
@@ -377,6 +413,20 @@ class TestFlags:
         assert run_cli(command, TOY, TOY_SCEN, *extra, flag, value,
                        "--out-dir", str(tmp_path)) == 2
         assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "verify"])
+    def test_out_dir_that_cannot_be_made(self, tmp_path, capsys, monkeypatch,
+                                         command):
+        for owner, attr in ((cli_mod, "solve"),
+                            (cli_mod.oracle, "enumerate_commitments")):
+            monkeypatch.setattr(owner, attr, lambda *args: pytest.fail(
+                "solved with no place for the output"))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        extra = ("--factors", "1") if command == "sweep" else ()
+        assert run_cli(command, TOY, TOY_SCEN, *extra,
+                       "--out-dir", str(taken)) == 2
+        assert "input error: --out-dir" in capsys.readouterr().err
 
 
 class TestSweep:

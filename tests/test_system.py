@@ -1,7 +1,7 @@
 """System model: validation, penetration helpers, JSON loading."""
 
 import json
-from dataclasses import replace
+from dataclasses import dataclass, field, replace
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +13,8 @@ from gridsched import (DemandProfile, InitialStatus, ResUnit, ScenarioSet,
                        validate_system)
 from gridsched.data import bundled
 from gridsched.scenarios import Scenario
-from gridsched.system import CaseFormatError, system_from_dict
+from gridsched.document import element
+from gridsched.system import CaseFormatError, Id, system_from_dict
 
 from conftest import make_gen, triangle_scenarios, triangle_system
 
@@ -29,6 +30,15 @@ def toy3_system():
     sys_obj = triangle_system(T=4, demand_b3=(60.0, 80.0, 70.0, 60.0))
     rows = dict(sys_obj.demand.rows, b2=(20.0, 30.0, 25.0, 20.0))
     return replace(sys_obj, demand=DemandProfile(rows=rows, horizon_length=4))
+
+
+@dataclass(frozen=True)
+class Unit:
+    """An element type no loader code names."""
+    id: Id
+    rating: float
+    steps: int = 1
+    status: InitialStatus = field(default_factory=InitialStatus)
 
 
 class TestValidation:
@@ -245,6 +255,25 @@ class TestJsonRoundTrip:
         del doc["generators"][0]["p_max"]
         with pytest.raises(CaseFormatError, match=r"generators\[0\].*p_max"):
             system_from_dict(doc)
+
+    def test_element_reads_a_dataclass_by_its_fields(self):
+        # a field with a default is read with no loader edit
+        unit = element(Unit, {"id": 7, "rating": 2,
+                              "status": {"on": True, "hours": 3}}, "units[0]")
+        assert unit == Unit(7, 2.0, status=InitialStatus(on=True, hours=3))
+        assert type(unit.rating) is float
+        assert element(Unit, {"id": "u", "rating": 1.5, "steps": 3,
+                              "status": None}, "u") == Unit("u", 1.5, 3)
+        for doc, says in [
+                ({"id": 7}, r"units\[0\]: missing required field 'rating'"),
+                ({"id": 7, "rating": 1, "steps": 1.5},
+                 r"units\[0\]\.steps: expected a whole number"),
+                ({"id": 7, "rating": 1, "status": {"dispatch": "5"}},
+                 r"units\[0\]\.status\.dispatch: expected a number"),
+                ({"id": 7, "rating": 1, "rate": 2},
+                 r"units\[0\]\.rate: unknown field")]:
+            with pytest.raises(CaseFormatError, match=says):
+                element(Unit, doc, "units[0]")
 
     def test_corrupt_json_diagnostic(self, tmp_path):
         path = tmp_path / "broken.json"
