@@ -30,7 +30,8 @@ whose methods append the model in order.  Each works on whole grids (see
 ``milp.Block``): one column block per symbol, and one row block per
 equation family, filled by numpy index arithmetic over the (g,t,s) and
 (c,t,s) grids.  The column order is fixed: columns u, v, Pg, r, Pw, Pk,
-th, then per contingency one run each of Pgc, Pwc, Pkc and thc, then z.
+th, then per contingency one copy each of Pgc, Pwc, Pkc and thc, each
+appended to its symbol's block, then z.
 Rows are the families in the order the builder appends them: eq2, eq3,
 eq4, eq5, eq6, eq7, eq8, eq9, eq10, eq13, eq14, eq15, eq16, eq17, eq18,
 eq19, eq20, eq21, eq22, eq23, eq24, then for CNR eq25, eq26, eq27L, eq27U
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .milp import INF, Block, MilpProblem
+from .milp import INF, MilpProblem
 from .scenarios import ScenarioSet
 from .system import Id, PowerSystem, TransmissionLine
 from .topology import Contingency
@@ -220,76 +221,47 @@ class _Builder:
     # -- variables ----------------------------------------------------------
 
     def columns(self) -> None:
-        """Create and register every decision variable with its natural
-        bounds.
+        """Create and name every decision variable with its natural bounds.
 
-        One column block per symbol, all appended with one call.  The
-        post-contingency copies are laid out contingency by contingency,
-        each holding one run of Pgc, Pwc, Pkc and thc, so those four
-        blocks interleave.
+        One ``add_col_block`` call per symbol for the first stage and the
+        base case, then per contingency one call each for that copy's
+        Pgc, Pwc, Pkc and thc, each appending the copy's keys to its
+        symbol, then z.  ``cols`` keeps each symbol's columns, shaped
+        (keys, *inner) in registration order.
         """
-        prob, sys, cfg, inner = self.prob, self.sys, self.cfg, self.inner
-        T, S = self.T, self.S
-        TS = T * S
+        cfg, inner, sys = self.cfg, self.inner, self.sys
         gens, res, lines, buses = sys.generators, sys.res_units, sys.lines, sys.buses
         p_max, cap = self.unit["p_max"], self.avail
         th_lb = _per([0.0 if n.id == self.ref else -cfg.angle_bound for n in buses])
         th_ub = _per([0.0 if n.id == self.ref else cfg.angle_bound for n in buses])
-        cids, pairs = self.cids, self.pairs
-        # symbol, elements, inner axes, lb, ub, integer
-        own = [("u", gens, inner[:1], 0.0, 1.0, True),
-               ("v", gens, inner[:1], 0.0, 1.0, True),
-               ("Pg", gens, inner, 0.0, p_max, False),
-               ("r", gens, inner, 0.0, INF, False),
-               ("Pw", res, inner, 0.0, cap, False),
-               ("Pk", lines, inner, -INF, INF, False),
-               ("th", buses, inner, th_lb, th_ub, False)]
+        parts: dict[str, list[np.ndarray]] = {}
+
+        def add(symbol, keys, lb, ub, integer=False, axes=inner):
+            parts.setdefault(symbol, []).append(self.prob.add_col_block(
+                symbol, keys, lb, ub, integer, axes))
+
+        def ids(items, *suffix):
+            return [(e.id, *suffix) for e in items]
+
+        add("u", ids(gens), 0.0, 1.0, True, inner[:1])
+        add("v", ids(gens), 0.0, 1.0, True, inner[:1])
+        add("Pg", ids(gens), 0.0, p_max)
+        add("r", ids(gens), 0.0, INF)
+        add("Pw", ids(res), 0.0, cap)
+        add("Pk", ids(lines), -INF, INF)
+        add("th", ids(buses), th_lb, th_ub)
         # the outaged line carries no flow in its own contingency
         dead = (self.kind == 0)[:, :, None, None]
-        copies = [("Pgc", gens, 0.0, p_max), ("Pwc", res, 0.0, cap),
-                  ("Pkc", lines, np.where(dead, 0.0, -INF), np.where(dead, 0.0, INF)),
-                  ("thc", buses, th_lb, th_ub)]
-        n_own = sum(len(items) * math.prod(map(len, axes))
-                    for _, items, axes, _, _, _ in own)
-        per = sum(len(items) for _, items, _, _ in copies) * TS
-        lb = np.empty(n_own + len(cids) * per + len(pairs) * TS)
-        ub = np.empty(lb.size)
-        integer = np.zeros(lb.size, dtype=bool)
-        offset, blocks = 0, []
-        for symbol, items, axes, low, high, is_int in own:
-            shape = (len(items),) + tuple(map(len, axes))
-            span = slice(offset, offset + math.prod(shape))
-            lb[span].reshape(shape)[...] = low
-            ub[span].reshape(shape)[...] = high
-            integer[span] = is_int
-            blocks.append(Block(symbol, [(e.id,) for e in items],
-                                offset + math.prod(shape[1:])
-                                * np.arange(len(items)), axes))
-            offset = span.stop
-        if cids:
-            C = len(cids)
-            low_c = lb[offset:offset + C * per].reshape(C, per)
-            high_c = ub[offset:offset + C * per].reshape(C, per)
-            within = 0
-            for symbol, items, low, high in copies:
-                span = slice(within, within + len(items) * TS)
-                low_c[:, span].reshape(C, len(items), T, S)[...] = low
-                high_c[:, span].reshape(C, len(items), T, S)[...] = high
-                blocks.append(Block(
-                    symbol, [(e.id, cid) for cid in cids for e in items],
-                    (offset + per * np.arange(C)[:, None] + within
-                     + TS * np.arange(len(items))).reshape(-1), inner))
-                within = span.stop
-            offset += C * per
-        if pairs:
-            lb[offset:], ub[offset:], integer[offset:] = 0.0, 1.0, True
-            blocks.append(Block("z", pairs,
-                                offset + TS * np.arange(len(pairs)), inner))
-        for block in blocks:
-            prob.registry.add_block(block)
-        prob.add_cols(lb, ub, integer)
-        # each symbol's columns, shaped (keys, *inner) as registered
-        self.cols = {block.name: block.numbers() for block in blocks}
+        for cid, flow_lb, flow_ub in zip(self.cids, np.where(dead, 0.0, -INF),
+                                         np.where(dead, 0.0, INF)):
+            add("Pgc", ids(gens, cid), 0.0, p_max)
+            add("Pwc", ids(res, cid), 0.0, cap)
+            add("Pkc", ids(lines, cid), flow_lb, flow_ub)
+            add("thc", ids(buses, cid), th_lb, th_ub)
+        if self.pairs:
+            add("z", self.pairs, 0.0, 1.0, True)
+        self.cols = {symbol: np.concatenate(cols)
+                     for symbol, cols in parts.items()}
 
     # -- base-case generator block: eq2 .. eq10, eq13 -----------------------
 

@@ -9,15 +9,18 @@ grid: each of its keys owns a run ``first[key] + q`` over the
 flattened inner axes (typically periods x scenarios), so one block holds
 every row of an equation family, or every column of a variable symbol,
 and a position's index tuple is its key followed by its inner values.
-The model builders emit whole blocks with numpy index arithmetic, and
-blocks are the only way in: ``add_cols`` appends columns that
-``registry.add_block`` names, one block per symbol; ``add_row_block``
-appends an equation family's rows; ``add_objective`` adds objective
-terms.  A single column or row is a block with one key and no inner axes.
+Blocks are the only way in, through three calls: ``add_col_block``
+appends a symbol's columns and names them, ``add_row_block`` appends an
+equation family's rows and ``add_objective`` adds objective terms.  A
+single column or row is a block with one key and no inner axes.
 
-Row blocks are appended at the end of the model, so the rows are the
-blocks in the order they were added, each block key by key and one
-contiguous run per key.  A row block arrives as (row, term) arrays of
+Both kinds of block are appended at the end of the model, key by key and
+one contiguous run per key.  A symbol has one column block: a later
+``add_col_block`` call for it appends more keys to that block, so a
+symbol's keys may own runs that other symbols' columns sit between (the
+post-contingency copies append one copy of each symbol in turn), and the
+blocks partition the columns.  The rows are the row blocks in the order
+they were added.  A row block arrives as (row, term) arrays of
 columns and values; its padding is dropped and its terms are appended to
 the CSR arrays (each row's terms in the order its family lists them,
 explicit zeros kept, no column twice in a row) with the row lb/ub
@@ -67,16 +70,10 @@ class Block:
                  inner: tuple[tuple, ...] = ()) -> None:
         self.name = name
         self.keys = keys
-        if not (type(first) is np.ndarray and first.dtype == np.int64
-                and first.ndim == 1):
-            first = np.asarray(first, dtype=np.int64).reshape(-1)
-        self.first = first
+        self.first = first  # int64, one run start per key
         self.inner = inner
         self.shape = (len(keys),) + tuple(map(len, inner))
         self.run = math.prod(self.shape[1:])
-        if len(self.first) != len(self.keys):
-            raise ValueError(f"block {name}: {len(self.keys)} keys but "
-                             f"{len(self.first)} run starts")
         self._positions: tuple[dict, list[dict]] | None = None
         self._numbers: np.ndarray | None = None
 
@@ -170,16 +167,28 @@ class VariableRegistry:
 
     def __init__(self) -> None:
         self._blocks: dict[str, Block] = {}
+        self._keys: dict[str, set[tuple]] = {}  # each symbol's keys so far
 
-    def add_block(self, block: Block) -> None:
-        """Register every column of a symbol; its keys, and the values
-        along each inner axis, must be distinct."""
-        if block.name in self._blocks:
-            raise ValueError(f"symbol {block.name} is already registered")
-        if (len(set(block.keys)) < len(block.keys)
-                or any(len(set(axis)) < len(axis) for axis in block.inner)):
-            raise ValueError(f"duplicate registration in block {block.name}")
-        self._blocks[block.name] = block
+    def _add(self, symbol: str, keys: list[tuple], first: np.ndarray,
+             inner: tuple[tuple, ...]) -> None:
+        """Register keys whose runs start at ``first`` under a symbol, after
+        its earlier keys.  Its keys, and the values along each inner axis,
+        must be distinct, and its inner axes the same in every call;
+        otherwise nothing is registered."""
+        old = self._blocks.get(symbol)
+        if old is not None and old.inner != inner:
+            raise ValueError(f"symbol {symbol}: inner axes differ from its "
+                             f"earlier columns'")
+        seen, new = self._keys.get(symbol, ()), set(keys)
+        if (len(new) < len(keys) or not new.isdisjoint(seen)
+                or old is None and any(len(set(a)) < len(a) for a in inner)):
+            raise ValueError(f"duplicate registration in block {symbol}")
+        if old is None:
+            self._keys[symbol] = new
+        else:
+            keys, first = old.keys + keys, np.concatenate((old.first, first))
+            seen.update(new)
+        self._blocks[symbol] = Block(symbol, keys, first, inner)
 
     def block(self, symbol: str) -> Block:
         """The block holding every column of a symbol."""
@@ -206,9 +215,10 @@ class VariableRegistry:
         block = self._blocks.get(symbol)
         return 0 if block is None else block.size
 
-    def names(self, n_cols: int) -> list:
-        """Every column's name; None for a column no block holds."""
-        names = np.full(n_cols, None, dtype=object)
+    def names(self) -> list[str]:
+        """Every column's name, in column order."""
+        names = np.empty(sum(b.size for b in self._blocks.values()),
+                         dtype=object)
         for block in self._blocks.values():
             names[block.numbers().reshape(-1)] = block.labels()
         return names.tolist()
@@ -422,22 +432,37 @@ class MilpProblem:
         model = self._model
         key = ("names", model.n_cols)
         if key not in model._cache:
-            model._cache[key] = self.registry.names(model.n_cols)
+            model._cache[key] = self.registry.names()
         return model._cache[key]
 
     def var_name(self, col: int) -> str:
         return self.registry.name(int(col))
 
-    def add_cols(self, lb, ub, integer) -> int:
-        """Append columns with these bound and integrality arrays, for
-        blocks registered over them; returns the first one's number."""
-        start = self._model.n_cols
+    def add_col_block(self, symbol: str, keys: list[tuple], lb, ub,
+                      integer: bool = False,
+                      inner: tuple[tuple, ...] = ()) -> np.ndarray:
+        """Append one column per (key, inner position) of a variable symbol
+        and name them ``symbol[key..., inner...]``.
+
+        The columns follow the last column, key by key, each key's run over
+        the flattened inner axes, with bounds [lb, ub] broadcast to (keys,
+        *inner).  A later call for the same symbol appends more keys to its
+        block over the same inner axes.  A repeated key or inner value, or
+        other inner axes, is rejected and appends nothing.  Returns the
+        columns' numbers, shaped (keys, *inner).
+        """
+        model, start = self._model, self._model.n_cols
+        shape = (len(keys),) + tuple(map(len, inner))
+        run, n = math.prod(shape[1:]), math.prod(shape)
+        lb, ub = _flat(lb, shape), _flat(ub, shape)
+        self.registry._add(symbol, keys, start + run * np.arange(len(keys)),
+                           inner)
         self._lb.extend(lb)
         self._ub.extend(ub)
-        self._model.integer.extend(integer)
-        self._model.n_cols += self._lb.size - start
-        self._model._cache.clear()
-        return start
+        model.integer.extend(np.full(n, integer, dtype=bool))
+        model.n_cols += n
+        model._cache.clear()
+        return np.arange(start, start + n).reshape(shape)
 
     # -- rows --------------------------------------------------------------
 

@@ -17,7 +17,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .document import ident, load, number, obj
+from .document import ident, known, load, number, obj
 
 PROBABILITY_TOL = 1e-9
 WIND_STEP_FRAC = 0.35  # a wind walk's step deviation over its amplitude
@@ -155,6 +155,9 @@ def synth_wind_profiles(
 # JSON input
 # ---------------------------------------------------------------------------
 
+_SCENARIO_KEYS = frozenset({"id", "probability", "availability"})
+
+
 def scenario_set_from_list(doc: list[dict[str, Any]],
                            block_len: int = 1) -> ScenarioSet:
     """Parse a scenario array; optionally block-average on load.
@@ -169,7 +172,8 @@ def scenario_set_from_list(doc: list[dict[str, Any]],
     ids = []
     for i, s in enumerate(doc):
         where = f"scenario[{i}]"
-        if "probability" not in obj(s, where) or "availability" not in s:
+        known(obj(s, where), _SCENARIO_KEYS, where)
+        if "probability" not in s or "availability" not in s:
             raise ValueError(f"{where}: needs 'probability' and 'availability'")
         ids.append(ident(s.get("id", f"s{i}"), f"{where}.id"))
         probabilities.append(number(s["probability"], f"{where}.probability"))

@@ -122,9 +122,6 @@ class PowerSystem:
     demand: DemandProfile
     mva_base: float = 100.0
 
-    def line(self, line_id: Id) -> TransmissionLine:
-        return {k.id: k for k in self.lines}[line_id]
-
     @property
     def horizon(self) -> int:
         return self.demand.horizon_length

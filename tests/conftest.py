@@ -8,18 +8,15 @@ import pytest
 from gridsched import (DemandProfile, Generator, InitialStatus, PowerSystem,
                        ResUnit, ScenarioSet, TransmissionLine,
                        build_scenario_set, build_system)
-from gridsched.milp import Block, MilpProblem
+from gridsched.milp import MilpProblem
 
 
 def named_cols(prob: MilpProblem, names, lb, ub, integer=False) -> list[int]:
-    """Append one column per name, each registered as its own one-column
-    block with no key, so it is named by the bare name; returns them."""
-    start = prob.add_cols(np.broadcast_to(lb, len(names)),
-                          np.broadcast_to(ub, len(names)),
-                          np.broadcast_to(integer, len(names)))
-    for i, name in enumerate(names):
-        prob.registry.add_block(Block(name, [()], [start + i]))
-    return list(range(start, start + len(names)))
+    """Append one column per name, each its own one-column block with no
+    key, so it is named by the bare name; returns them."""
+    lb, ub, integer = (np.broadcast_to(a, len(names)) for a in (lb, ub, integer))
+    return [int(prob.add_col_block(name, [()], lb[i], ub[i], integer[i])[0])
+            for i, name in enumerate(names)]
 
 
 def col_value(prob: MilpProblem, res, symbol: str, *index) -> float:

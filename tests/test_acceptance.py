@@ -304,7 +304,7 @@ class TestCriterion6IndependentFeasibility:
             for (cid, k, t, s), zv in rec.sol.z.items():
                 if round(zv) != 1:
                     continue
-                line = rec.sys_obj.line(k)
+                line = next(x for x in rec.sys_obj.lines if x.id == k)
                 coef = line.susceptance * rec.sys_obj.mva_base
                 lhs = rec.sol.flow_c[(k, cid, t, s)]
                 rhs = coef * (rec.sol.angle_c[(line.from_bus, cid, t, s)]

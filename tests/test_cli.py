@@ -314,6 +314,7 @@ class TestNonFiniteInput:
         ("scenarios", (0, "id"), [1],
          "scenario[0].id: expected a string or an integer"),
         ("scenarios", (1, "id"), "s0", "scenario 's0': duplicate id"),
+        ("scenarios", (0, "weight"), 5, "scenario[0].weight: unknown field"),
         ("case", ("buses", 0, "generator_ids"), [["g1"]],
          "buses[0].generator_ids[0]: expected a string or an integer"),
         # a misspelt field is an error, not a field read as its default
@@ -413,6 +414,13 @@ class TestFlags:
         assert run_cli(command, TOY, TOY_SCEN, *extra, flag, value,
                        "--out-dir", str(tmp_path)) == 2
         assert "input error" in capsys.readouterr().err
+
+    def test_reference_bus(self, tmp_path, capsys):
+        assert run_cli("run", TOY, TOY_SCEN, "--ref-bus", "nope",
+                       "--out-dir", str(tmp_path / "nope")) == 2
+        assert "reference bus 'nope' not in case" in capsys.readouterr().err
+        assert run_cli("run", TOY, TOY_SCEN, "--ref-bus", "b2", "--mip-gap",
+                       "0", "--out-dir", str(tmp_path / "b2")) == 0
 
     @pytest.mark.parametrize("command", ["run", "sweep", "verify"])
     def test_out_dir_that_cannot_be_made(self, tmp_path, capsys, monkeypatch,

@@ -16,7 +16,7 @@ from gridsched import (DemandProfile, FormulationConfig, ModelKind,
                        load_scenario_set, load_system)
 from gridsched import solver as solver_mod
 from gridsched.data import bundled
-from gridsched.milp import INF, Block, MilpProblem
+from gridsched.milp import INF, MilpProblem
 from gridsched.scenarios import build_scenario_set, synth_wind_profiles
 
 from conftest import named_cols
@@ -235,6 +235,31 @@ class TestRowOrder:
         assert runs == families
 
 
+class TestColumnLayout:
+    @pytest.mark.parametrize("inputs, kind", [
+        (toy3_inputs, ModelKind.SSCUC),
+        (toy3_inputs, ModelKind.SSCUC_CNR),
+        (toy3_mixed_inputs, ModelKind.SSCUC_CNR),
+        (rts24_slice, ModelKind.SSCUC_CNR),
+        (lambda: tiny_instances()[0], ModelKind.SSCUC_CNR),
+    ], ids=["toy3-sscuc", "toy3-cnr", "toy3-mixed-cnr", "rts24-slice-cnr",
+            "triangle-cnr"])
+    def test_symbol_blocks_partition_the_columns(self, inputs, kind):
+        system, scen, cont = inputs()
+        prob = assemble(system, scen, cont, FormulationConfig(model_kind=kind))
+        cols = np.concatenate([c for _, _, c in prob.registry.groups()])
+        assert np.array_equal(np.sort(cols), np.arange(prob.num_vars))
+        names = prob.var_names
+        assert None not in names
+        assert len(set(names)) == len(names) == prob.num_vars
+        # first stage, then one copy of each symbol per contingency, then z
+        runs = [symbol for symbol, _ in itertools.groupby(
+            name.split("[", 1)[0] for name in names)]
+        order = (("u", "v", "Pg", "r", "Pw", "Pk", "th")
+                 + ("Pgc", "Pwc", "Pkc", "thc") * len(cont) + ("z",))
+        assert runs == [s for s in order if prob.registry.count(s)]
+
+
 class TestMaxViolationReference:
     @pytest.mark.parametrize("kind", KINDS)
     def test_random_points_on_toy3(self, kind):
@@ -278,8 +303,7 @@ class TestMaxViolationReference:
     def test_bound_only_violation(self):
         prob = MilpProblem()
         x, y = named_cols(prob, ["x", "y"], 0.0, 1.0)
-        u = prob.add_cols([0.0], [1.0], [True])
-        prob.registry.add_block(Block("u", [("g1",)], [u], ((1,),)))
+        [[u]] = prob.add_col_block("u", [("g1",)], 0.0, 1.0, True, ((1,),))
         prob.add_row_block("cap", [()], [(x, 1.0), (y, 1.0), (u, 1.0)],
                            -INF, 10.0)
         # x and y both miss a bound by 1; scaled, y's 1/1 beats x's 1/2,

@@ -170,6 +170,19 @@ class TestNetworkBlock:
         other = prob.registry.col("th", "b2", 1, "s0")
         assert prob.lb[other] == -0.6 and prob.ub[other] == 0.6
 
+    def test_chosen_reference_bus_is_pinned_in_every_copy(self):
+        sys_obj = triangle_system()
+        cont = build_contingency_set(sys_obj)
+        cfg = replace(SSCUC, reference_bus="b2", angle_bound=0.4)
+        prob = assemble(sys_obj, triangle_scenarios(), cont, cfg)
+        for symbol in ("th", "thc"):
+            indices = prob.registry.indices(symbol)
+            cols = prob.registry.block(symbol).numbers().reshape(-1)
+            assert len(indices) == 3 * (1 if symbol == "th" else len(cont)) * 4
+            for index, col in zip(indices, cols):
+                bound = 0.0 if index[0] == "b2" else 0.4
+                assert (prob.lb[col], prob.ub[col]) == (-bound, bound), index
+
     def test_unknown_reference_bus_rejected(self):
         cfg = replace(SSCUC, reference_bus="zz")
         with pytest.raises(KeyError):
@@ -313,7 +326,8 @@ class TestCnrNetwork:
         z = prob.registry.col("z", "L1", "L2", 1, "s0")
         res = solve(prob.clone_with_bounds({z: 1.0}), SolveOptions(mip_gap=0.0))
         assert res.status.has_solution
-        coef = sys_obj.line("L2").susceptance * sys_obj.mva_base
+        [line] = [k for k in sys_obj.lines if k.id == "L2"]
+        coef = line.susceptance * sys_obj.mva_base
         flow = col_value(prob, res, "Pkc", "L2", "L1", 1, "s0")
         dtheta = (col_value(prob, res, "thc", "b1", "L1", 1, "s0")
                   - col_value(prob, res, "thc", "b3", "L1", 1, "s0"))

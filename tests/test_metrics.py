@@ -178,7 +178,8 @@ class TestVerifySolution:
         sys_obj, scen, cont, prob, res, sol = solved_triangle()
         key = ("L1", 1, "s0")
         flows = dict(sol.flow)
-        flows[key] = flows[key] + 2 * sys_obj.line("L1").limit_long_term
+        [line] = [k for k in sys_obj.lines if k.id == "L1"]
+        flows[key] = flows[key] + 2 * line.limit_long_term
         bad = replace(sol, flow=flows)
         eqs = {v.equation for v in verify_solution(bad, sys_obj, scen, cont, SSCUC)}
         assert "eq15" in eqs

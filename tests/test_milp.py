@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gridsched.milp import INF, Block, MilpProblem
+from gridsched.milp import INF, MilpProblem
 
 from conftest import named_cols
 
@@ -23,26 +23,64 @@ def small_mip() -> MilpProblem:
 class TestContainer:
     def test_registry_round_trip(self):
         prob = MilpProblem()
-        start = prob.add_cols(np.zeros(4), np.full(4, 50.0), np.zeros(4, bool))
-        prob.registry.add_block(Block("Pg", [("g1",), ("g2",)],
-                                      [start, start + 2], ((1, 2),)))
-        assert prob.registry.col("Pg", "g2", 1) == start + 2
+        pg = prob.add_col_block("Pg", [("g1",), ("g2",)], 0.0, 50.0,
+                                inner=((1, 2),))
+        assert pg.tolist() == [[0, 1], [2, 3]]
+        assert prob.registry.col("Pg", "g2", 1) == 2
         assert prob.var_names == ["Pg[g1,1]", "Pg[g1,2]", "Pg[g2,1]",
                                   "Pg[g2,2]"]
-        assert prob.var_name(start + 3) == "Pg[g2,2]"
+        assert prob.var_name(3) == "Pg[g2,2]"
+        assert prob.lb.tolist() == [0.0] * 4 and prob.ub.tolist() == [50.0] * 4
+        assert not prob.integer.any()
 
     def test_one_block_per_symbol(self):
         prob = MilpProblem()
-        prob.add_cols(np.zeros(4), np.ones(4), np.zeros(4, bool))
-        prob.registry.add_block(Block("u", [("g",)], [0], ((1,),)))
-        with pytest.raises(ValueError, match="already registered"):
-            prob.registry.add_block(Block("u", [("h",)], [1], ((1,),)))
+        prob.add_col_block("u", [("g",)], 0.0, 1.0, True, ((1,),))
         with pytest.raises(ValueError, match="duplicate"):
-            prob.registry.add_block(Block("v", [("g",), ("g",)], [1, 2]))
+            prob.add_col_block("u", [("g",)], 0.0, 1.0, True, ((1,),))
         with pytest.raises(ValueError, match="duplicate"):
-            prob.registry.add_block(Block("w", [("g",)], [2], ((1, 1),)))
+            prob.add_col_block("v", [("g",), ("g",)], 0.0, 1.0)
+        with pytest.raises(ValueError, match="duplicate"):
+            prob.add_col_block("w", [("g",)], 0.0, 1.0, inner=((1, 1),))
         assert prob.registry.count("u") == 1
         assert prob.registry.count("v") == prob.registry.count("w") == 0
+
+    def test_a_later_call_appends_keys_in_order(self):
+        prob = MilpProblem()
+        inner = (("a", "b"),)
+        first = prob.add_col_block("Pgc", [("g1", "c1"), ("g2", "c1")],
+                                   0.0, [[1.0], [2.0]], inner=inner)
+        [z] = prob.add_col_block("z", [("c1",)], 0.0, 1.0, True)
+        later = prob.add_col_block("Pgc", [("g1", "c2")], 0.0, 3.0, inner=inner)
+        assert first.tolist() == [[0, 1], [2, 3]] and z == 4
+        assert later.tolist() == [[5, 6]]
+        assert prob.registry.indices("Pgc") == [
+            ("g1", "c1", "a"), ("g1", "c1", "b"), ("g2", "c1", "a"),
+            ("g2", "c1", "b"), ("g1", "c2", "a"), ("g1", "c2", "b")]
+        assert prob.registry.block("Pgc").numbers().tolist() == [
+            [0, 1], [2, 3], [5, 6]]
+        assert prob.registry.col("Pgc", "g1", "c2", "b") == 6
+        assert prob.var_names == [
+            "Pgc[g1,c1,a]", "Pgc[g1,c1,b]", "Pgc[g2,c1,a]", "Pgc[g2,c1,b]",
+            "z[c1]", "Pgc[g1,c2,a]", "Pgc[g1,c2,b]"]
+        assert prob.var_name(5) == "Pgc[g1,c2,a]"
+        assert prob.ub.tolist() == [1.0, 1.0, 2.0, 2.0, 1.0, 3.0, 3.0]
+        assert prob.integer.tolist() == [False] * 4 + [True] + [False] * 2
+
+    def test_a_rejected_call_appends_nothing(self):
+        prob = MilpProblem()
+        prob.add_col_block("Pgc", [("g1", "c1")], 0.0, 1.0, inner=((1, 2),))
+        with pytest.raises(ValueError, match="inner axes differ"):
+            prob.add_col_block("Pgc", [("g1", "c2")], 0.0, 1.0, inner=((1,),))
+        with pytest.raises(ValueError, match="duplicate"):
+            prob.add_col_block("Pgc", [("g2", "c2"), ("g1", "c1")], 0.0, 1.0,
+                               inner=((1, 2),))
+        assert prob.num_vars == prob.lb.size == prob.integer.size == 2
+        assert prob.registry.indices("Pgc") == [("g1", "c1", 1), ("g1", "c1", 2)]
+        assert prob.var_names == ["Pgc[g1,c1,1]", "Pgc[g1,c1,2]"]
+        # the keys a rejected call named stay free
+        prob.add_col_block("Pgc", [("g2", "c2")], 0.0, 1.0, inner=((1, 2),))
+        assert prob.registry.col("Pgc", "g2", "c2", 2) == 3
 
     def test_unknown_column_in_row_block_fails_check(self):
         prob = MilpProblem()

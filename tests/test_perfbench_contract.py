@@ -1,8 +1,9 @@
 """The benchmark under perfbench/ is frozen: it calls gridsched by name.
 
 Installing its tracer patches gridsched's internal call sites and fails
-if one of them is gone; one traced oracle-tiny instance then exercises
-every public call the benchmark makes on that workload.
+if one of them is gone; one traced oracle-tiny instance and one traced
+rts24-day-build pass then exercise every public call the benchmark makes
+on each workload.
 """
 
 import importlib.util
@@ -23,17 +24,37 @@ def load(name: str):
     return module
 
 
-def test_traced_oracle_tiny_instance_passes():
+def traced(run):
+    """The cases ``run(workloads, api, tracer)`` returns with the tracer
+    installed, and the names of the spans it recorded."""
     bench, tracing, workloads = load("run"), load("tracing"), load("workloads")
     tracer = tracing.Tracer()
     api = tracer.install(bench.public_api(gridsched))
     try:
-        inputs = [workloads.tiny_instance(api, 0, 0)]
-        cases = workloads.OracleTiny(0).run_pass(api, inputs, tracer)
+        cases = run(workloads, api, tracer)
     finally:
         tracer.uninstall()
+    return cases, {sp[tracing.NAME] for sp in tracer.spans}
+
+
+def test_traced_oracle_tiny_instance_passes():
+    def run(workloads, api, tracer):
+        inputs = [workloads.tiny_instance(api, 0, 0)]
+        return workloads.OracleTiny(0).run_pass(api, inputs, tracer)
+
+    cases, names = traced(run)
     assert len(cases) == 2
     assert [c.failures for c in cases] == [[], []]
-    names = {sp[tracing.NAME] for sp in tracer.spans}
     assert {"gridsched.solver.milp", "gridsched.oracle.solve",
             "MilpProblem.max_violation"} <= names
+
+
+def test_traced_rts24_day_build_pass_passes():
+    def run(workloads, api, tracer):
+        day = workloads.Rts24DayBuild(0)
+        return day.run_pass(api, day.setup(api), tracer)
+
+    cases, names = traced(run)
+    assert len(cases) == 2
+    assert [c.failures for c in cases] == [[], []]
+    assert {"gridsched.solver.milp", "MilpProblem.max_violation"} <= names

@@ -47,7 +47,7 @@ class TestFindBridges:
                     if len(islands_after(sys_obj, {k.id})) > 1}
         assert bridges == expected
         assert bridges == {11}
-        line11 = sys_obj.line(11)
+        [line11] = [k for k in sys_obj.lines if k.id == 11]
         assert {line11.from_bus, line11.to_bus} == {7, 8}
 
 
