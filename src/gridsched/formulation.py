@@ -115,25 +115,42 @@ def _per(values) -> np.ndarray:
 
 def _previous(cols: np.ndarray) -> np.ndarray:
     """Columns of the previous period (axis 1); -1, no term, at t = 1."""
-    first = np.empty_like(cols[:, :1])
-    first.fill(-1)
-    return np.concatenate([first, cols[:, :-1]], axis=1)
+    prev = np.empty_like(cols)
+    prev[:, 0] = -1
+    prev[:, 1:] = cols[:, :-1]
+    return prev
 
 
-def _padded(rows: list[list[tuple]], shape: tuple) -> list[tuple]:
-    """Per-row term lists of different lengths as block terms: term j of
-    row i is ``rows[i][j]`` (columns of ``shape``, coefficient); the
-    result's term j stacks them over the rows, shaped (rows, *shape), with
-    column -1 where a row is shorter than the longest."""
-    width = max(map(len, rows), default=0)
-    cols = np.empty((width, len(rows)) + shape, dtype=np.int32)
+def _padded(row: np.ndarray, col: np.ndarray, coef: np.ndarray,
+            rows: int) -> list[tuple]:
+    """Terms listed one by one as block terms.  Term i lies in row
+    ``row[i]`` with columns ``col[i]`` and coefficient ``coef[i]``; the
+    rows ascend and each row's terms come in its order.  The result's term
+    j stacks every row's j-th term, shaped (rows, *col.shape[1:]), with
+    column -1 where a row has fewer terms."""
+    pos = np.arange(row.size) - row.searchsorted(row)
+    width = int(pos.max()) + 1 if pos.size else 0
+    cols = np.empty((width, rows) + col.shape[1:], dtype=np.int32)
     cols.fill(-1)
-    vals = np.zeros((width, len(rows)) + (1,) * len(shape))
-    for i, terms in enumerate(rows):
-        for j, (col, coef) in enumerate(terms):
-            cols[j, i] = col
-            vals[j, i] = coef
+    cols[pos, row] = col
+    vals = np.zeros((width, rows) + coef.shape[1:])
+    vals[pos, row] = coef
     return list(zip(cols, vals))
+
+
+def _windows(v: np.ndarray, u: np.ndarray,
+             rows: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
+    """Terms of startup-window rows as (columns, coefficients), each shaped
+    (term, row).  Row (unit, period, first, length, u_coef) sums
+    ``v[unit, q]`` over the ``length`` periods q from ``first``, then adds
+    ``u_coef * u[unit, period]``; column -1 pads the shorter rows."""
+    unit, period, first, length, u_coef = np.array(
+        rows, dtype=np.int64).reshape(-1, 5).T
+    j = np.arange(length.max() + 1 if length.size else 0)[:, None]
+    in_window = j < length
+    return (np.where(in_window, v[unit, np.minimum(first + j, v.shape[1] - 1)],
+                     np.where(j == length, u[unit, period], -1)),
+            np.where(in_window, 1.0, u_coef))
 
 
 # the unit parameters the rows and the objective read
@@ -171,8 +188,9 @@ class _Builder:
         gens = sys.generators
         table = np.array([[getattr(g, a) for a in _UNIT_PARAMS] for g in gens],
                          dtype=float).reshape(len(gens), len(_UNIT_PARAMS))
-        self.unit = {a: table[:, i, None, None]
-                     for i, a in enumerate(_UNIT_PARAMS)}
+        table = table.T[:, :, None, None]
+        self.unit = dict(zip(_UNIT_PARAMS, table))
+        self.neg = dict(zip(_UNIT_PARAMS, -table))  # and negated
 
         # bus positions of every line's two ends, which must differ, and
         # its flow per radian of angle difference
@@ -186,15 +204,28 @@ class _Builder:
         self.frm, self.to = ends[:, 0], ends[:, 1]
         self.b_mw = np.array([k.susceptance * sys.mva_base for k in lines],
                              dtype=float)
-        # each bus's balance terms as (part, element, sign), part 0 the
-        # units, 1 the lines (inbound, then outbound) and 2 the RES units,
-        # and its demand per period
-        self.incidence = [
-            [(0, j, 1.0) for j, g in enumerate(gens) if g.bus_id == n.id]
-            + [(1, j, 1.0) for j, k in enumerate(lines) if k.to_bus == n.id]
-            + [(1, j, -1.0) for j, k in enumerate(lines) if k.from_bus == n.id]
-            + [(2, j, 1.0) for j, w in enumerate(sys.res_units)
-               if w.bus_id == n.id] for n in buses]
+        # the balance terms bus by bus, each bus's units, inbound lines,
+        # outbound lines and RES units in input order, as the terms' (bus,
+        # place at the bus, element) and a coefficient per (place, bus);
+        # the elements number the units, then the lines, then the RES units
+        G, K = len(gens), len(lines)
+        at_bus: list[list[tuple]] = [[] for _ in buses]
+        for elements in (
+                [(bus_at.get(g.bus_id), j, 1.0) for j, g in enumerate(gens)],
+                [(n, G + j, 1.0) for j, n in enumerate(self.to.tolist())],
+                [(n, G + j, -1.0) for j, n in enumerate(self.frm.tolist())],
+                [(bus_at.get(w.bus_id), G + K + j, 1.0)
+                 for j, w in enumerate(sys.res_units)]):
+            for n, element, sign in elements:
+                if n is not None:
+                    at_bus[n].append((element, sign))
+        terms = [(n, place, element, sign) for n, bus in enumerate(at_bus)
+                 for place, (element, sign) in enumerate(bus)]
+        bus, place, element = np.array(
+            [t[:3] for t in terms], dtype=np.int64).reshape(-1, 3).T
+        coef = np.zeros((max(map(len, at_bus), default=0), len(buses)))
+        coef[place, bus] = [t[3] for t in terms]
+        self.incidence = (bus, element, place, coef)
         self.demand = np.array([[sys.demand.at(n.id, t) for t in periods]
                                 for n in buses], dtype=float).reshape(-1, T)
 
@@ -260,20 +291,21 @@ class _Builder:
             add("thc", ids(buses, cid), th_lb, th_ub)
         if self.pairs:
             add("z", self.pairs, 0.0, 1.0, True)
-        self.cols = {symbol: np.concatenate(cols)
+        self.cols = {symbol: cols[0] if len(cols) == 1 else np.concatenate(cols)
                      for symbol, cols in parts.items()}
 
     # -- base-case generator block: eq2 .. eq10, eq13 -----------------------
 
     def base_generators(self) -> None:
         """eq2-eq10 per unit, then eq13 per RES unit."""
-        prob, inner, unit = self.prob, self.inner, self.unit
+        prob, inner, unit, neg = self.prob, self.inner, self.unit, self.neg
         T = self.T
         gens = self.sys.generators
         G = len(gens)
         u, v = self.cols["u"], self.cols["v"]      # (G, T)
         pg, r = self.cols["Pg"], self.cols["r"]    # (G, T, S)
         u3, v3 = u[:, :, None], v[:, :, None]
+        u_prev = _previous(u)
 
         keys = [(g.id,) for g in gens]
 
@@ -290,56 +322,47 @@ class _Builder:
         # eq6 / eq7: hourly ramps with startup/shutdown allowances; at t = 1
         #      the previous output and commitment are the initial state, which
         #      moves into the right-hand side
-        others = np.array([[q for q in range(G) if q != g] for g in range(G)],
-                          dtype=np.int64).reshape(G, max(G - 1, 0))
-        pg_prev, u_prev = _previous(pg), _previous(u3)
-
-        def from_initial(values):
-            ub = np.zeros((G, T, 1))
-            ub[:, :1] = _per(values)
-            return ub
-
+        others = r[np.array([[q for q in range(G) if q != g] for g in range(G)],
+                            dtype=np.int64).reshape(G, max(G - 1, 0))]
+        pg_prev, u3_prev = _previous(pg), u_prev[:, :, None]
+        initial = np.zeros((2, G, T, 1))
+        initial[:, :, 0, 0] = [
+            [p + g.ramp_hourly * on for g, p, on in zip(gens, p0, u0)],
+            [g.ramp_shutdown * on - p for g, p, on in zip(gens, p0, u0)]]
         prob.add_row_block(
             ("eq2", "eq3", "eq4", "eq5", "eq6", "eq7"), keys, [
                 [(u3, unit["p_min"]), (pg, -1.0)],
-                [(pg, 1.0), (r, 1.0), (u3, -unit["p_max"])],
-                [(r, 1.0), (u3, -unit["ramp_10min"])],
-                [(r[others[:, j]], 1.0) for j in range(G - 1)] + [(pg, -1.0)],
-                [(pg, 1.0), (pg_prev, -1.0), (u_prev, -unit["ramp_hourly"]),
-                 (v3, -unit["ramp_startup"])],
+                [(pg, 1.0), (r, 1.0), (u3, neg["p_max"])],
+                [(r, 1.0), (u3, neg["ramp_10min"])],
+                [(others[:, j], 1.0) for j in range(G - 1)] + [(pg, -1.0)],
+                [(pg, 1.0), (pg_prev, -1.0), (u3_prev, neg["ramp_hourly"]),
+                 (v3, neg["ramp_startup"])],
                 [(pg_prev, 1.0), (pg, -1.0),
                  (u3, unit["ramp_shutdown"] - unit["ramp_hourly"]),
-                 (v3, -unit["ramp_shutdown"]), (u_prev, -unit["ramp_shutdown"])]],
+                 (v3, neg["ramp_shutdown"]), (u3_prev, neg["ramp_shutdown"])]],
             [-INF, -INF, -INF, 0.0, -INF, -INF],
-            [0.0, 0.0, 0.0, INF,
-             from_initial([p + g.ramp_hourly * on for g, p, on in zip(gens, p0, u0)]),
-             from_initial([g.ramp_shutdown * on - p
-                           for g, p, on in zip(gens, p0, u0)])],
-            inner, padded=True)
+            [0.0, 0.0, 0.0, INF, initial[0], initial[1]], inner, padded=True)
 
         # eq8: startups within the last UT periods imply still committed;
         # eq9: no restart within DT periods after being off at t.  One row
         # per (unit, period) key, the windows padded to the longest
-        up = [(i, t) for i, g in enumerate(gens) for t in range(g.min_up, T + 1)]
-        prob.add_row_block(
-            "eq8", [(gens[i].id, t) for i, t in up],
-            _padded([[(v[i, q - 1], 1.0)
-                      for q in range(t - gens[i].min_up + 1, t + 1)]
-                     + [(u[i, t - 1], -1.0)] for i, t in up], ()),
-            -INF, 0.0, padded=True)
-        down = [(i, t) for i, g in enumerate(gens)
-                for t in range(1, T - g.min_down + 1)]
-        prob.add_row_block(
-            "eq9", [(gens[i].id, t) for i, t in down],
-            _padded([[(v[i, q - 1], 1.0)
-                      for q in range(t + 1, t + gens[i].min_down + 1)]
-                     + [(u[i, t - 1], 1.0)] for i, t in down], ()),
-            -INF, 1.0, padded=True)
+        up = [(i, p, p - g.min_up + 1, g.min_up, -1)
+              for i, g in enumerate(gens) for p in range(g.min_up - 1, T)]
+        down = [(i, p, p + 1, g.min_down, 1)
+                for i, g in enumerate(gens) for p in range(T - g.min_down)]
+        cols, coefs = _windows(v, u, up + down)
+        for family, rows, at, rhs in (("eq8", up, slice(len(up)), 0.0),
+                                      ("eq9", down, slice(len(up), None), 1.0)):
+            width = max((n for *_, n, _ in rows), default=-1) + 1
+            prob.add_row_block(
+                family, [(gens[i].id, p + 1) for i, p, *_ in rows],
+                list(zip(cols[:width, at], coefs[:width, at])), -INF, rhs,
+                padded=True)
         # eq10: startup indicator
         lb10 = np.zeros((G, T))
         lb10[:, 0] = [-float(on) for on in u0]
         prob.add_row_block("eq10", keys,
-                           [(v, 1.0), (u, -1.0), (_previous(u), 1.0)], lb10, INF,
+                           [(v, 1.0), (u, -1.0), (u_prev, 1.0)], lb10, INF,
                            inner[:1], padded=True)
 
         # eq13: RES output capped by scenario availability
@@ -360,16 +383,16 @@ class _Builder:
         T, S = self.T, self.S
         buses = self.sys.buses
         N, runs = len(buses), len(suffixes)
-        terms = [[(parts[part][:, j], sign) for part, j, sign in bus]
-                 for bus in self.incidence]
-        demand = np.empty((N, runs, T, 1))
-        demand[...] = self.demand[:, None, :, None]
+        bus, element, place, coef = self.incidence
+        cols = np.empty((len(coef), N, runs, T, S), dtype=np.int32)
+        cols.fill(-1)
+        cols[place, bus] = np.concatenate(parts, axis=1)[:, element].swapaxes(0, 1)
+        demand = self.demand.repeat(runs, axis=0)[:, :, None]
         self.prob.add_row_block(
             family, [(n.id, *sfx) for n in buses for sfx in suffixes],
-            [(col.reshape(N * runs, T, S), coef.repeat(runs, axis=0)[..., 0])
-             for col, coef in _padded(terms, (runs, T, S))],
-            demand.reshape(-1, T, 1), demand.reshape(-1, T, 1), self.inner,
-            padded=True)
+            list(zip(cols.reshape(-1, N * runs, T, S),
+                     coef.repeat(runs, axis=1)[:, :, None, None])),
+            demand, demand, self.inner, padded=True)
 
     # -- base-case network block: eq14 .. eq16 ------------------------------
 
@@ -401,17 +424,17 @@ class _Builder:
         pg = np.concatenate([self.cols["Pg"]] * C)
         pgc = self.cols["Pgc"]
 
-        def per_unit(param):
-            return np.concatenate([self.unit[param]] * C)
+        def per_unit(table, param):
+            return np.concatenate([table[param]] * C)
 
-        r10 = per_unit("ramp_10min")
+        r10 = per_unit(self.neg, "ramp_10min")
         self.prob.add_row_block(
             ("eq17", "eq18", "eq19", "eq20"),
             [(g.id, cid) for cid in cids for g in gens],
-            [[(pg, 1.0), (pgc, -1.0), (u, -r10)],
-             [(pgc, 1.0), (pg, -1.0), (u, -r10)],
-             [(u, per_unit("p_min")), (pgc, -1.0)],
-             [(pgc, 1.0), (u, -per_unit("p_max"))]],
+            [[(pg, 1.0), (pgc, -1.0), (u, r10)],
+             [(pgc, 1.0), (pg, -1.0), (u, r10)],
+             [(u, per_unit(self.unit, "p_min")), (pgc, -1.0)],
+             [(pgc, 1.0), (u, per_unit(self.neg, "p_max"))]],
             [-INF] * 4, [0.0] * 4, self.inner)
 
         self.prob.add_row_block(
@@ -455,7 +478,7 @@ class _Builder:
         emax = np.array([k.limit_emergency for k in lines], dtype=float)
 
         def flow_rows(line_kind):
-            ci, ki = np.nonzero(self.kind == line_kind)
+            ci, ki = (self.kind == line_kind).nonzero()
             keys = [(lines[k].id, cids[c]) for c, k in zip(ci.tolist(), ki.tolist())]
             return (ki, keys, pkc[ci, ki], thc[ci, frm[ki]], thc[ci, to[ki]],
                     coef[ki].reshape(-1, 1, 1), emax[ki].reshape(-1, 1, 1))
@@ -482,14 +505,14 @@ class _Builder:
             [flow + [(z, -big_m)], flow + [(z, big_m)], [(pk, 1.0), (z, e)],
              [(pk, 1.0), (z, -e)]],
             [-big_m, -INF, 0.0, -INF], [INF, big_m, INF, 0.0], inner)
-        budgeted = [j for j, cands in enumerate(candidates) if cands]
+        # the switches of each contingency with candidates, in pair order
+        counts = [len(cands) for cands in candidates if cands]
+        row = np.repeat(np.arange(len(counts)), counts)
         prob.add_row_block(
-            "eq28", [(cids[j],) for j in budgeted],
-            _padded([[(z_all[z_at[(cids[j], k)]], 1.0)
-                      for k in self.contingencies[j].candidate_switch_ids]
-                     for j in budgeted], (T, S)),
-            np.array([len(candidates[j]) - cfg.switch_limit for j in budgeted],
-                     dtype=float).reshape(-1, 1, 1), INF, inner, padded=True)
+            "eq28", [(cid,) for cid, cands in zip(cids, candidates) if cands],
+            _padded(row, z_all, np.ones((row.size, 1, 1)), len(counts)),
+            np.array(counts, dtype=float).reshape(-1, 1, 1) - cfg.switch_limit,
+            INF, inner, padded=True)
 
     # -- objective (eq1) ----------------------------------------------------
 

@@ -20,14 +20,28 @@ one contiguous run per key.  A symbol has one column block: a later
 symbol's keys may own runs that other symbols' columns sit between (the
 post-contingency copies append one copy of each symbol in turn), and the
 blocks partition the columns.  The rows are the row blocks in the order
-they were added.  A row block arrives as (row, term) arrays of
-columns and values; its padding is dropped and its terms are appended to
-the CSR arrays (each row's terms in the order its family lists them,
-explicit zeros kept, no column twice in a row) with the row lb/ub
-vectors.  ``check``, ``objective_value`` and ``max_violation`` are numpy
-operations on these arrays, and the engine takes them as they are, row
-by row.  They are joined once and cached; ``clone_with_bounds`` copies
-share them, and so does anything else kept with them through ``shared``.
+they were added.
+
+A call does only the work that is its own, and leaves the rest to one
+join.  ``add_col_block`` registers the keys and keeps the bounds as they
+were given, a number or an array that broadcasts to the block; the column
+bounds are laid out when ``lb`` or ``ub`` is next read.  ``add_row_block``
+fills the (row, term) column and value arrays of every family of its call
+in one pass, one grid per call when the rows are padded and one per family
+otherwise, and drops the padding at once, so a padded block keeps only its
+terms.  Each family's terms per row and its row bounds are kept the same
+way as column bounds, and its ``Block`` is made only when a label or
+``rows`` asks for it.  The first read of the rows (``matrix``, ``check``,
+``max_violation``, a solve) joins every block added since the last read:
+the numbers are repeated over their blocks in one call, the arrays put in
+place, the terms concatenated into the CSR arrays (each row's terms in the
+order its family lists them, explicit zeros kept, no column twice in a
+row) and every column number checked.  So array bounds are read at the
+join and must not change before it.  ``check``, ``objective_value`` and
+``max_violation`` are numpy operations on the joined arrays, and the engine
+takes them as they are, row by row.  They are cached; ``clone_with_bounds``
+copies share them, and so does anything else kept with them through
+``shared``.
 
 Names are derived on demand from (block, offset) by ``Block.label``: row
 labels like ``eq15[L2,3,s0]`` map a row back to the printed model
@@ -63,19 +77,42 @@ class Block:
     """Numbers (columns or rows) laid out on a key x inner-axes grid.
 
     ``name`` is a variable symbol or an equation family; key p owns the
-    numbers ``first[p] + q`` at flattened inner position q.
+    numbers ``first[p] + q`` at flattened inner position q.  The keys come
+    in groups, each appended at once with contiguous runs: a group's key i
+    starts at the group's first number plus ``i * run``.
     """
 
-    def __init__(self, name: str, keys: list[tuple], first,
-                 inner: tuple[tuple, ...] = ()) -> None:
+    # caches, dropped when keys are appended
+    _first: np.ndarray | None = None
+    _positions: tuple[dict, list[dict]] | None = None
+    _numbers: np.ndarray | None = None
+
+    def __init__(self, name: str, keys: list[tuple], start: int,
+                 inner: tuple[tuple, ...], run: int) -> None:
         self.name = name
-        self.keys = keys
-        self.first = first  # int64, one run start per key
+        self.keys = keys  # kept, and appended to by ``extend``
         self.inner = inner
-        self.shape = (len(keys),) + tuple(map(len, inner))
-        self.run = math.prod(self.shape[1:])
-        self._positions: tuple[dict, list[dict]] | None = None
-        self._numbers: np.ndarray | None = None
+        self.run = run  # the product of the inner axes' lengths
+        self._groups = [(start, len(keys))]  # (first number, key count)
+
+    def extend(self, keys: list[tuple], start: int) -> None:
+        """Append a group of keys whose runs follow one another from
+        ``start``."""
+        self.keys.extend(keys)
+        self._groups.append((start, len(keys)))
+        self._first = self._positions = self._numbers = None
+
+    @property
+    def first(self) -> np.ndarray:
+        """Each key's first number (int64)."""
+        if self._first is None:
+            self._first = np.concatenate([start + self.run * np.arange(count)
+                                          for start, count in self._groups])
+        return self._first
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (len(self.keys),) + tuple(map(len, self.inner))
 
     @property
     def size(self) -> int:
@@ -84,8 +121,10 @@ class Block:
     def numbers(self) -> np.ndarray:
         """Every number, shaped (keys, *inner)."""
         if self._numbers is None:
-            self._numbers = (self.first[:, None] + np.arange(self.run)
-                             ).reshape(self.shape)
+            # each group's numbers are one range
+            self._numbers = np.concatenate(
+                [np.arange(start, start + count * self.run)
+                 for start, count in self._groups]).reshape(self.shape)
         return self._numbers
 
     def index(self, local: int) -> tuple:
@@ -155,11 +194,30 @@ class Block:
         return out
 
 
-def _flat(values, shape: tuple) -> np.ndarray:
-    """``values`` broadcast to ``shape``, flattened."""
-    out = np.empty(shape)
-    out[...] = values
-    return out.reshape(-1)
+def _layout(values: Sequence, sizes: Sequence[int],
+            shapes: Sequence[tuple], names: Sequence[str], dtype) -> np.ndarray:
+    """Parts laid out one after another.  Part i is ``values[i]``: a number
+    repeated ``sizes[i]`` times, or an array broadcast to the grid
+    ``shapes[i]`` of that size and flattened.  The numbers are repeated in
+    one call, then the arrays are put in place; one that does not
+    broadcast raises, naming ``names[i]``."""
+    arrays = [i for i, v in enumerate(values) if not isinstance(v, (float, int))]
+    numbers = values
+    if arrays:
+        numbers = list(values)
+        for i in arrays:
+            numbers[i] = 0
+    out = np.array(numbers, dtype=dtype).repeat(sizes)
+    if arrays:
+        ends = list(itertools.accumulate(sizes))
+        for i in arrays:
+            try:
+                out[ends[i] - sizes[i]:ends[i]].reshape(shapes[i])[...] = values[i]
+            except ValueError:
+                raise ValueError(f"{names[i]}: values of shape "
+                                 f"{np.shape(values[i])} do not broadcast to "
+                                 f"{shapes[i]}") from None
+    return out
 
 
 class VariableRegistry:
@@ -169,12 +227,12 @@ class VariableRegistry:
         self._blocks: dict[str, Block] = {}
         self._keys: dict[str, set[tuple]] = {}  # each symbol's keys so far
 
-    def _add(self, symbol: str, keys: list[tuple], first: np.ndarray,
+    def _add(self, symbol: str, keys: list[tuple], start: int,
              inner: tuple[tuple, ...]) -> None:
-        """Register keys whose runs start at ``first`` under a symbol, after
-        its earlier keys.  Its keys, and the values along each inner axis,
-        must be distinct, and its inner axes the same in every call;
-        otherwise nothing is registered."""
+        """Register keys whose runs follow one another from ``start`` under
+        a symbol, after its earlier keys.  Its keys, and the values along
+        each inner axis, must be distinct, and its inner axes the same in
+        every call; otherwise nothing is registered."""
         old = self._blocks.get(symbol)
         if old is not None and old.inner != inner:
             raise ValueError(f"symbol {symbol}: inner axes differ from its "
@@ -185,10 +243,11 @@ class VariableRegistry:
             raise ValueError(f"duplicate registration in block {symbol}")
         if old is None:
             self._keys[symbol] = new
+            self._blocks[symbol] = Block(symbol, list(keys), start, inner,
+                                         math.prod(map(len, inner)))
         else:
-            keys, first = old.keys + keys, np.concatenate((old.first, first))
             seen.update(new)
-        self._blocks[symbol] = Block(symbol, keys, first, inner)
+            old.extend(keys, start)
 
     def block(self, symbol: str) -> Block:
         """The block holding every column of a symbol."""
@@ -232,23 +291,32 @@ class VariableRegistry:
 
 
 class _Column:
-    """Append-only 1-D array; appended parts are joined on first read."""
+    """Append-only 1-D array of parts (values, shape, name), laid out by
+    ``_layout`` and joined on the first read after they were appended."""
 
-    def __init__(self, dtype, values=()) -> None:
+    def __init__(self, dtype, values: np.ndarray | None = None) -> None:
         self._dtype = dtype
-        self._parts = [np.asarray(values, dtype=dtype).reshape(-1)]
-        self.size = self._parts[0].size
+        self._array = np.empty(0, dtype=dtype) if values is None else values
+        self._parts: list[tuple] = []
+        self.size = self._array.size
 
-    def extend(self, values) -> None:
-        part = np.asarray(values, dtype=self._dtype).reshape(-1)
-        self._parts.append(part)
-        self.size += part.size
+    def extend(self, values, shape: tuple[int, ...], name: str = "") -> None:
+        self._parts.append((values, shape, name))
+        self.size += math.prod(shape)
 
     @property
     def array(self) -> np.ndarray:
-        if len(self._parts) > 1:
-            self._parts = [np.concatenate(self._parts)]
-        return self._parts[0]
+        if self._parts:
+            values, shapes, names = zip(*self._parts)
+            self._array = _joined(self._array, _layout(
+                values, [math.prod(shape) for shape in shapes], shapes, names,
+                self._dtype))
+            self._parts = []
+        return self._array
+
+
+def _joined(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    return np.concatenate((old, new)) if old.size else new
 
 
 class RowView(Sequence):
@@ -290,74 +358,120 @@ class _Model:
 
     def __init__(self) -> None:
         self.n_cols = 0
-        self.integer = _Column(bool)
+        self.integer_runs: list[tuple[int, int]] = []  # (first, count)
         self.obj_cols = _Column(np.int64)  # objective terms in call order
         self.obj_vals = _Column(float)
         self.n_rows = 0
-        self.blocks: list[Block] = []  # every row block, in row order
+        # every row block, in row order, as its ``Block`` arguments; the
+        # blocks themselves are made when first asked for
+        self.families: list[tuple] = []
+        self._blocks: list[Block] = []
         self.starts: list[int] = []  # each row block's first row
-        self.counts = _Column(np.int64)  # terms per row
-        self.indices = _Column(np.int32)  # each row's term columns in turn
-        self.data = _Column(float)  # and their coefficients
-        self.lo = _Column(float)
-        self.hi = _Column(float)
+        # the rows as joined so far: terms per row, each row's term columns
+        # in turn and their coefficients, row lb and row ub
+        self.joined = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32),
+                       np.empty(0), np.empty(0), np.empty(0))
+        self._pending: list[tuple] = []  # ``add_rows`` calls not yet joined
         self._cache: dict = {}
+
+    def integer(self) -> np.ndarray:
+        """Each column's integrality."""
+        if "integer" not in self._cache:
+            integer = np.zeros(self.n_cols, dtype=bool)
+            for first, count in self.integer_runs:
+                integer[first:first + count] = True
+            self._cache["integer"] = integer
+        return self._cache["integer"]
 
     # -- rows ---------------------------------------------------------------
 
-    def add_rows(self, name: str, keys: list[tuple], inner: tuple[tuple, ...],
-                 cols, vals, lo, hi, padded: bool) -> None:
-        """Append a row block: its (row, term) column and value arrays and
-        its rows' lb/ub, in the block's offset order; with ``padded``, a
-        column of -1 is no term."""
-        start, run = self.n_rows, math.prod(map(len, inner))
-        self.blocks.append(Block(name, keys, start + run * np.arange(len(keys)),
-                                 inner))
-        self.starts.append(start)
-        self.n_rows += len(cols)
-        if padded:  # the padding drops out, each row keeps its term order
-            keep = cols != -1
-            self.counts.extend(np.add.reduce(keep, axis=1))
-            cols, vals = cols[keep], vals[keep]
-        else:
-            self.counts.extend(np.full(len(cols), cols.shape[1]))
-        self.indices.extend(cols)
-        self.data.extend(vals)
-        self.lo.extend(lo)
-        self.hi.extend(hi)
+    def add_rows(self, names: tuple[str, ...], keys: list[tuple],
+                 inner: tuple[tuple, ...], shape: tuple[int, ...], counts,
+                 cols: list, vals: list, lo, hi) -> None:
+        """Append one row block per family over the grid ``shape`` of
+        ``keys`` x ``inner``, one after another.  ``cols`` and ``vals``
+        hold the blocks' terms as arrays, each row's terms in turn, and
+        ``counts`` the terms per row, a number per family or one array over
+        all the rows; ``lo`` and ``hi`` hold each family's row bounds, a
+        number or an array that broadcasts to ``shape``.
+
+        All of them are kept as they are until ``csr`` joins them with the
+        earlier rows, so the arrays must not change in between."""
+        run = math.prod(shape[1:])
+        n = shape[0] * run
+        for name in names:
+            self.families.append((name, keys, self.n_rows, inner, run))
+            self.starts.append(self.n_rows)
+            self.n_rows += n
+        self._pending.append((names, n, shape, counts, cols, vals, lo, hi))
         self._cache.clear()
 
     def csr(self) -> tuple[np.ndarray, ...]:
         """(indptr, indices, data, row lb, row ub) of every row."""
         if "csr" not in self._cache:
-            indices = self.indices.array
+            if self._pending:
+                self._join()
+            counts, indices, data, lo, hi = self.joined
             if indices.size and (np.minimum.reduce(indices) < 0
                                  or np.maximum.reduce(indices) >= self.n_cols):
                 raise ValueError("a row block references an unknown column")
             indptr = np.zeros(self.n_rows + 1, dtype=np.int64)
-            np.cumsum(self.counts.array, out=indptr[1:])
-            self._cache["csr"] = (indptr, indices, self.data.array,
-                                  self.lo.array, self.hi.array)
+            counts.cumsum(out=indptr[1:])
+            self._cache["csr"] = (indptr, indices, data, lo, hi)
         return self._cache["csr"]
 
-    def row_terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each stored term's row, and each row's scale floor
-        max(1, |lb|, |ub|) over its finite bounds."""
+    def _join(self) -> None:
+        """Lay out the rows added since the last join and append them."""
+        pending, self._pending = self._pending, []
+        # a part per family, in row order, for the bounds; the term counts
+        # of a padded call are one array over all its families' rows
+        parts = ([rec[1] for rec in pending for _ in rec[0]],
+                 [rec[2] for rec in pending for _ in rec[0]],
+                 [name for rec in pending for name in rec[0]])
+        counts = []
+        for names, n, _, count, *_ in pending:
+            if isinstance(count, list):
+                counts.extend((c, n, (n,), name) for c, name in zip(count, names))
+            else:
+                counts.append((count, count.size, count.shape, ""))
+        self.joined = tuple(map(_joined, self.joined, (
+            _layout(*zip(*counts), np.int64),
+            np.concatenate([c for rec in pending for c in rec[4]], axis=None,
+                           dtype=np.int32),
+            np.concatenate([v for rec in pending for v in rec[5]], axis=None,
+                           dtype=float),
+            _layout([v for rec in pending for v in rec[6]], *parts, float),
+            _layout([v for rec in pending for v in rec[7]], *parts, float))))
+
+    def row_terms(self) -> tuple[np.ndarray, ...]:
+        """Each stored term's row, each row's scale floor max(1, |lb|,
+        |ub|) over its finite bounds, and the rows with terms with the
+        position of their first term."""
         if "terms" not in self._cache:
-            _, _, _, lo, hi = self.csr()
-            row_of = np.arange(self.n_rows, dtype=np.int32).repeat(
-                self.counts.array)
+            indptr, _, _, lo, hi = self.csr()
+            counts = self.joined[0]
+            row_of = np.arange(self.n_rows, dtype=np.int32).repeat(counts)
             floor, high = np.abs(lo), np.abs(hi)
             floor[floor == INF] = 0.0
             high[high == INF] = 0.0
             np.fmax(floor, high, out=floor)
             np.fmax(floor, 1.0, out=floor)
-            self._cache["terms"] = (row_of, floor)
+            filled = counts.nonzero()[0]
+            self._cache["terms"] = (row_of, floor, filled, indptr[filled])
         return self._cache["terms"]
+
+    @property
+    def blocks(self) -> list[Block]:
+        """Every row block, in row order."""
+        made = self._blocks
+        made.extend(Block(*family) for family in self.families[len(made):])
+        return made
 
     def label(self, row: int) -> str:
         b = bisect.bisect_right(self.starts, row) - 1
-        return self.blocks[b].label(row - self.starts[b])
+        block = (self._blocks[b] if b < len(self._blocks)
+                 else Block(*self.families[b]))
+        return block.label(row - self.starts[b])
 
     def check(self) -> None:
         """Raise on a non-finite objective coefficient or an empty row
@@ -385,8 +499,8 @@ class _Model:
         key = ("objective", self.obj_cols.size)
         if key not in self._cache:
             cols, vals = self.obj_cols.array, self.obj_vals.array
-            summed = np.zeros(self.n_cols)
-            np.add.at(summed, cols, vals)
+            # summed term by term in call order
+            summed = np.bincount(cols, weights=vals, minlength=self.n_cols)
             if cols.size and np.bincount(cols).max() > 1:
                 _, first = np.unique(cols, return_index=True)
                 cols = cols[np.sort(first)]
@@ -425,7 +539,7 @@ class MilpProblem:
 
     @property
     def integer(self) -> np.ndarray:
-        return self._model.integer.array
+        return self._model.integer()
 
     @property
     def var_names(self) -> list[str]:
@@ -446,20 +560,20 @@ class MilpProblem:
 
         The columns follow the last column, key by key, each key's run over
         the flattened inner axes, with bounds [lb, ub] broadcast to (keys,
-        *inner).  A later call for the same symbol appends more keys to its
-        block over the same inner axes.  A repeated key or inner value, or
-        other inner axes, is rejected and appends nothing.  Returns the
-        columns' numbers, shaped (keys, *inner).
+        *inner) when the bounds are next read; an array bound must not
+        change before then.  A later call for the same symbol appends more
+        keys to its block over the same inner axes.  A repeated key or inner
+        value, or other inner axes, is rejected and appends nothing.
+        Returns the columns' numbers, shaped (keys, *inner).
         """
         model, start = self._model, self._model.n_cols
         shape = (len(keys),) + tuple(map(len, inner))
-        run, n = math.prod(shape[1:]), math.prod(shape)
-        lb, ub = _flat(lb, shape), _flat(ub, shape)
-        self.registry._add(symbol, keys, start + run * np.arange(len(keys)),
-                           inner)
-        self._lb.extend(lb)
-        self._ub.extend(ub)
-        model.integer.extend(np.full(n, integer, dtype=bool))
+        self.registry._add(symbol, keys, start, inner)
+        self._lb.extend(lb, shape, symbol)
+        self._ub.extend(ub, shape, symbol)
+        n = math.prod(shape)
+        if integer:
+            model.integer_runs.append((start, n))
         model.n_cols += n
         model._cache.clear()
         return np.arange(start, start + n).reshape(shape)
@@ -487,24 +601,41 @@ class MilpProblem:
         have different lengths.  ``family`` may be a tuple of families
         over the same grid; ``terms``, ``lb`` and ``ub`` then hold one
         entry per family, and each family is its own block, one after
-        another.
+        another.  The bounds are laid out, and an unknown column or a
+        bound that does not broadcast raises, when the rows are next read
+        (see the module docstring); an array bound must not change before
+        then.
         """
-        if isinstance(family, tuple):
-            for name, *rest in zip(family, terms, lb, ub):
-                self.add_row_block(name, keys, *rest, inner, padded)
-            return
+        if isinstance(family, str):
+            family, terms, lb, ub = (family,), (terms,), (lb,), (ub,)
         shape = (len(keys),) + tuple(map(len, inner))
-        n, m = math.prod(shape), len(terms)
-        if not n:
+        if not math.prod(shape):
             return
-        cols = np.empty(shape + (m,), dtype=np.int32)
-        vals = np.empty(shape + (m,))
-        for j, (col, coef) in enumerate(terms):
-            cols[..., j] = col
-            vals[..., j] = coef
-        self._model.add_rows(
-            family, keys, inner, cols.reshape(n, m), vals.reshape(n, m),
-            _flat(lb, shape), _flat(ub, shape), padded)
+        widths = [len(t) for t in terms]
+        if padded:  # one grid of the longest rows; the padding drops out
+            width = max(widths)
+            cols = np.empty((len(family),) + shape + (width,), dtype=np.int32)
+            vals = np.empty(cols.shape)
+            if min(widths) < width:
+                cols.fill(-1)
+            blocks = list(zip(cols, vals))
+        else:  # one grid per family, as wide as its rows
+            blocks = [(np.empty(shape + (m,), dtype=np.int32),
+                       np.empty(shape + (m,))) for m in widths]
+        for (block_cols, block_vals), family_terms in zip(blocks, terms):
+            for j, (col, coef) in enumerate(family_terms):
+                block_cols[..., j] = col
+                block_vals[..., j] = coef
+        if padded:  # each row keeps its term order
+            cols, vals = cols.reshape(-1, width), vals.reshape(-1, width)
+            keep = cols != -1
+            counts = np.add.reduce(keep, axis=1, dtype=np.int64)
+            cols, vals = [cols[keep]], [vals[keep]]
+        else:
+            counts = widths
+            cols, vals = [c for c, _ in blocks], [v for _, v in blocks]
+        self._model.add_rows(family, keys, inner, shape, counts, cols, vals,
+                             lb, ub)
 
     def matrix(self) -> tuple[np.ndarray, ...]:
         """The cached CSR arrays (indptr, indices, data, row lb, row ub) of
@@ -534,8 +665,8 @@ class MilpProblem:
         if cols.size and (np.minimum.reduce(cols) < 0
                           or np.maximum.reduce(cols) >= self.num_vars):
             raise ValueError("objective references unknown column")
-        self._model.obj_cols.extend(cols)
-        self._model.obj_vals.extend(coefs)
+        self._model.obj_cols.extend(cols, cols.shape)
+        self._model.obj_vals.extend(coefs, coefs.shape)
         self._model._cache.clear()
 
     def clone_with_bounds(self, fixes: dict[int, float]) -> "MilpProblem":
@@ -594,8 +725,8 @@ class MilpProblem:
         """
         x = np.asarray(x, dtype=float)
         model = self._model
-        row_of, floor = model.row_terms()
-        indptr, indices, data, lo, hi = model.csr()
+        row_of, floor, filled, firsts = model.row_terms()
+        _, indices, data, lo, hi = model.csr()
         terms = x[indices]
         np.multiply(terms, data, out=terms)
         # summed term by term in each row's stored order, as a scalar loop
@@ -603,15 +734,14 @@ class MilpProblem:
         viol = np.maximum(np.maximum(0.0, lo - act), act - hi)
         if scaled and viol.size:
             scale = floor.copy()
-            filled = (indptr[1:] > indptr[:-1]).nonzero()[0]
             if filled.size:
                 scale[filled] = np.fmax(scale[filled], np.maximum.reduceat(
-                    np.abs(terms, out=terms), indptr[filled]))
+                    np.abs(terms, out=terms), firsts))
             viol = np.divide(viol, scale, out=viol, where=viol > 0.0)
         viol[np.isnan(viol)] = INF
         worst, where = 0.0, ""
         if viol.size:
-            i = int(np.argmax(viol))
+            i = int(viol.argmax())
             if viol[i] > worst:
                 worst, where = float(viol[i]), self._model.label(i)
         bound = np.maximum(np.maximum(0.0, self.lb - x), x - self.ub)
@@ -619,7 +749,7 @@ class MilpProblem:
             bound = bound / np.fmax(1.0, np.abs(x))
         bound[np.isnan(bound)] = INF
         if bound.size:
-            j = int(np.argmax(bound))
+            j = int(bound.argmax())
             if bound[j] > worst:
                 worst, where = float(bound[j]), f"bound[{self.var_name(j)}]"
         return worst, where
@@ -627,6 +757,6 @@ class MilpProblem:
     def rows_by_equation(self) -> dict[str, int]:
         """Row counts keyed by equation family, in row order."""
         counts: dict[str, int] = {}
-        for block in self._model.blocks:
-            counts[block.name] = counts.get(block.name, 0) + block.size
+        for name, keys, _, _, run in self._model.families:
+            counts[name] = counts.get(name, 0) + len(keys) * run
         return counts

@@ -109,6 +109,38 @@ def _startups(u_bits: dict[tuple, int], sys: PowerSystem, T: int
     return tight, extras
 
 
+def _window_rows(sys: PowerSystem, T: int) -> list[list[tuple]]:
+    """The min-up/min-down rows over tight startups, listed at the
+    position in ``u_keys`` order (unit by unit, period by period) of the
+    last commitment bit each reads: (first bit of its unit, the unit's
+    initial commitment, 0 for eq8 or 1 for eq9, its period, its window)."""
+    rows: list[list[tuple]] = [[] for _ in range(len(sys.generators) * T)]
+    for i, g in enumerate(sys.generators):
+        base, u0 = i * T, 1 if g.initial_status.on else 0
+        for t in range(g.min_up, T + 1):
+            rows[base + t - 1].append((base, u0, 0, t, g.min_up))
+        for t in range(1, T - g.min_down + 1):
+            rows[base + t + g.min_down - 1].append(
+                (base, u0, 1, t, g.min_down))
+    return rows
+
+
+def _window_holds(bits: list[int], base: int, u0: int, kind: int, t: int,
+                  n: int) -> bool:
+    """One row of ``_window_rows`` on the commitment bits set so far:
+    eq8, the tight startups of periods t-n+1..t at most u[t]; eq9, those
+    of periods t+1..t+n at most 1 - u[t]."""
+    first = t - n + 1 if kind == 0 else t + 1
+    prev = bits[base + first - 2] if first > 1 else u0
+    startups = 0
+    for q in range(first, first + n):
+        on = bits[base + q - 1]
+        startups += on > prev
+        prev = on
+    return startups <= (bits[base + t - 1] if kind == 0
+                        else 1 - bits[base + t - 1])
+
+
 def _commitments(sys: PowerSystem, T: int, u_keys: list[tuple],
                  u_cols: list[int], v_cols: dict[tuple, int],
                  caps: OracleCaps) -> list[tuple[tuple, dict[int, float]]]:
@@ -117,15 +149,19 @@ def _commitments(sys: PowerSystem, T: int, u_keys: list[tuple],
     startup vector among the pattern's: the tight one first, then those
     with discretionary startups added.
 
-    Raises ``CapExceeded`` for a pattern with too many discretionary
+    The u bits are set in key order, 0 before 1, and a prefix is dropped,
+    with every pattern that extends it, as soon as an up/down row whose
+    bits it has all set fails with tight startups.  Raises
+    ``CapExceeded`` for an admitted pattern with too many discretionary
     startup bits, whether or not the walk would prune it.
     """
+    checks = _window_rows(sys, T)
+    bits = [0] * len(u_keys)
     out = []
-    for u_vec in itertools.product((0, 1), repeat=len(u_keys)):
+
+    def admit(u_vec: tuple) -> None:
         u_bits = dict(zip(u_keys, u_vec))
         tight_v, extras = _startups(u_bits, sys, T)
-        if not _updown_feasible(u_bits, tight_v, sys, T):
-            continue
         if len(extras) > caps.max_extra_v_bits:
             raise CapExceeded(
                 f"{len(extras)} discretionary startup bits exceed cap "
@@ -143,6 +179,17 @@ def _commitments(sys: PowerSystem, T: int, u_keys: list[tuple],
         out.extend((u_vec + (i,), u_fixes | {v_cols[key]: float(val)
                                              for key, val in v_bits.items()})
                    for i, v_bits in enumerate(startups))
+
+    def walk(depth: int) -> None:
+        if depth == len(bits):
+            admit(tuple(bits))
+            return
+        for bit in (0, 1):
+            bits[depth] = bit
+            if all(_window_holds(bits, *row) for row in checks[depth]):
+                walk(depth + 1)
+
+    walk(0)
     return out
 
 

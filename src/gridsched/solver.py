@@ -14,7 +14,8 @@ scipy's ``milp`` sets, but for one: HiGHS's feasibility-jump heuristic
 is off, because on a tiny MILP it takes several times as long as the
 rest of the solve.  One table maps HiGHS's model statuses to
 ``SolveStatus``; any other status, ``kModelError`` among them, raises
-``EngineError``.  The model's bounds choose the route:
+``EngineError``.  The bindings are checked, and the table built, once
+per loaded bindings module, not once per instance.  The model's bounds choose the route:
 
 - A problem whose integer columns are all fixed (``lb == ub``) is an LP,
   like each of the exhaustive oracle's fixed-binary clones.  It goes to
@@ -58,7 +59,7 @@ _BINDINGS = "scipy.optimize._highspy._core"
 _BINDING_NAMES = ("_Highs", "HighsModelStatus", "HighsStatus", "MatrixFormat",
                   "ObjSense", "kHighsInf")
 _HIGHS_METHODS = ("passModel", "changeColsBounds", "setOptionValue", "run",
-                  "getModelStatus", "getInfo", "getSolution",
+                  "getModelStatus", "getInfoValue", "getSolution",
                   "modelStatusToString")
 
 
@@ -89,6 +90,9 @@ _STATUSES = {"kOptimal": SolveStatus.OPTIMAL,
              "kUnbounded": SolveStatus.UNBOUNDED,
              "kTimeLimit": SolveStatus.TIME_LIMIT,
              "kIterationLimit": SolveStatus.TIME_LIMIT}
+# the bindings module last checked, and its model statuses as ``_STATUSES``
+# maps them: both change only when another module is loaded
+_checked: tuple = (None, {})
 
 
 @dataclass(frozen=True)
@@ -134,7 +138,7 @@ def solve(prob: MilpProblem, opts: SolveOptions | None = None) -> SolveResult:
     """Solve the problem with HiGHS."""
     opts = opts or SolveOptions()
     _check_input(prob)
-    cols = np.flatnonzero(prob.integer)
+    cols = prob.integer.nonzero()[0]
     if (prob.lb[cols] == prob.ub[cols]).all():
         res = _lp_engine(prob).solve(prob, opts.time_limit)
     else:
@@ -187,9 +191,9 @@ def _checked_result(prob: MilpProblem, res: EngineResult,
 
     x = np.array(res.x, dtype=float)
     # integer values must already be integral up to tolerance; then round
-    rounded = np.round(x[cols]) + 0.0  # + 0.0 turns -0.0 into 0.0
+    rounded = x[cols].round() + 0.0  # + 0.0 turns -0.0 into 0.0
     residual = np.abs(x[cols] - rounded)
-    bad = np.flatnonzero(~(residual <= INTEGRALITY_TOL))  # NaN is bad too
+    bad = (~(residual <= INTEGRALITY_TOL)).nonzero()[0]  # NaN is bad too
     if bad.size:
         raise SolverError(
             f"integrality residual {residual[bad[0]]:.3g} on "
@@ -233,12 +237,15 @@ def _highs_bindings():
     The module is private to scipy and may move or change between
     versions; then this raises ``EngineError`` naming scipy's version.
     """
+    global _checked
     if _BINDINGS in sys.modules:
         core = sys.modules[_BINDINGS]
         if core is None:  # the import system's mark of a blocked module
             raise _no_bindings("import is blocked")
     else:
         core = _load_bindings()
+    if core is _checked[0]:
+        return core
     missing = [name for name in _BINDING_NAMES if not hasattr(core, name)]
     if not missing:
         missing = [f"_Highs.{name}" for name in _HIGHS_METHODS
@@ -246,6 +253,8 @@ def _highs_bindings():
     if missing:
         raise EngineError(f"scipy {scipy.__version__}'s HiGHS bindings at "
                           f"{_BINDINGS} lack {', '.join(missing)}")
+    _checked = (core, {getattr(core.HighsModelStatus, name): status
+                       for name, status in _STATUSES.items()})
     return core
 
 
@@ -294,8 +303,7 @@ class _Engine:
         self.highs = core._Highs()
         self.error = core.HighsStatus.kError
         self.infinity = core.kHighsInf
-        self.statuses = {getattr(core.HighsModelStatus, name): status
-                         for name, status in _STATUSES.items()}
+        self.statuses = _checked[1]
         self.mip = bool(integrality.any())
         # scipy's ``milp`` sets presolve on and the console log off; HiGHS
         # still formats the log lines it then drops, so all output goes
@@ -333,12 +341,13 @@ class _Engine:
         if not ran or not (res.status is SolveStatus.OPTIMAL or self.mip
                            and res.status is SolveStatus.TIME_LIMIT):
             return res
-        if self.mip:
-            info = highs.getInfo()
-            if info.objective_function_value == self.infinity:  # no incumbent
-                return res
+        if self.mip:  # the info fields one by one: all of them cost more
+            value = highs.getInfoValue
+            if value("objective_function_value")[1] == self.infinity:
+                return res  # no incumbent
             res.mip_node_count, res.mip_gap, res.mip_dual_bound = (
-                info.mip_node_count, info.mip_gap, info.mip_dual_bound)
+                value(name)[1] for name in ("mip_node_count", "mip_gap",
+                                            "mip_dual_bound"))
         res.x = np.array(highs.getSolution().col_value)
         return res
 

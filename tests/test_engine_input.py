@@ -47,6 +47,30 @@ RTS24_SLICE_DIGESTS = {
 # family from eq2 to eq28 is present and eq28 covers 2 of 3 contingencies
 TOY3_MIXED_CNR_DIGEST = \
     "03a6fb8d8974f37ab002e278d29926b22e389fb60994d5840e4570994633b9c1"
+# desk-size shapes the digests above miss, from ``random_tiny_instance``
+# seeds (tests/test_acceptance.py): two buses joined by two parallel
+# lines (1000, 1001) or a 3-bus loop (1013, 1017); minimum up and down
+# times of 2 beside ones of 1, so eq8 and eq9 rows are padded to the
+# longer window; one outage with a single switch candidate, so CNR's eq28
+# rows hold one term
+TINY_DIGESTS = {
+    (1000, ModelKind.SSCUC):
+        "d45c9404866a08cc984f445797ea5f71eecb37a882b7262b3c76fbb9583f2f1f",
+    (1000, ModelKind.SSCUC_CNR):
+        "062bfc24d50bea62497dbc24549e6214f39a66b323178bc6106a61aaa7b1075d",
+    (1001, ModelKind.SSCUC):
+        "7e49275ac7a5c685513a4bf545a41898b9911c0c5edbbf9c21cefbdee337488d",
+    (1001, ModelKind.SSCUC_CNR):
+        "6bf7469fe312648e292dfd416ddb7a649ceeba8290fcddc0e9cc3a488f324e01",
+    (1013, ModelKind.SSCUC):
+        "7b13c786c4660a05db60d9575c37a0d7b9dcd40bc5019249e251c490f58707c0",
+    (1013, ModelKind.SSCUC_CNR):
+        "d515d74b008b2fe66069f8789a62d9cd53ea320d4578b9ed47728624fdc8830c",
+    (1017, ModelKind.SSCUC):
+        "6531eb062527366432497d5a8b385e77583cb54e7a9e1817d00af85a59756523",
+    (1017, ModelKind.SSCUC_CNR):
+        "54e13177e0624d836920467519c1ab19461374362f70f073788c8e368b0077dc",
+}
 
 
 # the row families in the order the builders append them (the formulation
@@ -202,6 +226,32 @@ class TestEngineInput:
                 for row in prob.rows if row.label.startswith("eq28")} == \
             {"L1", "L3"}
         assert digest(prob) == TOY3_MIXED_CNR_DIGEST
+
+    @pytest.mark.parametrize("seed, kind", list(TINY_DIGESTS),
+                             ids=[f"{seed}-{kind.value}"
+                                  for seed, kind in TINY_DIGESTS])
+    def test_desk_size_digest(self, seed, kind):
+        from test_acceptance import random_tiny_instance
+        system, scen, cont = random_tiny_instance(seed)
+        parallel = seed in (1000, 1001)
+        assert len({(k.from_bus, k.to_bus) for k in system.lines}) == \
+            (1 if parallel else 3)
+        assert {g.min_up for g in system.generators} | \
+            {g.min_down for g in system.generators} == {1, 2}
+        assert [len(c.candidate_switch_ids) for c in cont] == [1]
+        prob = assemble(system, scen, cont, FormulationConfig(model_kind=kind))
+        rows = {}
+        for row in prob.rows:
+            rows.setdefault(row.label.split("[", 1)[0], []).append(row)
+        # a window of n periods gives rows of n + 1 terms
+        T = system.horizon
+        assert {len(row.coeffs) for row in rows["eq8"]} == \
+            {g.min_up + 1 for g in system.generators if g.min_up <= T}
+        assert {len(row.coeffs) for row in rows["eq9"]} == \
+            {g.min_down + 1 for g in system.generators if g.min_down < T}
+        if kind is ModelKind.SSCUC_CNR:
+            assert {len(row.coeffs) for row in rows["eq28"]} == {1}
+        assert digest(prob) == TINY_DIGESTS[(seed, kind)]
 
     def test_clones_share_the_matrix(self):
         prob = assemble(*toy3_inputs(), FormulationConfig())

@@ -118,3 +118,56 @@ class TestContainer:
         assert prob.rows_by_equation() == {"eq2": 2, "eq15": 1}
         assert [row.label for row in prob.rows] == ["eq2[a,1]", "eq2[a,2]",
                                                     "eq15[k,1]"]
+
+
+class TestFamilyTuple:
+    """A tuple of families over one grid is appended in one call."""
+
+    @staticmethod
+    def build(one_call: bool, padded: bool) -> MilpProblem:
+        prob = MilpProblem()
+        inner = ((1, 2, 3),)
+        keys = [("a",), ("b",)]
+        x = prob.add_col_block("x", keys, 0.0, 10.0, inner=inner)  # (2, 3)
+        y = prob.add_col_block("y", keys, -1.0, [[5.0], [6.0]], inner=inner)
+        prev = np.concatenate([np.full((2, 1), -1), x[:, :-1]], axis=1)
+        families = ("f1", "f2", "f3")
+        terms = [[(x, 1.0), (prev if padded else y, -2.0)],
+                 [(y, np.array([[0.5], [1.5]]))],
+                 [(x, 1.0), (y, 1.0), (prev if padded else x[::-1], 3.0)]]
+        lb = [0.0, np.array([[-1.0], [-2.0]]), -INF]
+        ub = [np.arange(6.0).reshape(2, 3), INF, 4.0]
+        if one_call:
+            prob.add_row_block(families, keys, terms, lb, ub, inner, padded)
+        else:
+            for family, *rest in zip(families, terms, lb, ub):
+                prob.add_row_block(family, keys, *rest, inner, padded)
+        return prob
+
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_one_call_equals_one_call_per_family(self, padded):
+        one, each = self.build(True, padded), self.build(False, padded)
+        for a, b in zip(one.matrix(), each.matrix()):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert [row.label for row in one.rows] == \
+            [row.label for row in each.rows]
+        assert one.rows_by_equation() == each.rows_by_equation() == \
+            {"f1": 6, "f2": 6, "f3": 6}
+        if padded:  # the first period's rows lose their -1 terms
+            indptr = one.matrix()[0]
+            assert np.diff(indptr).tolist() == \
+                [1, 2, 2] * 2 + [1] * 6 + [2, 3, 3] * 2
+
+    def test_unknown_column_raises_when_the_rows_are_joined(self):
+        prob = self.build(True, False)
+        prob.add_row_block(("g1", "g2"), [()], [[(0, 1.0)], [(99, 1.0)]],
+                           [0.0, 0.0], [1.0, INF])
+        with pytest.raises(ValueError, match="unknown column"):
+            prob.matrix()
+
+    def test_bounds_that_do_not_broadcast_name_their_family(self):
+        prob = self.build(True, False)
+        prob.add_row_block("bad", [("a",), ("b",)], [(0, 1.0)], [1.0, 2.0, 3.0],
+                           INF)
+        with pytest.raises(ValueError, match="bad"):
+            prob.matrix()
