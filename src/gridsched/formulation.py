@@ -33,10 +33,30 @@ equation family, filled by numpy index arithmetic over the (g,t,s) and
 th, then per contingency one copy each of Pgc, Pwc, Pkc and thc, each
 appended to its symbol's block, then z.
 Rows are the families in the order the builder appends them: eq2, eq3,
-eq4, eq5, eq6, eq7, eq8, eq9, eq10, eq13, eq14, eq15, eq16, eq17, eq18,
-eq19, eq20, eq21, eq22, eq23, eq24, then for CNR eq25, eq26, eq27L, eq27U
-and eq28.  Each family's rows are contiguous, key by key in the order the
-builder lists the keys, each key's rows over (t, s).
+eq4, eq5, eq6, eq7, eq8, eq9, eq10, eq14, eq16, eq17, eq18, eq19, eq20,
+eq22, eq23, then for CNR eq25, eq26, eq27L, eq27U and eq28.  Each
+family's rows are contiguous, key by key in the order the builder lists
+the keys, each key's rows over (t, s).
+
+The builder writes only the rows the data does not already imply, and
+no term with a zero coefficient (``milp`` leaves those out):
+
+* the limits that are one column's box are its bounds, not rows: the
+  long-term limit (eq15) bounds ``Pk``, a fixed surviving line's
+  emergency limit (eq24) bounds its ``Pkc`` and the availability (eq13,
+  eq21) bounds ``Pw`` and ``Pwc``.  A switch candidate's ``Pkc`` stays
+  free, as eq27 limits it, and the outaged line's is pinned at 0;
+* the dispatch floors eq2 and eq19 exist only for units with
+  ``p_min > 0``; at ``p_min = 0`` they read ``Pg >= 0`` and
+  ``Pgc >= 0``, the columns' lower bounds;
+* the redispatch ranges eq17 and eq18 exist only for units with
+  ``ramp_10min < p_max - p_min``.  For the others they follow from the
+  rows kept, even at a fractional ``u``: eq2 and eq3 with ``r >= 0``
+  give ``p_min u <= Pg <= p_max u``, eq19 and eq20 give the same for
+  ``Pgc``, so ``|Pgc - Pg| <= (p_max - p_min) u <= ramp_10min u``.
+
+``metrics.verify_solution`` still checks every one of these equations
+from the data.
 """
 
 from __future__ import annotations
@@ -192,8 +212,8 @@ class _Builder:
         self.unit = dict(zip(_UNIT_PARAMS, table))
         self.neg = dict(zip(_UNIT_PARAMS, -table))  # and negated
 
-        # bus positions of every line's two ends, which must differ, and
-        # its flow per radian of angle difference
+        # bus positions of every line's two ends, which must differ, its
+        # flow per radian of angle difference and its emergency limit
         lines, buses = sys.lines, sys.buses
         bus_at = {b.id: i for i, b in enumerate(buses)}
         ends = np.array([(bus_at[k.from_bus], bus_at[k.to_bus]) for k in lines],
@@ -204,6 +224,7 @@ class _Builder:
         self.frm, self.to = ends[:, 0], ends[:, 1]
         self.b_mw = np.array([k.susceptance * sys.mva_base for k in lines],
                              dtype=float)
+        self.emax = np.array([k.limit_emergency for k in lines], dtype=float)
         # the balance terms bus by bus, each bus's units, inbound lines,
         # outbound lines and RES units in input order, as the terms' (bus,
         # place at the bus, element) and a coefficient per (place, bus);
@@ -252,7 +273,8 @@ class _Builder:
     # -- variables ----------------------------------------------------------
 
     def columns(self) -> None:
-        """Create and name every decision variable with its natural bounds.
+        """Create and name every decision variable with its natural bounds,
+        the line limits and RES availability among them.
 
         One ``add_col_block`` call per symbol for the first stage and the
         base case, then per contingency one call each for that copy's
@@ -263,6 +285,7 @@ class _Builder:
         cfg, inner, sys = self.cfg, self.inner, self.sys
         gens, res, lines, buses = sys.generators, sys.res_units, sys.lines, sys.buses
         p_max, cap = self.unit["p_max"], self.avail
+        limit = _per([k.limit_long_term for k in lines])
         th_lb = _per([0.0 if n.id == self.ref else -cfg.angle_bound for n in buses])
         th_ub = _per([0.0 if n.id == self.ref else cfg.angle_bound for n in buses])
         parts: dict[str, list[np.ndarray]] = {}
@@ -279,12 +302,14 @@ class _Builder:
         add("Pg", ids(gens), 0.0, p_max)
         add("r", ids(gens), 0.0, INF)
         add("Pw", ids(res), 0.0, cap)
-        add("Pk", ids(lines), -INF, INF)
+        add("Pk", ids(lines), -limit, limit)
         add("th", ids(buses), th_lb, th_ub)
-        # the outaged line carries no flow in its own contingency
-        dead = (self.kind == 0)[:, :, None, None]
-        for cid, flow_lb, flow_ub in zip(self.cids, np.where(dead, 0.0, -INF),
-                                         np.where(dead, 0.0, INF)):
+        # post-contingency, the outaged line carries no flow, a fixed line
+        # keeps its emergency limit and a switch candidate's flow is left
+        # to eq27
+        flow = [np.choose(self.kind, bounds)[:, :, None, None]
+                for bounds in ((0.0, -self.emax, -INF), (0.0, self.emax, INF))]
+        for cid, flow_lb, flow_ub in zip(self.cids, *flow):
             add("Pgc", ids(gens, cid), 0.0, p_max)
             add("Pwc", ids(res, cid), 0.0, cap)
             add("Pkc", ids(lines, cid), flow_lb, flow_ub)
@@ -294,10 +319,10 @@ class _Builder:
         self.cols = {symbol: cols[0] if len(cols) == 1 else np.concatenate(cols)
                      for symbol, cols in parts.items()}
 
-    # -- base-case generator block: eq2 .. eq10, eq13 -----------------------
+    # -- base-case generator block: eq2 .. eq10 -----------------------------
 
     def base_generators(self) -> None:
-        """eq2-eq10 per unit, then eq13 per RES unit."""
+        """eq2 per unit with a positive floor, then eq3-eq10 per unit."""
         prob, inner, unit, neg = self.prob, self.inner, self.unit, self.neg
         T = self.T
         gens = self.sys.generators
@@ -312,8 +337,14 @@ class _Builder:
         u0 = [1 if g.initial_status.on else 0 for g in gens]
         p0 = [g.initial_dispatch() for g in gens]
 
+        # eq2: p_min u <= Pg, per unit with p_min > 0, period and scenario
+        floor = (unit["p_min"][:, 0, 0] > 0).nonzero()[0]
+        prob.add_row_block(
+            "eq2", [keys[g] for g in floor.tolist()],
+            [(u3[floor], unit["p_min"][floor]), (pg[floor], -1.0)],
+            -INF, 0.0, inner)
+
         # per unit, period and scenario:
-        # eq2: p_min u <= Pg
         # eq3: Pg + r <= p_max u
         # eq4: r <= R10 u (r >= 0 is the variable bound)
         # eq5: total reserve covers this unit's output plus reserve; with the
@@ -330,8 +361,7 @@ class _Builder:
             [p + g.ramp_hourly * on for g, p, on in zip(gens, p0, u0)],
             [g.ramp_shutdown * on - p for g, p, on in zip(gens, p0, u0)]]
         prob.add_row_block(
-            ("eq2", "eq3", "eq4", "eq5", "eq6", "eq7"), keys, [
-                [(u3, unit["p_min"]), (pg, -1.0)],
+            ("eq3", "eq4", "eq5", "eq6", "eq7"), keys, [
                 [(pg, 1.0), (r, 1.0), (u3, neg["p_max"])],
                 [(r, 1.0), (u3, neg["ramp_10min"])],
                 [(others[:, j], 1.0) for j in range(G - 1)] + [(pg, -1.0)],
@@ -340,8 +370,8 @@ class _Builder:
                 [(pg_prev, 1.0), (pg, -1.0),
                  (u3, unit["ramp_shutdown"] - unit["ramp_hourly"]),
                  (v3, neg["ramp_shutdown"]), (u3_prev, neg["ramp_shutdown"])]],
-            [-INF, -INF, -INF, 0.0, -INF, -INF],
-            [0.0, 0.0, 0.0, INF, initial[0], initial[1]], inner, padded=True)
+            [-INF, -INF, 0.0, -INF, -INF],
+            [0.0, 0.0, INF, initial[0], initial[1]], inner, padded=True)
 
         # eq8: startups within the last UT periods imply still committed;
         # eq9: no restart within DT periods after being off at t.  One row
@@ -364,10 +394,6 @@ class _Builder:
         prob.add_row_block("eq10", keys,
                            [(v, 1.0), (u, -1.0), (u_prev, 1.0)], lb10, INF,
                            inner[:1], padded=True)
-
-        # eq13: RES output capped by scenario availability
-        prob.add_row_block("eq13", [(w.id,) for w in self.sys.res_units],
-                           [(self.cols["Pw"], 1.0)], -INF, self.avail, inner)
 
     # -- nodal balance: eq16 and eq22 ---------------------------------------
 
@@ -394,53 +420,59 @@ class _Builder:
                      coef.repeat(runs, axis=1)[:, :, None, None])),
             demand, demand, self.inner, padded=True)
 
-    # -- base-case network block: eq14 .. eq16 ------------------------------
+    # -- base-case network block: eq14 and eq16 -----------------------------
 
     def base_network(self) -> None:
-        """eq14 and eq15 per line, then eq16 per bus."""
-        lines = self.sys.lines
+        """eq14 per line, then eq16 per bus."""
         pk, th = self.cols["Pk"], self.cols["th"]
         coef = self.b_mw.reshape(-1, 1, 1)
-        limit = _per([k.limit_long_term for k in lines])
-
         self.prob.add_row_block(
-            ("eq14", "eq15"), [(k.id,) for k in lines],
-            [[(pk, 1.0), (th[self.frm], -coef), (th[self.to], coef)], [(pk, 1.0)]],
-            [0.0, -limit], [0.0, limit], self.inner)
+            "eq14", [(k.id,) for k in self.sys.lines],
+            [(pk, 1.0), (th[self.frm], -coef), (th[self.to], coef)],
+            0.0, 0.0, self.inner)
         self._balance("eq16", [()], (self.cols["Pg"][None], pk[None],
                                      self.cols["Pw"][None]))
 
-    # -- post-contingency generator block: eq17 .. eq21 ---------------------
+    # -- post-contingency generator block: eq17 .. eq20 ---------------------
 
     def contingency_generators(self) -> None:
-        """eq17-eq20 per (unit, contingency), then eq21 per (RES unit,
-        contingency)."""
+        """eq17 and eq18 per (unit, contingency) where the corrective ramp
+        binds, ``ramp_10min < p_max - p_min``, eq19 where ``p_min > 0``,
+        then eq20 per (unit, contingency).  The module docstring shows why
+        the rows left out are implied."""
         if not self.contingencies:
             return
-        gens, res = self.sys.generators, self.sys.res_units
-        C, cids = len(self.cids), self.cids
-        # (contingency, unit) runs, each over (t, s)
-        u = np.concatenate([self.cols["u"][:, :, None]] * C)
-        pg = np.concatenate([self.cols["Pg"]] * C)
-        pgc = self.cols["Pgc"]
+        unit, neg, gens = self.unit, self.neg, self.sys.generators
+        T, S = self.T, self.S
+        C = len(self.cids)
+        pgc = self.cols["Pgc"].reshape(C, len(gens), T, S)
+        pg, u = self.cols["Pg"], self.cols["u"][:, :, None]
+        p_min = unit["p_min"][:, 0, 0]
 
-        def per_unit(table, param):
-            return np.concatenate([table[param]] * C)
+        def runs(units):
+            """The (unit, contingency) keys of the unit positions ``units``,
+            contingency by contingency, their Pgc columns and a function
+            that takes a per-unit array to those runs."""
+            keys = [(gens[i].id, cid) for cid in self.cids for i in units.tolist()]
+            return (keys, pgc[:, units].reshape(-1, T, S),
+                    lambda a: np.tile(a[units], (C, 1, 1)))
 
-        r10 = per_unit(self.neg, "ramp_10min")
+        ramp = (unit["ramp_10min"][:, 0, 0] < unit["p_max"][:, 0, 0] - p_min)
+        keys, pgc_at, at = runs(ramp.nonzero()[0])
+        r10 = at(neg["ramp_10min"])
         self.prob.add_row_block(
-            ("eq17", "eq18", "eq19", "eq20"),
-            [(g.id, cid) for cid in cids for g in gens],
-            [[(pg, 1.0), (pgc, -1.0), (u, r10)],
-             [(pgc, 1.0), (pg, -1.0), (u, r10)],
-             [(u, per_unit(self.unit, "p_min")), (pgc, -1.0)],
-             [(pgc, 1.0), (u, per_unit(self.neg, "p_max"))]],
-            [-INF] * 4, [0.0] * 4, self.inner)
-
+            ("eq17", "eq18"), keys,
+            [[(at(pg), 1.0), (pgc_at, -1.0), (at(u), r10)],
+             [(pgc_at, 1.0), (at(pg), -1.0), (at(u), r10)]],
+            [-INF] * 2, [0.0] * 2, self.inner)
+        keys, pgc_at, at = runs((p_min > 0).nonzero()[0])
         self.prob.add_row_block(
-            "eq21", [(w.id, cid) for cid in cids for w in res],
-            [(self.cols["Pwc"], 1.0)], -INF,
-            np.concatenate([self.avail] * C), self.inner)
+            "eq19", keys, [(at(u), at(unit["p_min"])), (pgc_at, -1.0)],
+            -INF, 0.0, self.inner)
+        keys, pgc_at, at = runs(np.arange(len(gens)))
+        self.prob.add_row_block(
+            "eq20", keys, [(pgc_at, 1.0), (at(u), at(neg["p_max"]))],
+            -INF, 0.0, self.inner)
 
     # -- post-contingency network: eq22 .. eq28 -----------------------------
 
@@ -451,12 +483,13 @@ class _Builder:
         and switch-scaled limits (eq27, split into its two one-sided
         halves).  Non-candidate surviving lines behave as if their switch
         state were fixed to 1, which collapses eq25-eq27 to the
-        fixed-topology rows eq23/eq24.  The outaged line acts as switch
-        state 0: its flow variable is pinned at registration and its flow
-        rows are dropped.  eq28 bounds the number of opened candidates per
-        contingency, period and scenario.  SSCUC is this network with no
-        candidates, so every surviving line keeps eq23/eq24 and no eq28
-        row is written.
+        fixed-topology flow definition eq23 and the emergency limit eq24,
+        which is the bound of their flow column.  The outaged line acts
+        as switch state 0: its flow variable is pinned at registration
+        and its flow rows are dropped.  eq28 bounds the number of opened
+        candidates per contingency, period and scenario.  SSCUC is this
+        network with no candidates, so every surviving line keeps eq23 and
+        no eq28 row is written.
 
         Each family's keys go contingency by contingency, except eq22's,
         which go bus by bus.
@@ -474,8 +507,7 @@ class _Builder:
                       (self.cols["Pgc"].reshape(C, -1, T, S), pkc,
                        self.cols["Pwc"].reshape(C, -1, T, S)))
 
-        frm, to, coef = self.frm, self.to, self.b_mw
-        emax = np.array([k.limit_emergency for k in lines], dtype=float)
+        frm, to, coef, emax = self.frm, self.to, self.b_mw, self.emax
 
         def flow_rows(line_kind):
             ci, ki = (self.kind == line_kind).nonzero()
@@ -483,10 +515,9 @@ class _Builder:
             return (ki, keys, pkc[ci, ki], thc[ci, frm[ki]], thc[ci, to[ki]],
                     coef[ki].reshape(-1, 1, 1), emax[ki].reshape(-1, 1, 1))
 
-        _, keys, pk, th_n, th_m, b, e = flow_rows(1)
-        prob.add_row_block(("eq23", "eq24"), keys,
-                           [[(pk, 1.0), (th_n, -b), (th_m, b)], [(pk, 1.0)]],
-                           [0.0, -e], [0.0, e], inner)
+        _, keys, pk, th_n, th_m, b, _ = flow_rows(1)
+        prob.add_row_block("eq23", keys, [(pk, 1.0), (th_n, -b), (th_m, b)],
+                           0.0, 0.0, inner)
 
         if not any(candidates):
             return

@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .formulation import FormulationConfig, ModelKind, scen_avail
+from .formulation import (FormulationConfig, ModelKind, reference_bus,
+                          scen_avail)
 from .milp import MilpProblem
 from .scenarios import ScenarioSet
 from .solver import SolveResult
@@ -253,13 +254,25 @@ def verify_solution(sol: ScheduleSolution, sys: PowerSystem, scen: ScenarioSet,
     A switchable line is held to its physics rather than to the big-M rows
     eq25/eq26: with ``z`` = 1 it must meet eq23/eq24 like a fixed line,
     with ``z`` = 0 it must carry no flow.  So no big-M constant enters the
-    verdict.  Residuals are scaled by the largest term in the row; the
-    list is empty iff the solution is feasible within ``VERIFY_TOL``.
+    verdict.  Every bus angle, base case and post-contingency, must lie in
+    the box ``cfg.angle_bound`` ("angle"), and the reference bus's must be
+    0 ("ref_angle").  Residuals are scaled by the largest term in the row;
+    the list is empty iff the solution is feasible within ``VERIFY_TOL``.
     """
     INF = math.inf
     ck = _Checker()
     T = sys.horizon
     u, v = sol.u, sol.v
+    ref = reference_bus(sys, cfg)
+
+    def check_angles(angles: dict, *cid) -> None:
+        for n in sys.buses:
+            equation, box = (("ref_angle", 0.0) if n.id == ref
+                             else ("angle", cfg.angle_bound))
+            for t in range(1, T + 1):
+                for s in scen.scenarios:
+                    index = (n.id, *cid, t, s.id)
+                    ck.check(equation, index, [angles[index]], -box, box)
 
     for g in sys.generators:
         u0 = 1 if g.initial_status.on else 0
@@ -326,6 +339,7 @@ def verify_solution(sol: ScheduleSolution, sys: PowerSystem, scen: ScenarioSet,
                 ck.check("eq14", (k.id, t, s.id), [pk, -coef * dtheta], 0.0, 0.0)
                 ck.check("eq15", (k.id, t, s.id), [pk],
                          -k.limit_long_term, k.limit_long_term)
+    check_angles(sol.angle)
     for n in sys.buses:
         for t in range(1, T + 1):
             d = sys.demand.at(n.id, t)
@@ -369,6 +383,7 @@ def verify_solution(sol: ScheduleSolution, sys: PowerSystem, scen: ScenarioSet,
                              + [-sol.flow_c[(k, cid, t, s.id)] for k in outbound[n.id]]
                              + [sol.p_res_c[(w, cid, t, s.id)] for w in res_at[n.id]])
                     ck.check("eq22", (n.id, cid, t, s.id), terms, d, d)
+        check_angles(sol.angle_c, cid)
         for t in range(1, T + 1):
             for s in scen.scenarios:
                 ck.check("outage_flow", (cid, t, s.id),

@@ -28,14 +28,14 @@ were given, a number or an array that broadcasts to the block; the column
 bounds are laid out when ``lb`` or ``ub`` is next read.  ``add_row_block``
 fills the (row, term) column and value arrays of every family of its call
 in one pass, one grid per call when the rows are padded and one per family
-otherwise, and drops the padding at once, so a padded block keeps only its
-terms.  Each family's terms per row and its row bounds are kept the same
-way as column bounds, and its ``Block`` is made only when a label or
-``rows`` asks for it.  The first read of the rows (``matrix``, ``check``,
+otherwise, and drops the padding and every zero coefficient at once, so a
+block keeps only its nonzero terms.  Each family's terms per row and its
+row bounds are kept the same way as column bounds, and its ``Block`` is
+made only when a label or ``rows`` asks for it.  The first read of the rows (``matrix``, ``check``,
 ``max_violation``, a solve) joins every block added since the last read:
 the numbers are repeated over their blocks in one call, the arrays put in
 place, the terms concatenated into the CSR arrays (each row's terms in the
-order its family lists them, explicit zeros kept, no column twice in a
+order its family lists them, no explicit zero, no column twice in a
 row) and every column number checked.  So array bounds are read at the
 join and must not change before it.  ``check``, ``objective_value`` and
 ``max_violation`` are numpy operations on the joined arrays, and the engine
@@ -44,7 +44,7 @@ copies share them, and so does anything else kept with them through
 ``shared``.
 
 Names are derived on demand from (block, offset) by ``Block.label``: row
-labels like ``eq15[L2,3,s0]`` map a row back to the printed model
+labels like ``eq14[L2,3,s0]`` map a row back to the printed model
 equation, and columns are named by the documented scheme ``u[g,t]``,
 ``Pg[g,t,s]``, ``z[c,k,t,s]``.  Both are deterministic for a given
 system/scenario/contingency input order.  ``rows`` materialises ``Row``
@@ -596,12 +596,12 @@ class MilpProblem:
         The rows follow the last row, key by key, each key's run over the
         flattened inner axes.  Each row gets one term per (columns,
         coefficient) pair of ``terms`` and the interval [lb, ub]; every
-        array broadcasts to (keys, *inner).  With ``padded``, a column of
-        -1 leaves that term out of its row, so rows of one family may
-        have different lengths.  ``family`` may be a tuple of families
-        over the same grid; ``terms``, ``lb`` and ``ub`` then hold one
-        entry per family, and each family is its own block, one after
-        another.  The bounds are laid out, and an unknown column or a
+        array broadcasts to (keys, *inner).  A term whose coefficient is 0
+        is left out of its row.  With ``padded``, a column of -1 leaves
+        that term out too, so rows of one family may have different
+        lengths.  ``family`` may be a tuple of families over the same
+        grid; ``terms``, ``lb`` and ``ub`` then hold one entry per family,
+        and each family is its own block, one after another.  The bounds are laid out, and an unknown column or a
         bound that does not broadcast raises, when the rows are next read
         (see the module docstring); an array bound must not change before
         then.
@@ -629,11 +629,18 @@ class MilpProblem:
         if padded:  # each row keeps its term order
             cols, vals = cols.reshape(-1, width), vals.reshape(-1, width)
             keep = cols != -1
+            keep &= vals != 0.0
             counts = np.add.reduce(keep, axis=1, dtype=np.int64)
             cols, vals = [cols[keep]], [vals[keep]]
         else:
-            counts = widths
+            counts = list(widths)
             cols, vals = [c for c, _ in blocks], [v for _, v in blocks]
+            for i, v in enumerate(vals):
+                keep = v != 0.0
+                if not keep.all():  # this family's rows become ragged
+                    cols[i], vals[i] = cols[i][keep], v[keep]
+                    counts[i] = np.add.reduce(keep.reshape(-1, widths[i]),
+                                              axis=1, dtype=np.int64)
         self._model.add_rows(family, keys, inner, shape, counts, cols, vals,
                              lb, ub)
 

@@ -30,23 +30,24 @@ KINDS = (ModelKind.SSCUC, ModelKind.SSCUC_CNR)
 # offset
 TOY3_DIGESTS = {
     ModelKind.SSCUC:
-        "fa747ecf18095f2603c34b9ace61df51e062c43d53656101bcdf66788597ecfa",
+        "dc5da2ad2f8871385018a69bb72161f60fa3eedd0fa49b1da35d8982cef75e98",
     ModelKind.SSCUC_CNR:
-        "4c6c98eba99d2ac29faf79cb3782e7f610f3c185d5ed330545e454de7392e181",
+        "f1d2ecbfab68ba44a4f7c56ffdcb43ad2068f9679532c423ea55c44ff7bcac66",
 }
 # the same for ``rts24_slice()``, which pins the bundled RTS-24 case document
 # and everything loaded from it
 RTS24_SLICE_DIGESTS = {
     ModelKind.SSCUC:
-        "c0dbc72a679d8b03160356e16564541079d3fc49f43dc20201b87e9b70ebb446",
+        "31149bf37a128e2935f21c910f68eedececa6ca96ac6609814e734c4650687e7",
     ModelKind.SSCUC_CNR:
-        "1dddf657ec3afe96db618f91053e59c0be91439c08c093de81c9bde156f1168c",
+        "adea495de580b2e024bca3c3b8348f4b7d5dd6f4cdf64e65c3a63cb24c5345ce",
 }
 # toy3 CNR with L2 as the only switch candidate (``toy3_mixed_inputs``):
 # L2's own contingency has no candidate, L1's and L3's have L2, so every
-# family from eq2 to eq28 is present and eq28 covers 2 of 3 contingencies
+# family the builder writes (``ROW_FAMILIES``) is present and eq28 covers 2
+# of 3 contingencies
 TOY3_MIXED_CNR_DIGEST = \
-    "03a6fb8d8974f37ab002e278d29926b22e389fb60994d5840e4570994633b9c1"
+    "a838a30b0ffb8fd11081b9164c95310a681005b7d96ffc193c7c8bcbe4945126"
 # desk-size shapes the digests above miss, from ``random_tiny_instance``
 # seeds (tests/test_acceptance.py): two buses joined by two parallel
 # lines (1000, 1001) or a 3-bus loop (1013, 1017); minimum up and down
@@ -55,30 +56,29 @@ TOY3_MIXED_CNR_DIGEST = \
 # rows hold one term
 TINY_DIGESTS = {
     (1000, ModelKind.SSCUC):
-        "d45c9404866a08cc984f445797ea5f71eecb37a882b7262b3c76fbb9583f2f1f",
+        "9094f4f19e48e6ac4c67f6f91d9c876cf189bb3c8a4a2537a331bcb43ee2685e",
     (1000, ModelKind.SSCUC_CNR):
-        "062bfc24d50bea62497dbc24549e6214f39a66b323178bc6106a61aaa7b1075d",
+        "90d71b07d0060440670b802609e1ecb27580beae65ec2185ba7089b313dde404",
     (1001, ModelKind.SSCUC):
-        "7e49275ac7a5c685513a4bf545a41898b9911c0c5edbbf9c21cefbdee337488d",
+        "4571b7299e83efbb70722e282a4a94f3e73abd4260b3b3112cc3f14127b3c616",
     (1001, ModelKind.SSCUC_CNR):
-        "6bf7469fe312648e292dfd416ddb7a649ceeba8290fcddc0e9cc3a488f324e01",
+        "111f27cb8acbcf1b66ef327d108e34d171e5d4bf300c66b77d0d1c8f21dcbaf0",
     (1013, ModelKind.SSCUC):
-        "7b13c786c4660a05db60d9575c37a0d7b9dcd40bc5019249e251c490f58707c0",
+        "868646bb5c9c4c7ab64b18b30e00cdd391505b04aaf3878700456815c65fc14b",
     (1013, ModelKind.SSCUC_CNR):
-        "d515d74b008b2fe66069f8789a62d9cd53ea320d4578b9ed47728624fdc8830c",
+        "2515416d5c0bb918c2277bbdc36485df315d5b742e551b6377778361c22d609d",
     (1017, ModelKind.SSCUC):
-        "6531eb062527366432497d5a8b385e77583cb54e7a9e1817d00af85a59756523",
+        "6fb32cf037f4c8f195d18c7026524cdc4d61e5d765c87aaf886c5ab7432fd5bd",
     (1017, ModelKind.SSCUC_CNR):
-        "54e13177e0624d836920467519c1ab19461374362f70f073788c8e368b0077dc",
+        "cc7ab142f46587888639dddd3771eba5c1a6e9bcc4510ef374ed3e501fac6436",
 }
 
 
 # the row families in the order the builders append them (the formulation
-# docstring); eq23/eq24 hold fixed lines, eq25-eq28 switchable ones
+# docstring); eq23 holds fixed lines, eq25-eq28 switchable ones
 ROW_FAMILIES = ("eq2", "eq3", "eq4", "eq5", "eq6", "eq7", "eq8", "eq9",
-                "eq10", "eq13", "eq14", "eq15", "eq16", "eq17", "eq18",
-                "eq19", "eq20", "eq21", "eq22", "eq23", "eq24", "eq25",
-                "eq26", "eq27L", "eq27U", "eq28")
+                "eq10", "eq14", "eq16", "eq17", "eq18", "eq19", "eq20",
+                "eq22", "eq23", "eq25", "eq26", "eq27L", "eq27U", "eq28")
 
 
 class _Captured(Exception):
@@ -275,7 +275,7 @@ class TestRowOrder:
     @pytest.mark.parametrize("kind, absent", [
         (ModelKind.SSCUC, {"eq25", "eq26", "eq27L", "eq27U", "eq28"}),
         # every surviving toy3 line is a switch candidate
-        (ModelKind.SSCUC_CNR, {"eq23", "eq24"})])
+        (ModelKind.SSCUC_CNR, {"eq23"})])
     def test_families_are_contiguous_in_builder_order(self, kind, absent):
         prob = assemble(*toy3_inputs(), FormulationConfig(model_kind=kind))
         families = list(prob.rows_by_equation())
@@ -308,6 +308,58 @@ class TestColumnLayout:
         order = (("u", "v", "Pg", "r", "Pw", "Pk", "th")
                  + ("Pgc", "Pwc", "Pkc", "thc") * len(cont) + ("z",))
         assert runs == [s for s in order if prob.registry.count(s)]
+
+
+# the LP relaxation's optimum of each model, recorded while the model still
+# wrote eq13, eq15, eq21 and eq24 as rows, eq2 and eq19 for every unit,
+# eq17 and eq18 for every unit and explicit zero coefficients; every row
+# left out since is implied by the rest, so the optimum stays the same
+RELAXATION_OBJECTIVES = {
+    ("toy3", ModelKind.SSCUC): 7438.5,
+    ("toy3", ModelKind.SSCUC_CNR): 7438.5,
+    ("rts24-slice", ModelKind.SSCUC): 4758.216963589424,
+    ("rts24-slice", ModelKind.SSCUC_CNR): 4649.763856112841,
+    (1000, ModelKind.SSCUC): 1543.7958643617255,
+    (1000, ModelKind.SSCUC_CNR): 1543.7958643617255,
+    (1001, ModelKind.SSCUC): 1351.268414502778,
+    (1001, ModelKind.SSCUC_CNR): 1351.268414502778,
+    (1013, ModelKind.SSCUC): 2468.4990209158177,
+    (1013, ModelKind.SSCUC_CNR): 2468.4990209158177,
+    (1017, ModelKind.SSCUC): 1754.3594588055453,
+    (1017, ModelKind.SSCUC_CNR): 1754.3594588055453,
+}
+
+
+def pinned_inputs(case):
+    """The inputs of a ``RELAXATION_OBJECTIVES`` case."""
+    if case == "toy3":
+        return toy3_inputs()
+    if case == "rts24-slice":
+        return rts24_slice()
+    from test_acceptance import random_tiny_instance
+    return random_tiny_instance(case)
+
+
+class TestLeftOutRows:
+    """Rows the data implies are left out, and nothing else changes."""
+
+    @pytest.mark.parametrize("case, kind", list(RELAXATION_OBJECTIVES),
+                             ids=[f"{case}-{kind.value}"
+                                  for case, kind in RELAXATION_OBJECTIVES])
+    def test_lp_relaxation_is_unchanged(self, case, kind):
+        prob = assemble(*pinned_inputs(case), FormulationConfig(model_kind=kind))
+        res = solver_mod.solve_relaxation(prob)
+        assert res.status.value == "optimal"
+        assert res.objective == pytest.approx(
+            RELAXATION_OBJECTIVES[(case, kind)], rel=1e-9)
+
+    @pytest.mark.parametrize("case, kind", list(RELAXATION_OBJECTIVES),
+                             ids=[f"{case}-{kind.value}"
+                                  for case, kind in RELAXATION_OBJECTIVES])
+    def test_no_explicit_zero_reaches_the_engine(self, case, kind):
+        prob = assemble(*pinned_inputs(case), FormulationConfig(model_kind=kind))
+        assert (prob.matrix()[2] != 0).all()
+        assert (engine_input(prob)["A"][2] != 0).all()
 
 
 class TestMaxViolationReference:

@@ -80,13 +80,38 @@ class TestBaseGeneratorBlock:
             col = prob.registry.col("Pw", "w1", t, "s0")
             assert prob.lb[col] == prob.ub[col] == 0.0
 
-    def test_eq13_rows_match_availability(self):
+    def test_availability_bounds_res_output(self):
+        # eq13 and eq21 are the RES columns' upper bounds, not rows
         sys_obj = triangle_system(T=2)
         scen = single_scenario(T=2, avail=[30.0, 12.5])
-        prob = assemble(sys_obj, scen, [], SSCUC)
-        rows = {r.label: r for r in prob.rows if r.label.startswith("eq13")}
-        assert rows["eq13[w1,1,s0]"].ub == 30.0
-        assert rows["eq13[w1,2,s0]"].ub == 12.5
+        prob = assemble(sys_obj, scen, [Contingency("L1", ())], SSCUC)
+        for t, avail in ((1, 30.0), (2, 12.5)):
+            for col in (prob.registry.col("Pw", "w1", t, "s0"),
+                        prob.registry.col("Pwc", "w1", "L1", t, "s0")):
+                assert (prob.lb[col], prob.ub[col]) == (0.0, avail)
+        assert {"eq13", "eq21"}.isdisjoint(prob.rows_by_equation())
+
+    def test_floor_rows_only_for_units_with_a_floor(self):
+        # at p_min = 0, eq2 and eq19 read Pg >= 0 and Pgc >= 0, the
+        # columns' lower bounds
+        sys_obj = triangle_system(T=2)
+        gens = (sys_obj.generators[0], replace(sys_obj.generators[1], p_min=0.0))
+        sys_obj = replace(sys_obj, generators=gens)
+        prob = assemble(sys_obj, triangle_scenarios(T=2),
+                        [Contingency("L1", ())], SSCUC)
+        for family in ("eq2", "eq19"):
+            assert {r.label.split("[")[1].split(",")[0] for r in prob.rows
+                    if r.label.startswith(family + "[")} == {"g1"}
+
+    def test_no_zero_coefficient_in_any_row(self):
+        # g1's ramp_shutdown equals its ramp_hourly, which zeroes eq7's u
+        # term; that term is left out, the rest of the row kept
+        prob = assemble(triangle_system(T=2), triangle_scenarios(T=2),
+                        [Contingency("L1", ())], SSCUC)
+        assert (prob.matrix()[2] != 0).all()
+        row = next(r for r in prob.rows if r.label == "eq7[g1,2,s0]")
+        assert {prob.var_names[c] for c, _ in row.coeffs} == \
+            {"Pg[g1,1,s0]", "Pg[g1,2,s0]", "v[g1,2]", "u[g1,1]"}
 
     @pytest.mark.parametrize("profiles, error", [
         ([{"w1": [30.0]}], IndexError),         # one period on a T=2 case
@@ -158,8 +183,8 @@ class TestNetworkBlock:
         scen = triangle_scenarios(T=2)
         prob = assemble(sys_obj, scen, [], SSCUC)
         counts = family_counts(prob, ("eq14", "eq15", "eq16"))
-        # K*T*S for eq14/eq15, N*T*S for eq16
-        assert counts == {"eq14": 12, "eq15": 12, "eq16": 12}
+        # K*T*S for eq14, N*T*S for eq16; eq15 is the Pk columns' bounds
+        assert counts == {"eq14": 12, "eq16": 12}
 
     def test_reference_bus_angle_fixed(self):
         sys_obj = triangle_system()
@@ -218,7 +243,23 @@ class TestContingencyGeneratorBlock:
         counts = prob.rows_by_equation()
         assert counts["eq17"] == 2 and counts["eq18"] == 2
         assert counts["eq19"] == 2 and counts["eq20"] == 2
-        assert counts["eq21"] == 1
+        assert "eq21" not in counts
+
+    def test_redispatch_rows_only_where_the_ramp_binds(self):
+        # g2 can move its whole range in 10 minutes: eq19 and eq20 already
+        # give |Pgc - Pg| <= (p_max - p_min) u <= ramp_10min u
+        sys_obj = triangle_system(T=1)
+        g2 = sys_obj.generators[1]
+        gens = (sys_obj.generators[0],
+                replace(g2, ramp_10min=g2.p_max - g2.p_min))
+        sys_obj = replace(sys_obj, generators=gens)
+        prob = assemble(sys_obj, single_scenario(T=1, avail=[20.0]),
+                        [Contingency("L1", ())], SSCUC)
+        labels = {r.label for r in prob.rows}
+        for family in ("eq17", "eq18"):
+            assert f"{family}[g1,L1,1,s0]" in labels
+            assert f"{family}[g2,L1,1,s0]" not in labels
+        assert {"eq19[g2,L1,1,s0]", "eq20[g2,L1,1,s0]"} <= labels
 
     def test_zero_corrective_ramp_pins_post_dispatch(self):
         # g1 has no 10-minute range; its post-contingency output must track
@@ -254,6 +295,60 @@ class TestContingencyGeneratorBlock:
                 for s in scen.scenarios:
                     post = col_value(prob, res, "Pgc", "g2", c.outaged_line_id, 1, s.id)
                     assert post == pytest.approx(0.0, abs=1e-9)
+
+
+def with_line(sys_obj, line_id, **changes):
+    """The system with one line's fields changed."""
+    return replace(sys_obj, lines=tuple(
+        replace(k, **changes) if k.id == line_id else k for k in sys_obj.lines))
+
+
+class TestLimitsAsBounds:
+    """Line limits are flow column bounds (eq15, eq24), not rows; the
+    verifier still checks them from the data."""
+
+    def test_where_the_limits_live(self):
+        sys_obj = with_line(triangle_system(T=1), "L3", limit_long_term=70.0,
+                            limit_emergency=90.0)
+        cont = [Contingency("L1", ("L2",))]  # L2 switchable, L3 fixed
+        prob = assemble(sys_obj, triangle_scenarios(T=1), cont, CNR)
+        bounds = {}
+        for symbol in ("Pk", "Pkc"):
+            for index, col in zip(prob.registry.indices(symbol),
+                                  prob.registry.block(symbol).numbers().ravel()):
+                bounds[(symbol,) + index] = (prob.lb[col], prob.ub[col])
+        for s in ("s0", "s1"):
+            assert bounds[("Pk", "L1", 1, s)] == (-100.0, 100.0)
+            assert bounds[("Pk", "L3", 1, s)] == (-70.0, 70.0)
+            assert bounds[("Pkc", "L1", "L1", 1, s)] == (0.0, 0.0)
+            assert bounds[("Pkc", "L2", "L1", 1, s)] == (-math.inf, math.inf)
+            assert bounds[("Pkc", "L3", "L1", 1, s)] == (-90.0, 90.0)
+        assert {"eq15", "eq24"}.isdisjoint(prob.rows_by_equation())
+
+    @pytest.mark.parametrize("symbol, field, equation", [
+        ("Pk", "limit_long_term", "eq15"),
+        ("Pkc", "limit_emergency", "eq24")])
+    def test_a_flow_over_its_limit(self, symbol, field, equation):
+        # a schedule solved with room to spare, checked against a system in
+        # which one fixed line's limit is half its largest flow
+        sys_obj = triangle_system(T=2)
+        scen = triangle_scenarios(T=2)
+        cont = build_contingency_set(sys_obj)
+        prob = assemble(sys_obj, scen, cont, SSCUC)
+        res = solve(prob, SolveOptions(mip_gap=0.0))
+        sol = extract_schedule(prob, res)
+        cols = prob.registry.block(symbol).numbers().ravel()
+        at = int(np.abs(res.x[cols]).argmax())
+        line = prob.registry.indices(symbol)[at][0]
+        flow = abs(res.x[cols[at]])
+        assert flow > 1.0
+        tight = with_line(sys_obj, line, **{field: flow / 2})
+        tight_prob = assemble(tight, scen, cont, SSCUC)
+        worst, where = tight_prob.max_violation(res.x)
+        assert worst == pytest.approx(0.5)
+        assert where.startswith(f"bound[{symbol}[{line},")
+        assert {v.equation for v in verify_solution(sol, tight, scen, cont,
+                                                    SSCUC)} == {equation}
 
 
 class TestContingencyNetwork:
@@ -315,7 +410,7 @@ class TestCnrNetwork:
         counts = prob.rows_by_equation()
         assert counts["eq25"] == 1 and counts["eq26"] == 1
         assert counts["eq27L"] == 1 and counts["eq27U"] == 1
-        assert counts["eq23"] == 1 and counts["eq24"] == 1  # non-candidate L3
+        assert counts["eq23"] == 1 and "eq24" not in counts  # non-candidate L3
         assert counts["eq28"] == 1
 
     def test_switch_state_one_recovers_flow_equality(self):

@@ -184,6 +184,34 @@ class TestVerifySolution:
         eqs = {v.equation for v in verify_solution(bad, sys_obj, scen, cont, SSCUC)}
         assert "eq15" in eqs
 
+    @pytest.mark.parametrize("kind", [ModelKind.SSCUC, ModelKind.SSCUC_CNR])
+    def test_angles_shifted_out_of_the_box(self, kind):
+        # every angle of one (t, s), base case and post-contingency, moved
+        # by twice the box: the flows still match the angle differences,
+        # but the angles leave the box and the reference bus leaves 0
+        from test_engine_input import toy3_inputs
+        sys_obj, scen, cont = toy3_inputs()
+        cfg = FormulationConfig(model_kind=kind)
+        prob = assemble(sys_obj, scen, cont, cfg)
+        sol = extract_schedule(prob, solve(prob, SolveOptions(mip_gap=0.0)))
+        assert verify_solution(sol, sys_obj, scen, cont, cfg) == []
+        t, s = 2, scen.scenarios[1].id
+        shift = 2 * cfg.angle_bound
+
+        def shifted(angles):
+            return {key: value + shift if key[-2:] == (t, s) else value
+                    for key, value in angles.items()}
+
+        bad = replace(sol, angle=shifted(sol.angle),
+                      angle_c=shifted(sol.angle_c))
+        viols = verify_solution(bad, sys_obj, scen, cont, cfg)
+        assert {v.equation for v in viols} == {"angle", "ref_angle"}
+        assert {v.index[-2:] for v in viols} == {(t, s)}
+        ref = formulation.reference_bus(sys_obj, cfg)
+        assert {v.index[0] for v in viols if v.equation == "ref_angle"} == {ref}
+        # the reference bus in the base case and in every contingency
+        assert sum(v.equation == "ref_angle" for v in viols) == 1 + len(cont)
+
     def test_budget_violation_reports_eq28(self):
         sys_obj, scen, cont, prob, res, sol = solved_triangle(CNR)
         z = dict(sol.z)

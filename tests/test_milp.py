@@ -158,6 +158,24 @@ class TestFamilyTuple:
             assert np.diff(indptr).tolist() == \
                 [1, 2, 2] * 2 + [1] * 6 + [2, 3, 3] * 2
 
+    @pytest.mark.parametrize("padded", [False, True])
+    def test_zero_coefficients_are_left_out(self, padded):
+        # f1's second term is zero for key "b" only, f2's is zero in full;
+        # f3 keeps every term, so only f1 and f2 lose terms
+        prob = MilpProblem()
+        x = prob.add_col_block("x", [("a",), ("b",)], 0.0, 1.0,
+                               inner=((1, 2),))
+        prob.add_row_block(
+            ("f1", "f2", "f3"), [("a",), ("b",)],
+            [[(x, 1.0), (x[::-1], np.array([[2.0], [0.0]]))],
+             [(x, 0.0)], [(x, 1.0), (x[::-1], 1.0)]],
+            [-INF] * 3, [1.0] * 3, ((1, 2),), padded)
+        indptr, indices, data, _, _ = prob.matrix()
+        assert np.diff(indptr).tolist() == [2, 2, 1, 1] + [0] * 4 + [2] * 4
+        assert (data != 0).all()
+        assert [dict(row.coeffs) for row in prob.rows[:4]] == [
+            {0: 1.0, 2: 2.0}, {1: 1.0, 3: 2.0}, {2: 1.0}, {3: 1.0}]
+
     def test_unknown_column_raises_when_the_rows_are_joined(self):
         prob = self.build(True, False)
         prob.add_row_block(("g1", "g2"), [()], [[(0, 1.0)], [(99, 1.0)]],

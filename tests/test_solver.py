@@ -316,11 +316,11 @@ ORACLE_CASES = {
 }
 
 
-# ``oracle_digest`` of the walk: LP counts toy3-sscuc 14, toy3-cnr 30,
+# ``oracle_digest`` of the walk: LP counts toy3-sscuc 14, toy3-cnr 31,
 # triangle-sscuc 8, triangle-cnr 15, pair-sscuc 4 and pair-cnr 7, over
 # 804 records
 ORACLE_DIGEST = \
-    "6e85ae4be38d542a19ea9ae8ac5d72f374bfa475f4469694b35acb875147f86e"
+    "9746134e5dc3fe31c17ef5fb00c6010892bee24e1c4f555c4da0b9f4d76f6fc6"
 
 
 def oracle_digest() -> str:
