@@ -337,6 +337,17 @@ def cmd_verify(args) -> int:
     print(f"oracle objective: {oracle_obj:.6f} ({oracle_result.lp_solves} LPs)")
     for failure in failures[:20]:
         print(f"verification: {failure}")
+    if result.status is SolveStatus.TIME_LIMIT and not failures:
+        # an incumbent, not an optimum: its bound and its objective must
+        # enclose the oracle's optimum
+        tol = 1e-6 * max(1.0, abs(oracle_obj))
+        if result.best_bound - tol <= oracle_obj <= milp_obj + tol:
+            print(f"verify: time limit reached; best bound "
+                  f"{result.best_bound:.6f} <= oracle <= objective")
+            return EXIT_CAPS
+        print(f"verify MISMATCH: oracle objective outside [best bound "
+              f"{result.best_bound:.6f}, objective]")
+        return EXIT_MISMATCH
     if drift > 1e-6 or failures:
         print(f"verify MISMATCH: relative drift {drift:.3g}, "
               f"{len(failures)} failed checks")

@@ -371,7 +371,7 @@ class _Builder:
                  (u3, unit["ramp_shutdown"] - unit["ramp_hourly"]),
                  (v3, neg["ramp_shutdown"]), (u3_prev, neg["ramp_shutdown"])]],
             [-INF, -INF, 0.0, -INF, -INF],
-            [0.0, 0.0, INF, initial[0], initial[1]], inner, padded=True)
+            [0.0, 0.0, INF, initial[0], initial[1]], inner)
 
         # eq8: startups within the last UT periods imply still committed;
         # eq9: no restart within DT periods after being off at t.  One row
@@ -386,14 +386,13 @@ class _Builder:
             width = max((n for *_, n, _ in rows), default=-1) + 1
             prob.add_row_block(
                 family, [(gens[i].id, p + 1) for i, p, *_ in rows],
-                list(zip(cols[:width, at], coefs[:width, at])), -INF, rhs,
-                padded=True)
+                list(zip(cols[:width, at], coefs[:width, at])), -INF, rhs)
         # eq10: startup indicator
         lb10 = np.zeros((G, T))
         lb10[:, 0] = [-float(on) for on in u0]
         prob.add_row_block("eq10", keys,
                            [(v, 1.0), (u, -1.0), (u_prev, 1.0)], lb10, INF,
-                           inner[:1], padded=True)
+                           inner[:1])
 
     # -- nodal balance: eq16 and eq22 ---------------------------------------
 
@@ -418,7 +417,7 @@ class _Builder:
             family, [(n.id, *sfx) for n in buses for sfx in suffixes],
             list(zip(cols.reshape(-1, N * runs, T, S),
                      coef.repeat(runs, axis=1)[:, :, None, None])),
-            demand, demand, self.inner, padded=True)
+            demand, demand, self.inner)
 
     # -- base-case network block: eq14 and eq16 -----------------------------
 
@@ -543,7 +542,7 @@ class _Builder:
             "eq28", [(cid,) for cid, cands in zip(cids, candidates) if cands],
             _padded(row, z_all, np.ones((row.size, 1, 1)), len(counts)),
             np.array(counts, dtype=float).reshape(-1, 1, 1) - cfg.switch_limit,
-            INF, inner, padded=True)
+            INF, inner)
 
     # -- objective (eq1) ----------------------------------------------------
 

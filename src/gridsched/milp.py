@@ -20,41 +20,45 @@ one contiguous run per key.  A symbol has one column block: a later
 symbol's keys may own runs that other symbols' columns sit between (the
 post-contingency copies append one copy of each symbol in turn), and the
 blocks partition the columns.  The rows are the row blocks in the order
-they were added.
+they were added, one block per family and call.
+
+One rule shapes a row: it gets one term per (columns, coefficient) pair
+its family lists, in that order, except where the column is -1 or the
+coefficient 0; those terms are left out.  So rows of one family may have
+different lengths, and a block keeps only its nonzero terms.
 
 A call does only the work that is its own, and leaves the rest to one
 join.  ``add_col_block`` registers the keys and keeps the bounds as they
 were given, a number or an array that broadcasts to the block; the column
 bounds are laid out when ``lb`` or ``ub`` is next read.  ``add_row_block``
-fills the (row, term) column and value arrays of every family of its call
-in one pass, one grid per call when the rows are padded and one per family
-otherwise, and drops the padding and every zero coefficient at once, so a
-block keeps only its nonzero terms.  Each family's terms per row and its
-row bounds are kept the same way as column bounds, and its ``Block`` is
-made only when a label or ``rows`` asks for it.  The first read of the rows (``matrix``, ``check``,
-``max_violation``, a solve) joins every block added since the last read:
-the numbers are repeated over their blocks in one call, the arrays put in
-place, the terms concatenated into the CSR arrays (each row's terms in the
-order its family lists them, no explicit zero, no column twice in a
-row) and every column number checked.  So array bounds are read at the
-join and must not change before it.  ``check``, ``objective_value`` and
-``max_violation`` are numpy operations on the joined arrays, and the engine
-takes them as they are, row by row.  They are cached; ``clone_with_bounds``
-copies share them, and so does anything else kept with them through
-``shared``.
+fills each family's (row, term) column and value grid, as wide as the
+family's terms, and drops the terms the rule leaves out; a family's
+terms per row and its row bounds are kept the same way as column bounds.
+The first read of the rows (``matrix``, ``check``, ``max_violation``, a
+solve) joins every block added since the last read: the numbers are
+repeated over their blocks in one call, the arrays put in place, the
+terms concatenated into the CSR arrays (each row's terms in the order its
+family lists them, no explicit zero, no column twice in a row) and every
+column number checked.  So array bounds are read at the join and must not
+change before it.  ``check``, ``objective_value`` and ``max_violation``
+are numpy operations on the joined arrays, and the engine takes them as
+they are, row by row.  They are cached; ``clone_with_bounds`` copies
+share them, and so does anything else kept with them through ``shared``.
 
-Names are derived on demand from (block, offset) by ``Block.label``: row
-labels like ``eq14[L2,3,s0]`` map a row back to the printed model
-equation, and columns are named by the documented scheme ``u[g,t]``,
-``Pg[g,t,s]``, ``z[c,k,t,s]``.  Both are deterministic for a given
-system/scenario/contingency input order.  ``rows`` materialises ``Row``
-objects for inspection.
+Names are derived on demand: a row's or a column's number is looked up
+in the table of runs it was appended in (first number, block, offset),
+and ``Block.label`` names the offset.  Row labels like ``eq14[L2,3,s0]``
+map a row back to the printed model equation, and columns are named by
+the documented scheme ``u[g,t]``, ``Pg[g,t,s]``, ``z[c,k,t,s]``.  Both
+are deterministic for a given system/scenario/contingency input order.
+``rows`` lists every row as a ``Row``, for inspection.
 """
 
 from __future__ import annotations
 
 import bisect
 import copy
+import gc
 import itertools
 import math
 from collections.abc import Sequence
@@ -162,15 +166,6 @@ class Block:
             q = q * len(axis) + j
         return int(self.first[p]) + q
 
-    def locate(self, number: int) -> int | None:
-        """Offset of this number within the block, or None."""
-        rel = number - self.first
-        hit = np.flatnonzero((rel >= 0) & (rel < self.run))
-        if not hit.size:
-            return None
-        p = int(hit[0])
-        return p * self.run + int(rel[p])
-
     def label(self, local: int) -> str:
         parts = self.index(local)
         if not parts:
@@ -220,12 +215,36 @@ def _layout(values: Sequence, sizes: Sequence[int],
     return out
 
 
+class _Runs:
+    """The runs numbers were appended in, in number order: each run's
+    first number, its block and that number's offset in the block."""
+
+    def __init__(self) -> None:
+        self.firsts: list[int] = []
+        self.blocks: list[Block] = []
+        self.offsets: list[int] = []
+        self.end = 0  # one past the last number
+
+    def append(self, block: Block, first: int, offset: int, size: int) -> None:
+        self.firsts.append(first)
+        self.blocks.append(block)
+        self.offsets.append(offset)
+        self.end = first + size
+
+    def label(self, number: int) -> str:
+        if not 0 <= number < self.end:
+            raise KeyError(f"{number} is in no block")
+        i = bisect.bisect_right(self.firsts, number) - 1
+        return self.blocks[i].label(number - self.firsts[i] + self.offsets[i])
+
+
 class VariableRegistry:
     """Maps (symbol, index tuple) to a column: one column block per symbol."""
 
     def __init__(self) -> None:
         self._blocks: dict[str, Block] = {}
         self._keys: dict[str, set[tuple]] = {}  # each symbol's keys so far
+        self._runs = _Runs()
 
     def _add(self, symbol: str, keys: list[tuple], start: int,
              inner: tuple[tuple, ...]) -> None:
@@ -241,17 +260,17 @@ class VariableRegistry:
         if (len(new) < len(keys) or not new.isdisjoint(seen)
                 or old is None and any(len(set(a)) < len(a) for a in inner)):
             raise ValueError(f"duplicate registration in block {symbol}")
+        run = math.prod(map(len, inner))
         if old is None:
             self._keys[symbol] = new
-            self._blocks[symbol] = Block(symbol, list(keys), start, inner,
-                                         math.prod(map(len, inner)))
+            block = self._blocks[symbol] = Block(symbol, list(keys), start,
+                                                 inner, run)
+            offset = 0
         else:
             seen.update(new)
+            block, offset = old, old.size
             old.extend(keys, start)
-
-    def block(self, symbol: str) -> Block:
-        """The block holding every column of a symbol."""
-        return self._blocks[symbol]
+        self._runs.append(block, start, offset, len(keys) * run)
 
     def col(self, symbol: str, *index) -> int:
         block = self._blocks.get(symbol)
@@ -270,10 +289,6 @@ class VariableRegistry:
         for symbol, block in self._blocks.items():
             yield symbol, block.indices(), block.numbers().reshape(-1)
 
-    def count(self, symbol: str) -> int:
-        block = self._blocks.get(symbol)
-        return 0 if block is None else block.size
-
     def names(self) -> list[str]:
         """Every column's name, in column order."""
         names = np.empty(sum(b.size for b in self._blocks.values()),
@@ -283,11 +298,7 @@ class VariableRegistry:
         return names.tolist()
 
     def name(self, col: int) -> str:
-        for block in self._blocks.values():
-            local = block.locate(col)
-            if local is not None:
-                return block.label(local)
-        raise KeyError(f"column {col} is not registered")
+        return self._runs.label(col)
 
 
 class _Column:
@@ -319,39 +330,6 @@ def _joined(old: np.ndarray, new: np.ndarray) -> np.ndarray:
     return np.concatenate((old, new)) if old.size else new
 
 
-class RowView(Sequence):
-    """A problem's rows as ``Row`` objects, materialised on demand."""
-
-    def __init__(self, model: "_Model") -> None:
-        self._model = model
-
-    def __len__(self) -> int:
-        return self._model.n_rows
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("row index out of range")
-        indptr, indices, data, lo, hi = self._model.csr()
-        a, b = indptr[i], indptr[i + 1]
-        return Row(list(zip(indices[a:b].tolist(), data[a:b].tolist())),
-                   float(lo[i]), float(hi[i]), self._model.label(i))
-
-    def __iter__(self):
-        model = self._model
-        indptr, indices, data, lo, hi = (a.tolist() for a in model.csr())
-        i = 0
-        for block in model.blocks:
-            for label in block.labels():
-                a, e = indptr[i], indptr[i + 1]
-                yield Row(list(zip(indices[a:e], data[a:e])), lo[i], hi[i],
-                          label)
-                i += 1
-
-
 class _Model:
     """Columns' integrality, the objective and the rows: the storage a
     problem shares with its clones."""
@@ -361,18 +339,17 @@ class _Model:
         self.integer_runs: list[tuple[int, int]] = []  # (first, count)
         self.obj_cols = _Column(np.int64)  # objective terms in call order
         self.obj_vals = _Column(float)
-        self.n_rows = 0
-        # every row block, in row order, as its ``Block`` arguments; the
-        # blocks themselves are made when first asked for
-        self.families: list[tuple] = []
-        self._blocks: list[Block] = []
-        self.starts: list[int] = []  # each row block's first row
+        self.row_runs = _Runs()  # one run per row block, in row order
         # the rows as joined so far: terms per row, each row's term columns
         # in turn and their coefficients, row lb and row ub
         self.joined = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32),
                        np.empty(0), np.empty(0), np.empty(0))
-        self._pending: list[tuple] = []  # ``add_rows`` calls not yet joined
+        self._pending: list[tuple] = []  # row blocks not yet joined
         self._cache: dict = {}
+
+    @property
+    def n_rows(self) -> int:
+        return self.row_runs.end
 
     def integer(self) -> np.ndarray:
         """Each column's integrality."""
@@ -385,25 +362,22 @@ class _Model:
 
     # -- rows ---------------------------------------------------------------
 
-    def add_rows(self, names: tuple[str, ...], keys: list[tuple],
-                 inner: tuple[tuple, ...], shape: tuple[int, ...], counts,
-                 cols: list, vals: list, lo, hi) -> None:
-        """Append one row block per family over the grid ``shape`` of
-        ``keys`` x ``inner``, one after another.  ``cols`` and ``vals``
-        hold the blocks' terms as arrays, each row's terms in turn, and
-        ``counts`` the terms per row, a number per family or one array over
-        all the rows; ``lo`` and ``hi`` hold each family's row bounds, a
+    def add_rows(self, name: str, keys: list[tuple], inner: tuple[tuple, ...],
+                 shape: tuple[int, ...], count, cols: np.ndarray,
+                 vals: np.ndarray, lo, hi) -> None:
+        """Append the row block of a family over the grid ``shape`` of
+        ``keys`` x ``inner``.  ``cols`` and ``vals`` hold its terms, each
+        row's in turn, and ``count`` the terms per row, a number or an
+        array over the rows; ``lo`` and ``hi`` hold the row bounds, a
         number or an array that broadcasts to ``shape``.
 
         All of them are kept as they are until ``csr`` joins them with the
         earlier rows, so the arrays must not change in between."""
-        run = math.prod(shape[1:])
-        n = shape[0] * run
-        for name in names:
-            self.families.append((name, keys, self.n_rows, inner, run))
-            self.starts.append(self.n_rows)
-            self.n_rows += n
-        self._pending.append((names, n, shape, counts, cols, vals, lo, hi))
+        n = math.prod(shape)
+        start = self.n_rows
+        self.row_runs.append(Block(name, keys, start, inner, n // shape[0]),
+                             start, 0, n)
+        self._pending.append((n, shape, name, count, cols, vals, lo, hi))
         self._cache.clear()
 
     def csr(self) -> tuple[np.ndarray, ...]:
@@ -421,27 +395,16 @@ class _Model:
         return self._cache["csr"]
 
     def _join(self) -> None:
-        """Lay out the rows added since the last join and append them."""
-        pending, self._pending = self._pending, []
-        # a part per family, in row order, for the bounds; the term counts
-        # of a padded call are one array over all its families' rows
-        parts = ([rec[1] for rec in pending for _ in rec[0]],
-                 [rec[2] for rec in pending for _ in rec[0]],
-                 [name for rec in pending for name in rec[0]])
-        counts = []
-        for names, n, _, count, *_ in pending:
-            if isinstance(count, list):
-                counts.extend((c, n, (n,), name) for c, name in zip(count, names))
-            else:
-                counts.append((count, count.size, count.shape, ""))
+        """Lay out the row blocks added since the last join and append
+        them."""
+        sizes, shapes, names, counts, cols, vals, lo, hi = zip(*self._pending)
+        self._pending = []
         self.joined = tuple(map(_joined, self.joined, (
-            _layout(*zip(*counts), np.int64),
-            np.concatenate([c for rec in pending for c in rec[4]], axis=None,
-                           dtype=np.int32),
-            np.concatenate([v for rec in pending for v in rec[5]], axis=None,
-                           dtype=float),
-            _layout([v for rec in pending for v in rec[6]], *parts, float),
-            _layout([v for rec in pending for v in rec[7]], *parts, float))))
+            _layout(counts, sizes, [(n,) for n in sizes], names, np.int64),
+            np.concatenate(cols, axis=None, dtype=np.int32),
+            np.concatenate(vals, axis=None, dtype=float),
+            _layout(lo, sizes, shapes, names, float),
+            _layout(hi, sizes, shapes, names, float))))
 
     def row_terms(self) -> tuple[np.ndarray, ...]:
         """Each stored term's row, each row's scale floor max(1, |lb|,
@@ -460,19 +423,6 @@ class _Model:
             self._cache["terms"] = (row_of, floor, filled, indptr[filled])
         return self._cache["terms"]
 
-    @property
-    def blocks(self) -> list[Block]:
-        """Every row block, in row order."""
-        made = self._blocks
-        made.extend(Block(*family) for family in self.families[len(made):])
-        return made
-
-    def label(self, row: int) -> str:
-        b = bisect.bisect_right(self.starts, row) - 1
-        block = (self._blocks[b] if b < len(self._blocks)
-                 else Block(*self.families[b]))
-        return block.label(row - self.starts[b])
-
     def check(self) -> None:
         """Raise on a non-finite objective coefficient or an empty row
         interval; the shared parts of ``MilpProblem.check``, run once
@@ -488,7 +438,8 @@ class _Model:
         bad = lo > hi
         if bad.any():
             i = int(bad.argmax())
-            raise ValueError(f"row {self.label(i)}: lb {lo[i]} > ub {hi[i]}")
+            raise ValueError(f"row {self.row_runs.label(i)}: lb {lo[i]} > "
+                             f"ub {hi[i]}")
         self._cache["checked"] = True
 
     # -- objective ----------------------------------------------------------
@@ -519,9 +470,6 @@ class MilpProblem:
         self._lb = _Column(float)
         self._ub = _Column(float)
         self._model = _Model()
-        # held here, not on the model: a model that referred back to
-        # itself would wait for the cycle collector to free its cache
-        self._rows = RowView(self._model)
 
     # -- columns -----------------------------------------------------------
 
@@ -585,64 +533,61 @@ class MilpProblem:
         return self._model.n_rows
 
     @property
-    def rows(self) -> RowView:
-        return self._rows
+    def rows(self) -> list[Row]:
+        """Every row as a ``Row``, made afresh from the CSR arrays."""
+        indptr, indices, data, lo, hi = (a.tolist() for a in self.matrix())
+        labels = itertools.chain.from_iterable(
+            block.labels() for block in self._model.row_runs.blocks)
+        # millions of new objects and no cycle among them: the cyclic
+        # collector would rescan them again and again as the list grows
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return [Row(list(zip(indices[a:e], data[a:e])), low, high, label)
+                    for a, e, low, high, label
+                    in zip(indptr, indptr[1:], lo, hi, labels)]
+        finally:
+            if collecting:
+                gc.enable()
 
     def add_row_block(self, family: str | tuple[str, ...], keys: list[tuple],
-                      terms, lb, ub, inner: tuple[tuple, ...] = (),
-                      padded: bool = False) -> None:
+                      terms, lb, ub, inner: tuple[tuple, ...] = ()) -> None:
         """Append one row per (key, inner position) of an equation family.
 
         The rows follow the last row, key by key, each key's run over the
-        flattened inner axes.  Each row gets one term per (columns,
-        coefficient) pair of ``terms`` and the interval [lb, ub]; every
-        array broadcasts to (keys, *inner).  A term whose coefficient is 0
-        is left out of its row.  With ``padded``, a column of -1 leaves
-        that term out too, so rows of one family may have different
-        lengths.  ``family`` may be a tuple of families over the same
-        grid; ``terms``, ``lb`` and ``ub`` then hold one entry per family,
-        and each family is its own block, one after another.  The bounds are laid out, and an unknown column or a
-        bound that does not broadcast raises, when the rows are next read
-        (see the module docstring); an array bound must not change before
-        then.
+        flattened inner axes.  Each row gets the interval [lb, ub] and one
+        term per (columns, coefficient) pair of ``terms``, in that order,
+        except where the column is -1 or the coefficient 0: those terms
+        are left out, so rows of one family may have different lengths.
+        Every array broadcasts to (keys, *inner).  ``family`` may be a
+        tuple of families over the same grid; ``terms``, ``lb`` and ``ub``
+        then hold one entry per family, and each family is its own block,
+        one after another.  The bounds are laid out, and an unknown column
+        or a bound that does not broadcast raises, when the rows are next
+        read (see the module docstring); an array bound must not change
+        before then.
         """
         if isinstance(family, str):
             family, terms, lb, ub = (family,), (terms,), (lb,), (ub,)
         shape = (len(keys),) + tuple(map(len, inner))
         if not math.prod(shape):
             return
-        widths = [len(t) for t in terms]
-        if padded:  # one grid of the longest rows; the padding drops out
-            width = max(widths)
-            cols = np.empty((len(family),) + shape + (width,), dtype=np.int32)
+        for name, family_terms, lo, hi in zip(family, terms, lb, ub):
+            width = len(family_terms)  # a grid as wide as this family's rows
+            cols = np.empty(shape + (width,), dtype=np.int32)
             vals = np.empty(cols.shape)
-            if min(widths) < width:
-                cols.fill(-1)
-            blocks = list(zip(cols, vals))
-        else:  # one grid per family, as wide as its rows
-            blocks = [(np.empty(shape + (m,), dtype=np.int32),
-                       np.empty(shape + (m,))) for m in widths]
-        for (block_cols, block_vals), family_terms in zip(blocks, terms):
             for j, (col, coef) in enumerate(family_terms):
-                block_cols[..., j] = col
-                block_vals[..., j] = coef
-        if padded:  # each row keeps its term order
-            cols, vals = cols.reshape(-1, width), vals.reshape(-1, width)
+                cols[..., j] = col
+                vals[..., j] = coef
             keep = cols != -1
             keep &= vals != 0.0
-            counts = np.add.reduce(keep, axis=1, dtype=np.int64)
-            cols, vals = [cols[keep]], [vals[keep]]
-        else:
-            counts = list(widths)
-            cols, vals = [c for c, _ in blocks], [v for _, v in blocks]
-            for i, v in enumerate(vals):
-                keep = v != 0.0
-                if not keep.all():  # this family's rows become ragged
-                    cols[i], vals[i] = cols[i][keep], v[keep]
-                    counts[i] = np.add.reduce(keep.reshape(-1, widths[i]),
-                                              axis=1, dtype=np.int64)
-        self._model.add_rows(family, keys, inner, shape, counts, cols, vals,
-                             lb, ub)
+            count = width
+            if not keep.all():  # the rows become ragged, in term order
+                cols, vals = cols[keep], vals[keep]
+                count = np.add.reduce(keep.reshape(-1, width), axis=1,
+                                      dtype=np.int64)
+            self._model.add_rows(name, keys, inner, shape, count, cols, vals,
+                                 lo, hi)
 
     def matrix(self) -> tuple[np.ndarray, ...]:
         """The cached CSR arrays (indptr, indices, data, row lb, row ub) of
@@ -703,32 +648,16 @@ class MilpProblem:
         terms = np.concatenate(([0.0], coefs * np.asarray(x, dtype=float)[cols]))
         return float(np.add.accumulate(terms)[-1] + self.objective_constant)
 
-    def row_activity(self, row: Row, x: np.ndarray) -> float:
-        return float(sum(coef * x[col] for col, coef in row.coeffs))
-
-    def row_violation(self, row: Row, x: np.ndarray, scaled: bool = True) -> float:
-        """Constraint violation of a point; 0 when feasible.
-
-        Scaled mode divides by max(1, largest |term|), the usual relative
-        feasibility measure for rows whose coefficients span magnitudes.
-        """
-        act = self.row_activity(row, x)
-        viol = max(0.0, row.lb - act, act - row.ub)
-        if not scaled or viol == 0.0:
-            return viol
-        scale = max(1.0, max((abs(coef * x[col]) for col, coef in row.coeffs),
-                             default=0.0),
-                    abs(row.lb) if math.isfinite(row.lb) else 0.0,
-                    abs(row.ub) if math.isfinite(row.ub) else 0.0)
-        return viol / scale
-
     def max_violation(self, x: np.ndarray, scaled: bool = True) -> tuple[float, str]:
         """Worst row or bound violation and the offending label.
 
-        Rows use ``row_violation``'s measure and bounds divide by
-        max(1, |x|) when scaled; ties go to the first row, and a bound
-        wins only when strictly worse than every row.  A NaN point value
-        or activity is an infinite violation.
+        A row's violation is how far its activity lies outside [lb, ub];
+        scaled, it is divided by max(1, its largest |coefficient * x|, its
+        finite |lb| and |ub|), the usual relative feasibility measure for
+        rows whose coefficients span magnitudes.  A bound's violation is
+        divided by max(1, |x|) when scaled.  Ties go to the first row, and
+        a bound wins only when strictly worse than every row.  A NaN point
+        value or activity is an infinite violation.
         """
         x = np.asarray(x, dtype=float)
         model = self._model
@@ -750,7 +679,7 @@ class MilpProblem:
         if viol.size:
             i = int(viol.argmax())
             if viol[i] > worst:
-                worst, where = float(viol[i]), self._model.label(i)
+                worst, where = float(viol[i]), model.row_runs.label(i)
         bound = np.maximum(np.maximum(0.0, self.lb - x), x - self.ub)
         if scaled:
             bound = bound / np.fmax(1.0, np.abs(x))
@@ -764,6 +693,6 @@ class MilpProblem:
     def rows_by_equation(self) -> dict[str, int]:
         """Row counts keyed by equation family, in row order."""
         counts: dict[str, int] = {}
-        for name, keys, _, _, run in self._model.families:
-            counts[name] = counts.get(name, 0) + len(keys) * run
+        for block in self._model.row_runs.blocks:
+            counts[block.name] = counts.get(block.name, 0) + block.size
         return counts

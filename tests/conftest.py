@@ -19,6 +19,12 @@ def named_cols(prob: MilpProblem, names, lb, ub, integer=False) -> list[int]:
             for i, name in enumerate(names)]
 
 
+def symbol_cols(prob: MilpProblem, symbol: str) -> np.ndarray:
+    """Every column of a symbol, in the order of its index tuples."""
+    return next((cols for name, _, cols in prob.registry.groups()
+                 if name == symbol), np.empty(0, dtype=np.int64))
+
+
 def col_value(prob: MilpProblem, res, symbol: str, *index) -> float:
     """The value a solve result gives the column of ``symbol[index]``."""
     return float(res.x[prob.registry.col(symbol, *index)])

@@ -30,8 +30,8 @@ from gridsched.data import bundled
 
 from conftest import (make_gen, make_line, parallel_pair_scenarios,
                       parallel_pair_system, ring4_scenarios, ring4_system,
-                      sixbus_scenarios, sixbus_system, triangle_scenarios,
-                      triangle_system)
+                      sixbus_scenarios, sixbus_system, symbol_cols,
+                      triangle_scenarios, triangle_system)
 
 GAP0 = SolveOptions(mip_gap=0.0)
 
@@ -205,7 +205,7 @@ class TestCriterion3PenaltyEliminatesCurtailment:
         # (a) with the penalty off, positive post-contingency curtailment is
         # permitted at no cost: force 5 MW of curtailment and re-solve
         forced = copy.deepcopy(off.prob)
-        pwc_cols = forced.registry.block("Pwc").numbers().reshape(-1).tolist()
+        pwc_cols = symbol_cols(forced, "Pwc").tolist()
         total_avail = sum(forced.ub[c] for c in pwc_cols)
         forced.add_row_block("forced_curtailment", [()],
                              [(c, 1.0) for c in pwc_cols], 0.0,

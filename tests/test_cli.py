@@ -581,6 +581,58 @@ class TestVerify:
             solver_mod.solve(prob, opts), status=SolveStatus.TIME_LIMIT, x=None))
         assert run_cli("verify", TOY, TOY_SCEN, "--out-dir", str(tmp_path)) == 3
 
+    @staticmethod
+    def stop_above_the_optimum(monkeypatch, **changes):
+        """The MILP stops at the time limit with a verified point 0.06%
+        above toy3's optimum of 7456.00 (Pg[g1,1,s0] pinned 1 MW below its
+        optimal dispatch, 7460.80) and the optimum as its bound."""
+        real_solve = cli_mod.solve
+
+        def limited(prob, opts):
+            best = real_solve(prob, opts)
+            col = prob.registry.col("Pg", "g1", 1, "s0")
+            worse = real_solve(
+                prob.clone_with_bounds({col: best.x[col] - 1.0}), opts)
+            return dataclasses.replace(worse, **{
+                "status": SolveStatus.TIME_LIMIT, "best_bound": best.objective,
+                **changes})
+
+        monkeypatch.setattr(cli_mod, "solve", limited)
+
+    def test_time_limit_incumbent_enclosing_the_optimum(self, tmp_path, capsys,
+                                                         monkeypatch):
+        self.stop_above_the_optimum(monkeypatch)
+        assert run_cli("verify", TOY, TOY_SCEN, "--out-dir", str(tmp_path)) == 3
+        out = capsys.readouterr().out
+        assert "milp objective:   7460.800000" in out
+        assert "oracle objective: 7456.000000" in out
+        assert "verify: time limit reached" in out
+        assert "MISMATCH" not in out
+        cert = json.loads((tmp_path / "certificate.json").read_text())
+        assert cert["milp_status"] == "time-limit"
+
+    @pytest.mark.parametrize("case", ["bound-above-optimum",
+                                      "point-below-optimum", "verifier"])
+    def test_time_limit_incumbent_mismatch(self, tmp_path, capsys,
+                                           monkeypatch, case):
+        if case == "bound-above-optimum":
+            self.stop_above_the_optimum(monkeypatch, best_bound=7457.0)
+        else:
+            self.stop_above_the_optimum(monkeypatch)
+        if case == "point-below-optimum":  # an oracle optimum of 7461
+            real_oracle = cli_mod.oracle.enumerate_commitments
+            monkeypatch.setattr(
+                cli_mod.oracle, "enumerate_commitments",
+                lambda *args: dataclasses.replace(real_oracle(*args),
+                                                  best_objective=7461.0))
+        if case == "verifier":
+            monkeypatch.setattr(
+                metrics_mod, "verify_solution",
+                lambda *args, **kwargs: [
+                    ConstraintViolation("eq2", ("g1", 1, "s0"), 1.0)])
+        assert run_cli("verify", TOY, TOY_SCEN, "--out-dir", str(tmp_path)) == 1
+        assert "verify MISMATCH" in capsys.readouterr().out
+
     def test_model_error_is_not_both_infeasible(self, tmp_path, capsys,
                                                 monkeypatch):
         report_model_status(monkeypatch, "kModelError")

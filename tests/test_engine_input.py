@@ -1,10 +1,11 @@
 """The model handed to HiGHS, and ``max_violation`` against a scalar
-reference evaluated on the materialised rows."""
+reference (``row_violation``) evaluated on the materialised rows."""
 
 from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -16,7 +17,7 @@ from gridsched import (DemandProfile, FormulationConfig, ModelKind,
                        load_scenario_set, load_system)
 from gridsched import solver as solver_mod
 from gridsched.data import bundled
-from gridsched.milp import INF, MilpProblem
+from gridsched.milp import INF, MilpProblem, Row
 from gridsched.scenarios import build_scenario_set, synth_wind_profiles
 
 from conftest import named_cols
@@ -71,6 +72,41 @@ TINY_DIGESTS = {
         "6fb32cf037f4c8f195d18c7026524cdc4d61e5d765c87aaf886c5ab7432fd5bd",
     (1017, ModelKind.SSCUC_CNR):
         "cc7ab142f46587888639dddd3771eba5c1a6e9bcc4510ef374ed3e501fac6436",
+}
+# the row-wise arrays exactly as the engine is handed them, each row's
+# terms in stored order (``raw_digest``); ``digest`` sorts the terms into
+# columns, so only these see a change in the order of a row's terms, which
+# HiGHS's search path can depend on
+RAW_DIGESTS = {
+    ("toy3", ModelKind.SSCUC):
+        "d374e0a64b29b594cb0693396af30024e16302454ae10657b1218f2e916f40b0",
+    ("toy3", ModelKind.SSCUC_CNR):
+        "7db71b5fdb06ff454883c3ec6fea0ab358f33e86b0b35c5195cb432e9e853b90",
+    # the switch pool does not reach SSCUC: the same as toy3's
+    ("toy3-mixed", ModelKind.SSCUC):
+        "d374e0a64b29b594cb0693396af30024e16302454ae10657b1218f2e916f40b0",
+    ("toy3-mixed", ModelKind.SSCUC_CNR):
+        "8908c21e9e652885054bb934a63e802562dc8b0d2fdde87c97a2c1fd66d389f6",
+    ("rts24-slice", ModelKind.SSCUC):
+        "ade39fa46a4a5901d0e73de8d09d5b9e8f58202dabbd891eb13218bd052fcf95",
+    ("rts24-slice", ModelKind.SSCUC_CNR):
+        "39757d094fc717309856105bdd6450d834e07204f20ccfde6ef8c7cd0e4e7a63",
+    (1000, ModelKind.SSCUC):
+        "110d3e8a4a6af36d283f1111dee5bb4d9678ec791a7b666f432cc8336b6a0cc0",
+    (1000, ModelKind.SSCUC_CNR):
+        "36c92c6c25563a37b632d0f459817cc154cde1d6ecda636b08e8dfce6a53ebfd",
+    (1001, ModelKind.SSCUC):
+        "0b7958d18eb416ee7d623d2fd8e3c22f1f0e37a5727ddead0c9ac143bae8d442",
+    (1001, ModelKind.SSCUC_CNR):
+        "81cf102d765329e3bfaa4607f82578ca55262418596c08ee39add163a0fc611f",
+    (1013, ModelKind.SSCUC):
+        "a6c4ab223175d82670e284878bc92f8c434b40ed4f6d1db3a9e2f498ec7b020e",
+    (1013, ModelKind.SSCUC_CNR):
+        "1a8f886ae555a13012bcb85fdd137ee310f6d93aacb010d851062d8f6342e878",
+    (1017, ModelKind.SSCUC):
+        "6cdeb1f755131b587ae528ecc4f993fcc921557a71124999691cb9bcd6ca498e",
+    (1017, ModelKind.SSCUC_CNR):
+        "ee07583d962654f7d2ee0523efa08afd9a85c7d28162042b82c9cda73cc5d6bf",
 }
 
 
@@ -134,6 +170,23 @@ def digest(prob: MilpProblem) -> str:
     return h.hexdigest()
 
 
+def raw_digest(prob: MilpProblem) -> str:
+    """SHA-256 of the rows as the engine's HiGHS instance is passed them:
+    indptr and indices as int32 and data as float64, in stored order, then
+    the row bounds."""
+    seen = engine_input(prob)
+    h = hashlib.sha256()
+    indptr, indices, data = seen["A"]
+    for name, values, dtype in (("indptr", indptr, np.int32),
+                                ("indices", indices, np.int32),
+                                ("data", data, np.float64),
+                                ("row_lo", seen["row_lower"], np.float64),
+                                ("row_hi", seen["row_upper"], np.float64)):
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(values, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
 def toy3_inputs():
     system = load_system(bundled("toy3.json"))
     scen = align_scenarios(
@@ -171,12 +224,34 @@ def tiny_instances():
              build_contingency_set(pair))]
 
 
+def row_activity(row: Row, x: np.ndarray) -> float:
+    return float(sum(coef * x[col] for col, coef in row.coeffs))
+
+
+def row_violation(row: Row, x: np.ndarray, scaled: bool = True) -> float:
+    """Constraint violation of a point; 0 when feasible.
+
+    Scaled mode divides by max(1, largest |term|, finite |lb| and |ub|),
+    the usual relative feasibility measure for rows whose coefficients
+    span magnitudes.
+    """
+    act = row_activity(row, x)
+    viol = max(0.0, row.lb - act, act - row.ub)
+    if not scaled or viol == 0.0:
+        return viol
+    scale = max(1.0, max((abs(coef * x[col]) for col, coef in row.coeffs),
+                         default=0.0),
+                abs(row.lb) if math.isfinite(row.lb) else 0.0,
+                abs(row.ub) if math.isfinite(row.ub) else 0.0)
+    return viol / scale
+
+
 def scalar_max_violation(prob: MilpProblem, x: np.ndarray,
                          scaled: bool = True) -> tuple[float, str]:
     """The row-by-row loop, then the bound-by-bound loop."""
     worst, where = 0.0, ""
     for row in prob.rows:
-        v = prob.row_violation(row, x, scaled=scaled)
+        v = row_violation(row, x, scaled=scaled)
         if v > worst:
             worst, where = v, row.label
     for j in range(prob.num_vars):
@@ -253,6 +328,13 @@ class TestEngineInput:
             assert {len(row.coeffs) for row in rows["eq28"]} == {1}
         assert digest(prob) == TINY_DIGESTS[(seed, kind)]
 
+    @pytest.mark.parametrize("case, kind", list(RAW_DIGESTS),
+                             ids=[f"{case}-{kind.value}"
+                                  for case, kind in RAW_DIGESTS])
+    def test_raw_rows_as_the_engine_takes_them(self, case, kind):
+        prob = assemble(*pinned_inputs(case), FormulationConfig(model_kind=kind))
+        assert raw_digest(prob) == RAW_DIGESTS[(case, kind)]
+
     def test_clones_share_the_matrix(self):
         prob = assemble(*toy3_inputs(), FormulationConfig())
         clone = prob.clone_with_bounds({0: 1.0})
@@ -307,7 +389,7 @@ class TestColumnLayout:
             name.split("[", 1)[0] for name in names)]
         order = (("u", "v", "Pg", "r", "Pw", "Pk", "th")
                  + ("Pgc", "Pwc", "Pkc", "thc") * len(cont) + ("z",))
-        assert runs == [s for s in order if prob.registry.count(s)]
+        assert runs == [s for s in order if prob.registry.indices(s)]
 
 
 # the LP relaxation's optimum of each model, recorded while the model still
@@ -334,6 +416,8 @@ def pinned_inputs(case):
     """The inputs of a ``RELAXATION_OBJECTIVES`` case."""
     if case == "toy3":
         return toy3_inputs()
+    if case == "toy3-mixed":
+        return toy3_mixed_inputs()
     if case == "rts24-slice":
         return rts24_slice()
     from test_acceptance import random_tiny_instance

@@ -14,8 +14,9 @@ from gridsched.formulation import BIG_M_MARGIN
 from gridsched.solver import SolveOptions
 from gridsched.topology import Contingency
 
-from conftest import (col_value, make_gen, make_line, triangle_scenarios,
-                      triangle_system)
+from conftest import (col_value, make_gen, make_line, symbol_cols,
+                      triangle_scenarios, triangle_system)
+from test_engine_input import row_activity
 
 SSCUC = FormulationConfig(model_kind=ModelKind.SSCUC)
 CNR = FormulationConfig(model_kind=ModelKind.SSCUC_CNR)
@@ -176,7 +177,7 @@ class TestNetworkBlock:
         x[prob.registry.col("Pk", "K", 1, "s0")] = 50.0
         x[prob.registry.col("th", "n1", 1, "s0")] = 0.0
         x[prob.registry.col("th", "n2", 1, "s0")] = -0.05
-        assert prob.row_activity(row, x) == pytest.approx(0.0, abs=1e-12)
+        assert row_activity(row, x) == pytest.approx(0.0, abs=1e-12)
 
     def test_network_row_counts(self):
         sys_obj = triangle_system(T=2)
@@ -202,7 +203,7 @@ class TestNetworkBlock:
         prob = assemble(sys_obj, triangle_scenarios(), cont, cfg)
         for symbol in ("th", "thc"):
             indices = prob.registry.indices(symbol)
-            cols = prob.registry.block(symbol).numbers().reshape(-1)
+            cols = symbol_cols(prob, symbol)
             assert len(indices) == 3 * (1 if symbol == "th" else len(cont)) * 4
             for index, col in zip(indices, cols):
                 bound = 0.0 if index[0] == "b2" else 0.4
@@ -315,7 +316,7 @@ class TestLimitsAsBounds:
         bounds = {}
         for symbol in ("Pk", "Pkc"):
             for index, col in zip(prob.registry.indices(symbol),
-                                  prob.registry.block(symbol).numbers().ravel()):
+                                  symbol_cols(prob, symbol)):
                 bounds[(symbol,) + index] = (prob.lb[col], prob.ub[col])
         for s in ("s0", "s1"):
             assert bounds[("Pk", "L1", 1, s)] == (-100.0, 100.0)
@@ -337,7 +338,7 @@ class TestLimitsAsBounds:
         prob = assemble(sys_obj, scen, cont, SSCUC)
         res = solve(prob, SolveOptions(mip_gap=0.0))
         sol = extract_schedule(prob, res)
-        cols = prob.registry.block(symbol).numbers().ravel()
+        cols = symbol_cols(prob, symbol)
         at = int(np.abs(res.x[cols]).argmax())
         line = prob.registry.indices(symbol)[at][0]
         flow = abs(res.x[cols[at]])
@@ -538,7 +539,7 @@ class TestObjective:
         cfg = replace(SSCUC, penalty_enabled=False)
         prob = assemble(sys_obj, scen, cont, cfg)
         assert prob.objective_constant == 0.0
-        pwc = prob.registry.block("Pwc").numbers().reshape(-1)
+        pwc = symbol_cols(prob, "Pwc")
         assert not prob.objective_vector()[pwc].any()
 
     def test_all_off_zero_objective(self):
@@ -558,7 +559,7 @@ class TestAssemble:
         scen = triangle_scenarios()
         cont = build_contingency_set(sys_obj)
         prob = assemble(sys_obj, scen, cont, SSCUC)
-        assert prob.registry.count("z") == 0
+        assert prob.registry.indices("z") == []
 
     def test_cnr_switch_variable_count(self):
         # 3 contingencies x 2 candidates x T=2 x S=2 -> 24
@@ -566,7 +567,7 @@ class TestAssemble:
         scen = triangle_scenarios(T=2)
         cont = build_contingency_set(sys_obj)
         prob = assemble(sys_obj, scen, cont, CNR)
-        assert prob.registry.count("z") == 24
+        assert len(prob.registry.indices("z")) == 24
 
     def test_commitment_is_scenario_invariant_by_construction(self):
         sys_obj = triangle_system(T=2)

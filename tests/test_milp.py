@@ -5,7 +5,8 @@ import pytest
 
 from gridsched.milp import INF, MilpProblem
 
-from conftest import named_cols
+from conftest import named_cols, symbol_cols
+from test_engine_input import row_violation
 
 
 def small_mip() -> MilpProblem:
@@ -42,8 +43,8 @@ class TestContainer:
             prob.add_col_block("v", [("g",), ("g",)], 0.0, 1.0)
         with pytest.raises(ValueError, match="duplicate"):
             prob.add_col_block("w", [("g",)], 0.0, 1.0, inner=((1, 1),))
-        assert prob.registry.count("u") == 1
-        assert prob.registry.count("v") == prob.registry.count("w") == 0
+        assert prob.registry.indices("u") == [("g", 1)]
+        assert prob.registry.indices("v") == prob.registry.indices("w") == []
 
     def test_a_later_call_appends_keys_in_order(self):
         prob = MilpProblem()
@@ -57,13 +58,17 @@ class TestContainer:
         assert prob.registry.indices("Pgc") == [
             ("g1", "c1", "a"), ("g1", "c1", "b"), ("g2", "c1", "a"),
             ("g2", "c1", "b"), ("g1", "c2", "a"), ("g1", "c2", "b")]
-        assert prob.registry.block("Pgc").numbers().tolist() == [
-            [0, 1], [2, 3], [5, 6]]
+        assert symbol_cols(prob, "Pgc").tolist() == [0, 1, 2, 3, 5, 6]
+        assert [prob.registry.col("Pgc", *index) for index in
+                prob.registry.indices("Pgc")] == [0, 1, 2, 3, 5, 6]
         assert prob.registry.col("Pgc", "g1", "c2", "b") == 6
         assert prob.var_names == [
             "Pgc[g1,c1,a]", "Pgc[g1,c1,b]", "Pgc[g2,c1,a]", "Pgc[g2,c1,b]",
             "z[c1]", "Pgc[g1,c2,a]", "Pgc[g1,c2,b]"]
         assert prob.var_name(5) == "Pgc[g1,c2,a]"
+        for col in (-1, 7):
+            with pytest.raises(KeyError):
+                prob.var_name(col)
         assert prob.ub.tolist() == [1.0, 1.0, 2.0, 2.0, 1.0, 3.0, 3.0]
         assert prob.integer.tolist() == [False] * 4 + [True] + [False] * 2
 
@@ -93,10 +98,10 @@ class TestContainer:
         prob = MilpProblem()
         [x] = named_cols(prob, ["x"], -INF, INF)
         prob.add_row_block("r", [()], [(x, 1000.0)], -INF, 1000.0)
-        viol = prob.row_violation(prob.rows[0], np.array([1.001]))
+        viol = row_violation(prob.rows[0], np.array([1.001]))
         assert viol == pytest.approx(1.0 / 1001.0, rel=1e-6)
-        assert prob.row_violation(prob.rows[0], np.array([1.001]),
-                                  scaled=False) == pytest.approx(1.0)
+        assert row_violation(prob.rows[0], np.array([1.001]),
+                             scaled=False) == pytest.approx(1.0)
 
     def test_objective_value_includes_constant(self):
         prob = small_mip()
@@ -108,7 +113,8 @@ class TestContainer:
         clone = prob.clone_with_bounds({2: 1.0})
         assert clone.lb[2] == clone.ub[2] == 1.0
         assert prob.lb[2] == 0.0
-        assert clone.rows is prob.rows
+        assert clone.matrix() is prob.matrix()
+        assert clone.rows == prob.rows
 
     def test_rows_by_equation(self):
         prob = MilpProblem()
@@ -121,10 +127,13 @@ class TestContainer:
 
 
 class TestFamilyTuple:
-    """A tuple of families over one grid is appended in one call."""
+    """A tuple of families over one grid is appended in one call, and one
+    rule leaves terms out of every family's rows."""
 
     @staticmethod
-    def build(one_call: bool, padded: bool) -> MilpProblem:
+    def build(one_call: bool, gaps: bool) -> MilpProblem:
+        """Three families over one grid; with ``gaps``, f1's second term
+        and f3's third have column -1 in the first period."""
         prob = MilpProblem()
         inner = ((1, 2, 3),)
         keys = [("a",), ("b",)]
@@ -132,44 +141,51 @@ class TestFamilyTuple:
         y = prob.add_col_block("y", keys, -1.0, [[5.0], [6.0]], inner=inner)
         prev = np.concatenate([np.full((2, 1), -1), x[:, :-1]], axis=1)
         families = ("f1", "f2", "f3")
-        terms = [[(x, 1.0), (prev if padded else y, -2.0)],
+        terms = [[(x, 1.0), (prev if gaps else y, -2.0)],
                  [(y, np.array([[0.5], [1.5]]))],
-                 [(x, 1.0), (y, 1.0), (prev if padded else x[::-1], 3.0)]]
+                 [(x, 1.0), (y, 1.0), (prev if gaps else x[::-1], 3.0)]]
         lb = [0.0, np.array([[-1.0], [-2.0]]), -INF]
         ub = [np.arange(6.0).reshape(2, 3), INF, 4.0]
         if one_call:
-            prob.add_row_block(families, keys, terms, lb, ub, inner, padded)
+            prob.add_row_block(families, keys, terms, lb, ub, inner)
         else:
             for family, *rest in zip(families, terms, lb, ub):
-                prob.add_row_block(family, keys, *rest, inner, padded)
+                prob.add_row_block(family, keys, *rest, inner)
         return prob
 
-    @pytest.mark.parametrize("padded", [False, True])
-    def test_one_call_equals_one_call_per_family(self, padded):
-        one, each = self.build(True, padded), self.build(False, padded)
+    @pytest.mark.parametrize("gaps", [False, True])
+    def test_one_call_equals_one_call_per_family(self, gaps):
+        one, each = self.build(True, gaps), self.build(False, gaps)
         for a, b in zip(one.matrix(), each.matrix()):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert [row.label for row in one.rows] == \
             [row.label for row in each.rows]
         assert one.rows_by_equation() == each.rows_by_equation() == \
             {"f1": 6, "f2": 6, "f3": 6}
-        if padded:  # the first period's rows lose their -1 terms
-            indptr = one.matrix()[0]
+        indptr = one.matrix()[0]
+        if gaps:  # the first period's rows lose their -1 terms
             assert np.diff(indptr).tolist() == \
                 [1, 2, 2] * 2 + [1] * 6 + [2, 3, 3] * 2
+        else:
+            assert np.diff(indptr).tolist() == [2] * 6 + [1] * 6 + [3] * 6
 
-    @pytest.mark.parametrize("padded", [False, True])
-    def test_zero_coefficients_are_left_out(self, padded):
+    @pytest.mark.parametrize("one_call", [False, True])
+    def test_zero_coefficients_are_left_out(self, one_call):
         # f1's second term is zero for key "b" only, f2's is zero in full;
         # f3 keeps every term, so only f1 and f2 lose terms
         prob = MilpProblem()
-        x = prob.add_col_block("x", [("a",), ("b",)], 0.0, 1.0,
-                               inner=((1, 2),))
-        prob.add_row_block(
-            ("f1", "f2", "f3"), [("a",), ("b",)],
-            [[(x, 1.0), (x[::-1], np.array([[2.0], [0.0]]))],
-             [(x, 0.0)], [(x, 1.0), (x[::-1], 1.0)]],
-            [-INF] * 3, [1.0] * 3, ((1, 2),), padded)
+        keys, inner = [("a",), ("b",)], ((1, 2),)
+        x = prob.add_col_block("x", keys, 0.0, 1.0, inner=inner)
+        families = ("f1", "f2", "f3")
+        terms = [[(x, 1.0), (x[::-1], np.array([[2.0], [0.0]]))],
+                 [(x, 0.0)], [(x, 1.0), (x[::-1], 1.0)]]
+        if one_call:
+            prob.add_row_block(families, keys, terms, [-INF] * 3, [1.0] * 3,
+                               inner)
+        else:
+            for family, family_terms in zip(families, terms):
+                prob.add_row_block(family, keys, family_terms, -INF, 1.0,
+                                   inner)
         indptr, indices, data, _, _ = prob.matrix()
         assert np.diff(indptr).tolist() == [2, 2, 1, 1] + [0] * 4 + [2] * 4
         assert (data != 0).all()
@@ -177,11 +193,16 @@ class TestFamilyTuple:
             {0: 1.0, 2: 2.0}, {1: 1.0, 3: 2.0}, {2: 1.0}, {3: 1.0}]
 
     def test_unknown_column_raises_when_the_rows_are_joined(self):
-        prob = self.build(True, False)
-        prob.add_row_block(("g1", "g2"), [()], [[(0, 1.0)], [(99, 1.0)]],
-                           [0.0, 0.0], [1.0, INF])
-        with pytest.raises(ValueError, match="unknown column"):
-            prob.matrix()
+        # only -1 means "no term": -2 and num_vars (12) and above are
+        # unknown columns
+        for col in (-2, 12, 99):
+            prob = self.build(True, True)
+            assert prob.num_vars == 12
+            prob.add_row_block(("g1", "g2"), [()],
+                               [[(0, 1.0)], [(col, 1.0)]], [0.0, 0.0],
+                               [1.0, INF])
+            with pytest.raises(ValueError, match="unknown column"):
+                prob.matrix()
 
     def test_bounds_that_do_not_broadcast_name_their_family(self):
         prob = self.build(True, False)
