@@ -16,7 +16,7 @@ from .solver import (SolveOptions, SolveResult, SolveStatus, SolverError,
 from .system import (Bus, DemandProfile, Generator, InitialStatus,
                      PowerSystem, ResUnit, TransmissionLine, ValidationReport,
                      align_scenarios, build_system, load_system,
-                     peak_penetration, scale_penetration, validate_system)
+                     scale_penetration, validate_system)
 from .topology import (Contingency, build_contingency_set, find_bridges,
                        islands_after)
 
@@ -32,7 +32,7 @@ __all__ = [
     "build_contingency_set", "build_report", "build_scenario_set",
     "build_system", "carbon_emissions", "compute_big_m", "cost_breakdown",
     "enumerate_commitments", "extract_schedule", "find_bridges",
-    "islands_after", "load_scenario_set", "load_system", "peak_penetration",
+    "islands_after", "load_scenario_set", "load_system",
     "post_contingency_curtailment", "scale_penetration", "solve",
     "switching_report", "synth_wind_profiles", "validate_system",
     "verify_solution",

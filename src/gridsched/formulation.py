@@ -25,18 +25,22 @@ and, post-contingency, the outaged line id.  Variable naming scheme:
 ``assemble`` is the one way to build a model.  It makes one private
 ``_Builder``, which derives each fact of the system the model needs once
 (the axes, scenario probabilities, availability table, unit parameters,
-line ends, bus incidence, demand and the checked switch candidates), and
-whose methods append the model in order.  Each works on whole grids (see
-``milp.Block``): one column block per symbol, and one row block per
-equation family, filled by numpy index arithmetic over the (g,t,s) and
-(c,t,s) grids.  The column order is fixed: columns u, v, Pg, r, Pw, Pk,
-th, then per contingency one copy each of Pgc, Pwc, Pkc and thc, each
-appended to its symbol's block, then z.
-Rows are the families in the order the builder appends them: eq2, eq3,
-eq4, eq5, eq6, eq7, eq8, eq9, eq10, eq14, eq16, eq17, eq18, eq19, eq20,
-eq22, eq23, then for CNR eq25, eq26, eq27L, eq27U and eq28.  Each
-family's rows are contiguous, key by key in the order the builder lists
-the keys, each key's rows over (t, s).
+line ends, bus incidence, demand, the units each redispatch family
+covers and the column boxes every copy starts from).  ``first_stage``
+then appends the first stage and the base case, and ``copy`` appends
+one contingency's post-contingency copy as one unit, once per
+contingency in input order.  Each works on whole grids (see
+``milp.Block``): one column block per symbol and one row block per
+equation family, filled by numpy index arithmetic over the (g,t,s) grid.
+
+The first stage is columns u, v, Pg, r, Pw, Pk and th, rows eq2, eq3,
+eq4, eq5, eq6, eq7, eq8, eq9, eq10, eq14 and eq16, then the cost terms.
+A copy is columns Pgc, Pwc, Pkc and thc, then z where it has switch
+candidates; rows eq17, eq18, eq19, eq20, eq22, eq23, then where it has
+candidates eq25, eq26, eq27L, eq27U and eq28; then its penalty terms.
+Each family's rows are contiguous within the first stage or the copy,
+key by key in the order the builder lists the keys, each key's rows over
+(t, s).
 
 The builder writes only the rows the data does not already imply, and
 no term with a zero coefficient (``milp`` leaves those out):
@@ -141,23 +145,6 @@ def _previous(cols: np.ndarray) -> np.ndarray:
     return prev
 
 
-def _padded(row: np.ndarray, col: np.ndarray, coef: np.ndarray,
-            rows: int) -> list[tuple]:
-    """Terms listed one by one as block terms.  Term i lies in row
-    ``row[i]`` with columns ``col[i]`` and coefficient ``coef[i]``; the
-    rows ascend and each row's terms come in its order.  The result's term
-    j stacks every row's j-th term, shaped (rows, *col.shape[1:]), with
-    column -1 where a row has fewer terms."""
-    pos = np.arange(row.size) - row.searchsorted(row)
-    width = int(pos.max()) + 1 if pos.size else 0
-    cols = np.empty((width, rows) + col.shape[1:], dtype=np.int32)
-    cols.fill(-1)
-    cols[pos, row] = col
-    vals = np.zeros((width, rows) + coef.shape[1:])
-    vals[pos, row] = coef
-    return list(zip(cols, vals))
-
-
 def _windows(v: np.ndarray, u: np.ndarray,
              rows: list[tuple]) -> tuple[np.ndarray, np.ndarray]:
     """Terms of startup-window rows as (columns, coefficients), each shaped
@@ -184,16 +171,14 @@ _UNIT_PARAMS = ("p_min", "p_max", "ramp_10min", "ramp_hourly", "ramp_startup",
 
 class _Builder:
     """One model under construction, and the facts of the system it is
-    built from, each derived once.  ``assemble`` calls the methods below
-    in model order; each appends its column blocks, row families or
-    objective terms to ``prob``."""
+    built from, each derived once.  ``assemble`` calls ``first_stage``
+    once, then ``copy`` once per contingency; each appends its columns,
+    rows and objective terms to ``prob``."""
 
     def __init__(self, sys: PowerSystem, scen: ScenarioSet,
-                 contingencies: list[Contingency],
                  cfg: FormulationConfig) -> None:
-        self.sys, self.cfg, self.contingencies = sys, cfg, contingencies
+        self.sys, self.cfg = sys, cfg
         self.prob = MilpProblem()
-        self.ref = reference_bus(sys, cfg)
         periods = tuple(range(1, sys.horizon + 1))
         # the inner axes of every per-scenario block: periods, scenario ids
         self.inner = (periods, tuple(s.id for s in scen.scenarios))
@@ -205,17 +190,27 @@ class _Builder:
               for t in periods] for w in sys.res_units],
             dtype=float).reshape(len(sys.res_units), T, S)
         # each unit parameter shaped to broadcast over (unit, t, s)
-        gens = sys.generators
+        gens, lines, buses = sys.generators, sys.lines, sys.buses
         table = np.array([[getattr(g, a) for a in _UNIT_PARAMS] for g in gens],
                          dtype=float).reshape(len(gens), len(_UNIT_PARAMS))
         table = table.T[:, :, None, None]
-        self.unit = dict(zip(_UNIT_PARAMS, table))
+        unit = self.unit = dict(zip(_UNIT_PARAMS, table))
         self.neg = dict(zip(_UNIT_PARAMS, -table))  # and negated
+        # the element ids the keys are made of
+        self.ids = {symbol: [e.id for e in items] for symbol, items in (
+            ("g", gens), ("w", sys.res_units), ("k", lines), ("n", buses))}
+        # the units of eq2 and eq19, with a positive floor, and of eq17 and
+        # eq18, whose corrective ramp binds (``ramp_10min < p_max - p_min``)
+        p_min = unit["p_min"][:, 0, 0]
+        self.floor = (p_min > 0).nonzero()[0]
+        self.ramp = (unit["ramp_10min"][:, 0, 0]
+                     < unit["p_max"][:, 0, 0] - p_min).nonzero()[0]
 
         # bus positions of every line's two ends, which must differ, its
-        # flow per radian of angle difference and its emergency limit
-        lines, buses = sys.lines, sys.buses
+        # flow per radian of angle difference, its emergency limit and its
+        # big-M
         bus_at = {b.id: i for i, b in enumerate(buses)}
+        self.line_at = {k.id: i for i, k in enumerate(lines)}
         ends = np.array([(bus_at[k.from_bus], bus_at[k.to_bus]) for k in lines],
                         dtype=np.int64).reshape(-1, 2)
         loops = (ends[:, 0] == ends[:, 1]).nonzero()[0]
@@ -225,6 +220,12 @@ class _Builder:
         self.b_mw = np.array([k.susceptance * sys.mva_base for k in lines],
                              dtype=float)
         self.emax = np.array([k.limit_emergency for k in lines], dtype=float)
+        self.big_m = np.array([compute_big_m(k, cfg, sys.mva_base) for k in lines],
+                              dtype=float)
+        # the angle box of every bus, the reference bus's pinned at 0
+        ref = reference_bus(sys, cfg)
+        self.th_box = tuple(_per([0.0 if n.id == ref else sign * cfg.angle_bound
+                                  for n in buses]) for sign in (-1.0, 1.0))
         # the balance terms bus by bus, each bus's units, inbound lines,
         # outbound lines and RES units in input order, as the terms' (bus,
         # place at the bus, element) and a coefficient per (place, bus);
@@ -246,82 +247,60 @@ class _Builder:
             [t[:3] for t in terms], dtype=np.int64).reshape(-1, 3).T
         coef = np.zeros((max(map(len, at_bus), default=0), len(buses)))
         coef[place, bus] = [t[3] for t in terms]
-        self.incidence = (bus, element, place, coef)
+        self.incidence = (bus, element, place, coef[:, :, None, None])
         self.demand = np.array([[sys.demand.at(n.id, t) for t in periods]
-                                for n in buses], dtype=float).reshape(-1, T)
+                                for n in buses], dtype=float).reshape(-1, T, 1)
+        # each copy's curtailment penalty, pi * c_pen * (avail - Pwc): the
+        # coefficient of each Pwc column and the constant's terms, in
+        # (w, t, s) order
+        weight = self.pi * _per([w.curtail_penalty for w in sys.res_units])
+        self.penalty = (np.broadcast_to(-weight, self.avail.shape).ravel(),
+                        (weight * self.avail).ravel())
 
-        # SSCUC is CNR with no switch candidates
-        switching = cfg.model_kind is ModelKind.SSCUC_CNR
-        line_ids = {k.id for k in lines}
-        self.cids = [c.outaged_line_id for c in contingencies]
-        self.candidates = []
-        for c in contingencies:
-            cands = set(c.candidate_switch_ids) if switching else set()
-            unknown = cands - line_ids
-            if unknown:
-                raise KeyError(f"contingency {c.outaged_line_id!r}: unknown "
-                               f"candidate lines {sorted(map(str, unknown))}")
-            self.candidates.append(cands)
-        self.pairs = ([(c.outaged_line_id, k) for c in contingencies
-                       for k in c.candidate_switch_ids] if switching else [])
-        # each line in each contingency: 0 outaged, 1 fixed, 2 switchable
-        self.kind = np.array(
-            [[0 if k.id == cid else 2 if k.id in cands else 1 for k in lines]
-             for cid, cands in zip(self.cids, self.candidates)],
-            dtype=np.int64).reshape(len(contingencies), len(lines))
+    def _add(self, symbol: str, ids: list, suffix: tuple, lb, ub,
+             integer: bool = False, axes: tuple | None = None) -> np.ndarray:
+        """Append a column block keyed ``(id, *suffix)`` per id."""
+        return self.prob.add_col_block(
+            symbol, [(i, *suffix) for i in ids], lb, ub, integer,
+            self.inner if axes is None else axes)
 
-    # -- variables ----------------------------------------------------------
+    # -- first stage --------------------------------------------------------
 
-    def columns(self) -> None:
-        """Create and name every decision variable with its natural bounds,
-        the line limits and RES availability among them.
+    def first_stage(self) -> None:
+        """Columns u, v, Pg, r, Pw, Pk and th, with their natural bounds
+        and the long-term line limit and RES availability among them;
+        rows eq2-eq10, eq14 and eq16; then the cost terms.  ``cols`` keeps
+        each symbol's columns, shaped (keys, *inner)."""
+        ids, add, inner = self.ids, self._add, self.inner
+        limit = _per([k.limit_long_term for k in self.sys.lines])
+        self.cols = {
+            "u": add("u", ids["g"], (), 0.0, 1.0, True, inner[:1]),
+            "v": add("v", ids["g"], (), 0.0, 1.0, True, inner[:1]),
+            "Pg": add("Pg", ids["g"], (), 0.0, self.unit["p_max"]),
+            "r": add("r", ids["g"], (), 0.0, INF),
+            "Pw": add("Pw", ids["w"], (), 0.0, self.avail),
+            "Pk": add("Pk", ids["k"], (), -limit, limit),
+            "th": add("th", ids["n"], (), *self.th_box)}
+        self._generators()
+        pk, th = self.cols["Pk"], self.cols["th"]
+        b = self.b_mw.reshape(-1, 1, 1)
+        self.prob.add_row_block(
+            "eq14", [(k,) for k in ids["k"]],
+            [(pk, 1.0), (th[self.frm], -b), (th[self.to], b)], 0.0, 0.0, inner)
+        self._balance("eq16", (), (self.cols["Pg"], pk, self.cols["Pw"]))
+        # eq1's first-stage part, per unit and period: commitment, startup,
+        # then the expected energy cost of Pg in every scenario
+        u, v, pg = self.cols["u"], self.cols["v"], self.cols["Pg"]
+        G, T, S = pg.shape
+        cols = np.empty((G, T, 2 + S), dtype=np.int64)
+        coefs = np.empty((G, T, 2 + S))
+        cols[..., 0], cols[..., 1], cols[..., 2:] = u, v, pg
+        coefs[..., :1] = self.unit["cost_no_load"]
+        coefs[..., 1:2] = self.unit["cost_startup"]
+        coefs[..., 2:] = self.pi * self.unit["cost_linear"]
+        self.prob.add_objective(cols, coefs)
 
-        One ``add_col_block`` call per symbol for the first stage and the
-        base case, then per contingency one call each for that copy's
-        Pgc, Pwc, Pkc and thc, each appending the copy's keys to its
-        symbol, then z.  ``cols`` keeps each symbol's columns, shaped
-        (keys, *inner) in registration order.
-        """
-        cfg, inner, sys = self.cfg, self.inner, self.sys
-        gens, res, lines, buses = sys.generators, sys.res_units, sys.lines, sys.buses
-        p_max, cap = self.unit["p_max"], self.avail
-        limit = _per([k.limit_long_term for k in lines])
-        th_lb = _per([0.0 if n.id == self.ref else -cfg.angle_bound for n in buses])
-        th_ub = _per([0.0 if n.id == self.ref else cfg.angle_bound for n in buses])
-        parts: dict[str, list[np.ndarray]] = {}
-
-        def add(symbol, keys, lb, ub, integer=False, axes=inner):
-            parts.setdefault(symbol, []).append(self.prob.add_col_block(
-                symbol, keys, lb, ub, integer, axes))
-
-        def ids(items, *suffix):
-            return [(e.id, *suffix) for e in items]
-
-        add("u", ids(gens), 0.0, 1.0, True, inner[:1])
-        add("v", ids(gens), 0.0, 1.0, True, inner[:1])
-        add("Pg", ids(gens), 0.0, p_max)
-        add("r", ids(gens), 0.0, INF)
-        add("Pw", ids(res), 0.0, cap)
-        add("Pk", ids(lines), -limit, limit)
-        add("th", ids(buses), th_lb, th_ub)
-        # post-contingency, the outaged line carries no flow, a fixed line
-        # keeps its emergency limit and a switch candidate's flow is left
-        # to eq27
-        flow = [np.choose(self.kind, bounds)[:, :, None, None]
-                for bounds in ((0.0, -self.emax, -INF), (0.0, self.emax, INF))]
-        for cid, flow_lb, flow_ub in zip(self.cids, *flow):
-            add("Pgc", ids(gens, cid), 0.0, p_max)
-            add("Pwc", ids(res, cid), 0.0, cap)
-            add("Pkc", ids(lines, cid), flow_lb, flow_ub)
-            add("thc", ids(buses, cid), th_lb, th_ub)
-        if self.pairs:
-            add("z", self.pairs, 0.0, 1.0, True)
-        self.cols = {symbol: cols[0] if len(cols) == 1 else np.concatenate(cols)
-                     for symbol, cols in parts.items()}
-
-    # -- base-case generator block: eq2 .. eq10 -----------------------------
-
-    def base_generators(self) -> None:
+    def _generators(self) -> None:
         """eq2 per unit with a positive floor, then eq3-eq10 per unit."""
         prob, inner, unit, neg = self.prob, self.inner, self.unit, self.neg
         T = self.T
@@ -332,13 +311,13 @@ class _Builder:
         u3, v3 = u[:, :, None], v[:, :, None]
         u_prev = _previous(u)
 
-        keys = [(g.id,) for g in gens]
+        keys = [(g,) for g in self.ids["g"]]
 
         u0 = [1 if g.initial_status.on else 0 for g in gens]
         p0 = [g.initial_dispatch() for g in gens]
 
         # eq2: p_min u <= Pg, per unit with p_min > 0, period and scenario
-        floor = (unit["p_min"][:, 0, 0] > 0).nonzero()[0]
+        floor = self.floor
         prob.add_row_block(
             "eq2", [keys[g] for g in floor.tolist()],
             [(u3[floor], unit["p_min"][floor]), (pg[floor], -1.0)],
@@ -394,188 +373,119 @@ class _Builder:
                            [(v, 1.0), (u, -1.0), (u_prev, 1.0)], lb10, INF,
                            inner[:1])
 
-    # -- nodal balance: eq16 and eq22 ---------------------------------------
-
-    def _balance(self, family: str, suffixes: list[tuple],
+    def _balance(self, family: str, suffix: tuple,
                  parts: tuple[np.ndarray, ...]) -> None:
-        """Balance rows: at every bus, generation, inbound flow minus
-        outbound flow, and RES output meet the demand.
-
+        """Balance rows bus by bus, keyed ``(bus id, *suffix)``: generation,
+        inbound flow minus outbound flow, and RES output meet the demand.
         ``parts`` holds the unit, line and RES unit columns, each shaped
-        (runs, elements, t, s), run j with index suffix ``suffixes[j]``;
-        the rows go bus by bus, each over the runs.
-        """
-        T, S = self.T, self.S
-        buses = self.sys.buses
-        N, runs = len(buses), len(suffixes)
+        (elements, t, s)."""
         bus, element, place, coef = self.incidence
-        cols = np.empty((len(coef), N, runs, T, S), dtype=np.int32)
+        cols = np.empty(coef.shape[:2] + (self.T, self.S), dtype=np.int32)
         cols.fill(-1)
-        cols[place, bus] = np.concatenate(parts, axis=1)[:, element].swapaxes(0, 1)
-        demand = self.demand.repeat(runs, axis=0)[:, :, None]
+        cols[place, bus] = np.concatenate(parts)[element]
         self.prob.add_row_block(
-            family, [(n.id, *sfx) for n in buses for sfx in suffixes],
-            list(zip(cols.reshape(-1, N * runs, T, S),
-                     coef.repeat(runs, axis=1)[:, :, None, None])),
-            demand, demand, self.inner)
+            family, [(n, *suffix) for n in self.ids["n"]],
+            list(zip(cols, coef)), self.demand, self.demand, self.inner)
 
-    # -- base-case network block: eq14 and eq16 -----------------------------
+    # -- one post-contingency copy ------------------------------------------
 
-    def base_network(self) -> None:
-        """eq14 per line, then eq16 per bus."""
-        pk, th = self.cols["Pk"], self.cols["th"]
-        coef = self.b_mw.reshape(-1, 1, 1)
-        self.prob.add_row_block(
-            "eq14", [(k.id,) for k in self.sys.lines],
-            [(pk, 1.0), (th[self.frm], -coef), (th[self.to], coef)],
-            0.0, 0.0, self.inner)
-        self._balance("eq16", [()], (self.cols["Pg"][None], pk[None],
-                                     self.cols["Pw"][None]))
-
-    # -- post-contingency generator block: eq17 .. eq20 ---------------------
-
-    def contingency_generators(self) -> None:
-        """eq17 and eq18 per (unit, contingency) where the corrective ramp
-        binds, ``ramp_10min < p_max - p_min``, eq19 where ``p_min > 0``,
-        then eq20 per (unit, contingency).  The module docstring shows why
-        the rows left out are implied."""
-        if not self.contingencies:
-            return
-        unit, neg, gens = self.unit, self.neg, self.sys.generators
-        T, S = self.T, self.S
-        C = len(self.cids)
-        pgc = self.cols["Pgc"].reshape(C, len(gens), T, S)
-        pg, u = self.cols["Pg"], self.cols["u"][:, :, None]
-        p_min = unit["p_min"][:, 0, 0]
-
-        def runs(units):
-            """The (unit, contingency) keys of the unit positions ``units``,
-            contingency by contingency, their Pgc columns and a function
-            that takes a per-unit array to those runs."""
-            keys = [(gens[i].id, cid) for cid in self.cids for i in units.tolist()]
-            return (keys, pgc[:, units].reshape(-1, T, S),
-                    lambda a: np.tile(a[units], (C, 1, 1)))
-
-        ramp = (unit["ramp_10min"][:, 0, 0] < unit["p_max"][:, 0, 0] - p_min)
-        keys, pgc_at, at = runs(ramp.nonzero()[0])
-        r10 = at(neg["ramp_10min"])
-        self.prob.add_row_block(
-            ("eq17", "eq18"), keys,
-            [[(at(pg), 1.0), (pgc_at, -1.0), (at(u), r10)],
-             [(pgc_at, 1.0), (at(pg), -1.0), (at(u), r10)]],
-            [-INF] * 2, [0.0] * 2, self.inner)
-        keys, pgc_at, at = runs((p_min > 0).nonzero()[0])
-        self.prob.add_row_block(
-            "eq19", keys, [(at(u), at(unit["p_min"])), (pgc_at, -1.0)],
-            -INF, 0.0, self.inner)
-        keys, pgc_at, at = runs(np.arange(len(gens)))
-        self.prob.add_row_block(
-            "eq20", keys, [(pgc_at, 1.0), (at(u), at(neg["p_max"]))],
-            -INF, 0.0, self.inner)
-
-    # -- post-contingency network: eq22 .. eq28 -----------------------------
-
-    def contingency_network(self) -> None:
-        """Post-contingency network: eq22 .. eq28.
+    def copy(self, contingency: Contingency) -> None:
+        """Append the copy of one contingency as one unit: columns Pgc,
+        Pwc, Pkc and thc, then under CNR z per switch candidate; rows eq17
+        and eq18 per unit whose corrective ramp binds, eq19 per unit with
+        ``p_min > 0``, eq20 per unit, eq22 per bus and eq23 per fixed line,
+        then for the candidates eq25-eq27 and eq28; then the penalty on
+        its curtailment.
 
         Candidate lines get the big-M relaxed flow definition (eq25/eq26)
         and switch-scaled limits (eq27, split into its two one-sided
-        halves).  Non-candidate surviving lines behave as if their switch
-        state were fixed to 1, which collapses eq25-eq27 to the
-        fixed-topology flow definition eq23 and the emergency limit eq24,
-        which is the bound of their flow column.  The outaged line acts
-        as switch state 0: its flow variable is pinned at registration
-        and its flow rows are dropped.  eq28 bounds the number of opened
-        candidates per contingency, period and scenario.  SSCUC is this
-        network with no candidates, so every surviving line keeps eq23 and
-        no eq28 row is written.
-
-        Each family's keys go contingency by contingency, except eq22's,
-        which go bus by bus.
+        halves).  Other surviving lines behave as if their switch state
+        were fixed to 1, which collapses eq25-eq27 to the fixed-topology
+        flow definition eq23 and the emergency limit eq24, the bounds of
+        their flow columns.  The outaged line acts as switch state 0: its
+        flow column is pinned at 0 and it has no flow row.  eq28 bounds
+        the number of opened candidates per period and scenario.  SSCUC
+        is this copy with no candidates.  A contingency that names no
+        line, an unknown candidate or the outaged line as its own
+        candidate raises KeyError.
         """
-        if not self.contingencies:
-            return
-        prob, cfg, inner = self.prob, self.cfg, self.inner
-        T, S = self.T, self.S
-        lines, cids, candidates = self.sys.lines, self.cids, self.candidates
-        C, K, N = len(cids), len(lines), len(self.sys.buses)
-        pkc = self.cols["Pkc"].reshape(C, K, T, S)
-        thc = self.cols["thc"].reshape(C, N, T, S)
+        cid = contingency.outaged_line_id
+        cands = (contingency.candidate_switch_ids
+                 if self.cfg.model_kind is ModelKind.SSCUC_CNR else ())
+        line_at = self.line_at
+        if cid not in line_at:
+            raise KeyError(f"contingency {cid!r}: outaged line not in system")
+        unknown = set(cands) - line_at.keys()
+        if unknown:
+            raise KeyError(f"contingency {cid!r}: unknown candidate lines "
+                           f"{sorted(map(str, unknown))}")
+        if cid in cands:
+            raise KeyError(f"contingency {cid!r}: the outaged line cannot be "
+                           f"a switch candidate")
+        prob, inner, ids, add = self.prob, self.inner, self.ids, self._add
+        unit, neg, ramp, floor = self.unit, self.neg, self.ramp, self.floor
+        out = line_at[cid]
+        cand = np.array([line_at[k] for k in cands], dtype=np.int64)
+        # the outaged line carries no flow, a fixed line keeps its
+        # emergency limit and a candidate's flow is left to eq27
+        flow_lb, flow_ub = -self.emax, self.emax.copy()
+        flow_lb[out] = flow_ub[out] = 0.0
+        flow_lb[cand], flow_ub[cand] = -INF, INF
+        sfx = (cid,)
+        pgc = add("Pgc", ids["g"], sfx, 0.0, unit["p_max"])
+        pwc = add("Pwc", ids["w"], sfx, 0.0, self.avail)
+        pkc = add("Pkc", ids["k"], sfx, flow_lb[:, None, None],
+                  flow_ub[:, None, None])
+        thc = add("thc", ids["n"], sfx, *self.th_box)
+        z = prob.add_col_block("z", [(cid, k) for k in cands], 0.0, 1.0, True,
+                               inner) if cands else None
 
-        self._balance("eq22", [(cid,) for cid in cids],
-                      (self.cols["Pgc"].reshape(C, -1, T, S), pkc,
-                       self.cols["Pwc"].reshape(C, -1, T, S)))
+        def keys(elements, at=None):
+            return [(elements[i], cid) for i in
+                    (range(len(elements)) if at is None else at.tolist())]
 
-        frm, to, coef, emax = self.frm, self.to, self.b_mw, self.emax
+        pg, u = self.cols["Pg"], self.cols["u"][:, :, None]
+        r10 = neg["ramp_10min"][ramp]
+        prob.add_row_block(
+            ("eq17", "eq18"), keys(ids["g"], ramp),
+            [[(pg[ramp], 1.0), (pgc[ramp], -1.0), (u[ramp], r10)],
+             [(pgc[ramp], 1.0), (pg[ramp], -1.0), (u[ramp], r10)]],
+            [-INF] * 2, [0.0] * 2, inner)
+        prob.add_row_block(
+            "eq19", keys(ids["g"], floor),
+            [(u[floor], unit["p_min"][floor]), (pgc[floor], -1.0)],
+            -INF, 0.0, inner)
+        prob.add_row_block("eq20", keys(ids["g"]),
+                           [(pgc, 1.0), (u, neg["p_max"])], -INF, 0.0, inner)
+        self._balance("eq22", sfx, (pgc, pkc, pwc))
 
-        def flow_rows(line_kind):
-            ci, ki = (self.kind == line_kind).nonzero()
-            keys = [(lines[k].id, cids[c]) for c, k in zip(ci.tolist(), ki.tolist())]
-            return (ki, keys, pkc[ci, ki], thc[ci, frm[ki]], thc[ci, to[ki]],
-                    coef[ki].reshape(-1, 1, 1), emax[ki].reshape(-1, 1, 1))
+        def flow(at):
+            b = self.b_mw[at, None, None]
+            return [(pkc[at], 1.0), (thc[self.frm[at]], -b), (thc[self.to[at]], b)]
 
-        _, keys, pk, th_n, th_m, b, _ = flow_rows(1)
-        prob.add_row_block("eq23", keys, [(pk, 1.0), (th_n, -b), (th_m, b)],
+        fixed = np.delete(np.arange(len(ids["k"])), np.append(cand, out))
+        prob.add_row_block("eq23", keys(ids["k"], fixed), flow(fixed),
                            0.0, 0.0, inner)
-
-        if not any(candidates):
-            return
-        ki, keys, pk, th_n, th_m, b, e = flow_rows(2)
-        z_at = {key: p for p, key in enumerate(self.pairs)}
-        z_all = self.cols["z"]
-        z = z_all[[z_at[key[::-1]] for key in keys]]
-        big_m = np.array([compute_big_m(k, cfg, self.sys.mva_base) for k in lines]
-                         )[ki].reshape(-1, 1, 1)
-        flow = [(pk, 1.0), (th_n, -b), (th_m, b)]
-        # eq25: Pk - b(th_n - th_m) + (1 - z) M >= 0
-        # eq26: Pk - b(th_n - th_m) - (1 - z) M <= 0
-        # eq27: -emax z <= Pk <= emax z, as its two one-sided halves
-        prob.add_row_block(
-            ("eq25", "eq26", "eq27L", "eq27U"), keys,
-            [flow + [(z, -big_m)], flow + [(z, big_m)], [(pk, 1.0), (z, e)],
-             [(pk, 1.0), (z, -e)]],
-            [-big_m, -INF, 0.0, -INF], [INF, big_m, INF, 0.0], inner)
-        # the switches of each contingency with candidates, in pair order
-        counts = [len(cands) for cands in candidates if cands]
-        row = np.repeat(np.arange(len(counts)), counts)
-        prob.add_row_block(
-            "eq28", [(cid,) for cid, cands in zip(cids, candidates) if cands],
-            _padded(row, z_all, np.ones((row.size, 1, 1)), len(counts)),
-            np.array(counts, dtype=float).reshape(-1, 1, 1) - cfg.switch_limit,
-            INF, inner)
-
-    # -- objective (eq1) ----------------------------------------------------
-
-    def objective(self) -> None:
-        """Minimize commitment, startup and expected energy cost, plus the
-        expected post-contingency curtailment penalty when enabled.
-
-        The penalty enters as sum of ``pi * c_pen * (avail - Pwc)``; its
-        constant part is kept in ``objective_constant`` so the reported
-        value is the literal objective, not just the variable part.
-        """
-        prob, pi, unit = self.prob, self.pi, self.unit
-        u, v, pg = self.cols["u"], self.cols["v"], self.cols["Pg"]
-        G, T, S = pg.shape
-        # per unit and period: u, v, then Pg in every scenario
-        cols = np.empty((G, T, 2 + S), dtype=np.int64)
-        coefs = np.empty((G, T, 2 + S))
-        cols[..., 0], cols[..., 1], cols[..., 2:] = u, v, pg
-        coefs[..., :1], coefs[..., 1:2] = unit["cost_no_load"], unit["cost_startup"]
-        coefs[..., 2:] = pi * unit["cost_linear"]
-        prob.add_objective(cols, coefs)
-        if self.cfg.penalty_enabled and self.contingencies:
-            res = self.sys.res_units
-            W, C = len(res), len(self.cids)
-            weight = (pi * _per([w.curtail_penalty for w in res])).reshape(W, 1, 1, S)
-            pwc = self.cols["Pwc"].reshape(C, W, T, S).transpose(1, 0, 2, 3)
-            # the constant is added term by term in (w, c, t, s) order
-            terms = np.empty((1 + W * C * T * S))
-            terms[0] = prob.objective_constant
-            terms[1:].reshape(pwc.shape)[...] = weight * self.avail[:, None]
+        if cands:
+            big_m = self.big_m[cand, None, None]
+            e = self.emax[cand, None, None]
+            flows, pk = flow(cand), pkc[cand]
+            # eq25: Pk - b(th_n - th_m) + (1 - z) M >= 0
+            # eq26: Pk - b(th_n - th_m) - (1 - z) M <= 0
+            # eq27: -emax z <= Pk <= emax z, as its two one-sided halves
+            prob.add_row_block(
+                ("eq25", "eq26", "eq27L", "eq27U"), keys(ids["k"], cand),
+                [flows + [(z, -big_m)], flows + [(z, big_m)],
+                 [(pk, 1.0), (z, e)], [(pk, 1.0), (z, -e)]],
+                [-big_m, -INF, 0.0, -INF], [INF, big_m, INF, 0.0], inner)
+            prob.add_row_block("eq28", [sfx], [(col, 1.0) for col in z],
+                               float(len(cands) - self.cfg.switch_limit),
+                               INF, inner)
+        if self.cfg.penalty_enabled:
+            # the constant is added term by term in (w, t, s) order
+            coefs, constant = self.penalty
+            terms = np.concatenate(([prob.objective_constant], constant))
             prob.objective_constant = float(np.add.accumulate(terms)[-1])
-            coefs = np.empty(pwc.shape)
-            coefs[...] = -weight
             prob.add_objective(pwc, coefs)
 
 
@@ -586,14 +496,12 @@ class _Builder:
 def assemble(sys: PowerSystem, scen: ScenarioSet,
              contingencies: list[Contingency],
              cfg: FormulationConfig) -> MilpProblem:
-    """Build the full problem for the configured model kind."""
+    """Build the full problem for the configured model kind: the first
+    stage, then one copy per contingency, in input order."""
     scen.check()
-    model = _Builder(sys, scen, contingencies, cfg)
-    model.columns()
-    model.base_generators()
-    model.base_network()
-    model.contingency_generators()
-    model.contingency_network()
-    model.objective()
+    model = _Builder(sys, scen, cfg)
+    model.first_stage()
+    for contingency in contingencies:
+        model.copy(contingency)
     model.prob.check()
     return model.prob

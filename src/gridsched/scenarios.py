@@ -37,9 +37,6 @@ class Scenario:
 class ScenarioSet:
     scenarios: tuple[Scenario, ...]
 
-    def probabilities(self) -> tuple[float, ...]:
-        return tuple(s.probability for s in self.scenarios)
-
     def check(self) -> None:
         """Raise ValueError on any broken scenario-set invariant."""
         if not self.scenarios:

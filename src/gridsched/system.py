@@ -102,9 +102,6 @@ class DemandProfile:
         KeyError."""
         return self.rows[bus_id][t - 1]
 
-    def system_load(self, t: int) -> float:
-        return sum(row[t - 1] for row in self.rows.values())
-
 
 @dataclass(frozen=True)
 class ResUnit:
@@ -340,22 +337,6 @@ def align_scenarios(sys: PowerSystem, scen: ScenarioSet) -> ScenarioSet:
                     f"{len(availability[w.id])} periods, horizon is {sys.horizon}")
         scenarios.append(replace(s, availability=availability))
     return ScenarioSet(scenarios=tuple(scenarios))
-
-
-def peak_penetration(sys: PowerSystem, scen: ScenarioSet) -> float:
-    """Expected RES availability at the peak-load period over the peak load."""
-    T = sys.demand.horizon_length
-    if T < 1:
-        raise ValueError("demand horizon is empty")
-    peak_t = max(range(1, T + 1), key=sys.demand.system_load)
-    peak_load = sys.demand.system_load(peak_t)
-    if peak_load <= 0:
-        raise ValueError("peak system load is zero")
-    expected = sum(
-        s.probability * sum(prof[peak_t - 1] for prof in s.availability.values())
-        for s in scen.scenarios
-    )
-    return expected / peak_load
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,17 @@
 
 import pytest
 
-from gridsched import (align_scenarios, load_system, peak_penetration,
-                       validate_system)
+from gridsched import align_scenarios, load_system, validate_system
 from gridsched.data import bundled
 from gridsched.scenarios import (build_scenario_set, load_scenario_set,
                                  synth_wind_profiles)
 from gridsched.topology import find_bridges
+
+
+def system_load(sys_obj) -> list[float]:
+    """Total demand per period, in MW."""
+    return [sum(row[t] for row in sys_obj.demand.rows.values())
+            for t in range(sys_obj.demand.horizon_length)]
 
 
 class TestToy3:
@@ -45,12 +50,16 @@ class TestRts24:
         sys_obj = load_system(bundled("rts24.json"))
         scen = align_scenarios(
             sys_obj, load_scenario_set(bundled("rts24_scenarios.json")))
-        assert 0.25 <= peak_penetration(sys_obj, scen) <= 0.35
+        # expected RES availability at the peak-load hour over the peak load
+        load = system_load(sys_obj)
+        peak = load.index(max(load))
+        expected = sum(s.probability * sum(p[peak] for p in s.availability.values())
+                       for s in scen.scenarios)
+        assert 0.25 <= expected / load[peak] <= 0.35
 
     def test_peak_load_level(self):
         sys_obj = load_system(bundled("rts24.json"))
-        peak = max(sys_obj.demand.system_load(t) for t in range(1, 25))
-        assert peak == pytest.approx(2270, rel=0.01)
+        assert max(system_load(sys_obj)) == pytest.approx(2270, rel=0.01)
 
 
 def test_missing_bundled_file():

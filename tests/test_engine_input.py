@@ -24,31 +24,31 @@ from conftest import named_cols
 
 KINDS = (ModelKind.SSCUC, ModelKind.SSCUC_CNR)
 
-# recorded with the rows laid out family by family in builder order (see
-# the formulation docstring); a change to the rows, their order, the
-# columns or the names alters what the engine sees and must update these
-# knowingly; the objective constant is hashed as the engine's objective
-# offset
+# recorded with the first stage, then each contingency's copy, laid out in
+# builder order (see the formulation docstring); a change to the rows, their
+# order, the columns or the names alters what the engine sees and must
+# update these knowingly; the objective constant is hashed as the engine's
+# objective offset
 TOY3_DIGESTS = {
     ModelKind.SSCUC:
-        "dc5da2ad2f8871385018a69bb72161f60fa3eedd0fa49b1da35d8982cef75e98",
+        "e1a67ed4740f4f89a44f4c9ec2577f6ff4cd35b9744d6f98062bc282415f0ec3",
     ModelKind.SSCUC_CNR:
-        "f1d2ecbfab68ba44a4f7c56ffdcb43ad2068f9679532c423ea55c44ff7bcac66",
+        "b078cbf8cedb451b602863fa824733b86c45b89c81617bca9a123124115975d5",
 }
 # the same for ``rts24_slice()``, which pins the bundled RTS-24 case document
 # and everything loaded from it
 RTS24_SLICE_DIGESTS = {
     ModelKind.SSCUC:
-        "31149bf37a128e2935f21c910f68eedececa6ca96ac6609814e734c4650687e7",
+        "475c623ec0cd117c85964a6f209bea0f63ddd45c003670686879c04fe451f336",
     ModelKind.SSCUC_CNR:
-        "adea495de580b2e024bca3c3b8348f4b7d5dd6f4cdf64e65c3a63cb24c5345ce",
+        "c2327a8ebec3df389912cbd06ab5a4e798466482fa566e658c5b8464f39f8b4b",
 }
 # toy3 CNR with L2 as the only switch candidate (``toy3_mixed_inputs``):
 # L2's own contingency has no candidate, L1's and L3's have L2, so every
 # family the builder writes (``ROW_FAMILIES``) is present and eq28 covers 2
 # of 3 contingencies
 TOY3_MIXED_CNR_DIGEST = \
-    "a838a30b0ffb8fd11081b9164c95310a681005b7d96ffc193c7c8bcbe4945126"
+    "8071863ba6474ef08931f8d27a48307c133df70b942b75013bcd12e9c05b2420"
 # desk-size shapes the digests above miss, from ``random_tiny_instance``
 # seeds (tests/test_acceptance.py): two buses joined by two parallel
 # lines (1000, 1001) or a 3-bus loop (1013, 1017); minimum up and down
@@ -79,18 +79,18 @@ TINY_DIGESTS = {
 # HiGHS's search path can depend on
 RAW_DIGESTS = {
     ("toy3", ModelKind.SSCUC):
-        "d374e0a64b29b594cb0693396af30024e16302454ae10657b1218f2e916f40b0",
+        "c3f3911e37eb23a01920adec43991bf564b94e768d5dcf4d6a0d9addddc989e2",
     ("toy3", ModelKind.SSCUC_CNR):
-        "7db71b5fdb06ff454883c3ec6fea0ab358f33e86b0b35c5195cb432e9e853b90",
+        "54314cd66077d5933d44eaf65cf6f1c432f9eaff600ea6965e04756dfa81916c",
     # the switch pool does not reach SSCUC: the same as toy3's
     ("toy3-mixed", ModelKind.SSCUC):
-        "d374e0a64b29b594cb0693396af30024e16302454ae10657b1218f2e916f40b0",
+        "c3f3911e37eb23a01920adec43991bf564b94e768d5dcf4d6a0d9addddc989e2",
     ("toy3-mixed", ModelKind.SSCUC_CNR):
-        "8908c21e9e652885054bb934a63e802562dc8b0d2fdde87c97a2c1fd66d389f6",
+        "6859e72cd6b6e59559302f11bf0d0758f32cb560866b980d3a0c0f604523bcc9",
     ("rts24-slice", ModelKind.SSCUC):
-        "ade39fa46a4a5901d0e73de8d09d5b9e8f58202dabbd891eb13218bd052fcf95",
+        "78433c060918e169881cb909223d4d47515bcf48dc3ba48a47de1f81cd5f1c3e",
     ("rts24-slice", ModelKind.SSCUC_CNR):
-        "39757d094fc717309856105bdd6450d834e07204f20ccfde6ef8c7cd0e4e7a63",
+        "f1b8a41eb8024a365ae087eaae3b22907b9b02132222513d3de91c24ee79c59b",
     (1000, ModelKind.SSCUC):
         "110d3e8a4a6af36d283f1111dee5bb4d9678ec791a7b666f432cc8336b6a0cc0",
     (1000, ModelKind.SSCUC_CNR):
@@ -108,13 +108,76 @@ RAW_DIGESTS = {
     (1017, ModelKind.SSCUC_CNR):
         "ee07583d962654f7d2ee0523efa08afd9a85c7d28162042b82c9cda73cc5d6bf",
 }
+# the model up to a permutation of its rows and columns (``canonical_digest``:
+# columns sorted by name, rows by label, each row's terms by column name),
+# then its objective constant, which is compared at 1e-12 relative because
+# its sum over the penalty terms may be taken in another order
+CANONICAL_DIGESTS = {
+    ('toy3', ModelKind.SSCUC): (
+        "a483cf1582ca89e206fa6d84d70311f35854f0e3a4b2ed3c439ff64d74c04717",
+        24000.0),
+    ('toy3', ModelKind.SSCUC_CNR): (
+        "45bcac44fb5ffb799833223a384e97466203b6ed611be0a1583310e15abc5e93",
+        24000.0),
+    ('toy3-mixed', ModelKind.SSCUC): (
+        "a483cf1582ca89e206fa6d84d70311f35854f0e3a4b2ed3c439ff64d74c04717",
+        24000.0),
+    ('toy3-mixed', ModelKind.SSCUC_CNR): (
+        "d42464a37fab2f6ce3c3cee63867abd0ba4d2153fb77cb5dd544cfac4deadd3a",
+        24000.0),
+    ('rts24-slice', ModelKind.SSCUC): (
+        "a4f0a6e9e140d428904793234e2370405011ab0af7e9c76e77de864e94388c24",
+        389762.1479810676),
+    ('rts24-slice', ModelKind.SSCUC_CNR): (
+        "7f0bded213ab70ca6b01b25a99fcf35c6630773205d6d14c4e01612071f36843",
+        389762.1479810676),
+    (1000, ModelKind.SSCUC): (
+        "568a352cd38fe0fefb0c188381fc6fe75ee4cc2134669eb1a6242bf07e488b7f",
+        2167.3822694692853),
+    (1000, ModelKind.SSCUC_CNR): (
+        "36edcfba2988e69153f412fce7c4e3653546b1d0f567b242e173e29409710a62",
+        2167.3822694692853),
+    (1001, ModelKind.SSCUC): (
+        "eedec858253c4af274fcd263f7a2f716957848cefcbbab77b600f7363b3ee3a4",
+        1146.4006542363074),
+    (1001, ModelKind.SSCUC_CNR): (
+        "2895d05324aec93b39ca4533ddb7b70af1f185da99784eaa700eff999ec650f1",
+        1146.4006542363074),
+    (1013, ModelKind.SSCUC): (
+        "ef76217e22a0a3cb1a43bc7b46d502ef58de895b6b6f91c3d96bcf8e8a227c18",
+        1277.7971507179361),
+    (1013, ModelKind.SSCUC_CNR): (
+        "03364652570d85e8d0ffc99b597eb06ce220f0c800a3d3a862b65a1af4fea571",
+        1277.7971507179361),
+    (1017, ModelKind.SSCUC): (
+        "98d5a3df61238c47f6aa207452a824e4a7af6b66cfff14b87936270f8b9e2cad",
+        1037.861946256967),
+    (1017, ModelKind.SSCUC_CNR): (
+        "23a910fe0f1cd29b087b81e5796a907bbcea9440bfc1e87007fec5bd03101dbb",
+        1037.861946256967),
+}
 
 
-# the row families in the order the builders append them (the formulation
-# docstring); eq23 holds fixed lines, eq25-eq28 switchable ones
-ROW_FAMILIES = ("eq2", "eq3", "eq4", "eq5", "eq6", "eq7", "eq8", "eq9",
-                "eq10", "eq14", "eq16", "eq17", "eq18", "eq19", "eq20",
-                "eq22", "eq23", "eq25", "eq26", "eq27L", "eq27U", "eq28")
+# the row families in the order the builder appends them (the formulation
+# docstring): the first stage's, then each copy's; eq23 holds fixed lines,
+# eq25-eq28 switchable ones
+FIRST_STAGE_FAMILIES = ("eq2", "eq3", "eq4", "eq5", "eq6", "eq7", "eq8",
+                        "eq9", "eq10", "eq14", "eq16")
+SWITCH_FAMILIES = ("eq25", "eq26", "eq27L", "eq27U", "eq28")
+COPY_FAMILIES = ("eq17", "eq18", "eq19", "eq20", "eq22", "eq23") + SWITCH_FAMILIES
+ROW_FAMILIES = FIRST_STAGE_FAMILIES + COPY_FAMILIES
+COPY_SYMBOLS = ("Pgc", "Pwc", "Pkc", "thc")
+
+
+def block_of(label: str) -> tuple:
+    """The block a row label or column name belongs to: its family or
+    symbol, and the outaged line id of its copy as text, None in the first
+    stage."""
+    head, _, index = label.partition("[")
+    parts = index.rstrip("]").split(",")
+    if head == "z":  # z[c,k,t,s]
+        return head, parts[0]
+    return head, parts[-3] if head in COPY_FAMILIES + COPY_SYMBOLS else None
 
 
 class _Captured(Exception):
@@ -184,6 +247,25 @@ def raw_digest(prob: MilpProblem) -> str:
                                 ("row_hi", seen["row_upper"], np.float64)):
         h.update(name.encode())
         h.update(np.ascontiguousarray(values, dtype=dtype).tobytes())
+    return h.hexdigest()
+
+
+def canonical_digest(prob: MilpProblem) -> str:
+    """SHA-256 of the model whatever the order of its rows and columns: each
+    column as (name, lb, ub, integrality, objective coefficient), sorted by
+    name, then each row as (label, lb, ub, its terms as (column name,
+    coefficient) sorted by name), sorted by label; floats as ``repr``."""
+    names = prob.var_names
+    c = prob.objective_vector()
+    cols = sorted(zip(names, prob.lb.tolist(), prob.ub.tolist(),
+                      prob.integer.tolist(), c.tolist()))
+    rows = sorted((row.label, row.lb, row.ub,
+                   sorted((names[col], coef) for col, coef in row.coeffs))
+                  for row in prob.rows)
+    h = hashlib.sha256()
+    for item in cols + rows:
+        h.update(repr(item).encode())
+        h.update(b"\n")
     return h.hexdigest()
 
 
@@ -335,6 +417,15 @@ class TestEngineInput:
         prob = assemble(*pinned_inputs(case), FormulationConfig(model_kind=kind))
         assert raw_digest(prob) == RAW_DIGESTS[(case, kind)]
 
+    @pytest.mark.parametrize("case, kind", list(CANONICAL_DIGESTS),
+                             ids=[f"{case}-{kind.value}"
+                                  for case, kind in CANONICAL_DIGESTS])
+    def test_same_model_up_to_a_permutation(self, case, kind):
+        prob = assemble(*pinned_inputs(case), FormulationConfig(model_kind=kind))
+        pinned, constant = CANONICAL_DIGESTS[(case, kind)]
+        assert canonical_digest(prob) == pinned
+        assert prob.objective_constant == pytest.approx(constant, rel=1e-12)
+
     def test_clones_share_the_matrix(self):
         prob = assemble(*toy3_inputs(), FormulationConfig())
         clone = prob.clone_with_bounds({0: 1.0})
@@ -354,17 +445,25 @@ class TestEngineInput:
 
 
 class TestRowOrder:
-    @pytest.mark.parametrize("kind, absent", [
-        (ModelKind.SSCUC, {"eq25", "eq26", "eq27L", "eq27U", "eq28"}),
+    @pytest.mark.parametrize("inputs, kind, absent", [
+        (toy3_inputs, ModelKind.SSCUC, set(SWITCH_FAMILIES)),
         # every surviving toy3 line is a switch candidate
-        (ModelKind.SSCUC_CNR, {"eq23"})])
-    def test_families_are_contiguous_in_builder_order(self, kind, absent):
-        prob = assemble(*toy3_inputs(), FormulationConfig(model_kind=kind))
-        families = list(prob.rows_by_equation())
-        assert families == [f for f in ROW_FAMILIES if f not in absent]
-        runs = [family for family, _ in itertools.groupby(
-            row.label.split("[", 1)[0] for row in prob.rows)]
-        assert runs == families
+        (toy3_inputs, ModelKind.SSCUC_CNR, {"eq23"}),
+        # L2's copy has no candidate, L1's and L3's have L2
+        (toy3_mixed_inputs, ModelKind.SSCUC_CNR, set())],
+        ids=["toy3-sscuc", "toy3-cnr", "toy3-mixed-cnr"])
+    def test_first_stage_then_one_block_per_copy(self, inputs, kind, absent):
+        system, scen, cont = inputs()
+        prob = assemble(system, scen, cont, FormulationConfig(model_kind=kind))
+        assert list(prob.rows_by_equation()) == \
+            [f for f in ROW_FAMILIES if f not in absent]
+        runs = [block for block, _ in itertools.groupby(
+            block_of(row.label) for row in prob.rows)]
+        assert runs == (
+            [(f, None) for f in FIRST_STAGE_FAMILIES if f not in absent]
+            + [(f, str(c.outaged_line_id)) for c in cont for f in COPY_FAMILIES
+               if f not in absent
+               and (c.candidate_switch_ids or f not in SWITCH_FAMILIES)])
 
 
 class TestColumnLayout:
@@ -384,12 +483,14 @@ class TestColumnLayout:
         names = prob.var_names
         assert None not in names
         assert len(set(names)) == len(names) == prob.num_vars
-        # first stage, then one copy of each symbol per contingency, then z
-        runs = [symbol for symbol, _ in itertools.groupby(
-            name.split("[", 1)[0] for name in names)]
-        order = (("u", "v", "Pg", "r", "Pw", "Pk", "th")
-                 + ("Pgc", "Pwc", "Pkc", "thc") * len(cont) + ("z",))
-        assert runs == [s for s in order if prob.registry.indices(s)]
+        # first stage, then per contingency its copy of each symbol and its
+        # switches
+        runs = [block for block, _ in itertools.groupby(map(block_of, names))]
+        switching = kind is ModelKind.SSCUC_CNR
+        order = ([(s, None) for s in ("u", "v", "Pg", "r", "Pw", "Pk", "th")]
+                 + [(s, str(c.outaged_line_id)) for c in cont for s in COPY_SYMBOLS
+                    + (("z",) if switching and c.candidate_switch_ids else ())])
+        assert runs == [(s, c) for s, c in order if prob.registry.indices(s)]
 
 
 # the LP relaxation's optimum of each model, recorded while the model still

@@ -401,6 +401,13 @@ class TestContingencyNetwork:
         for eq in ("eq17", "eq22", "eq23", "eq24", "eq25", "eq28"):
             assert eq not in eqs
 
+    def test_contingency_naming_no_line_rejected(self):
+        sys_obj = triangle_system(T=1)
+        scen = single_scenario(T=1, avail=[10.0])
+        for cfg in (SSCUC, CNR):
+            with pytest.raises(KeyError, match="NOPE"):
+                assemble(sys_obj, scen, [Contingency("NOPE")], cfg)
+
 
 class TestCnrNetwork:
     def test_cnr_row_shapes(self):
@@ -470,6 +477,12 @@ class TestCnrNetwork:
         cont = [Contingency("L1", ("nope",))]
         with pytest.raises(KeyError):
             assemble(sys_obj, scen, cont, CNR)
+
+    def test_outaged_line_as_its_own_candidate_rejected(self):
+        sys_obj = triangle_system(T=1)
+        scen = single_scenario(T=1, avail=[10.0])
+        with pytest.raises(KeyError, match="L1"):
+            assemble(sys_obj, scen, [Contingency("L1", ("L1",))], CNR)
 
 
 class TestBigM:

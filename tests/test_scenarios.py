@@ -85,11 +85,11 @@ class TestBuildScenarioSet:
     def test_probabilities_normalized(self):
         scen = build_scenario_set(
             [{"w": [1.0]}, {"w": [2.0]}, {"w": [3.0]}], [2, 2, 1])
-        assert scen.probabilities() == (0.4, 0.4, 0.2)
+        assert [s.probability for s in scen.scenarios] == [0.4, 0.4, 0.2]
 
     def test_five_uniform(self):
         scen = build_scenario_set([{"w": [1.0]}] * 5, [1] * 5)
-        assert scen.probabilities() == (0.2,) * 5
+        assert [s.probability for s in scen.scenarios] == [0.2] * 5
 
     def test_negative_probability_rejected(self):
         with pytest.raises(ValueError):
@@ -120,7 +120,8 @@ class TestBuildScenarioSet:
     @settings(max_examples=60, deadline=None)
     def test_probability_sum_invariant(self, weights):
         scen = build_scenario_set([{"w": [1.0]}] * len(weights), weights)
-        assert sum(scen.probabilities()) == pytest.approx(1.0, abs=1e-9)
+        assert sum(s.probability for s in scen.scenarios) == \
+            pytest.approx(1.0, abs=1e-9)
 
 
 class TestSynthWind:

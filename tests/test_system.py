@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from gridsched import (DemandProfile, InitialStatus, ResUnit, ScenarioSet,
                        align_scenarios, build_scenario_set, build_system,
-                       load_system, peak_penetration, scale_penetration,
-                       validate_system)
+                       load_system, scale_penetration, validate_system)
 from gridsched.data import bundled
 from gridsched.scenarios import Scenario
 from gridsched.document import element
@@ -191,44 +190,6 @@ class TestAlignScenarios:
         scen = build_scenario_set([{"7": [3.0]}], [1.0])
         assert align_scenarios(sys_obj, scen).scenarios[0].availability == \
             {7: (3.0,)}
-
-
-class TestPeakPenetration:
-    def test_zero_availability(self):
-        sys_obj = triangle_system()
-        scen = build_scenario_set([{"w1": [0.0, 0.0]}], [1.0])
-        assert peak_penetration(sys_obj, scen) == 0.0
-
-    def test_single_scenario_thirty_percent(self):
-        # peak load 2270 MW with 681 MW available at the peak hour
-        demand = DemandProfile(rows={"n": (1500.0, 2270.0)}, horizon_length=2)
-        sys_obj = build_system(["n"], [make_gen("g", "n", p_max=3000)], [],
-                               [ResUnit(id="w", bus_id="n")], demand)
-        scen = build_scenario_set([{"w": [100.0, 681.0]}], [1.0])
-        assert peak_penetration(sys_obj, scen) == pytest.approx(0.30, abs=1e-12)
-
-    def test_two_equiprobable_scenarios(self):
-        demand = DemandProfile(rows={"n": (1200.0,)}, horizon_length=1)
-        sys_obj = build_system(["n"], [make_gen("g", "n", p_max=3000)], [],
-                               [ResUnit(id="w", bus_id="n")], demand)
-        scen = build_scenario_set([{"w": [400.0]}, {"w": [800.0]}], [1, 1])
-        assert peak_penetration(sys_obj, scen) == pytest.approx(0.5, abs=1e-12)
-
-    def test_zero_peak_load_errors(self):
-        demand = DemandProfile(rows={"n": (0.0,)}, horizon_length=1)
-        sys_obj = build_system(["n"], [], [], [], demand)
-        scen = build_scenario_set([{"w": [10.0]}], [1.0])
-        with pytest.raises(ValueError):
-            peak_penetration(sys_obj, scen)
-
-    @given(factor=st.floats(0, 5))
-    @settings(max_examples=40, deadline=None)
-    def test_linearity_in_scaling(self, factor):
-        sys_obj = triangle_system()
-        scen = triangle_scenarios()
-        base = peak_penetration(sys_obj, scen)
-        scaled = peak_penetration(sys_obj, scale_penetration(scen, factor))
-        assert scaled == pytest.approx(factor * base, rel=1e-12, abs=1e-12)
 
 
 class TestJsonRoundTrip:
