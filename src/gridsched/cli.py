@@ -204,8 +204,13 @@ def cmd_run(args) -> int:
     result, report, failures = _schedule(system, scen, contingencies, cfg, opts)
     # a time-limit incumbent is verified and reported, with exit 3
     limited = result.status is SolveStatus.TIME_LIMIT
+    rounds = (f"rounds: {result.rounds}  copies kept: {len(result.kept)} of "
+              f"{len(contingencies)}")
     if result.x is None:
         print(f"solve: {result.status.value} with no point {result.message}")
+        if limited:  # the rounds still give a lower bound
+            print(f"best bound: {result.best_bound:.2f}")
+            print(rounds)
         return EXIT_CAPS if limited else EXIT_INFEASIBLE
     if failures:
         for failure in failures[:20]:
@@ -219,6 +224,7 @@ def cmd_run(args) -> int:
     nodes = "n/a" if result.nodes is None else result.nodes
     print(f"best bound: {result.best_bound:.2f}  gap: {gap:.4%}  "
           f"nodes: {nodes}")
+    print(rounds)
     print(f"total cost: {report.total_cost:.2f}")
     print(f"bcc: {report.bcc:.4f} MW  pcc: {report.pcc:.4f} MW")
     print(f"emissions: {report.emissions:.1f} lbs")

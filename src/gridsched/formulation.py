@@ -40,7 +40,10 @@ candidates; rows eq17, eq18, eq19, eq20, eq22, eq23, then where it has
 candidates eq25, eq26, eq27L, eq27U and eq28; then its penalty terms.
 Each family's rows are contiguous within the first stage or the copy,
 key by key in the order the builder lists the keys, each key's rows over
-(t, s).
+(t, s).  ``assemble`` records each copy on the problem (``milp.Copy``):
+its column and row ranges, its share of the penalty constant and its
+no-redispatch point (``_DcFlow``), which the solver's copy generation
+reads.
 
 The builder writes only the rows the data does not already imply, and
 no term with a zero coefficient (``milp`` leaves those out):
@@ -66,12 +69,13 @@ from the data.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .milp import INF, MilpProblem
+from .milp import INF, Copy, MilpProblem
 from .scenarios import ScenarioSet
 from .system import Id, PowerSystem, TransmissionLine
 from .topology import Contingency
@@ -158,6 +162,63 @@ def _windows(v: np.ndarray, u: np.ndarray,
     return (np.where(in_window, v[unit, np.minimum(first + j, v.shape[1] - 1)],
                      np.where(j == length, u[unit, period], -1)),
             np.where(in_window, 1.0, u_coef))
+
+
+class _DcFlow:
+    """What a copy's no-redispatch point needs of the model, and nothing
+    that refers back to it: the first stage's ``Pg`` and ``Pw`` columns,
+    the buses' units, RES units and demand, and the lines.
+
+    At that point every unit and RES unit keeps its first-stage output
+    (``Pgc = Pg``, ``Pwc = Pw``), every switch is closed and the flows and
+    angles are the DC power flow of the network without the outaged line.
+    When that network's matrix is singular (an island), the angles and
+    flows are NaN, which no row accepts.  The matrices are made on the
+    first call: a model that is never screened does not pay for them.
+    """
+
+    def __init__(self, pg: np.ndarray, pw: np.ndarray, gen_bus: np.ndarray,
+                 res_bus: np.ndarray, demand: np.ndarray, frm: np.ndarray,
+                 to: np.ndarray, b_mw: np.ndarray, ref: int) -> None:
+        self.pg, self.pw, self.b_mw = pg, pw, b_mw
+        self.data = (gen_bus, res_bus, demand, frm, to, ref)
+        self.matrices = None
+
+    def _matrices(self) -> tuple[np.ndarray, ...]:
+        """Over the buses but the reference: each line's ends, each bus's
+        units and RES units, and the demand per (bus, t, s)."""
+        gen_bus, res_bus, demand, frm, to, ref = self.data
+        N = demand.shape[0]
+        free = np.delete(np.arange(N), ref)
+        ends = np.zeros((len(frm), N))
+        ends[np.arange(len(frm)), frm] = 1.0
+        ends[np.arange(len(to)), to] = -1.0
+        units, res = np.zeros((N, len(gen_bus))), np.zeros((N, len(res_bus)))
+        for at, bus in ((units, gen_bus), (res, res_bus)):
+            placed = (bus >= 0).nonzero()[0]
+            at[bus[placed], placed] = 1.0
+        shape = (N,) + self.pg.shape[1:]
+        load = np.broadcast_to(demand, shape).reshape(N, -1)
+        self.matrices = (free, ends[:, free], units[free], res[free], load[free])
+        return self.matrices
+
+    def point(self, x: np.ndarray, out: int, switches: int) -> np.ndarray:
+        """The copy's columns Pgc, Pwc, Pkc, thc and its ``switches`` z
+        columns, in that order, with line ``out`` outaged."""
+        free, ends, units, res, load = self.matrices or self._matrices()
+        grid = load.shape[1]  # (t, s) pairs
+        pg, pw = x[self.pg].reshape(-1, grid), x[self.pw].reshape(-1, grid)
+        b = self.b_mw.copy()
+        b[out] = 0.0  # the outaged line carries nothing
+        theta = np.zeros((len(free) + 1, grid))
+        try:
+            theta[free] = np.linalg.solve((ends.T * b) @ ends,
+                                          units @ pg + res @ pw - load)
+        except np.linalg.LinAlgError:
+            theta[free] = np.nan
+        flow = b[:, None] * (ends @ theta[free])
+        return np.concatenate((pg.reshape(-1), pw.reshape(-1), flow.reshape(-1),
+                               theta.reshape(-1), np.ones(switches * grid)))
 
 
 # the unit parameters the rows and the objective read
@@ -256,6 +317,14 @@ class _Builder:
         weight = self.pi * _per([w.curtail_penalty for w in sys.res_units])
         self.penalty = (np.broadcast_to(-weight, self.avail.shape).ravel(),
                         (weight * self.avail).ravel())
+        # each copy's share of the constant, summed in (w, t, s) order
+        self.penalty_share = float(np.add.accumulate(
+            np.concatenate(([0.0], self.penalty[1])))[-1])
+        # the bus of every unit and RES unit (-1: none) and the reference
+        # bus, for the copies' no-redispatch point
+        self.buses = tuple(
+            np.array([bus_at.get(e.bus_id, -1) for e in items], dtype=np.int64)
+            for items in (gens, sys.res_units)) + (bus_at[ref],)
 
     def _add(self, symbol: str, ids: list, suffix: tuple, lb, ub,
              integer: bool = False, axes: tuple | None = None) -> np.ndarray:
@@ -299,6 +368,9 @@ class _Builder:
         coefs[..., 1:2] = self.unit["cost_startup"]
         coefs[..., 2:] = self.pi * self.unit["cost_linear"]
         self.prob.add_objective(cols, coefs)
+        gen_bus, res_bus, ref = self.buses
+        self.dc_flow = _DcFlow(pg, self.cols["Pw"], gen_bus, res_bus,
+                               self.demand, self.frm, self.to, self.b_mw, ref)
 
     def _generators(self) -> None:
         """eq2 per unit with a positive floor, then eq3-eq10 per unit."""
@@ -422,7 +494,15 @@ class _Builder:
         if cid in cands:
             raise KeyError(f"contingency {cid!r}: the outaged line cannot be "
                            f"a switch candidate")
+        twice = sorted({str(k) for k in cands if cands.count(k) > 1})
+        if twice:
+            raise KeyError(f"contingency {cid!r}: candidate lines {twice} "
+                           f"listed twice")
         prob, inner, ids, add = self.prob, self.inner, self.ids, self._add
+        if any(done.name == cid for done in prob.copies):
+            raise KeyError(f"contingency {cid!r}: line {cid!r} has a copy "
+                           f"already")
+        first_col, first_row = prob.num_vars, prob.num_rows
         unit, neg, ramp, floor = self.unit, self.neg, self.ramp, self.floor
         out = line_at[cid]
         cand = np.array([line_at[k] for k in cands], dtype=np.int64)
@@ -481,12 +561,19 @@ class _Builder:
             prob.add_row_block("eq28", [sfx], [(col, 1.0) for col in z],
                                float(len(cands) - self.cfg.switch_limit),
                                INF, inner)
+        share = 0.0
         if self.cfg.penalty_enabled:
             # the constant is added term by term in (w, t, s) order
             coefs, constant = self.penalty
             terms = np.concatenate(([prob.objective_constant], constant))
             prob.objective_constant = float(np.add.accumulate(terms)[-1])
             prob.add_objective(pwc, coefs)
+            share = self.penalty_share
+        prob.copies.append(Copy(
+            cid, slice(first_col, prob.num_vars),
+            slice(first_row, prob.num_rows), share,
+            functools.partial(self.dc_flow.point, out=out,
+                              switches=len(cands))))
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,16 @@ map a row back to the printed model equation, and columns are named by
 the documented scheme ``u[g,t]``, ``Pg[g,t,s]``, ``z[c,k,t,s]``.  Both
 are deterministic for a given system/scenario/contingency input order.
 ``rows`` lists every row as a ``Row``, for inspection.
+
+A model may be split into a first stage and copies: ``copies`` lists a
+``Copy`` per contingency, in model order, each one contiguous range of
+columns and one of rows with its share of ``objective_constant``.  A
+copy's rows read only its own columns and the first stage's, and its
+objective terms only its own columns.  Whatever lies in no copy is the
+first stage, and the constant no copy owns is the first stage's; a row
+of it that reads a copy's columns, such as one added after
+``formulation.assemble``, ties that copy to the first stage.  A
+hand-built problem has no copies.
 """
 
 from __future__ import annotations
@@ -61,7 +71,7 @@ import copy
 import gc
 import itertools
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +85,24 @@ class Row:
     lb: float
     ub: float
     label: str
+
+
+@dataclass(frozen=True, eq=False)
+class Copy:
+    """One contingency's post-contingency copy within a model; two copies
+    are the same only when they are one object.
+
+    ``cols`` and ``rows`` are its two contiguous ranges, as slices;
+    ``constant`` is its share of ``objective_constant``.  ``point(x)``
+    gives the copy's column values, in column order, with no redispatch
+    from the first stage of the full-length point ``x``: the formulation
+    knows what that means for its network.
+    """
+    name: object
+    cols: slice
+    rows: slice
+    constant: float
+    point: Callable[[np.ndarray], np.ndarray]
 
 
 class Block:
@@ -466,6 +494,7 @@ class _Model:
 class MilpProblem:
     def __init__(self) -> None:
         self.objective_constant = 0.0
+        self.copies: list[Copy] = []  # see the module docstring
         self.registry = VariableRegistry()
         self._lb = _Column(float)
         self._ub = _Column(float)
@@ -651,13 +680,31 @@ class MilpProblem:
     def max_violation(self, x: np.ndarray, scaled: bool = True) -> tuple[float, str]:
         """Worst row or bound violation and the offending label.
 
+        The violations are those of ``violations``.  Ties go to the first
+        row, and a bound wins only when strictly worse than every row.
+        """
+        viol, bound = self.violations(x, scaled)
+        worst, where = 0.0, ""
+        if viol.size:
+            i = int(viol.argmax())
+            if viol[i] > worst:
+                worst, where = float(viol[i]), self._model.row_runs.label(i)
+        if bound.size:
+            j = int(bound.argmax())
+            if bound[j] > worst:
+                worst, where = float(bound[j]), f"bound[{self.var_name(j)}]"
+        return worst, where
+
+    def violations(self, x: np.ndarray,
+                   scaled: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's and each column's bound violation at ``x``.
+
         A row's violation is how far its activity lies outside [lb, ub];
         scaled, it is divided by max(1, its largest |coefficient * x|, its
         finite |lb| and |ub|), the usual relative feasibility measure for
         rows whose coefficients span magnitudes.  A bound's violation is
-        divided by max(1, |x|) when scaled.  Ties go to the first row, and
-        a bound wins only when strictly worse than every row.  A NaN point
-        value or activity is an infinite violation.
+        divided by max(1, |x|) when scaled.  A NaN point value or activity
+        is an infinite violation.
         """
         x = np.asarray(x, dtype=float)
         model = self._model
@@ -675,20 +722,11 @@ class MilpProblem:
                     np.abs(terms, out=terms), firsts))
             viol = np.divide(viol, scale, out=viol, where=viol > 0.0)
         viol[np.isnan(viol)] = INF
-        worst, where = 0.0, ""
-        if viol.size:
-            i = int(viol.argmax())
-            if viol[i] > worst:
-                worst, where = float(viol[i]), model.row_runs.label(i)
         bound = np.maximum(np.maximum(0.0, self.lb - x), x - self.ub)
         if scaled:
             bound = bound / np.fmax(1.0, np.abs(x))
         bound[np.isnan(bound)] = INF
-        if bound.size:
-            j = int(bound.argmax())
-            if bound[j] > worst:
-                worst, where = float(bound[j]), f"bound[{self.var_name(j)}]"
-        return worst, where
+        return viol, bound
 
     def rows_by_equation(self) -> dict[str, int]:
         """Row counts keyed by equation family, in row order."""

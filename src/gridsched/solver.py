@@ -1,8 +1,8 @@
 """MILP solve contract over HiGHS.
 
 ``solve`` hands HiGHS a ``MilpProblem``'s arrays, its rows as the cached
-CSR arrays, runs it once and checks what comes back: integer columns must
-be integral and the point must satisfy every row and bound; a NaN fails.
+CSR arrays, and checks what comes back: integer columns must be integral
+and the point must satisfy every row and bound; a NaN fails.
 ``solve_relaxation`` does the same for the LP relaxation, with no
 integrality check.  A failure of HiGHS itself raises ``EngineError``; a
 point that fails the checks raises ``SolverError``.
@@ -25,9 +25,30 @@ per loaded bindings module, not once per instance.  The model's bounds choose th
   dual simplex restarts from the last basis.  ``solve_relaxation`` runs
   any problem on that instance, which holds no integrality, so it solves
   the LP relaxation over the problem's bounds.
-- Every other problem goes to ``milp``, which loads a new instance per
-  call.  ``milp`` is the one engine entry point: the benchmark under
-  ``perfbench/`` traces ``gridsched.solver.milp`` by name as the engine.
+- Every other problem is solved by contingency-copy generation over the
+  model's ``copies`` (``milp.Copy``).  Round k hands HiGHS a master: the
+  model without the copies left out so far, its rows and columns sliced
+  from the CSR arrays (with every copy left out, a prefix of them) and
+  the constant of the copies it holds.  Round 1 leaves out every copy,
+  and a problem with no copies solves in one round, as itself.  At the
+  master's point each left-out copy is first screened at its
+  no-redispatch point (``Copy.point``); one that violates a row or a
+  bound there, or pays a penalty, gets an LP of its own over its
+  columns, with the first stage and its switches fixed.  A left-out copy
+  only removes rows and a non-negative penalty, so the master's dual
+  bound is a lower bound on the model, and the master's point with each
+  copy's checked values is a point of the whole model, whose objective
+  is an upper bound.  The loop stops when the two are within the gap,
+  relative to max(1, |upper bound|); otherwise it adds every copy that
+  is infeasible there and, largest first, the copies whose penalty keeps
+  the gap open, and solves again.  The whole model's best point then
+  gets the post-solve check, over every row.  The time limit is one
+  budget for every round; no round starts after it is spent, and a stop
+  returns ``TIME_LIMIT`` with the best lower bound and, when a whole
+  point was found, that point.  Every HiGHS run of the loop, masters
+  and copy LPs, goes through ``milp``, which loads a new instance per
+  call: the benchmark under ``perfbench/`` traces
+  ``gridsched.solver.milp`` by name as the engine.
 
 The bindings are private to scipy; ``_highs_bindings`` loads the one
 extension module that holds them from scipy's files, without importing
@@ -44,16 +65,18 @@ import importlib.machinery
 import importlib.util
 import math
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy
 
-from .milp import MilpProblem
+from .milp import Copy, MilpProblem
 
 INTEGRALITY_TOL = 1e-6
 FEASIBILITY_TOL = 1e-6  # scaled row violation accepted from the engine
+GAP_TOL = 1e-9  # a relative gap up to this is none
 
 _BINDINGS = "scipy.optimize._highspy._core"
 _BINDING_NAMES = ("_Highs", "HighsModelStatus", "HighsStatus", "MatrixFormat",
@@ -119,8 +142,10 @@ class SolveResult:
     best_bound: float = math.nan
     x: np.ndarray | None = None
     message: str = ""
-    nodes: int | None = None  # branch-and-bound nodes, as HiGHS reports
-    mip_gap: float | None = None  # HiGHS's own relative gap
+    nodes: int | None = None  # branch-and-bound nodes, summed over the masters
+    mip_gap: float | None = None  # the certified relative gap of the point
+    rounds: int | None = None  # masters solved; None on the LP route
+    kept: tuple = ()  # the contingencies whose copies the last master held
 
 
 @dataclass
@@ -141,15 +166,8 @@ def solve(prob: MilpProblem, opts: SolveOptions | None = None) -> SolveResult:
     cols = prob.integer.nonzero()[0]
     if (prob.lb[cols] == prob.ub[cols]).all():
         res = _lp_engine(prob).solve(prob, opts.time_limit)
-    else:
-        indptr, indices, data, lo, hi = prob.matrix()
-        res = milp(c=prob.objective_vector(), offset=prob.objective_constant,
-                   integrality=prob.integer.astype(np.int32),
-                   col_lower=prob.lb, col_upper=prob.ub,
-                   A=(indptr, indices, data), row_lower=lo, row_upper=hi,
-                   mip_rel_gap=opts.mip_gap,
-                   time_limit=opts.time_limit)
-    return _checked_result(prob, res, cols)
+        return _checked_result(prob, res, cols)
+    return _generate(prob, opts, cols)
 
 
 def solve_relaxation(prob: MilpProblem) -> SolveResult:
@@ -189,23 +207,13 @@ def _checked_result(prob: MilpProblem, res: EngineResult,
             raise EngineError(f"engine failure: {res.message}")
         return SolveResult(res.status, **stats)
 
-    x = np.array(res.x, dtype=float)
-    # integer values must already be integral up to tolerance; then round
-    rounded = x[cols].round() + 0.0  # + 0.0 turns -0.0 into 0.0
-    residual = np.abs(x[cols] - rounded)
-    bad = (~(residual <= INTEGRALITY_TOL)).nonzero()[0]  # NaN is bad too
-    if bad.size:
-        raise SolverError(
-            f"integrality residual {residual[bad[0]]:.3g} on "
-            f"{prob.var_name(cols[bad[0]])} exceeds {INTEGRALITY_TOL}")
-    x[cols] = rounded
-
+    x = _rounded(prob, np.array(res.x, dtype=float), cols)
     objective = prob.objective_value(x)
     best_bound = (float(res.mip_dual_bound)  # an LP's bound is its objective
                   if cols.size and res.mip_dual_bound is not None else objective)
     gap = abs(objective - best_bound) / max(1.0, abs(objective))
     status = (SolveStatus.TIME_LIMIT if res.status is SolveStatus.TIME_LIMIT
-              else SolveStatus.FEASIBLE_WITHIN_GAP if gap > 1e-9
+              else SolveStatus.FEASIBLE_WITHIN_GAP if gap > GAP_TOL
               else SolveStatus.OPTIMAL)
 
     viol, where = prob.max_violation(x, scaled=True)
@@ -215,6 +223,231 @@ def _checked_result(prob: MilpProblem, res: EngineResult,
 
     return SolveResult(status=status, objective=objective, best_bound=best_bound,
                        x=x, **stats)
+
+
+def _rounded(prob: MilpProblem, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``x`` with its integer columns ``cols`` rounded, which must already
+    be integral up to tolerance."""
+    rounded = x[cols].round() + 0.0  # + 0.0 turns -0.0 into 0.0
+    residual = np.abs(x[cols] - rounded)
+    bad = (~(residual <= INTEGRALITY_TOL)).nonzero()[0]  # NaN is bad too
+    if bad.size:
+        raise SolverError(
+            f"integrality residual {residual[bad[0]]:.3g} on "
+            f"{prob.var_name(cols[bad[0]])} exceeds {INTEGRALITY_TOL}")
+    x[cols] = rounded
+    return x
+
+
+# -- contingency-copy generation (module docstring) --------------------------
+
+def _generate(prob: MilpProblem, opts: SolveOptions,
+              cols: np.ndarray) -> SolveResult:
+    """Solve a MILP round by round, each round's master holding the
+    copies found binding so far."""
+    started = time.perf_counter()
+
+    def left() -> float | None:  # of the time budget
+        if opts.time_limit is None:
+            return None
+        return max(0.0, opts.time_limit - (time.perf_counter() - started))
+
+    # the copies the master leaves out: all but those a row outside every
+    # copy reads
+    coupled = _coupled(prob)
+    gone = [c for i, c in enumerate(prob.copies) if i not in coupled]
+    bound, best, nodes, rounds = -math.inf, None, None, 0
+    while True:
+        rounds += 1
+        master, where = _master(prob, gone)
+        res = milp(**master, mip_rel_gap=opts.mip_gap, time_limit=left())
+        if res.x is None and res.status is SolveStatus.OPTIMAL:
+            raise EngineError(f"engine failure: {res.message}")
+        if res.mip_node_count is not None:
+            nodes = (nodes or 0) + res.mip_node_count
+        if res.mip_dual_bound is not None:
+            bound = max(bound, res.mip_dual_bound)
+        status, add = res.status, []
+        if res.x is not None:
+            x = np.zeros(prob.num_vars)
+            x[where] = res.x
+            costs = _check_copies(prob, _rounded(prob, x, cols), gone, left)
+            add = [c for c, cost in zip(gone, costs) if cost is None]
+            if not add:  # x is a point of the whole model
+                objective = prob.objective_value(x)
+                if best is None or objective < best[0]:
+                    best = (objective, x)
+                scale = max(1.0, abs(objective))
+                add = _gap_keepers(gone, costs, objective - bound
+                                   - (opts.mip_gap + GAP_TOL) * scale,
+                                   GAP_TOL * scale)
+        if status is not SolveStatus.OPTIMAL or not add:
+            break
+        if left() == 0.0:
+            status = SolveStatus.TIME_LIMIT
+            break
+        gone = [c for c in gone if c not in add]
+
+    kept = tuple(c.name for c in prob.copies if c not in gone)
+    if best is None:
+        return SolveResult(status, best_bound=bound if bound > -math.inf
+                           else math.nan, message=res.message, nodes=nodes,
+                           rounds=rounds, kept=kept)
+    objective, x = best
+    gap = (abs(objective - bound) / max(1.0, abs(objective))
+           if bound > -math.inf else None)
+    result = _checked_result(prob, EngineResult(
+        status, res.message, x, nodes, gap,
+        bound if bound > -math.inf else None), cols)
+    result.rounds, result.kept = rounds, kept
+    return result
+
+
+def _master(prob: MilpProblem, gone: list[Copy]) -> tuple[dict, slice | np.ndarray]:
+    """The engine input of the model without the copies ``gone``, as
+    ``milp`` takes it, and where the master's columns sit in the model.
+
+    When the copies gone end the model, in columns and in rows, as they
+    do in round 1 and with none gone, every array is a prefix view of the
+    model's, which costs nothing where the mask takes milliseconds on a
+    full-day model; otherwise a mask picks the rows and renumbers the
+    columns.
+    """
+    indptr, indices, data, lo, hi = prob.matrix()
+    c, integer = prob.objective_vector(), prob.integer
+    lb, ub = prob.lb, prob.ub
+    n, m = c.size, lo.size
+    offset = prob.objective_constant
+    for copy in gone:
+        offset -= copy.constant
+    if _suffix(prob, gone):
+        n = min((g.cols.start for g in gone), default=n)
+        m = min((g.rows.start for g in gone), default=m)
+        where = slice(0, n)
+        end = indptr[m]
+        indptr, indices, data = indptr[:m + 1], indices[:end], data[:end]
+        lo, hi = lo[:m], hi[:m]
+    else:
+        where = np.ones(n, dtype=bool)
+        rows = np.ones(m, dtype=bool)
+        for copy in gone:
+            where[copy.cols] = False
+            rows[copy.rows] = False
+        number = np.cumsum(where, dtype=indices.dtype) - 1
+        number[~where] = -1
+        counts = np.diff(indptr)
+        terms = np.repeat(rows, counts)
+        indices, data = number[indices[terms]], data[terms]
+        indptr = np.concatenate(([0], np.cumsum(counts[rows])))
+        lo, hi = lo[rows], hi[rows]
+    return ({"c": c[where], "offset": offset,
+             "integrality": integer[where].astype(np.int32),
+             "col_lower": lb[where], "col_upper": ub[where],
+             "A": (indptr, indices, data), "row_lower": lo, "row_upper": hi},
+            where)
+
+
+def _suffix(prob: MilpProblem, copies: list[Copy]) -> bool:
+    """Whether the copies, which never overlap, together make up the last
+    columns and the last rows of the model; no copies make up none."""
+    n, m = prob.num_vars, prob.num_rows
+    return (sum(c.cols.stop - c.cols.start for c in copies)
+            == n - min((c.cols.start for c in copies), default=n)
+            and sum(c.rows.stop - c.rows.start for c in copies)
+            == m - min((c.rows.start for c in copies), default=m))
+
+
+def _coupled(prob: MilpProblem) -> set[int]:
+    """The positions in ``prob.copies`` of the copies whose columns a row
+    outside every copy reads, such as a row added after ``assemble``:
+    every master keeps them."""
+    copies = prob.copies
+    if not copies:
+        return set()
+    indptr, indices = prob.matrix()[:2]
+    if _suffix(prob, copies):
+        end = indptr[min(copy.rows.start for copy in copies)]
+        if not (end and np.maximum.reduce(indices[:end])
+                >= min(copy.cols.start for copy in copies)):
+            return set()  # the first-stage rows come first and read no copy
+    outside = np.ones(prob.num_rows, dtype=bool)
+    for copy in copies:
+        outside[copy.rows] = False
+    read = np.unique(indices[np.repeat(outside, np.diff(indptr))])
+    starts = np.array([copy.cols.start for copy in copies])
+    stops = np.array([copy.cols.stop for copy in copies])
+    at = np.searchsorted(starts, read, side="right") - 1
+    inside = (at >= 0) & (read < stops[at.clip(0)])
+    return set(at[inside].tolist())
+
+
+def _check_copies(prob: MilpProblem, x: np.ndarray, gone: list[Copy],
+                  left) -> list[float | None]:
+    """Fill each left-out copy's columns of ``x`` from the first stage in
+    ``x``, and return each copy's penalty there, or None when no checked
+    values were found: the no-redispatch point when it meets every row and
+    bound of the copy and pays no penalty, else the optimum of the copy's
+    LP."""
+    for copy in gone:
+        x[copy.cols] = copy.point(x)
+    rows, bounds = prob.violations(x)
+    c = prob.objective_vector()
+    costs = []
+    for copy in gone:
+        cost = float(c[copy.cols] @ x[copy.cols]) + copy.constant
+        if (max(rows[copy.rows].max(initial=0.0),
+                bounds[copy.cols].max(initial=0.0)) > FEASIBILITY_TOL
+                or cost > FEASIBILITY_TOL * max(1.0, abs(copy.constant))):
+            cost = _copy_lp(prob, x, copy, left())
+        costs.append(cost)
+    return costs
+
+
+def _copy_lp(prob: MilpProblem, x: np.ndarray, copy: Copy,
+             time_limit: float | None) -> float | None:
+    """The least penalty of a copy with the rest of ``x`` fixed, its
+    integer columns at their values in ``x`` within their bounds: an LP
+    over the copy's columns and rows, the fixed columns' terms moved into
+    the row bounds.  On an optimum its values go into ``x``; otherwise
+    None."""
+    indptr, indices, data, lo, hi = prob.matrix()
+    r0, r1 = copy.rows.start, copy.rows.stop
+    c0, c1 = copy.cols.start, copy.cols.stop
+    terms = slice(indptr[r0], indptr[r1])
+    col, val = indices[terms], data[terms]
+    row = np.repeat(np.arange(r1 - r0), np.diff(indptr[r0:r1 + 1]))
+    own = (col >= c0) & (col < c1)
+    fixed = np.bincount(row[~own], weights=val[~own] * x[col[~own]],
+                        minlength=r1 - r0)
+    lower, upper = prob.lb[copy.cols].copy(), prob.ub[copy.cols].copy()
+    integer = prob.integer[copy.cols]
+    lower[integer] = upper[integer] = np.clip(x[copy.cols][integer],
+                                              lower[integer], upper[integer])
+    res = milp(c=prob.objective_vector()[copy.cols], offset=copy.constant,
+               integrality=np.zeros(c1 - c0, dtype=np.int32),
+               col_lower=lower, col_upper=upper,
+               A=(np.concatenate(([0], np.cumsum(np.bincount(
+                   row[own], minlength=r1 - r0)))), col[own] - c0, val[own]),
+               row_lower=lo[r0:r1] - fixed, row_upper=hi[r0:r1] - fixed,
+               mip_rel_gap=0.0, time_limit=time_limit)
+    if res.status is not SolveStatus.OPTIMAL or res.x is None:
+        return None
+    x[copy.cols] = res.x
+    return float(prob.objective_vector()[copy.cols] @ res.x) + copy.constant
+
+
+def _gap_keepers(gone: list[Copy], costs: list[float], excess: float,
+                 tiny: float) -> list[Copy]:
+    """The copies to add so that their penalties, largest first, cover
+    ``excess``, the amount by which the gap is open; none when it is
+    closed.  A penalty up to ``tiny`` is rounding, and never added."""
+    add = []
+    for i in sorted(range(len(gone)), key=lambda i: -costs[i]):
+        if not excess > 0.0 or not costs[i] > tiny:
+            break
+        add.append(gone[i])
+        excess -= costs[i]
+    return add
 
 
 def milp(*, c, offset: float, integrality, col_lower, col_upper, A, row_lower,

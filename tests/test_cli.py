@@ -133,11 +133,15 @@ class TestRun:
         assert "status: time-limit" in out
         assert "objective:" in out and "best bound:" in out and "gap:" in out
 
-    def test_time_limit_without_incumbent(self, tmp_path, monkeypatch):
-        self._stop_at_time_limit(monkeypatch, x=None)
+    def test_time_limit_without_incumbent(self, tmp_path, capsys,
+                                          monkeypatch):
+        self._stop_at_time_limit(monkeypatch, x=None, best_bound=123.0)
         assert run_cli("run", TOY, TOY_SCEN, "--mip-gap", "0",
                        "--out-dir", str(tmp_path)) == 3
         assert not (tmp_path / "report.json").exists()
+        out = capsys.readouterr().out.splitlines()
+        assert "best bound: 123.00" in out
+        assert any(line.startswith("rounds: ") for line in out)
 
     def test_prints_node_count(self, tmp_path, capsys):
         assert run_cli("run", TOY, TOY_SCEN, "--mip-gap", "0",
@@ -146,6 +150,16 @@ class TestRun:
                     if ln.startswith("best bound:"))
         assert "gap:" in line and "nodes:" in line
         assert int(line.rsplit("nodes:", 1)[1]) >= 1
+
+    def test_prints_rounds_and_copies_kept(self, tmp_path, capsys):
+        assert run_cli("run", TOY, TOY_SCEN, "--mip-gap", "0",
+                       "--out-dir", str(tmp_path)) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith("rounds:"))
+        rounds, kept = line.split("  copies kept: ")
+        assert int(rounds.removeprefix("rounds: ")) >= 1
+        k, n = kept.split(" of ")
+        assert 0 <= int(k) <= int(n) == 3  # toy3 has three contingencies
 
     @pytest.mark.parametrize("fields", ENGINE_FAILURES)
     def test_engine_failure_exit_code(self, tmp_path, capsys, monkeypatch,

@@ -180,27 +180,13 @@ def block_of(label: str) -> tuple:
     return head, parts[-3] if head in COPY_FAMILIES + COPY_SYMBOLS else None
 
 
-class _Captured(Exception):
-    pass
-
-
 def engine_input(prob: MilpProblem) -> dict:
-    """The keyword arguments ``solve`` passes to the engine."""
-    seen = {}
-
-    def capture(**kwargs):
-        seen.update(kwargs)
-        raise _Captured
-
-    real = solver_mod.milp
-    solver_mod.milp = capture
-    try:
-        solver_mod.solve(prob)
-    except _Captured:
-        pass
-    finally:
-        solver_mod.milp = real
-    return seen
+    """The keyword arguments the engine gets for the whole model: those of
+    the master that holds every copy."""
+    prob.check()
+    master, where = solver_mod._master(prob, [])
+    assert where == slice(0, prob.num_vars)
+    return master
 
 
 def digest(prob: MilpProblem) -> str:

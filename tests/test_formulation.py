@@ -408,6 +408,14 @@ class TestContingencyNetwork:
             with pytest.raises(KeyError, match="NOPE"):
                 assemble(sys_obj, scen, [Contingency("NOPE")], cfg)
 
+    def test_same_outaged_line_twice_rejected(self):
+        sys_obj = triangle_system(T=1)
+        scen = single_scenario(T=1, avail=[10.0])
+        for cfg in (SSCUC, CNR):
+            with pytest.raises(KeyError, match=r"contingency 'L1': line 'L1'"):
+                assemble(sys_obj, scen, [Contingency("L1"), Contingency("L1")],
+                         cfg)
+
 
 class TestCnrNetwork:
     def test_cnr_row_shapes(self):
@@ -483,6 +491,13 @@ class TestCnrNetwork:
         scen = single_scenario(T=1, avail=[10.0])
         with pytest.raises(KeyError, match="L1"):
             assemble(sys_obj, scen, [Contingency("L1", ("L1",))], CNR)
+
+    def test_candidate_listed_twice_rejected(self):
+        sys_obj = triangle_system(T=1)
+        scen = single_scenario(T=1, avail=[10.0])
+        with pytest.raises(KeyError, match=r"contingency 'L1': candidate "
+                                           r"lines \['L2'\] listed twice"):
+            assemble(sys_obj, scen, [Contingency("L1", ("L2", "L2"))], CNR)
 
 
 class TestBigM:

@@ -26,16 +26,18 @@ import gridsched.solver as solver_mod
 from gridsched import (DemandProfile, FormulationConfig, ModelKind,
                        align_scenarios, assemble, build_contingency_set,
                        build_scenario_set, enumerate_commitments,
-                       load_scenario_set, load_system, solve)
+                       extract_schedule, load_scenario_set, load_system, solve,
+                       verify_solution)
 from gridsched.data import bundled
 from gridsched.milp import INF, MilpProblem
 from gridsched.solver import (EngineError, EngineResult, SolveOptions,
                               SolveStatus, SolverError)
 
 from conftest import (named_cols, parallel_pair_scenarios,
-                      parallel_pair_system, triangle_scenarios,
-                      triangle_system)
-from test_engine_input import KINDS, rts24_slice, toy3_inputs
+                      parallel_pair_system, ring4_scenarios, ring4_system,
+                      symbol_cols, triangle_scenarios, triangle_system)
+from test_engine_input import (KINDS, engine_input, rts24_slice,
+                               toy3_inputs)
 
 
 U, V = 0, 1  # tiny_uc's commitment and startup columns
@@ -182,6 +184,239 @@ class TestSolveContract:
         res = solve(prob, SolveOptions(time_limit=0.0))
         assert res.status is SolveStatus.TIME_LIMIT
         assert res.x is None
+
+
+# -- contingency-copy generation: masters over the first stage and the
+# copies found binding -------------------------------------------------------
+
+def ring4_case(load: float | None = None):
+    """ring4 (conftest) with its chord outaged.  Round 1's master commits
+    nothing, as the wind covers the load, so the chord's copy has no unit
+    to pick up the wind the weak line cannot carry: it is infeasible
+    there.  With ``load`` MW at bus 2 and a second unit like gA, round 1
+    commits units and the copy is feasible, but curtails wind."""
+    system = ring4_system()
+    if load is not None:
+        system = replace(
+            system,
+            generators=system.generators + (
+                replace(system.generators[0], id="gB"),),
+            demand=DemandProfile(rows={1: (0.0,), 2: (load,), 3: (0.0,),
+                                       4: (0.0,)}, horizon_length=1))
+    return (system, ring4_scenarios(),
+            build_contingency_set(system, whitelist={"CH"}))
+
+
+RING4_CASES = pytest.mark.parametrize("load", [None, 80.0],
+                                      ids=["infeasible-copy", "penalised-copy"])
+
+
+def ring4_chain(load: float | None):
+    """ring4_case with three outages, so that round 2 leaves out a copy
+    between two others: without ``load`` the middle copy, the chord's, is
+    infeasible at round 1's point; with it the first and the last copies
+    pay curtailment there."""
+    system, scen, _ = ring4_case(load)
+    lines = ("R2", "CH", "R3") if load is None else ("R3", "R2", "R4")
+    every = {c.outaged_line_id: c for c in build_contingency_set(system)}
+    return system, scen, [every[line] for line in lines]
+
+
+RING4_CHAINS = pytest.mark.parametrize(
+    "load, kept", [(None, ("CH",)), (80.0, ("R3", "R4"))],
+    ids=["infeasible-middle-copy", "penalised-outer-copies"])
+
+
+def rts24_slice_three():
+    return rts24_slice(whitelist={5, 10, 23})
+
+
+def assert_same_engine_input(got: dict, want: dict) -> None:
+    """Every array of one dtype and byte for byte; the constant to 1e-12."""
+    assert got["offset"] == pytest.approx(want["offset"], rel=1e-12)
+    pairs = [(got[key], want[key]) for key in (
+        "c", "integrality", "col_lower", "col_upper", "row_lower",
+        "row_upper")] + list(zip(got["A"], want["A"]))
+    for part, whole in pairs:
+        assert part.dtype == whole.dtype
+        assert part.tobytes() == whole.tobytes()
+
+
+def engine_calls(monkeypatch) -> list[dict]:
+    """Record the keyword arguments of every engine call from now on."""
+    calls = []
+    engine = solver_mod.milp
+
+    def record(**kwargs):
+        calls.append(kwargs)
+        return engine(**kwargs)
+
+    monkeypatch.setattr(solver_mod, "milp", record)
+    return calls
+
+
+class TestCopyGeneration:
+    @RING4_CASES
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_binding_copy_takes_a_second_round(self, kind, load):
+        system, scen, cont = ring4_case(load)
+        cfg = FormulationConfig(model_kind=kind)
+        res = solve(assemble(system, scen, cont, cfg), SolveOptions(mip_gap=0.0))
+        oracle = enumerate_commitments(system, scen, cont, cfg)
+        assert res.status is SolveStatus.OPTIMAL
+        assert res.rounds >= 2 and res.kept == ("CH",)
+        assert res.objective == pytest.approx(oracle.best_objective,
+                                              rel=1e-9, abs=1e-9)
+        gap = (res.objective - res.best_bound) / max(1.0, abs(res.objective))
+        assert res.mip_gap == pytest.approx(gap, abs=1e-12)
+
+    @RING4_CHAINS
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_master_is_the_model_on_its_copies(self, monkeypatch, kind,
+                                                     load, kept):
+        """Each master handed to the engine is, array for array, the model
+        assembled on the contingencies it keeps, in their order; the loop
+        ends at the oracle's optimum."""
+        system, scen, cont = ring4_chain(load)
+        cfg = FormulationConfig(model_kind=kind)
+        calls = engine_calls(monkeypatch)
+        res = solve(assemble(system, scen, cont, cfg), SolveOptions(mip_gap=0.0))
+        oracle = enumerate_commitments(system, scen, cont, cfg)
+        assert res.status is SolveStatus.OPTIMAL
+        assert res.rounds == 2 and res.kept == kept
+        assert res.objective == pytest.approx(oracle.best_objective,
+                                              rel=1e-9, abs=1e-9)
+        masters = [kw for kw in calls if kw["integrality"].any()]
+        assert len(masters) == res.rounds
+        for got, names in zip(masters, [(), kept]):
+            want = engine_input(assemble(
+                system, scen, [c for c in cont if c.outaged_line_id in names],
+                cfg))
+            assert_same_engine_input(got, want)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("make", [toy3_inputs, rts24_slice_three],
+                             ids=["toy3", "rts24-slice"])
+    def test_master_leaves_out_the_copies_given(self, make, kind):
+        """``_master`` on any set of copies left out, at either end or
+        between others, is the model assembled without them."""
+        system, scen, cont = make()
+        cfg = FormulationConfig(model_kind=kind)
+        prob = assemble(system, scen, cont, cfg)
+        names = np.array(prob.var_names)
+        for r in range(len(cont) + 1):
+            for out in itertools.combinations(range(len(cont)), r):
+                got, where = solver_mod._master(
+                    prob, [prob.copies[i] for i in out])
+                other = assemble(system, scen, [c for i, c in enumerate(cont)
+                                                if i not in out], cfg)
+                assert names[where].tolist() == other.var_names
+                assert_same_engine_input(got, engine_input(other))
+
+    def test_first_master_is_the_first_stage_as_prefix_views(self, monkeypatch):
+        calls = engine_calls(monkeypatch)
+        prob = assemble(*toy3_inputs(), FormulationConfig())
+        res = solve(prob, SolveOptions(mip_gap=0.0))
+        assert res.rounds == 1 and res.kept == ()
+        first = calls[0]
+        n, m = prob.copies[0].cols.start, prob.copies[0].rows.start
+        assert first["c"].size == n and first["row_lower"].size == m
+        indptr, indices, data, lo, hi = prob.matrix()
+        for part, whole in zip(first["A"] + (first["row_lower"],
+                                             first["row_upper"]),
+                               (indptr, indices, data, lo, hi)):
+            assert np.shares_memory(part, whole)
+        # no copy, no penalty constant
+        assert first["offset"] == pytest.approx(0.0, abs=1e-9)
+
+    def test_hand_built_problem_solves_in_one_round(self, monkeypatch):
+        calls = engine_calls(monkeypatch)
+        res = solve(tiny_uc(), SolveOptions(mip_gap=0.0))
+        assert res.status is SolveStatus.OPTIMAL
+        assert res.objective == pytest.approx(210.0)
+        assert res.rounds == 1 and res.kept == () and len(calls) == 1
+
+    def test_a_row_over_copies_keeps_them_from_round_one(self):
+        """A row added after ``assemble`` that reads several copies' columns
+        couples them: every master holds those copies."""
+        prob = assemble(*toy3_inputs(), FormulationConfig())
+        pwc = symbol_cols(prob, "Pwc").tolist()
+        prob.add_row_block("extra", [()], [(c, 1.0) for c in pwc], 0.0, INF)
+        res = solve(prob, SolveOptions(mip_gap=0.0))
+        assert res.rounds == 1
+        assert res.kept == tuple(c.name for c in prob.copies)
+
+    @RING4_CASES
+    def test_time_limit_mid_loop_returns_the_bound(self, monkeypatch, load):
+        """The budget runs out during round 1's copy check, so no second
+        round starts: the result is TIME_LIMIT with round 1's bound, and
+        the whole point when the copy was feasible there."""
+        system, scen, cont = ring4_case(load)
+        cfg = FormulationConfig()
+        oracle = enumerate_commitments(system, scen, cont, cfg)
+        now = [0.0]
+        engine = solver_mod.milp
+
+        def copy_lp_takes_a_second(**kwargs):
+            res = engine(**kwargs)
+            if not kwargs["integrality"].any():
+                now[0] += 1.0
+            return res
+
+        monkeypatch.setattr(solver_mod, "milp", copy_lp_takes_a_second)
+        monkeypatch.setattr(solver_mod, "time",
+                            types.SimpleNamespace(perf_counter=lambda: now[0]))
+        prob = assemble(system, scen, cont, cfg)
+        res = solve(prob, SolveOptions(mip_gap=0.0, time_limit=1.0))
+        assert res.status is SolveStatus.TIME_LIMIT
+        assert res.rounds == 1 and res.kept == ()
+        assert res.best_bound <= oracle.best_objective + 1e-9
+        if load is None:
+            assert res.x is None
+        else:
+            assert res.objective >= oracle.best_objective - 1e-9
+            assert res.best_bound < res.objective
+            assert verify_solution(extract_schedule(prob, res), system, scen,
+                                   cont, cfg) == []
+
+    @RING4_CHAINS
+    def test_time_limit_in_round_two(self, monkeypatch, load, kept):
+        """The budget runs out in round 2's master, which the engine stops
+        with no point.  The result is TIME_LIMIT with the better bound of
+        the two rounds, and round 1's whole point when it had one: with
+        the chord's copy infeasible at round 1's first stage there is no
+        whole point, so none is returned."""
+        system, scen, cont = ring4_chain(load)
+        cfg = FormulationConfig()
+        oracle = enumerate_commitments(system, scen, cont, cfg)
+        now = [0.0]
+        engine = solver_mod.milp
+        masters = []
+
+        def second_master_hits_the_limit(**kwargs):
+            if kwargs["integrality"].any():
+                masters.append(kwargs["time_limit"])
+                if len(masters) == 2:
+                    now[0] = 1.0
+                    return EngineResult(SolveStatus.TIME_LIMIT,
+                                        "Time limit reached")
+            return engine(**kwargs)
+
+        monkeypatch.setattr(solver_mod, "milp", second_master_hits_the_limit)
+        monkeypatch.setattr(solver_mod, "time",
+                            types.SimpleNamespace(perf_counter=lambda: now[0]))
+        prob = assemble(system, scen, cont, cfg)
+        res = solve(prob, SolveOptions(mip_gap=0.0, time_limit=1.0))
+        assert masters == [1.0, 1.0]
+        assert res.status is SolveStatus.TIME_LIMIT
+        assert res.rounds == 2 and res.kept == kept
+        assert res.best_bound <= oracle.best_objective + 1e-9
+        if load is None:
+            assert res.x is None
+        else:
+            assert res.objective >= oracle.best_objective - 1e-9
+            assert verify_solution(extract_schedule(prob, res), system, scen,
+                                   cont, cfg) == []
 
 
 class TestEngineStatistics:
@@ -702,40 +937,50 @@ class TestFootprint:
 
 class TestMilpRoute:
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("make", [toy3_inputs, rts24_slice],
-                             ids=["toy3", "rts24-slice"])
+    @pytest.mark.parametrize("make", [toy3_inputs, rts24_slice,
+                                      lambda: ring4_chain(80.0)],
+                             ids=["toy3", "rts24-slice", "ring4-chain"])
     def test_matches_scipy_milp_bit_for_bit(self, monkeypatch, make, kind):
-        """The same arrays and options through scipy's ``milp``, with the
-        objective offset as a column fixed to 1 and the rows column-wise,
-        take the same search path."""
-        seen = {}
+        """Every engine call of a solve, masters and copy LPs, through
+        ``milp`` and, with the objective offset as a column fixed to 1 and
+        the rows column-wise, through scipy's ``milp`` takes the same
+        search path."""
+        calls = []
         engine = solver_mod.milp
 
         def record(**kwargs):
-            seen.update(kwargs)
-            seen["result"] = engine(**kwargs)
-            return seen["result"]
+            calls.append((kwargs, engine(**kwargs)))
+            return calls[-1][1]
 
         monkeypatch.setattr(solver_mod, "milp", record)
-        prob = assemble(*make(), FormulationConfig(model_kind=kind))
-        solve(prob, SolveOptions(mip_gap=0.01))
-        got, n = seen["result"], prob.num_vars
-        A = csr_matrix(*seen["A"], n)
-        assert seen["offset"] != 0.0
-        one = np.ones(1)
-        want = milp(c=np.concatenate((seen["c"], [seen["offset"]])),
-                    integrality=np.append(seen["integrality"], 0),
-                    bounds=Bounds(np.concatenate((seen["col_lower"], one)),
-                                  np.concatenate((seen["col_upper"], one))),
-                    constraints=[LinearConstraint(
-                        sparse.hstack((A, sparse.csc_matrix((A.shape[0], 1))),
-                                      format="csc"),
-                        seen["row_lower"], seen["row_upper"])],
-                    options={"mip_rel_gap": 0.01, "presolve": True})
-        assert got.status is SolveStatus.OPTIMAL and want.status == 0
-        assert got.x.tobytes() == want.x[:n].tobytes()
-        for stat in ("mip_node_count", "mip_dual_bound", "mip_gap"):
-            assert getattr(got, stat) == getattr(want, stat), stat
+        solve(assemble(*make(), FormulationConfig(model_kind=kind)),
+              SolveOptions(mip_gap=0.01))
+        offsets = [seen["offset"] for seen, _ in calls]
+        assert offsets[0] == 0.0 or make is not toy3_inputs
+        if len(calls) > 1:  # a later master or a copy LP holds a copy
+            assert any(offsets[1:])
+        for seen, got in calls:
+            n = seen["c"].size
+            A = csr_matrix(*seen["A"], n)
+            one = np.ones(1)
+            want = milp(c=np.concatenate((seen["c"], [seen["offset"]])),
+                        integrality=np.append(seen["integrality"], 0),
+                        bounds=Bounds(np.concatenate((seen["col_lower"], one)),
+                                      np.concatenate((seen["col_upper"], one))),
+                        constraints=[LinearConstraint(
+                            sparse.hstack((A, sparse.csc_matrix((A.shape[0], 1))),
+                                          format="csc"),
+                            seen["row_lower"], seen["row_upper"])],
+                        options={"mip_rel_gap": seen["mip_rel_gap"],
+                                 "presolve": True})
+            if got.status is SolveStatus.INFEASIBLE:  # a copy's LP
+                assert want.status == 2
+                continue
+            assert got.status is SolveStatus.OPTIMAL and want.status == 0
+            assert got.x.tobytes() == want.x[:n].tobytes()
+            if seen["integrality"].any():
+                for stat in ("mip_node_count", "mip_dual_bound", "mip_gap"):
+                    assert getattr(got, stat) == getattr(want, stat), stat
 
     def test_feasibility_jump_is_off_on_every_instance(self):
         """HiGHS runs the heuristic by default; both routes' instances
